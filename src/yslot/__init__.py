@@ -2,13 +2,12 @@
 
 from .allocate import (PatternSolution, SlotAllocation, assign_early_slots,
                        build_group_chain, candidate_structures, com_probability,
-                       early_window, entry_name, optimize, round_allocation,
+                       early_window, optimize, round_allocation,
                        solution_timeline, solve_pattern)
-from .pathmodel import (PathModel, PatternSpec, classify_model,
-                        enumerate_path_models, find_model, patterns_for)
+from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
+                        find_model, patterns_for)
 from .relax import (ConvergenceError, DomainError, GroupChain, Origin,
-                    RelaxedSolution, budget_terms, ffun, gfun,
-                    solve_group_relaxed)
+                    budget_terms, ffun, gfun)
 from .simulate import (InvalidTimeline, NodeSetMismatch, SimReport, compare,
                        simulate)
 from .timeline import (CausalityViolation, ConflictViolation, DoesNotFit,

@@ -24,14 +24,16 @@ from functools import lru_cache
 
 from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
                         patterns_for)
-from .relax import (GroupChain, Origin, RelaxedSolution, StructuredRelax, Use,
-                    budget_terms, solve_plain_structure, solve_rider_feeders,
+from .relax import (GroupChain, Origin, StructuredRelax, Use, budget_terms,
+                    solve_plain_structure, solve_rider_feeders,
                     solve_rider_terminal)
 from .timeline import GroupPlan, PlacedBurst, place_plans
 from .topology import ConflictSet, Topology, derive_conflicts
 
 TxLink = tuple[int, int]
 EntryKey = tuple[int, int, int]  # (origin node, packet k, link)
+SlotKey = tuple[int, int, int, bool]  # (origin node, packet k, link, early)
+Interval = tuple[float, float, TxLink]  # placed [start, end) of a transmitter
 
 
 @lru_cache(maxsize=1 << 16)
@@ -75,25 +77,31 @@ class Structure:
     riders: tuple[Use, ...]    # free-riding uses (share host slots)
     hosts: tuple[TxLink, ...]  # use keys whose slots host the riders
 
-    def entries(self) -> list[Entry]:
-        return [Entry(u.node, k, u.link, u.q)
-                for u in self.uses for k in range(1, u.weight + 1)]
-
-    def rider_entries(self) -> list[Entry]:
-        return [Entry(u.node, k, u.link, u.q)
-                for u in self.riders for k in range(1, u.weight + 1)]
-
     def use_keys(self) -> set[TxLink]:
         return {(u.node, u.link) for u in self.uses}
 
 
-def build_group_chain(model: PathModel, label: str, budget: float) -> GroupChain:
+def _packet_entries(uses: tuple[Use, ...]) -> list[Entry]:
+    return [Entry(u.node, k, u.link, u.q)
+            for u in uses for k in range(1, u.weight + 1)]
+
+
+def _chain_uses(chain: GroupChain) -> tuple[Use, ...]:
+    """Every (origin, route link) of the chain as a budget use, chain order."""
+    return tuple(Use(o.node, link, q, o.rate)
+                 for o in chain.origins for link, q in o.route)
+
+
+def _origin(model: PathModel, node: int) -> Origin:
     topo = model.topology
-    origins = []
-    for node in model.group(label):
-        route = tuple((lid, topo.links[lid].loss) for lid in model.route(node))
-        origins.append(Origin(node, topo.rates[node], route))
-    return GroupChain(label=label, origins=tuple(origins), budget=float(budget))
+    route = tuple((lid, topo.links[lid].loss) for lid in model.route(node))
+    return Origin(node, topo.rates[node], route)
+
+
+def build_group_chain(model: PathModel, label: str, budget: float) -> GroupChain:
+    return GroupChain(label=label,
+                      origins=tuple(_origin(model, n) for n in model.group(label)),
+                      budget=float(budget))
 
 
 def candidate_structures(model: PathModel, chain: GroupChain,
@@ -104,8 +112,7 @@ def candidate_structures(model: PathModel, chain: GroupChain,
     whose first-hop transmission does not conflict with the terminal node's
     own transmission, so the two bursts may share slots.
     """
-    all_uses = tuple(Use(o.node, link, q, o.rate)
-                     for o in chain.origins for link, q in o.route)
+    all_uses = _chain_uses(chain)
     plain = Structure("plain", "plain", all_uses, (), ())
 
     terminal = chain.origins[-1]
@@ -169,8 +176,8 @@ def _greedy_int(st: Structure, budget: int,
     Every host slot carries one rider slot, so a host entry's marginal adds
     the best rider marginal; ties go to the earliest entry (upstream first).
     """
-    entries = st.entries()
-    riders = st.rider_entries()
+    entries = _packet_entries(st.uses)
+    riders = _packet_entries(st.riders)
     hosts = set(st.hosts)
     vals = {e.key: 0 for e in entries}
     rvals = {r.key: 0 for r in riders}
@@ -200,19 +207,26 @@ def _greedy_int(st: Structure, budget: int,
     return vals, rvals
 
 
-def _restrict(st: Structure, keep: set[TxLink]) -> Structure:
-    return Structure(st.kind, st.label,
-                     tuple(u for u in st.uses if (u.node, u.link) in keep),
-                     st.riders, st.hosts)
+def _split_structure(st: Structure, hide_set: set[TxLink],
+                     ) -> tuple[Structure, Structure]:
+    """Case c5 parts: the structure without its hideable uses, and the
+    hideable uses alone as a plain structure."""
+    rest = tuple(u for u in st.uses if (u.node, u.link) not in hide_set)
+    hide = tuple(u for u in st.uses if (u.node, u.link) in hide_set)
+    return (Structure(st.kind, st.label, rest, st.riders, st.hosts),
+            Structure("plain", "plain", hide, (), ()))
 
 
-def _route_links(chain: GroupChain) -> list[int]:
-    """Chain links ordered upstream first (deepest from the gateway)."""
+def _chain_ranks(chain: GroupChain) -> tuple[dict[int, int], dict[int, int]]:
+    """Rank of each link, upstream first (deepest from the gateway), and of
+    each origin in chain order."""
     depth: dict[int, int] = {}
     for o in chain.origins:
         for idx, (link, _) in enumerate(o.route):
             depth[link] = max(depth.get(link, 0), len(o.route) - idx)
-    return sorted(depth, key=lambda l: (-depth[l], l))
+    links = sorted(depth, key=lambda l: (-depth[l], l))
+    return ({l: i for i, l in enumerate(links)},
+            {o.node: i for i, o in enumerate(chain.origins)})
 
 
 def _transmitter_map(model: PathModel, chain: GroupChain) -> dict[TxLink, TxLink]:
@@ -224,23 +238,12 @@ def _transmitter_map(model: PathModel, chain: GroupChain) -> dict[TxLink, TxLink
     return out
 
 
-def early_window(placed: list[tuple[int, TxLink]],
-                 group_txs, conflicts: ConflictSet) -> int:
+def early_window(placed: list[Interval], group_txs, conflicts: ConflictSet):
     """First slot from which nothing already placed conflicts with any of
-    the group's transmitters; 0 when there is no conflicting burst."""
+    the group's transmitters; 0 when there is no conflicting burst.
+    Placements are [start, end) intervals; integer slot s is (s, s + 1)."""
     a = 0
-    for slot, txlink in placed:
-        if slot + 1 <= a:
-            continue
-        if any(conflicts.conflict(txlink, g) for g in group_txs):
-            a = slot + 1
-    return a
-
-
-def _real_window(placed: list[tuple[float, float, TxLink]],
-                 group_txs, conflicts: ConflictSet) -> float:
-    a = 0.0
-    for start, end, txlink in placed:
+    for _start, end, txlink in placed:
         if end <= a:
             continue
         if any(conflicts.conflict(txlink, g) for g in group_txs):
@@ -248,20 +251,13 @@ def _real_window(placed: list[tuple[float, float, TxLink]],
     return a
 
 
-def _blocked_uses(chain: GroupChain, model: PathModel, window, placed,
-                  conflicts: ConflictSet, real: bool) -> set[TxLink]:
+def _blocked_uses(txmap: dict[TxLink, TxLink], window, placed: list[Interval],
+                  conflicts: ConflictSet) -> set[TxLink]:
     """Use keys whose transmitter conflicts with anything inside the window."""
-    txmap = _transmitter_map(model, chain)
     blocked: set[TxLink] = set()
     for use_key, txlink in txmap.items():
-        for item in placed:
-            if real:
-                start, _end, other = item
-                inside = start < window
-            else:
-                slot, other = item
-                inside = slot < window
-            if inside and conflicts.conflict(other, txlink):
+        for start, _end, other in placed:
+            if start < window and conflicts.conflict(other, txlink):
                 blocked.add(use_key)
                 break
     return blocked
@@ -275,8 +271,7 @@ def _hideable_uses(chain: GroupChain, st: Structure,
     can reach its transmitter inside the window."""
     use_keys = st.use_keys()
     hosts = set(st.hosts)
-    order = {l: i for i, l in enumerate(_route_links(chain))}
-    pos = {o.node: i for i, o in enumerate(chain.origins)}
+    order, pos = _chain_ranks(chain)
     out = []
     for o in chain.origins:
         for link, _ in o.route:
@@ -308,7 +303,6 @@ def _classify_case(hide_order: list[TxLink], capacities: dict[TxLink, float],
 
 @dataclass
 class GroupInteger:
-    structure: Structure
     serialized: dict[EntryKey, int]
     early: dict[EntryKey, int]
     rider: dict[EntryKey, int]
@@ -324,9 +318,12 @@ class GroupInteger:
         return out
 
 
-def _chain_product(chain: GroupChain, totals: dict[EntryKey, int]) -> float:
+def _delivery_product(origins, totals: dict[EntryKey, int]) -> float:
+    """Probability that every packet of the origins crosses its route: the
+    product of (1 - q^slots) over each packet's route links, 0 when a link
+    got no slot."""
     log_m = 0.0
-    for o in chain.origins:
+    for o in origins:
         for k in range(1, o.rate + 1):
             for link, q in o.route:
                 log_m += _log1m_pow(q, totals.get((o.node, k, link), 0))
@@ -392,43 +389,33 @@ def assign_early_slots(chain: GroupChain, st: Structure,
 
     gi: GroupInteger | None = None
     if window <= 0:
-        gi = GroupInteger(st, dict(tentative), {}, dict(rider), 0.0, "none", "")
+        gi = GroupInteger(dict(tentative), {}, dict(rider), 0.0, "none", "")
     elif sum(use_caps.values()) >= window:
         early = _fill_window(chain, tentative, hide_order, window)
         if sum(early.values()) == window:
             serialized = {k: v - early.get(k, 0) for k, v in tentative.items()}
-            gi = GroupInteger(st, serialized, early, dict(rider), 0.0, "hide",
+            gi = GroupInteger(serialized, early, dict(rider), 0.0, "hide",
                               _classify_case(hide_order, use_caps, window))
 
     if gi is None:
         hide_set = set(hide_order)
-        st_non = _restrict(st, st.use_keys() - hide_set)
-        vals_non, rider_non = _greedy_int(st_non, budget - window)
-        st_hide = Structure("plain", "plain",
-                            tuple(u for u in st.uses if (u.node, u.link) in hide_set),
-                            (), ())
+        st_rest, st_hide = _split_structure(st, hide_set)
+        vals_rest, rider_rest = _greedy_int(st_rest, budget - window)
         vals_hide, _ = _greedy_int(st_hide, window)
         early = _drop_uncausal(chain, vals_hide, hide_set)
-        gi = GroupInteger(st, vals_non, early, rider_non, 0.0, "split", "c5")
+        gi = GroupInteger(vals_rest, early, rider_rest, 0.0, "split", "c5")
 
-    gi.product = _chain_product(chain, gi.totals())
+    gi.product = _delivery_product(chain.origins, gi.totals())
     return gi
 
 
-def round_allocation(relaxed: RelaxedSolution | GroupChain, budget: int,
-                     chain: GroupChain | None = None) -> dict[EntryKey, int]:
+def round_allocation(chain: GroupChain, budget: int) -> dict[EntryKey, int]:
     """Integer slot map for one chain, summing exactly to the budget and
     maximizing the delivery product.  Greedy marginal-gain allocation is
     provably optimal for the separable concave objective and lands within
     one slot of the relaxed solution on every entry."""
-    if isinstance(relaxed, GroupChain):
-        chain = relaxed
-    if chain is None:
-        raise ValueError("round_allocation needs the GroupChain")
-    uses = tuple(Use(o.node, link, q, o.rate)
-                 for o in chain.origins for link, q in o.route)
-    st = Structure("plain", "plain", uses, (), ())
-    vals, _ = _greedy_int(st, budget)
+    vals, _ = _greedy_int(Structure("plain", "plain", _chain_uses(chain), (), ()),
+                          budget)
     return vals
 
 
@@ -440,7 +427,7 @@ def round_allocation(relaxed: RelaxedSolution | GroupChain, budget: int,
 class SlotAllocation:
     model: PathModel
     pattern: PatternSpec
-    entries: dict[tuple[int, int, int, bool], int]  # (node, k, link, early) -> count
+    entries: dict[SlotKey, int]
     per_node: dict[int, float]
     com_product: float
     feasible: bool
@@ -454,8 +441,7 @@ class PatternSolution:
     tub_product: float
     com_product: float
     allocation: SlotAllocation
-    tub_entries: dict[str, float]
-    com_entries: dict[str, int]
+    tub_entries: dict[SlotKey, float]   # relaxed slots, keyed like allocation.entries
     windows: dict[str, int]
     windows_real: dict[str, float]
     case_labels: dict[str, str]
@@ -473,24 +459,17 @@ class PatternSolution:
         return ";".join(parts) if parts else "-"
 
 
-def entry_name(node: int, link: int, k: int, rate: int, early: bool) -> str:
-    mark = "s'" if early else "s"
-    if rate > 1:
-        return f"{mark}[{node},{link},{k}]"
-    return f"{mark}[{node},{link}]"
-
-
-def _serial_order(chain: GroupChain, st: Structure) -> list[EntryKey]:
-    """Burst order: upstream links first, upstream origins first within a
-    link; a rider-hosting terminal burst moves to the front so its riders
-    (the feeders' first hops) precede the feeders' later hops."""
-    order = {l: i for i, l in enumerate(_route_links(chain))}
-    pos = {o.node: i for i, o in enumerate(chain.origins)}
-    keys = [(u.node, k, u.link) for u in st.uses for k in range(1, u.weight + 1)]
-    keys.sort(key=lambda e: (order[e[2]], pos[e[0]], e[1]))
+def _serial_order(chain: GroupChain, st: Structure) -> list[TxLink]:
+    """Burst order of the budget uses: upstream links first, upstream
+    origins first within a link; a rider-hosting terminal burst moves to
+    the front so its riders (the feeders' first hops) precede the feeders'
+    later hops."""
+    order, pos = _chain_ranks(chain)
+    keys = sorted(((u.node, u.link) for u in st.uses),
+                  key=lambda key: (order[key[1]], pos[key[0]]))
     if st.kind == "rider-feeders":
-        term = [e for e in keys if (e[0], e[2]) in st.hosts]
-        keys = term + [e for e in keys if (e[0], e[2]) not in st.hosts]
+        keys = ([key for key in keys if key in st.hosts]
+                + [key for key in keys if key not in st.hosts])
     return keys
 
 
@@ -519,101 +498,107 @@ def _rider_assignment(st: Structure, gi: GroupInteger,
 
 def _build_plan(chain: GroupChain, st: Structure, gi: GroupInteger,
                 window: int, hide_order: list[TxLink]) -> GroupPlan:
-    serial_keys = _serial_order(chain, st)
+    rates = {o.node: o.rate for o in chain.origins}
+    serial_keys = [(n, k, l) for n, l in _serial_order(chain, st)
+                   for k in range(1, rates[n] + 1)]
     riders = _rider_assignment(st, gi, serial_keys)
     serialized = tuple(
         PlacedBurst(n, k, l, gi.serialized[(n, k, l)], False,
                     tuple(riders.get((n, k, l), ())))
         for n, k, l in serial_keys if gi.serialized.get((n, k, l), 0) > 0)
-    rates = {o.node: o.rate for o in chain.origins}
     early = tuple(PlacedBurst(n, k, l, gi.early[(n, k, l)], True, ())
                   for n, l in hide_order for k in range(1, rates[n] + 1)
                   if gi.early.get((n, k, l), 0) > 0)
     return GroupPlan(chain.label, window, early, serialized)
 
 
-@dataclass
-class _RealGroup:
-    serialized: dict[TxLink, float]   # per-use totals (rate-weighted)
-    early: dict[TxLink, float]
-    rider: dict[TxLink, float]
-    intervals: list[tuple[float, float, TxLink]]
+def _scaled(values: dict[TxLink, float], uses) -> dict[TxLink, float]:
+    """Per-use totals over all of an origin's packets."""
+    return {(u.node, u.link): values[(u.node, u.link)] * u.weight for u in uses}
+
+
+def _real_fill(totals: dict[TxLink, float], hide_order: list[TxLink],
+               window: float) -> dict[TxLink, float]:
+    """Per-use real fill: move relaxed use totals into the window in fill
+    order until it is covered (the real counterpart of `_fill_window`)."""
+    early: dict[TxLink, float] = {}
+    remaining = window
+    for key in hide_order:
+        take = min(totals[key], remaining)
+        if take > 1e-12:
+            early[key] = take
+            remaining -= take
+        if remaining <= 1e-12:
+            break
+    return early
+
+
+def _relaxed_split(st: Structure, hide_order: list[TxLink], window: float,
+                   budget: float):
+    """Relaxed case c5: the window exceeds the hideable mass, so the
+    hideable uses share the window and the others, riders included, share
+    budget - window.  Returns per-use (totals, rider, early)."""
+    st_rest, st_hide = _split_structure(st, set(hide_order))
+    totals: dict[TxLink, float] = {}
+    rider: dict[TxLink, float] = {}
+    early: dict[TxLink, float] = {}
+    if budget - window > 1e-9 and st_rest.uses:
+        sub = _relax_structure(st_rest, budget - window)
+        totals = _scaled(sub.values, st_rest.uses)
+        rider = _scaled(sub.values, st.riders)
+    if st_hide.uses:
+        early = _scaled(_relax_structure(st_hide, window).values, st_hide.uses)
+    return totals, rider, early
 
 
 def _real_stage(chain: GroupChain, st: Structure, relaxed: StructuredRelax,
                 window: float, hide_order: list[TxLink], budget: float,
-                model: PathModel) -> _RealGroup:
-    """Real-valued mirror of the early-window step, for the TUB slot table."""
-    rates = {o.node: o.rate for o in chain.origins}
-    use_keys = [(u.node, u.link) for u in st.uses]
-    rider_keys = [(u.node, u.link) for u in st.riders]
-    totals = {k: relaxed.values[k] * rates[k[0]] for k in use_keys}
-    rider_totals = {k: relaxed.values[k] * rates[k[0]] for k in rider_keys}
-
+                txmap: dict[TxLink, TxLink],
+                ) -> tuple[dict[SlotKey, float], list[Interval]]:
+    """Real-valued mirror of the early-window step: the group's TUB slot
+    entries and the intervals its transmitters occupy."""
+    totals = _scaled(relaxed.values, st.uses)
+    rider = _scaled(relaxed.values, st.riders)
     early: dict[TxLink, float] = {}
     if window > 1e-12:
-        caps = {k: totals[k] for k in hide_order}
-        if sum(caps.values()) + 1e-9 >= window:
-            remaining = window
-            for key in hide_order:
-                take = min(caps[key], remaining)
-                if take > 1e-12:
-                    early[key] = take
-                    remaining -= take
-                if remaining <= 1e-12:
-                    break
+        if sum(totals[key] for key in hide_order) + 1e-9 >= window:
+            early = _real_fill(totals, hide_order, window)
         else:
-            # window exceeds the hideable mass: split solve (case c5)
-            hide_set = set(hide_order)
-            non_hide = {k for k in use_keys if k not in hide_set}
-            if budget - window > 1e-9 and non_hide:
-                sub = _relax_structure(_restrict(st, non_hide), budget - window)
-                totals = {k: sub.values[k] * rates[k[0]] for k in non_hide}
-                rider_totals = {k: sub.values[k] * rates[k[0]] for k in rider_keys}
-            else:
-                totals = {k: 0.0 for k in non_hide}
-                rider_totals = {k: 0.0 for k in rider_keys}
-            hide_uses = [u for u in st.uses if (u.node, u.link) in hide_set]
-            if hide_uses:
-                sub_h = solve_plain_structure(hide_uses, window)
-                for u in hide_uses:
-                    key = (u.node, u.link)
-                    totals[key] = 0.0
-                    early[key] = sub_h.values[key] * u.weight
+            totals, rider, early = _relaxed_split(st, hide_order, window, budget)
+    serialized = {key: max(0.0, totals.get(key, 0.0) - early.get(key, 0.0))
+                  for key in st.use_keys()}
 
-    serialized = {k: max(0.0, totals.get(k, 0.0) - early.get(k, 0.0))
-                  for k in use_keys}
-
-    txmap = _transmitter_map(model, chain)
-    intervals: list[tuple[float, float, TxLink]] = []
+    intervals: list[Interval] = []
     cursor = 0.0
     for key in hide_order:
         e = early.get(key, 0.0)
         if e > 1e-12:
             intervals.append((cursor, cursor + e, txmap[key]))
             cursor += e
-    order = {l: i for i, l in enumerate(_route_links(chain))}
-    pos = {o.node: i for i, o in enumerate(chain.origins)}
-    serial_keys = sorted(use_keys, key=lambda kk: (order[kk[1]], pos[kk[0]]))
-    if st.kind == "rider-feeders":
-        serial_keys = ([k for k in serial_keys if k in st.hosts]
-                       + [k for k in serial_keys if k not in st.hosts])
     cursor = window
     host_spans: list[tuple[float, float]] = []
-    for key in serial_keys:
-        length = serialized.get(key, 0.0)
+    for key in _serial_order(chain, st):
+        length = serialized[key]
         if length > 1e-12:
             intervals.append((cursor, cursor + length, txmap[key]))
             if key in st.hosts:
                 host_spans.append((cursor, cursor + length))
             cursor += length
     if host_spans:
-        lo = min(s[0] for s in host_spans)
-        hi = max(s[1] for s in host_spans)
-        for rk in rider_keys:
-            intervals.append((lo, hi, txmap[rk]))
+        lo = min(span[0] for span in host_spans)
+        hi = max(span[1] for span in host_spans)
+        intervals.extend((lo, hi, txmap[(u.node, u.link)]) for u in st.riders)
 
-    return _RealGroup(serialized, early, rider_totals, intervals)
+    entries: dict[SlotKey, float] = {}
+    for o in chain.origins:
+        for link, _q in o.route:
+            key = (o.node, link)
+            s_pp = serialized.get(key, 0.0) / o.rate
+            e_pp = (early.get(key, 0.0) + rider.get(key, 0.0)) / o.rate
+            for k in range(1, o.rate + 1):
+                entries[(o.node, k, link, False)] = s_pp
+                entries[(o.node, k, link, True)] = e_pp
+    return entries, intervals
 
 
 def com_probability(alloc: SlotAllocation, model: PathModel,
@@ -623,21 +608,13 @@ def com_probability(alloc: SlotAllocation, model: PathModel,
     A packet's M multiplies (1 - q_j^{total slots}) over its route links;
     zero slots on any route link means it cannot be delivered.
     """
-    topo = model.topology
     totals: dict[EntryKey, int] = {}
     for (node, k, link, _early), v in alloc.entries.items():
         key = (node, k, link)
         totals[key] = totals.get(key, 0) + v
-    per_node: dict[int, float] = {}
-    for node in topo.nodes:
-        log_m = 0.0
-        for k in range(1, topo.rates[node] + 1):
-            for link in model.route(node):
-                q = topo.links[link].loss
-                log_m += _log1m_pow(q, totals.get((node, k, link), 0))
-        per_node[node] = math.exp(log_m) if log_m > -math.inf else 0.0
-    product = math.prod(per_node.values())
-    return per_node, product
+    per_node = {node: _delivery_product([_origin(model, node)], totals)
+                for node in model.topology.nodes}
+    return per_node, math.prod(per_node.values())
 
 
 def _resolve_pattern(model: PathModel, pattern) -> PatternSpec:
@@ -659,28 +636,27 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
     spec = _resolve_pattern(model, pattern)
     conflicts = derive_conflicts(topo)
     routes = dict(model.routes)
-    rates = topo.rates
 
-    placed_int: list[tuple[int, TxLink]] = []
-    placed_real: list[tuple[float, float, TxLink]] = []
+    placed_int: list[Interval] = []
+    placed_real: list[Interval] = []
     plans: list[GroupPlan] = []
     tub = 1.0
     windows: dict[str, int] = {}
     windows_real: dict[str, float] = {}
     case_labels: dict[str, str] = {}
     predicted: dict[str, str] = {}
-    tub_entries: dict[str, float] = {}
-    entries: dict[tuple[int, int, int, bool], int] = {}
+    tub_entries: dict[SlotKey, float] = {}
+    entries: dict[SlotKey, int] = {}
 
     for label in spec.placement:
         chain = build_group_chain(model, label, T)
         structures = candidate_structures(model, chain, conflicts)
         group_txs = model.group_transmissions(label)
+        txmap = _transmitter_map(model, chain)
         a_int = early_window(placed_int, group_txs, conflicts)
-        a_real = _real_window(placed_real, group_txs, conflicts)
+        a_real = float(early_window(placed_real, group_txs, conflicts))
         windows[label], windows_real[label] = a_int, a_real
-        blocked = _blocked_uses(chain, model, a_int, placed_int, conflicts,
-                                real=False)
+        blocked = _blocked_uses(txmap, a_int, placed_int, conflicts)
 
         best: tuple[Structure, StructuredRelax, GroupInteger,
                     list[TxLink]] | None = None
@@ -702,32 +678,23 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
         case_labels[label] = lab
         tub *= relaxed.product
 
-        blocked_r = _blocked_uses(chain, model, a_real, placed_real, conflicts,
-                                  real=True)
-        hide_order_r = _hideable_uses(chain, st, blocked_r)
-        rg = _real_stage(chain, st, relaxed, a_real, hide_order_r, float(T), model)
-        placed_real.extend(rg.intervals)
-        for o in chain.origins:
-            for link, _q in o.route:
-                key = (o.node, link)
-                s_pp = rg.serialized.get(key, 0.0) / o.rate
-                e_pp = (rg.early.get(key, 0.0) + rg.rider.get(key, 0.0)) / o.rate
-                for k in range(1, o.rate + 1):
-                    tub_entries[entry_name(o.node, link, k, o.rate, False)] = s_pp
-                    tub_entries[entry_name(o.node, link, k, o.rate, True)] = e_pp
+        blocked_r = _blocked_uses(txmap, a_real, placed_real, conflicts)
+        group_tub, intervals = _real_stage(
+            chain, st, relaxed, a_real, _hideable_uses(chain, st, blocked_r),
+            float(T), txmap)
+        tub_entries.update(group_tub)
+        placed_real.extend(intervals)
 
         plan = _build_plan(chain, st, gi, a_int, hide_order)
         plans.append(plan)
-        for unit in place_plans(topo, routes, [plan]):
-            placed_int.append((unit.slot, (unit.tx, unit.link)))
-        for key, v in gi.serialized.items():
-            if v > 0:
-                entries[(key[0], key[1], key[2], False)] = v
-        for src in (gi.early, gi.rider):
-            for key, v in src.items():
+        placed_int.extend((u.slot, u.slot + 1, (u.tx, u.link))
+                          for u in place_plans(topo, routes, [plan]))
+        for early, src in ((False, gi.serialized), (True, gi.early),
+                           (True, gi.rider)):
+            for (node, k, link), v in src.items():
                 if v > 0:
-                    k4 = (key[0], key[1], key[2], True)
-                    entries[k4] = entries.get(k4, 0) + v
+                    key = (node, k, link, early)
+                    entries[key] = entries.get(key, 0) + v
 
     alloc = SlotAllocation(model, spec, entries, {}, 0.0, True)
     per_node, com = com_probability(alloc, model)
@@ -735,23 +702,9 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
     alloc.com_product = com
     alloc.feasible = com > 0.0
 
-    com_entries: dict[str, int] = {}
-    for node in topo.nodes:
-        for link in model.route(node):
-            for k in range(1, rates[node] + 1):
-                name_s = entry_name(node, link, k, rates[node], False)
-                name_e = entry_name(node, link, k, rates[node], True)
-                com_entries[name_s] = entries.get((node, k, link, False), 0)
-                com_entries[name_e] = entries.get((node, k, link, True), 0)
-                tub_entries.setdefault(name_s, 0.0)
-                tub_entries.setdefault(name_e, 0.0)
-
-    return PatternSolution(
-        model=model, pattern=spec, cycle_slots=T, tub_product=tub,
-        com_product=com, allocation=alloc, tub_entries=tub_entries,
-        com_entries=com_entries, windows=windows, windows_real=windows_real,
-        case_labels=case_labels, predicted=predicted, plans=plans,
-        feasible=alloc.feasible)
+    return PatternSolution(model, spec, T, tub, com, alloc, tub_entries,
+                           windows, windows_real, case_labels, predicted, plans,
+                           alloc.feasible)
 
 
 def solution_timeline(solution: PatternSolution):

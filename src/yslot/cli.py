@@ -92,24 +92,28 @@ SUMMARY_FIELDS = ["model", "no_sep_branch", "pattern", "case", "tub", "com",
                   "window", "feasible"]
 
 
+def entry_name(node: int, link: int, k: int, rate: int, early: bool) -> str:
+    """Slot-table column name: s[node,link] or s'[..] for early slots, with
+    the packet index appended for nodes sending more than one packet."""
+    mark = "s'" if early else "s"
+    if rate > 1:
+        return f"{mark}[{node},{link},{k}]"
+    return f"{mark}[{node},{link}]"
+
+
 def _slot_table_rows(sol: PatternSolution) -> tuple[list[dict], list[str]]:
-    names = sorted(sol.tub_entries, key=_entry_sort_key)
+    rates = sol.model.topology.rates
+    # columns by node, link, packet, then s before s'
+    keys = sorted(sol.tub_entries, key=lambda e: (e[0], e[2], e[1], e[3]))
+    names = [entry_name(node, link, k, rates[node], early)
+             for node, k, link, early in keys]
     head = {"model": sol.model.name, "pattern": sol.pattern.pattern_id,
             "case": sol.case_label}
     tub_row = {"row": "TUB", **head, "product": sol.tub_product,
-               **{n: sol.tub_entries[n] for n in names}}
+               **{n: sol.tub_entries[e] for n, e in zip(names, keys)}}
     com_row = {"row": "COM", **head, "product": sol.com_product,
-               **{n: sol.com_entries.get(n, 0) for n in names}}
+               **{n: sol.allocation.entries.get(e, 0) for n, e in zip(names, keys)}}
     return [tub_row, com_row], ["row", "model", "pattern", "case", "product"] + names
-
-
-def _entry_sort_key(name: str):
-    early = name.startswith("s'")
-    inner = name[name.index("[") + 1:-1]
-    parts = [int(x) for x in inner.split(",")]
-    node, link = parts[0], parts[1]
-    k = parts[2] if len(parts) > 2 else 1
-    return (node, link, k, early)
 
 
 def run(cfg: RunConfig) -> int:
@@ -134,16 +138,13 @@ def run(cfg: RunConfig) -> int:
                      "group_x", "group_y", "group_z", "patterns"], cfg)
         return 0
 
-    if cfg.command == "optimize":
+    # report without --model is the ranked summary of optimize
+    if cfg.command == "optimize" or (cfg.command == "report" and cfg.model is None):
         solutions = optimize(topology, cfg.cycle_slots, cfg.no_sep_branch)
         _emit([_solution_row(s) for s in solutions], SUMMARY_FIELDS, cfg)
         return 0 if any(s.feasible for s in solutions) else 1
 
     if cfg.command in ("solve", "report", "simulate"):
-        if cfg.command == "report" and cfg.model is None:
-            solutions = optimize(topology, cfg.cycle_slots, cfg.no_sep_branch)
-            _emit([_solution_row(s) for s in solutions], SUMMARY_FIELDS, cfg)
-            return 0 if any(s.feasible for s in solutions) else 1
         if cfg.model is None:
             raise TopologyError(f"{cfg.command} requires --model")
         model = find_model(topology, cfg.model, cfg.no_sep_branch)

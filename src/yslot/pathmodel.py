@@ -148,15 +148,6 @@ def find_model(topology: Topology, name: str,
     return hits[0]
 
 
-def classify_model(model: PathModel) -> int:
-    """Type 1: both separation links adjacent to the central node; 2: one; 3: none."""
-    return model.model_type
-
-
-def _conflicts_for(topology: Topology) -> ConflictSet:
-    return derive_conflicts(topology)
-
-
 def _groups_conflict(model: PathModel, conflicts: ConflictSet,
                      g1: str, g2: str) -> bool:
     t1 = model.group_transmissions(g1)
@@ -171,7 +162,7 @@ def patterns_for(model: PathModel) -> list[PatternSpec]:
     S_Z, or prioritize S_Z); Type 3 groups are mutually independent and need
     a single pattern.
     """
-    conflicts = _conflicts_for(model.topology)
+    conflicts = derive_conflicts(model.topology)
     conflicting = tuple(
         g for g in ("X", "Y") if _groups_conflict(model, conflicts, g, "Z"))
     independent = tuple(g for g in ("X", "Y") if g not in conflicting)

@@ -92,14 +92,6 @@ class GroupChain:
     budget: float
 
 
-@dataclass(frozen=True)
-class RelaxedSolution:
-    slots: dict[tuple[int, int], float]  # (origin node, link) -> s_{i,j}
-    adjunct: float
-    tub_product: float
-    residual: float
-
-
 def budget_terms(chain: GroupChain) -> list[tuple[int, int]]:
     """Per-link budget coefficient: sum of rates of origins routed through it."""
     mult: dict[int, int] = {}
@@ -107,42 +99,6 @@ def budget_terms(chain: GroupChain) -> list[tuple[int, int]]:
         for link, _ in origin.route:
             mult[link] = mult.get(link, 0) + origin.rate
     return sorted(mult.items())
-
-
-def _link_losses(chain: GroupChain) -> dict[int, float]:
-    losses: dict[int, float] = {}
-    for origin in chain.origins:
-        for link, q in origin.route:
-            losses[link] = q
-    return losses
-
-
-def solve_group_relaxed(chain: GroupChain) -> RelaxedSolution:
-    """Relaxed optimum of one serialized group: equal slots per link, budget met.
-
-    The budget's left side is 0 at y = 0 and strictly increasing and unbounded
-    in y, so bracket expansion plus bisection always finds the unique root.
-    """
-    if chain.budget <= 0.0:
-        raise DomainError(f"budget {chain.budget} must be > 0")
-    losses = _link_losses(chain)
-    terms = budget_terms(chain)
-
-    def used(y: float) -> float:
-        return sum(m * ffun(losses[link], y) for link, m in terms)
-
-    y = _solve_increasing(used, chain.budget, what=f"group {chain.label} budget")
-    per_link = {link: ffun(losses[link], y) for link, _ in terms}
-    slots = {}
-    log_m = 0.0
-    for origin in chain.origins:
-        for link, q in origin.route:
-            s = per_link[link]
-            slots[(origin.node, link)] = s
-            log_m += origin.rate * math.log1p(-q ** s)
-    return RelaxedSolution(slots=slots, adjunct=y,
-                           tub_product=math.exp(log_m),
-                           residual=abs(used(y) - chain.budget))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +120,6 @@ class Use:
 @dataclass(frozen=True)
 class StructuredRelax:
     values: dict[tuple[int, int], float]   # budget uses AND rider uses
-    rider_total: float                     # host capacity consumed by riders
     adjunct: float
     product: float
     residual: float
@@ -178,12 +133,22 @@ def _product_of(uses: list[Use], values: dict[tuple[int, int], float]) -> float:
 
 
 def solve_plain_structure(uses: list[Use], budget: float) -> StructuredRelax:
+    """Relaxed optimum of serialized budget uses: every use gets F(q, y) for
+    one adjunct y, and the budget is met.
+
+    The budget's left side is 0 at y = 0 and strictly increasing and
+    unbounded in y, so bracket expansion plus bisection finds the unique
+    root.
+    """
+    if budget <= 0.0:
+        raise DomainError(f"budget {budget} must be > 0")
+
     def used(y: float) -> float:
         return sum(u.weight * ffun(u.q, y) for u in uses)
 
     y = _solve_increasing(used, budget, what="plain budget")
     values = {(u.node, u.link): ffun(u.q, y) for u in uses}
-    return StructuredRelax(values, 0.0, y, math.exp(_product_of(uses, values)),
+    return StructuredRelax(values, y, math.exp(_product_of(uses, values)),
                            abs(used(y) - budget))
 
 
@@ -217,12 +182,9 @@ def solve_rider_terminal(uses: list[Use], feeders: list[Use], rider: Use,
     fvals, z, y = state(c)
     values = {(u.node, u.link): ffun(u.q, y) for u in others}
     values.update(fvals)
-    log_m = _product_of(uses, values)
-    rider_pp = z / rider.weight
-    values[(rider.node, rider.link)] = rider_pp
-    log_m += rider.weight * math.log1p(-rider.q ** rider_pp)
-    return StructuredRelax(values, z, y, math.exp(log_m),
-                           abs(used(c) - budget))
+    values[(rider.node, rider.link)] = z / rider.weight
+    product = math.exp(_product_of([*uses, rider], values))
+    return StructuredRelax(values, y, product, abs(used(c) - budget))
 
 
 def solve_rider_feeders(uses: list[Use], terminal: Use, feeders: list[Use],
@@ -256,9 +218,6 @@ def solve_rider_feeders(uses: list[Use], terminal: Use, feeders: list[Use],
     zvals, x_t, y = state(mu)
     values = {(u.node, u.link): ffun(u.q, y) for u in others}
     values[term_key] = x_t
-    log_m = _product_of(uses, values)
-    for f in feeders:
-        values[(f.node, f.link)] = zvals[(f.node, f.link)]
-        log_m += f.weight * math.log1p(-f.q ** zvals[(f.node, f.link)])
-    return StructuredRelax(values, terminal.weight * x_t, y, math.exp(log_m),
-                           abs(used(mu) - budget))
+    values.update(zvals)
+    product = math.exp(_product_of([*uses, *feeders], values))
+    return StructuredRelax(values, y, product, abs(used(mu) - budget))

@@ -85,15 +85,6 @@ class Topology:
     def is_gateway(self, ident: int) -> bool:
         return ident in self.gateways
 
-    def in_proximity(self, a: int, b: int) -> bool:
-        return _pair(a, b) in self.proximity
-
-    def link_between(self, a: int, b: int) -> Link | None:
-        for link in self.links.values():
-            if {link.a, link.b} == {a, b}:
-                return link
-        return None
-
     def transmissions(self) -> tuple[tuple[int, int], ...]:
         """All directed transmissions (tx node, link id); gateways never send."""
         out = []
@@ -112,8 +103,6 @@ class ConflictSet:
     """Unordered transmission pairs that may not share a time slot."""
 
     pairs: frozenset[frozenset[tuple[int, int]]]
-    _receiver: dict[tuple[int, int], int]
-    proximity: frozenset[tuple[int, int]]
 
     def conflict(self, t1: tuple[int, int], t2: tuple[int, int]) -> bool:
         if t1 == t2:
@@ -139,7 +128,7 @@ def derive_conflicts(topology: Topology) -> ConflictSet:
             x, w = t2[0], recv[t2]
             if _conflict_rule(u, v, x, w, topology.proximity):
                 pairs.add(frozenset((t1, t2)))
-    return ConflictSet(frozenset(pairs), recv, topology.proximity)
+    return ConflictSet(frozenset(pairs))
 
 
 def load_config(path: str | Path) -> dict:

@@ -1,9 +1,12 @@
+import functools
 import importlib.resources
 import json
 
+import numpy as np
 import pytest
 
 from yslot import validate_topology
+from yslot.relax import Use, solve_plain_structure
 
 
 def load_case_raw(case: int) -> dict:
@@ -72,14 +75,48 @@ TABLE_P2_COM = {
 }
 
 
+def slot_key(name: str) -> tuple[int, int, int, bool]:
+    """Typed slot-table key (node, k, link, early) of a reference name such
+    as "s'[7,10]" (rate-1 nodes, so k = 1)."""
+    node, link = (int(x) for x in name[name.index("[") + 1:-1].split(","))
+    return (node, 1, link, name.startswith("s'"))
+
+
 def table_totals(table: dict) -> dict:
     """Collapse a reference slot row into per-(node, link) slot totals."""
     totals: dict[tuple[int, int], float] = {}
     for name, value in table.items():
-        inner = name[name.index("[") + 1:-1]
-        node, link = (int(x) for x in inner.split(","))
+        node, _k, link, _early = slot_key(name)
         totals[(node, link)] = totals.get((node, link), 0) + value
     return totals
+
+
+def solve_plain_chain(chain):
+    """Relaxed optimum of a chain's serialized budget (every route hop of
+    every origin is a budget use)."""
+    uses = [Use(o.node, link, q, o.rate) for o in chain.origins
+            for link, q in o.route]
+    return solve_plain_structure(uses, chain.budget)
+
+
+@functools.lru_cache(maxsize=None)
+def compositions(n: int, total: int) -> np.ndarray:
+    """All nonneg integer vectors of length n with sum <= total (read-only,
+    shared between callers)."""
+    rows = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == n - 1:
+            for v in range(remaining + 1):
+                rows.append(prefix + [v])
+            return
+        for v in range(remaining + 1):
+            rec(prefix + [v], remaining - v)
+
+    rec([], total)
+    out = np.array(rows, dtype=np.int16)
+    out.flags.writeable = False
+    return out
 
 
 def product_from_totals(topology, model, totals: dict) -> float:

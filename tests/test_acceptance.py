@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import (TABLE_P1_COM, TABLE_P1_TUB, TABLE_P2_COM, TABLE_P2_TUB,
-                      product_from_totals, table_totals)
+                      compositions, product_from_totals, slot_key,
+                      solve_plain_chain, table_totals)
 from yslot import (build_timeline, compare, derive_conflicts,
                    enumerate_path_models, ffun, find_model, gfun, patterns_for,
-                   simulate, solve_group_relaxed, solve_pattern,
-                   validate_topology, verify_timeline)
-from yslot.allocate import _chain_product, round_allocation
+                   simulate, solve_pattern, validate_topology, verify_timeline)
+from yslot.allocate import _delivery_product, round_allocation
 from yslot.relax import GroupChain, Origin
 
 
@@ -46,7 +46,7 @@ def test_criterion_1_table2_tub(case1):
     sol = solve_pattern(model, 1, 30)
     elapsed = time.monotonic() - start
     for name, want in TABLE_P1_TUB.items():
-        assert sol.tub_entries[name] == pytest.approx(want, abs=1e-3), name
+        assert sol.tub_entries[slot_key(name)] == pytest.approx(want, abs=1e-3), name
     assert elapsed < 1.0
     ok(1, f"all 22 pattern-1 TUB entries within 1e-3 ({elapsed * 1e3:.0f} ms)")
 
@@ -55,7 +55,7 @@ def test_criterion_2_table3_tub(case1):
     model = find_model(case1, "3-2-3", 11)
     sol = solve_pattern(model, 2, 30)
     for name, want in TABLE_P2_TUB.items():
-        assert sol.tub_entries[name] == pytest.approx(want, abs=1e-3), name
+        assert sol.tub_entries[slot_key(name)] == pytest.approx(want, abs=1e-3), name
     ok(2, "all pattern-2 TUB entries within 1e-3, including the "
           "s[2,2]=0.5677 / s'[2,2]=3.4322 split")
 
@@ -146,7 +146,7 @@ def test_criterion_8_budget_exactness(matrix, all_cases):
                    tuple((j + 1, losses[j]) for j in range(i, n)))
             for i in range(n))
         chain = GroupChain("g", origins, rng.uniform(4, 60))
-        sol = solve_group_relaxed(chain)
+        sol = solve_plain_chain(chain)
         assert sol.residual <= 1e-9
         budget = rng.randint(len([1 for o in origins for _ in o.route]), 40)
         vals = round_allocation(chain, budget)
@@ -164,22 +164,6 @@ def test_criterion_8_budget_exactness(matrix, all_cases):
     ok(8, "relaxed residuals <= 1e-9; integer chains sum exactly to budget")
 
 
-def _compositions(n: int, total: int) -> np.ndarray:
-    """All nonneg integer vectors of length n with sum <= total."""
-    rows = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == n - 1:
-            for v in range(remaining + 1):
-                rows.append(prefix + [v])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v)
-
-    rec([], total)
-    return np.array(rows, dtype=np.int16)
-
-
 def test_criterion_9_oracle_equivalence():
     shapes = [
         [(0,)], [(0, 1)], [(0, 1, 2)],
@@ -192,7 +176,7 @@ def test_criterion_9_oracle_equivalence():
     for shape in shapes:
         n_links = max(max(s) for s in shape) + 1
         uses = [l for s in shape for l in s]
-        rows = _compositions(len(uses), max_budget)
+        rows = compositions(len(uses), max_budget)
         sums = rows.sum(axis=1)
         budget_idx = {b: np.nonzero(sums == b)[0] for b in range(1, max_budget + 1)}
         for qs in itertools.product(qgrid, repeat=n_links):
@@ -207,8 +191,8 @@ def test_criterion_9_oracle_equivalence():
                             for i, s in enumerate(shape))
             for b in range(1, max_budget + 1):
                 chain = GroupChain("g", origins, float(b))
-                mine = math.log(x) if (x := _chain_product(
-                    chain, round_allocation(chain, b))) > 0 else -np.inf
+                mine = math.log(x) if (x := _delivery_product(
+                    origins, round_allocation(chain, b))) > 0 else -np.inf
                 brute = value[budget_idx[b]].max()
                 if brute == -np.inf:
                     assert mine == -np.inf, (shape, qs, b)
@@ -219,7 +203,7 @@ def test_criterion_9_oracle_equivalence():
     # the hand value: 2 origins, both links q=0.5, budget 5
     chain = GroupChain("g", (Origin(1, 1, ((1, 0.5), (2, 0.5))),
                              Origin(2, 1, ((2, 0.5),))), 5.0)
-    assert _chain_product(chain, round_allocation(chain, 5)) == \
+    assert _delivery_product(chain.origins, round_allocation(chain, 5)) == \
         pytest.approx(0.28125, abs=1e-12)
     ok(9, f"greedy rounding equals brute force on {checked} grid cases "
           "(hand value 0.28125 included)")

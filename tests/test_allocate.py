@@ -1,13 +1,15 @@
+import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from conftest import (TABLE_P1_COM, TABLE_P1_TUB, product_from_totals,
-                      table_totals)
+from conftest import (TABLE_P1_COM, TABLE_P1_TUB, compositions,
+                      product_from_totals, table_totals)
 from yslot import (GroupChain, Origin, com_probability, find_model, optimize,
                    patterns_for, round_allocation, solve_pattern)
-from yslot.allocate import (SlotAllocation, Structure, _chain_product,
+from yslot.allocate import (SlotAllocation, Structure, _delivery_product,
                             assign_early_slots, build_group_chain, early_window)
 from yslot.relax import Use
 from yslot.topology import derive_conflicts
@@ -20,29 +22,27 @@ def chain_from_routes(routes, budget, rates=None):
     return GroupChain("g", origins, float(budget))
 
 
+@functools.lru_cache(maxsize=None)
+def exact_splits(n, budget):
+    """Every way to split exactly `budget` slots among n hops."""
+    rows = compositions(n, budget)
+    return rows[rows.sum(axis=1) == budget]
+
+
 def brute_force_best(chain, budget):
-    """Exhaustive optimum of the integer allocation product."""
-    entries = [(o.node, k, link, q) for o in chain.origins
-               for k in range(1, o.rate + 1) for link, q in o.route]
-    best = -1.0
-    n = len(entries)
-    for split in itertools.combinations(range(budget + n - 1), n - 1):
-        counts = []
-        prev = -1
-        for s in split:
-            counts.append(s - prev - 1)
-            prev = s
-        counts.append(budget + n - 1 - prev - 1)
-        value = 1.0
-        for (node, k, link, q), c in zip(entries, counts):
-            value *= 1.0 - q ** c if c > 0 else 0.0
-        if value > best:
-            best = value
-    return best
+    """Exhaustive optimum of the integer allocation product: the best over
+    every split of exactly `budget` slots among the chain's packet hops."""
+    qs = np.array([q for o in chain.origins for _k in range(o.rate)
+                   for _link, q in o.route])
+    rows = exact_splits(len(qs), budget)
+    factors = 1.0 - qs[:, None] ** np.arange(budget + 1)
+    factors[:, 0] = 0.0   # a hop without a slot never delivers
+    value = factors[np.arange(len(qs)), rows].prod(axis=1)
+    return float(value.max())
 
 
 def alloc_product(chain, vals):
-    return _chain_product(chain, vals)
+    return _delivery_product(chain.origins, vals)
 
 
 def test_round_allocation_sy_golden():
@@ -132,9 +132,10 @@ def test_224_window_follows_prioritized_bursts(case1):
     # on the link into the junction: s34 + 2*s38 with the overlap applied
     model = find_model(case1, "2-2-4", 11)
     sol = solve_pattern(model, 2, 30)
-    rider = sol.com_entries["s'[3,4]"] + sol.com_entries["s[3,4]"]
-    burst_8 = sol.com_entries["s[3,8]"] + sol.com_entries["s[4,8]"]
-    assert sol.windows["Y"] == max(rider, sol.com_entries["s[8,10]"]) + burst_8
+    com = sol.allocation.entries
+    rider = com.get((3, 1, 4, True), 0) + com.get((3, 1, 4, False), 0)
+    burst_8 = com.get((3, 1, 8, False), 0) + com.get((4, 1, 8, False), 0)
+    assert sol.windows["Y"] == max(rider, com.get((8, 1, 10, False), 0)) + burst_8
 
 
 def test_early_window_empty_placement(case1):
@@ -159,8 +160,9 @@ def test_assign_early_c4_match_or_beat(case1):
     assert sol.case_labels["Z"] == "c4"
 
     z_nodes = {4, 7, 8}
-    mine = {k: v for k, v in table_totals(sol.com_entries).items()
-            if k[0] in z_nodes}
+    com = sol.allocation.entries
+    mine = {(n, l): com.get((n, 1, l, False), 0) + com.get((n, 1, l, True), 0)
+            for n in z_nodes for l in model.route(n)}
     mine_product = product_z(case1, model, mine)
 
     # closed form: s'79=b9=7, s79=0, s'810=b10=4, s810=0,

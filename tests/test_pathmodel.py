@@ -2,8 +2,8 @@ import copy
 
 import pytest
 
-from yslot import (classify_model, enumerate_path_models, find_model,
-                   patterns_for, validate_topology)
+from yslot import (enumerate_path_models, find_model, patterns_for,
+                   validate_topology)
 
 
 def test_fixed_z_enumeration_names(case1):
@@ -50,16 +50,16 @@ def test_groups_and_types(case1):
     assert m323.group("X") == (3, 2, 1)
     assert m323.group("Y") == (5, 6)
     assert m323.group("Z") == (4, 7, 8)
-    assert classify_model(m323) == 1
+    assert m323.model_type == 1
     assert (m323.sep_link_a, m323.sep_link_b) == (4, 5)
 
     m224 = find_model(case1, "2-2-4", 11)
     assert m224.group("Z") == (3, 4, 7, 8)
-    assert classify_model(m224) == 2
+    assert m224.model_type == 2
 
     m215 = find_model(case1, "2-1-5", 11)
     assert m215.group("Z") == (3, 5, 4, 7, 8)
-    assert classify_model(m215) == 3
+    assert m215.model_type == 3
 
 
 def test_routes_loop_free_and_single_gateway(case1):

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from yslot import (DomainError, GroupChain, Origin, budget_terms, ffun, gfun,
-                   solve_group_relaxed)
+from conftest import solve_plain_chain
+from yslot import DomainError, GroupChain, Origin, budget_terms, ffun, gfun
 from yslot.allocate import build_group_chain, candidate_structures
 from yslot.pathmodel import find_model
 from yslot.topology import derive_conflicts
@@ -87,33 +87,33 @@ def test_budget_terms_224_case1_variant(case1):
 
 
 def test_golden_relaxed_sx():
-    sol = solve_group_relaxed(chain_sx_case1())
-    assert sol.slots[(1, 1)] == pytest.approx(5.5001, abs=1e-3)
-    assert sol.slots[(2, 2)] == pytest.approx(3.9999, abs=1e-3)
-    assert sol.slots[(3, 3)] == pytest.approx(5.5001, abs=1e-3)
+    sol = solve_plain_chain(chain_sx_case1())
+    assert sol.values[(1, 1)] == pytest.approx(5.5001, abs=1e-3)
+    assert sol.values[(2, 2)] == pytest.approx(3.9999, abs=1e-3)
+    assert sol.values[(3, 3)] == pytest.approx(5.5001, abs=1e-3)
     assert sol.residual <= 1e-9
 
 
 def test_golden_relaxed_sy():
-    sol = solve_group_relaxed(chain_sy_case1())
-    assert sol.slots[(5, 6)] == pytest.approx(11.8741, abs=1e-3)
-    assert sol.slots[(5, 7)] == pytest.approx(9.0630, abs=1e-3)
-    assert sol.slots[(6, 7)] == pytest.approx(9.0630, abs=1e-3)
+    sol = solve_plain_chain(chain_sy_case1())
+    assert sol.values[(5, 6)] == pytest.approx(11.8741, abs=1e-3)
+    assert sol.values[(5, 7)] == pytest.approx(9.0630, abs=1e-3)
+    assert sol.values[(6, 7)] == pytest.approx(9.0630, abs=1e-3)
 
 
 def test_golden_relaxed_sz():
-    sol = solve_group_relaxed(chain_sz_case1())
-    assert sol.slots[(4, 8)] == pytest.approx(3.4322, abs=1e-3)
-    assert sol.slots[(4, 9)] == pytest.approx(6.7617, abs=1e-3)
-    assert sol.slots[(4, 10)] == pytest.approx(4.3481, abs=1e-3)
+    sol = solve_plain_chain(chain_sz_case1())
+    assert sol.values[(4, 8)] == pytest.approx(3.4322, abs=1e-3)
+    assert sol.values[(4, 9)] == pytest.approx(6.7617, abs=1e-3)
+    assert sol.values[(4, 10)] == pytest.approx(4.3481, abs=1e-3)
 
 
 def test_equal_slots_per_link():
-    sol = solve_group_relaxed(chain_sx_case1())
-    assert sol.slots[(1, 1)] == sol.slots[(2, 1)] == sol.slots[(3, 1)]
-    assert sol.slots[(2, 2)] == sol.slots[(3, 2)]
+    sol = solve_plain_chain(chain_sx_case1())
+    assert sol.values[(1, 1)] == sol.values[(2, 1)] == sol.values[(3, 1)]
+    assert sol.values[(2, 2)] == sol.values[(3, 2)]
     # symmetric losses get symmetric slots: q1 = q3 = 0.2
-    assert sol.slots[(3, 3)] == pytest.approx(sol.slots[(1, 1)], abs=1e-9)
+    assert sol.values[(3, 3)] == pytest.approx(sol.values[(1, 1)], abs=1e-9)
 
 
 def test_budget_exactness_random_chains():
@@ -128,26 +128,26 @@ def test_budget_exactness_random_chains():
         chain = GroupChain("g", tuple(reversed(origins)), rng.uniform(5, 80))
         chain = GroupChain("g", tuple(sorted(chain.origins,
                                              key=lambda o: -len(o.route))), chain.budget)
-        sol = solve_group_relaxed(chain)
-        used = sum(o.rate * sol.slots[(o.node, link)]
+        sol = solve_plain_chain(chain)
+        used = sum(o.rate * sol.values[(o.node, link)]
                    for o in chain.origins for link, _ in o.route)
         assert abs(used - chain.budget) <= 1e-9
         # strictly below 1 mathematically; float rounding may saturate
-        assert 0.0 < sol.tub_product <= 1.0
-        assert all(v > 0 for v in sol.slots.values())
+        assert 0.0 < sol.product <= 1.0
+        assert all(v > 0 for v in sol.values.values())
 
 
 def test_tub_monotone_in_budget():
     prev = 0.0
     for budget in (10.0, 20.0, 30.0, 50.0):
-        sol = solve_group_relaxed(chain_sz_case1(budget))
-        assert sol.tub_product > prev
-        prev = sol.tub_product
+        sol = solve_plain_chain(chain_sz_case1(budget))
+        assert sol.product > prev
+        prev = sol.product
 
 
 def test_nonpositive_budget_rejected():
     with pytest.raises(DomainError):
-        solve_group_relaxed(chain_sx_case1(0.0))
+        solve_plain_chain(chain_sx_case1(0.0))
 
 
 def test_convergence_error_on_saturating_equation():
@@ -162,6 +162,6 @@ def test_heterogeneous_rates_budget():
         Origin(2, 3, ((2, 0.2),)),
     ), 24.0)
     assert budget_terms(chain) == [(1, 2), (2, 5)]
-    sol = solve_group_relaxed(chain)
-    used = 2 * (sol.slots[(1, 1)] + sol.slots[(1, 2)]) + 3 * sol.slots[(2, 2)]
+    sol = solve_plain_chain(chain)
+    used = 2 * (sol.values[(1, 1)] + sol.values[(1, 2)]) + 3 * sol.values[(2, 2)]
     assert abs(used - 24.0) <= 1e-9
