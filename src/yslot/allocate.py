@@ -640,7 +640,7 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
     placed_int: list[Interval] = []
     placed_real: list[Interval] = []
     plans: list[GroupPlan] = []
-    tub = 1.0
+    group_products: dict[str, float] = {}
     windows: dict[str, int] = {}
     windows_real: dict[str, float] = {}
     case_labels: dict[str, str] = {}
@@ -676,7 +676,7 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
         if gi.label:
             lab = f"{lab}+{gi.label}" if lab else gi.label
         case_labels[label] = lab
-        tub *= relaxed.product
+        group_products[label] = relaxed.product
 
         blocked_r = _blocked_uses(txmap, a_real, placed_real, conflicts)
         group_tub, intervals = _real_stage(
@@ -696,6 +696,8 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
                     key = (node, k, link, early)
                     entries[key] = entries.get(key, 0) + v
 
+    # label order, so patterns whose groups reach equal products tie exactly
+    tub = math.prod(group_products[label] for label in sorted(group_products))
     alloc = SlotAllocation(model, spec, entries, {}, 0.0, True)
     per_node, com = com_probability(alloc, model)
     alloc.per_node = per_node

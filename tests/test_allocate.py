@@ -1,6 +1,8 @@
 import functools
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,14 @@ import pytest
 from conftest import (TABLE_P1_COM, TABLE_P1_TUB, compositions,
                       product_from_totals, table_totals)
 from yslot import (GroupChain, Origin, com_probability, find_model, optimize,
-                   patterns_for, round_allocation, solve_pattern)
+                   patterns_for, round_allocation, solve_pattern,
+                   validate_topology)
 from yslot.allocate import (SlotAllocation, Structure, _delivery_product,
                             assign_early_slots, build_group_chain, early_window)
 from yslot.relax import Use
 from yslot.topology import derive_conflicts
+
+GOLDEN_YS = Path(__file__).resolve().parent / "golden" / "ys"
 
 
 def chain_from_routes(routes, budget, rates=None):
@@ -230,6 +235,22 @@ def test_optimize_orders_and_dedups(case1):
     coms = [s.com_product for s in solutions]
     assert coms == sorted(coms, reverse=True)
     assert solutions[0].model.name == "3-2-3"
+
+
+def test_equal_group_products_tie_exactly():
+    # golden y01: both patterns of these models pick the same structure per
+    # group, so their TUBs must be bit-equal and the rank falls to the
+    # pattern id instead of to a rounding difference of the product order
+    config = json.loads((GOLDEN_YS / "y01.json").read_text())
+    solutions = optimize(validate_topology(config))
+    for name, branch in (("3-1-3", 8), ("1-1-5", 10)):
+        rows = [s for s in solutions
+                if (s.model.name, s.model.no_sep_branch) == (name, branch)]
+        assert [s.pattern.pattern_id for s in rows] == [1, 2]
+        assert rows[0].com_product == rows[1].com_product
+        assert rows[0].tub_product == rows[1].tub_product
+        first = solutions.index(rows[0])
+        assert solutions[first + 1] is rows[1]
 
 
 def test_predicted_case_rule(case2):
