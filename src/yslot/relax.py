@@ -3,14 +3,14 @@ method.
 
 The core identities: G(q, x) = -q^x log q / (1 - q^x) and
 F(q, y) = -log(1 - y log q) / log q satisfy G(q, x) = 1/y  <=>  x = F(q, y).
-Setting every budgeted variable to F(q_link, y) and bisecting the adjunct y
-until the budget equation holds gives the unique relaxed optimum, because the
-per-slot objective is separable and strictly log-concave.
-
-Two "rider" structures extend this for overlapped transmissions where one
-burst shares the slots of another (no interference between them): the rider
-term couples into the stationarity conditions of its host variables.
-Parametrizing on the host-side marginal keeps each a single bisection.
+Setting every budgeted variable to F(q_link, y) and solving for the adjunct
+y until the budget equation holds gives the unique relaxed optimum, because
+the per-slot objective is separable and strictly log-concave.  Two "rider"
+structures, where one burst shares the slots of a non-interfering other,
+couple the rider into its hosts' stationarity and are parametrized on the
+host-side marginal.  All three solve one increasing equation in t, the log
+of their scalar, with every term in log form (F(q, e^t) is
+softplus(t + log c) / c, c = -log q), so nothing overflows at large T.
 """
 
 from __future__ import annotations
@@ -48,36 +48,6 @@ def ffun(q: float, y: float) -> float:
     return math.log1p(-y * lq) / (-lq)
 
 
-def _bisect(fn, lo: float, hi: float, iters: int = 120) -> float:
-    """Root of an increasing fn with fn(lo) < 0 <= fn(hi)."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _solve_increasing(fn, target: float, hi0: float = 1.0,
-                      what: str = "adjunct") -> float:
-    """Solve fn(y) = target for increasing fn with fn(0) < target."""
-    hi = hi0
-    for _ in range(400):
-        if fn(hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"could not bracket {what} root")
-    root = _bisect(lambda y: fn(y) - target, 0.0, hi)
-    if abs(fn(root) - target) > 1e-9:
-        raise ConvergenceError(
-            f"{what} residual {abs(fn(root) - target):.3e} above tolerance")
-    return root
-
-
 @dataclass(frozen=True)
 class Origin:
     node: int
@@ -102,11 +72,9 @@ def budget_terms(chain: GroupChain) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# structured solves with rider terms
-#
-# Uses are per-origin (node, link) variables that consume budget; a rider is a
-# free-riding burst whose length is tied to its hosts' total.  Weights are the
-# origins' packet rates.
+# structured solves: uses are per-origin (node, link) variables weighted by
+# the origin's packet rate; a rider is a free-riding burst whose length is
+# tied to its hosts' total.
 
 
 @dataclass(frozen=True)
@@ -125,31 +93,109 @@ class StructuredRelax:
     residual: float
 
 
-def _product_of(uses: list[Use], values: dict[tuple[int, int], float]) -> float:
-    log_m = 0.0
+_T_CAP = 2.0 ** 40   # bracket widening stops here, far beyond any root
+
+
+def _solve_log(fn, target: float, t: float, what: str) -> float:
+    """Root of fn(t)[0] = target for an increasing fn returning (value,
+    slope, ...), by safeguarded Newton: a Newton step that would leave the
+    bracket seen so far is replaced by bisection or, while one side is still
+    open, by a doubling step towards the root."""
+    lo, hi, widen = -math.inf, math.inf, 1.0
+    for _ in range(200):
+        value, slope = fn(t)[:2]
+        lo, hi = (t, hi) if value < target else (lo, t)
+        step = (target - value) / slope if slope > 0.0 else math.nan
+        if abs(step) <= 1e-12 * max(1.0, abs(t)):
+            return t + step
+        if lo < t + step < hi:
+            t += step
+        elif hi - lo < math.inf:
+            if 0.5 * (lo + hi) in (lo, hi):
+                return t
+            t = 0.5 * (lo + hi)
+        else:
+            t += widen if value < target else -widen
+            widen *= 2.0
+            if abs(t) > _T_CAP:
+                raise ConvergenceError(f"could not bracket {what} root")
+    raise ConvergenceError(f"{what} root did not converge")
+
+
+def _f_log(q: float, s: float) -> tuple[float, float]:
+    """F(q, e^s) = softplus(s + log c) / c with c = -log q, and its
+    derivative in s."""
+    c = -math.log(q)
+    z = s + math.log(c)
+    e = math.exp(-abs(z))
+    return ((max(z, 0.0) + math.log1p(e)) / c,
+            (1.0 if z > 0.0 else e) / ((1.0 + e) * c))
+
+
+def _load(uses: list[Use], s: float) -> tuple[float, float]:
+    """Budget used, sum of w * F(q, e^s), and its derivative in s."""
+    total = slope = 0.0
     for u in uses:
-        log_m += u.weight * math.log1p(-u.q ** values[(u.node, u.link)])
-    return log_m
+        f, df = _f_log(u.q, s)
+        total += u.weight * f
+        slope += u.weight * df
+    return total, slope
+
+
+def _solve_structure(uses: list[Use], budget: float, what: str,
+                     inner: list[Use], coupled: Use | None) -> StructuredRelax:
+    """Relaxed optimum of one structure; the budget covers `uses`.
+
+    Plain (no coupled use): every use gets F(q, y) with t = log y.  Rider
+    forms: the inner uses get F(q, e^t), the coupled use x = their weighted
+    total over its weight, and the other uses F(q, y) with
+    1/y = e^-t + G(q_c, x) from the coupled use's stationarity.
+    """
+    tied = [*inner, coupled] if coupled is not None else []
+    others = [u for u in uses if u not in tied]
+
+    def load(t: float) -> tuple[float, float, float, float]:
+        """Budget used and its t-derivative, x and log y."""
+        inner_load, inner_slope = _load(inner, t)
+        x, log_y, dlog_y = 0.0, t, 1.0
+        if coupled is not None:
+            c = -math.log(coupled.q)
+            x = max(inner_load / coupled.weight, 1e-300)
+            log_g = math.log(c) - c * x - math.log(-math.expm1(-c * x))
+            log_y = -max(-t, log_g) - math.log1p(math.exp(-abs(t + log_g)))
+            # d log y / dt, with dG/dx = -G (c + G)
+            dlog_y = (math.exp(log_y - t) + math.exp(log_y + log_g)
+                      * (c + math.exp(log_g)) * inner_slope / coupled.weight)
+        other_load, other_slope = _load(others, log_y)
+        return (other_load + inner_load, other_slope * dlog_y + inner_slope,
+                x, log_y)
+
+    # the load is at least the budget where its asymptote meets it (plain:
+    # convex in t, so Newton falls monotonically from here to the root)
+    cs = [(u.weight, -math.log(u.q)) for u in [*others, *inner]]
+    start = ((budget - sum(w * math.log(c) / c for w, c in cs))
+             / sum(w / c for w, c in cs))
+    t = _solve_log(load, budget, start, what)
+    _, _, x, log_y = load(t)
+    values = {(u.node, u.link): _f_log(u.q, log_y)[0] for u in others}
+    values.update(((u.node, u.link), _f_log(u.q, t)[0]) for u in inner)
+    if coupled is not None:
+        values[(coupled.node, coupled.link)] = x
+    residual = abs(sum(u.weight * values[(u.node, u.link)] for u in uses) - budget)
+    if residual > 1e-9:
+        raise ConvergenceError(f"{what} residual {residual:.3e} above tolerance")
+    log_m = sum(u.weight * math.log1p(-u.q ** values[(u.node, u.link)])
+                for u in (*uses, *(u for u in tied if u not in uses)))
+    return StructuredRelax(values, math.exp(log_y) if log_y < 709.0 else math.inf,
+                           math.exp(log_m), residual)
 
 
 def solve_plain_structure(uses: list[Use], budget: float) -> StructuredRelax:
     """Relaxed optimum of serialized budget uses: every use gets F(q, y) for
-    one adjunct y, and the budget is met.
-
-    The budget's left side is 0 at y = 0 and strictly increasing and
-    unbounded in y, so bracket expansion plus bisection finds the unique
-    root.
-    """
+    one adjunct y, and the budget is met."""
     if budget <= 0.0:
         raise DomainError(f"budget {budget} must be > 0")
-
-    def used(y: float) -> float:
-        return sum(u.weight * ffun(u.q, y) for u in uses)
-
-    y = _solve_increasing(used, budget, what="plain budget")
-    values = {(u.node, u.link): ffun(u.q, y) for u in uses}
-    return StructuredRelax(values, y, math.exp(_product_of(uses, values)),
-                           abs(used(y) - budget))
+    return _solve_structure(uses, budget, "plain budget", [], None)
 
 
 def solve_rider_terminal(uses: list[Use], feeders: list[Use], rider: Use,
@@ -157,34 +203,10 @@ def solve_rider_terminal(uses: list[Use], feeders: list[Use], rider: Use,
     """Terminal's own burst rides under the feeder first-hop bursts.
 
     Budget covers `uses` (feeders included, terminal's own excluded); the
-    rider gets z = the weighted feeder slot total, split evenly over its
-    packets.  Stationarity couples rider and feeders:
-    G(q_f, x_f) + G(q_r, z/w_r) = 1/y.  Parametrizing on the feeder-side
-    marginal c = G(q_f, x_f) makes everything closed-form per evaluation, so
-    a single bisection on c solves the budget equation (decreasing in c).
+    rider gets the weighted feeder slot total z, split evenly over its
+    packets: G(q_f, x_f) + G(q_r, z/w_r) = 1/y, solved in t = -log G(q_f, x_f).
     """
-    feeder_keys = {(f.node, f.link) for f in feeders}
-    others = [u for u in uses if (u.node, u.link) not in feeder_keys]
-
-    def state(c: float):
-        fvals = {(f.node, f.link): ffun(f.q, 1.0 / c) for f in feeders}
-        z = max(sum(f.weight * fvals[(f.node, f.link)] for f in feeders), 1e-300)
-        y = 1.0 / (c + gfun(rider.q, z / rider.weight))
-        return fvals, z, y
-
-    def used(c: float) -> float:
-        fvals, z, y = state(c)
-        return sum(u.weight * ffun(u.q, y) for u in others) + z
-
-    c = _solve_increasing(lambda t: used(1.0 / t), budget,
-                          what="rider-terminal budget")
-    c = 1.0 / c
-    fvals, z, y = state(c)
-    values = {(u.node, u.link): ffun(u.q, y) for u in others}
-    values.update(fvals)
-    values[(rider.node, rider.link)] = z / rider.weight
-    product = math.exp(_product_of([*uses, rider], values))
-    return StructuredRelax(values, y, product, abs(used(c) - budget))
+    return _solve_structure(uses, budget, "rider-terminal budget", feeders, rider)
 
 
 def solve_rider_feeders(uses: list[Use], terminal: Use, feeders: list[Use],
@@ -192,32 +214,8 @@ def solve_rider_feeders(uses: list[Use], terminal: Use, feeders: list[Use],
     """Feeder first hops ride under the terminal's own burst, splitting it.
 
     Budget covers `uses` (terminal's own included, feeder first hops
-    excluded).  The feeders split capacity C = w_t * x_t optimally; the
-    envelope multiplier mu of that split joins the terminal's stationarity:
-    G(q_t, x_t) + mu = 1/y with z_f = F(q_f, 1/mu) and C = sum w_f z_f.
-    Parametrizing on mu leaves a single bisection (budget decreasing in mu).
+    excluded).  The feeders split C = w_t * x_t optimally, z_f = F(q_f, 1/mu)
+    with C = sum w_f z_f, and the split's multiplier mu joins the terminal's
+    stationarity: G(q_t, x_t) + mu = 1/y, solved in t = -log mu.
     """
-    term_key = (terminal.node, terminal.link)
-    others = [u for u in uses if (u.node, u.link) != term_key]
-
-    def state(mu: float):
-        zvals = {(f.node, f.link): ffun(f.q, 1.0 / mu) for f in feeders}
-        x_t = max(sum(f.weight * zvals[(f.node, f.link)] for f in feeders)
-                  / terminal.weight, 1e-300)
-        y = 1.0 / (gfun(terminal.q, x_t) + mu)
-        return zvals, x_t, y
-
-    def used(mu: float) -> float:
-        _, x_t, y = state(mu)
-        return (sum(u.weight * ffun(u.q, y) for u in others)
-                + terminal.weight * x_t)
-
-    mu = _solve_increasing(lambda t: used(1.0 / t), budget,
-                           what="rider-feeders budget")
-    mu = 1.0 / mu
-    zvals, x_t, y = state(mu)
-    values = {(u.node, u.link): ffun(u.q, y) for u in others}
-    values[term_key] = x_t
-    values.update(zvals)
-    product = math.exp(_product_of([*uses, *feeders], values))
-    return StructuredRelax(values, y, product, abs(used(mu) - budget))
+    return _solve_structure(uses, budget, "rider-feeders budget", feeders, terminal)

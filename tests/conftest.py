@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import importlib.resources
 import json
@@ -5,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import yslot.allocate
 from yslot import validate_topology
 from yslot.relax import Use, solve_plain_structure
 
@@ -97,6 +99,30 @@ def solve_plain_chain(chain):
     uses = [Use(o.node, link, q, o.rate) for o in chain.origins
             for link, q in o.route]
     return solve_plain_structure(uses, chain.budget)
+
+
+@contextlib.contextmanager
+def recorded_residuals():
+    """Residual of every relaxed solve the allocation layer makes inside
+    the block."""
+    seen = []
+    names = ("solve_plain_structure", "solve_rider_terminal", "solve_rider_feeders")
+    originals = {name: getattr(yslot.allocate, name) for name in names}
+
+    def recording(solver):
+        def solve(*args):
+            result = solver(*args)
+            seen.append(result.residual)
+            return result
+        return solve
+
+    try:
+        for name, solver in originals.items():
+            setattr(yslot.allocate, name, recording(solver))
+        yield seen
+    finally:
+        for name, solver in originals.items():
+            setattr(yslot.allocate, name, solver)
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,10 +3,13 @@ import random
 
 import pytest
 
-from conftest import solve_plain_chain
-from yslot import DomainError, GroupChain, Origin, budget_terms, ffun, gfun
+from conftest import recorded_residuals, solve_plain_chain
+from yslot import (DomainError, GroupChain, Origin, budget_terms, ffun, gfun,
+                   optimize, solve_pattern)
 from yslot.allocate import build_group_chain, candidate_structures
 from yslot.pathmodel import find_model
+from yslot.relax import (Use, solve_plain_structure, solve_rider_feeders,
+                         solve_rider_terminal)
 from yslot.topology import derive_conflicts
 
 
@@ -151,9 +154,15 @@ def test_nonpositive_budget_rejected():
 
 
 def test_convergence_error_on_saturating_equation():
-    from yslot.relax import ConvergenceError, _solve_increasing
+    from yslot.relax import ConvergenceError, _solve_log
+
+    def saturating(t):
+        # 1 - 1/(1 + y) at y = e^t, which never reaches 5, and its slope
+        value = 0.5 * (1.0 + math.tanh(0.5 * t))
+        return value, value * (1.0 - value)
+
     with pytest.raises(ConvergenceError):
-        _solve_increasing(lambda y: 1.0 - 1.0 / (1.0 + y), 5.0)
+        _solve_log(saturating, 5.0, 0.0, "saturating")
 
 
 def test_heterogeneous_rates_budget():
@@ -165,3 +174,39 @@ def test_heterogeneous_rates_budget():
     sol = solve_plain_chain(chain)
     used = 2 * (sol.values[(1, 1)] + sol.values[(1, 2)]) + 3 * sol.values[(2, 2)]
     assert abs(used - 24.0) <= 1e-9
+
+
+@pytest.mark.parametrize("T", [180, 400, 1000])
+def test_optimize_long_cycles_on_shipped_configs(all_cases, T):
+    # the old y-doubling bracket stopped at 2^400, short of these roots
+    for case, topology in all_cases.items():
+        with recorded_residuals() as residuals:
+            solutions = optimize(topology, T)
+        assert len(solutions) == 27, case
+        for sol in solutions:
+            # products near 1 differ by rounding: criterion 10's tolerance
+            assert sol.com_product <= sol.tub_product + 1e-12, (case, sol.model.name)
+        assert len(residuals) > 0 and max(residuals) <= 1e-9
+
+
+def test_solve_pattern_at_ten_thousand_slots(case1):
+    with recorded_residuals() as residuals:
+        sol = solve_pattern(find_model(case1, "3-2-3", 11), 1, 10_000)
+    assert sol.feasible and sol.com_product <= sol.tub_product + 1e-12
+    for plan in sol.plans:
+        assert sum(b.count for b in plan.serialized) + plan.window <= 10_000
+    assert len(residuals) > 0 and max(residuals) <= 1e-9
+
+
+@pytest.mark.parametrize("budget", [30.0, 1e3, 1e5])
+def test_every_form_meets_large_budgets(budget):
+    # log y reaches ~budget * (-log q): every term must stay finite
+    a, b, c, t = (Use(1, 1, 0.02, 1), Use(1, 2, 0.4, 1), Use(2, 2, 0.4, 2),
+                  Use(3, 3, 0.3, 1))
+    solves = [solve_plain_structure([a, b, c, t], budget),
+              solve_rider_terminal([a, b, c], [a], t, budget),
+              solve_rider_feeders([b, c, t], t, [a], budget)]
+    for sol in solves:
+        assert sol.residual <= 1e-9
+        assert all(math.isfinite(v) and v > 0 for v in sol.values.values())
+        assert 0.0 < sol.product <= 1.0
