@@ -119,6 +119,11 @@ def _conflict_rule(u: int, v: int, x: int, w: int,
 
 
 def derive_conflicts(topology: Topology) -> ConflictSet:
+    """Conflicting transmission pairs; derived on the first call for a
+    topology and kept on the (frozen) instance."""
+    cached = topology.__dict__.get("_conflicts")
+    if cached is not None:
+        return cached
     txs = topology.transmissions()
     recv = {t: topology.receiver(*t) for t in txs}
     pairs = set()
@@ -128,7 +133,9 @@ def derive_conflicts(topology: Topology) -> ConflictSet:
             x, w = t2[0], recv[t2]
             if _conflict_rule(u, v, x, w, topology.proximity):
                 pairs.add(frozenset((t1, t2)))
-    return ConflictSet(frozenset(pairs))
+    conflicts = ConflictSet(frozenset(pairs))
+    object.__setattr__(topology, "_conflicts", conflicts)
+    return conflicts
 
 
 def load_config(path: str | Path) -> dict:

@@ -110,3 +110,21 @@ def test_adding_proximity_never_removes_conflicts(case1_raw):
         raw["proximity"].append([a, b])
         grown = derive_conflicts(validate_topology(raw)).pairs
         assert base_pairs <= grown
+
+
+def test_optimize_derives_conflicts_once(case1_raw, monkeypatch):
+    import yslot.topology
+    from yslot import optimize
+
+    calls = []
+    rule = yslot.topology._conflict_rule
+    monkeypatch.setattr(yslot.topology, "_conflict_rule",
+                        lambda *args: calls.append(args) or rule(*args))
+    topology = validate_topology(case1_raw)
+    n = len(topology.transmissions())
+    solutions = optimize(topology)
+    assert len(solutions) == 27
+    # one derivation checks every unordered pair of transmissions once
+    assert len(calls) == n * (n - 1) // 2
+    assert derive_conflicts(topology) is derive_conflicts(topology)
+    assert len(calls) == n * (n - 1) // 2
