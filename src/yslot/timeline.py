@@ -191,17 +191,15 @@ def verify_timeline(timeline: Timeline, conflicts: ConflictSet, cycle_slots: int
                         "conflict", slot,
                         f"tx {u1.tx} on link {u1.link} vs tx {u2.tx} on link {u2.link}"))
 
-    # causality: origin i's packet appears on a link only after a strictly
-    # earlier slot carried it on the upstream-adjacent link (or i transmits)
-    ordered = sorted(timeline.units, key=lambda u: u.slot)
-    for u in ordered:
-        if u.tx == u.origin:
-            continue
-        # a relay must have had a chance to receive the packet: some strictly
-        # earlier unit carried the same packet with this tx as its receiver
-        ok = any(v.slot < u.slot and v.origin == u.origin and v.k == u.k
-                 and v.rx == u.tx for v in ordered)
-        if not ok:
+    # causality: a relay sends a packet only after a strictly earlier unit
+    # carried the same packet with the relay as its receiver
+    first_rx: dict[tuple[int, int, int], int] = {}
+    for v in timeline.units:
+        key = (v.origin, v.k, v.rx)
+        first_rx[key] = min(v.slot, first_rx.get(key, v.slot))
+    for u in sorted(timeline.units, key=lambda u: u.slot):
+        received = first_rx.get((u.origin, u.k, u.tx), u.slot)
+        if u.tx != u.origin and not received < u.slot:
             violations.append(Violation(
                 "causality", u.slot,
                 f"packet {u.origin}.{u.k} sent by {u.tx} before any reception"))

@@ -1,7 +1,11 @@
+import dataclasses
+import random
+
 import pytest
 
 from yslot import (DoesNotFit, build_timeline, derive_conflicts,
-                   find_model, solve_pattern, verify_timeline)
+                   find_model, optimize, solution_timeline, solve_pattern,
+                   verify_timeline)
 from yslot.timeline import Timeline, Unit
 
 
@@ -128,3 +132,48 @@ def test_grid_lines_stable_format(case1):
     assert lines[0].startswith("0: ")
     assert any("→" in line for line in lines)
     assert len(lines) == tl.length
+
+
+def causality_oracle(timeline):
+    """Reference quadratic scan: a relayed unit needs some strictly earlier
+    unit of the same packet with the relay as its receiver."""
+    ordered = sorted(timeline.units, key=lambda u: u.slot)
+    out = []
+    for u in ordered:
+        if u.tx == u.origin:
+            continue
+        if not any(v.slot < u.slot and v.origin == u.origin and v.k == u.k
+                   and v.rx == u.tx for v in ordered):
+            out.append(("causality", u.slot,
+                        f"packet {u.origin}.{u.k} sent by {u.tx} before any reception"))
+    return out
+
+
+def corrupted(timeline, rng):
+    """Variants of a valid timeline that break causality in different ways."""
+    units = timeline.units
+    T = timeline.cycle_slots
+    last = max(u.slot for u in units)
+    yield [dataclasses.replace(u, slot=rng.randrange(T)) for u in units]
+    yield [dataclasses.replace(u, slot=last - u.slot) for u in units]
+    yield rng.sample(units, len(units) // 2)
+    yield [dataclasses.replace(u, rx=u.tx, tx=u.rx) if rng.random() < 0.2 else u
+           for u in units]
+
+
+def test_causality_check_matches_quadratic_oracle(case1):
+    rng = random.Random(11)
+    conflicts = derive_conflicts(case1)
+    broken = 0
+    for sol in optimize(case1, 30):
+        timeline = solution_timeline(sol)
+        variants = [timeline.units, *corrupted(timeline, rng)]
+        for units in variants:
+            tl = Timeline(list(units), 30)
+            report = verify_timeline(tl, conflicts, 30)
+            got = [(v.kind, v.slot, v.detail) for v in report.violations
+                   if v.kind == "causality"]
+            want = causality_oracle(tl)
+            assert got == want
+            broken += bool(want)
+    assert broken >= 27 * 3
