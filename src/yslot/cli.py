@@ -1,9 +1,11 @@
 """Command-line interface: enumerate, solve, optimize, simulate, report.
 
 Exit codes: 0 ok, 1 infeasible allocation or failed checks, 2 usage or
-config error.  Output files are byte-stable for identical inputs: CSV and
-JSON carry the same full-precision values (metadata like the RNG seed is
-part of the report data, never wall-clock timestamps).
+config error, 3 internal error (a solver, timeline or simulation fault,
+reported as one `error: internal: ...` line, no traceback).  Output files
+are byte-stable for identical inputs: CSV and JSON carry the same
+full-precision values (metadata like the RNG seed is part of the report
+data, never wall-clock timestamps).
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from pathlib import Path
 
 from .allocate import PatternSolution, optimize, solution_timeline, solve_pattern
 from .pathmodel import enumerate_path_models, find_model, patterns_for
-from .simulate import compare, simulate
+from .simulate import InvalidTimeline, NodeSetMismatch, compare, simulate
+from .timeline import TimelineError
 from .topology import Topology, TopologyError, load_config, validate_topology
 
 CONFIG_DIR_ENV = "YSLOT_CONFIG_DIR"
@@ -27,8 +30,10 @@ CONFIG_DIR_ENV = "YSLOT_CONFIG_DIR"
 
 @dataclass
 class RunConfig:
+    """Parsed arguments; subcommands without an option keep its default."""
+
     command: str
-    topology_path: str
+    topology: str
     no_sep_branch: int | None = None
     model: str | None = None
     pattern: int | None = None
@@ -53,7 +58,7 @@ def _resolve_topology_path(path: str) -> Path:
 
 
 def _load(cfg: RunConfig) -> Topology:
-    raw = load_config(_resolve_topology_path(cfg.topology_path))
+    raw = load_config(_resolve_topology_path(cfg.topology))
     topology = validate_topology(raw)
     if cfg.cycle_slots is not None and cfg.cycle_slots < 1:
         raise TopologyError("cycle_slots override must be >= 1")
@@ -252,29 +257,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = RunConfig(
-        command=args.command,
-        topology_path=args.topology,
-        no_sep_branch=args.no_sep_branch,
-        model=getattr(args, "model", None),
-        pattern=getattr(args, "pattern", None),
-        cycle_slots=args.cycle_slots,
-        trials=getattr(args, "trials", 100000),
-        seed=getattr(args, "seed", 0),
-        reuse=getattr(args, "reuse", False),
-        output=args.output,
-        fmt=args.fmt,
-        emit_timeline=getattr(args, "emit_timeline", None),
-        digits=getattr(args, "digits", 4),
-    )
     try:
-        return run(cfg)
-    except TopologyError as exc:
+        return run(RunConfig(**vars(args)))
+    except (TopologyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (RuntimeError, TimelineError, InvalidTimeline, NodeSetMismatch) as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

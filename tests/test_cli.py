@@ -5,6 +5,9 @@ import shutil
 
 import pytest
 
+import yslot.allocate
+import yslot.cli
+from yslot import CausalityViolation, ConvergenceError, InvalidTimeline
 from yslot.cli import main
 
 CASE1 = str(importlib.resources.files("yslot").joinpath("data/example8_case1.json"))
@@ -17,6 +20,27 @@ def run_cli(*args):
 def test_missing_topology_exits_2(capsys):
     assert run_cli("solve", "-c", "/no/such/file.json", "--model", "3-2-3") == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [ConvergenceError("could not bracket"),
+                                 CausalityViolation("slot 3: early relay"),
+                                 InvalidTimeline("bad grid"),
+                                 RuntimeError("leftover")],
+                         ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("command", ["solve", "optimize", "simulate"])
+def test_internal_error_exits_3_with_one_line(command, exc, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(yslot.allocate, "solve_pattern", broken)
+    monkeypatch.setattr(yslot.cli, "solve_pattern", broken)
+    model = ["--model", "3-2-3", "--no-sep-branch", "11"]
+    extra = {"solve": model, "optimize": [],
+             "simulate": [*model, "--trials", "10"]}[command]
+    assert run_cli(command, "-c", CASE1, *extra) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
 
 
 def test_usage_error_exits_2():
