@@ -699,12 +699,10 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
     # label order, so patterns whose groups reach equal products tie exactly
     tub = math.prod(group_products[label] for label in sorted(group_products))
     alloc = SlotAllocation(model, spec, entries, {}, 0.0, True)
-    per_node, com = com_probability(alloc, model)
-    alloc.per_node = per_node
-    alloc.com_product = com
-    alloc.feasible = com > 0.0
+    alloc.per_node, alloc.com_product = com_probability(alloc, model)
+    alloc.feasible = alloc.com_product > 0.0
 
-    return PatternSolution(model, spec, T, tub, com, alloc, tub_entries,
+    return PatternSolution(model, spec, T, tub, alloc.com_product, alloc, tub_entries,
                            windows, windows_real, case_labels, predicted, plans,
                            alloc.feasible)
 

@@ -30,7 +30,8 @@ CONFIG_DIR_ENV = "YSLOT_CONFIG_DIR"
 
 @dataclass
 class RunConfig:
-    """Parsed arguments; subcommands without an option keep its default."""
+    """Parsed CLI arguments; options a subcommand does not take keep these
+    defaults."""
 
     command: str
     topology: str

@@ -3,6 +3,7 @@ verification of conflict-freedom, causality, and the cycle bound."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .topology import ConflictSet, Topology
@@ -205,10 +206,7 @@ def verify_timeline(timeline: Timeline, conflicts: ConflictSet, cycle_slots: int
                 f"packet {u.origin}.{u.k} sent by {u.tx} before any reception"))
 
     if allocation_counts is not None:
-        got: dict[tuple[int, int, int, bool], int] = {}
-        for u in timeline.units:
-            key = (u.origin, u.k, u.link, u.early)
-            got[key] = got.get(key, 0) + 1
+        got = Counter((u.origin, u.k, u.link, u.early) for u in timeline.units)
         want = {k: v for k, v in allocation_counts.items() if v > 0}
         if got != want:
             violations.append(Violation(

@@ -94,20 +94,25 @@ class Topology:
                     out.append((end, link.id))
         return tuple(out)
 
-    def receiver(self, tx: int, link_id: int) -> int:
-        return self.links[link_id].other(tx)
-
 
 @dataclass(frozen=True)
 class ConflictSet:
-    """Unordered transmission pairs that may not share a time slot."""
+    """Transmissions that may not share a time slot: bit j of
+    masks[index[t]] is set when t conflicts with the j-th transmission.
+    Bitmasks keep the set small, since each topology holds its own."""
 
-    pairs: frozenset[frozenset[tuple[int, int]]]
+    index: dict[tuple[int, int], int]
+    masks: tuple[int, ...]
 
     def conflict(self, t1: tuple[int, int], t2: tuple[int, int]) -> bool:
-        if t1 == t2:
-            return False
-        return frozenset((t1, t2)) in self.pairs
+        i, j = self.index.get(t1), self.index.get(t2)
+        return i is not None and j is not None and bool(self.masks[i] >> j & 1)
+
+    @property
+    def pairs(self) -> frozenset[frozenset[tuple[int, int]]]:
+        """Every conflicting unordered pair."""
+        return frozenset(frozenset((a, b)) for a in self.index for b in self.index
+                         if self.index[a] < self.index[b] and self.conflict(a, b))
 
 
 def _conflict_rule(u: int, v: int, x: int, w: int,
@@ -125,15 +130,15 @@ def derive_conflicts(topology: Topology) -> ConflictSet:
     if cached is not None:
         return cached
     txs = topology.transmissions()
-    recv = {t: topology.receiver(*t) for t in txs}
-    pairs = set()
+    recv = {(tx, link): topology.links[link].other(tx) for tx, link in txs}
+    masks = [0] * len(txs)
     for i, t1 in enumerate(txs):
-        u, v = t1[0], recv[t1]
-        for t2 in txs[i + 1:]:
-            x, w = t2[0], recv[t2]
-            if _conflict_rule(u, v, x, w, topology.proximity):
-                pairs.add(frozenset((t1, t2)))
-    conflicts = ConflictSet(frozenset(pairs))
+        for j in range(i + 1, len(txs)):
+            t2 = txs[j]
+            if _conflict_rule(t1[0], recv[t1], t2[0], recv[t2], topology.proximity):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    conflicts = ConflictSet({t: i for i, t in enumerate(txs)}, tuple(masks))
     object.__setattr__(topology, "_conflicts", conflicts)
     return conflicts
 
