@@ -52,22 +52,6 @@ def _gain(q: float, v: int) -> float:
 
 
 @dataclass(frozen=True)
-class Entry:
-    node: int
-    k: int
-    link: int
-    q: float
-
-    @property
-    def key(self) -> EntryKey:
-        return (self.node, self.k, self.link)
-
-    @property
-    def use_key(self) -> TxLink:
-        return (self.node, self.link)
-
-
-@dataclass(frozen=True)
 class Structure:
     """One serialized-budget layout for a group (plain or overlap orientation)."""
 
@@ -81,8 +65,8 @@ class Structure:
         return {(u.node, u.link) for u in self.uses}
 
 
-def _packet_entries(uses: tuple[Use, ...]) -> list[Entry]:
-    return [Entry(u.node, k, u.link, u.q)
+def _packet_entries(uses: tuple[Use, ...]) -> list[tuple[EntryKey, float]]:
+    return [((u.node, k, u.link), u.q)
             for u in uses for k in range(1, u.weight + 1)]
 
 
@@ -176,34 +160,31 @@ def _greedy_int(st: Structure, budget: int,
     Every host slot carries one rider slot, so a host entry's marginal adds
     the best rider marginal; ties go to the earliest entry (upstream first).
     """
-    entries = _packet_entries(st.uses)
-    riders = _packet_entries(st.riders)
     hosts = set(st.hosts)
-    vals = {e.key: 0 for e in entries}
-    rvals = {r.key: 0 for r in riders}
-
-    def best_rider() -> tuple[float, Entry] | None:
-        best = None
-        for r in riders:
-            g = _gain(r.q, rvals[r.key])
-            if best is None or g > best[0]:
-                best = (g, r)
-        return best
+    entries = [(key, q, (key[0], key[2]) in hosts)
+               for key, q in _packet_entries(st.uses)]
+    riders = _packet_entries(st.riders)
+    vals = {key: 0 for key, _q, _host in entries}
+    rvals = {key: 0 for key, _q in riders}
 
     for _ in range(max(0, budget)):
-        rb = best_rider() if riders else None
-        chosen, chosen_gain = None, -math.inf
-        for e in entries:
-            g = _gain(e.q, vals[e.key])
-            if rb is not None and e.use_key in hosts:
-                g = g + rb[0]
+        rider, rider_gain = None, 0.0
+        for key, q in riders:
+            g = _gain(q, rvals[key])
+            if rider is None or g > rider_gain:
+                rider, rider_gain = key, g
+        chosen, chosen_gain, chosen_host = None, -math.inf, False
+        for key, q, is_host in entries:
+            g = _gain(q, vals[key])
+            if is_host and rider is not None:
+                g = g + rider_gain
             if g > chosen_gain:
-                chosen, chosen_gain = e, g
+                chosen, chosen_gain, chosen_host = key, g, is_host
         if chosen is None:
             break
-        vals[chosen.key] += 1
-        if rb is not None and chosen.use_key in hosts:
-            rvals[rb[1].key] += 1
+        vals[chosen] += 1
+        if chosen_host and rider is not None:
+            rvals[rider] += 1
     return vals, rvals
 
 
@@ -425,12 +406,8 @@ def round_allocation(chain: GroupChain, budget: int) -> dict[EntryKey, int]:
 
 @dataclass
 class SlotAllocation:
-    model: PathModel
-    pattern: PatternSpec
     entries: dict[SlotKey, int]
     per_node: dict[int, float]
-    com_product: float
-    feasible: bool
 
 
 @dataclass
@@ -442,12 +419,18 @@ class PatternSolution:
     com_product: float
     allocation: SlotAllocation
     tub_entries: dict[SlotKey, float]   # relaxed slots, keyed like allocation.entries
-    windows: dict[str, int]
     windows_real: dict[str, float]
     case_labels: dict[str, str]
     predicted: dict[str, str]
-    plans: list[GroupPlan]
-    feasible: bool
+    plans: list[GroupPlan]         # placement order
+
+    @property
+    def feasible(self) -> bool:
+        return self.com_product > 0.0
+
+    @property
+    def windows(self) -> dict[str, int]:
+        return {p.label: p.window for p in self.plans}
 
     @property
     def window(self) -> int:
@@ -474,12 +457,11 @@ def _serial_order(chain: GroupChain, st: Structure) -> list[TxLink]:
 
 
 def _rider_assignment(st: Structure, gi: GroupInteger,
-                      serial_keys: list[EntryKey],
-                      ) -> dict[EntryKey, list[tuple[int, int, int, int]]]:
+                      serial_keys: list[EntryKey], txmap: dict[TxLink, TxLink],
+                      ) -> dict[EntryKey, list[PlacedBurst]]:
     """Distribute rider counts over host burst slots in stream order."""
-    queue = [[key, gi.rider[key]] for key in
-             sorted(gi.rider, key=lambda e: (e[0], e[1], e[2])) if gi.rider[key] > 0]
-    out: dict[EntryKey, list[tuple[int, int, int, int]]] = {}
+    queue = [[key, gi.rider[key]] for key in sorted(gi.rider) if gi.rider[key] > 0]
+    out: dict[EntryKey, list[PlacedBurst]] = {}
     qi = 0
     for key in serial_keys:
         if (key[0], key[2]) not in st.hosts:
@@ -488,7 +470,8 @@ def _rider_assignment(st: Structure, gi: GroupInteger,
         while room > 0 and qi < len(queue):
             (rnode, rk, rlink), remaining = queue[qi]
             take = min(room, remaining)
-            out.setdefault(key, []).append((rnode, rk, rlink, take))
+            out.setdefault(key, []).append(PlacedBurst(
+                rnode, rk, txmap[(rnode, rlink)][0], rlink, take, True))
             room -= take
             queue[qi][1] -= take
             if queue[qi][1] == 0:
@@ -497,16 +480,17 @@ def _rider_assignment(st: Structure, gi: GroupInteger,
 
 
 def _build_plan(chain: GroupChain, st: Structure, gi: GroupInteger,
-                window: int, hide_order: list[TxLink]) -> GroupPlan:
+                window: int, hide_order: list[TxLink],
+                txmap: dict[TxLink, TxLink]) -> GroupPlan:
     rates = {o.node: o.rate for o in chain.origins}
     serial_keys = [(n, k, l) for n, l in _serial_order(chain, st)
                    for k in range(1, rates[n] + 1)]
-    riders = _rider_assignment(st, gi, serial_keys)
+    riders = _rider_assignment(st, gi, serial_keys, txmap)
     serialized = tuple(
-        PlacedBurst(n, k, l, gi.serialized[(n, k, l)], False,
+        PlacedBurst(n, k, txmap[(n, l)][0], l, gi.serialized[(n, k, l)], False,
                     tuple(riders.get((n, k, l), ())))
         for n, k, l in serial_keys if gi.serialized.get((n, k, l), 0) > 0)
-    early = tuple(PlacedBurst(n, k, l, gi.early[(n, k, l)], True, ())
+    early = tuple(PlacedBurst(n, k, txmap[(n, l)][0], l, gi.early[(n, k, l)], True)
                   for n, l in hide_order for k in range(1, rates[n] + 1)
                   if gi.early.get((n, k, l), 0) > 0)
     return GroupPlan(chain.label, window, early, serialized)
@@ -601,7 +585,7 @@ def _real_stage(chain: GroupChain, st: Structure, relaxed: StructuredRelax,
     return entries, intervals
 
 
-def com_probability(alloc: SlotAllocation, model: PathModel,
+def com_probability(entries: dict[SlotKey, int], model: PathModel,
                     ) -> tuple[dict[int, float], float]:
     """Per-node delivery probability and the overall product.
 
@@ -609,7 +593,7 @@ def com_probability(alloc: SlotAllocation, model: PathModel,
     zero slots on any route link means it cannot be delivered.
     """
     totals: dict[EntryKey, int] = {}
-    for (node, k, link, _early), v in alloc.entries.items():
+    for (node, k, link, _early), v in entries.items():
         key = (node, k, link)
         totals[key] = totals.get(key, 0) + v
     per_node = {node: _delivery_product([_origin(model, node)], totals)
@@ -635,13 +619,11 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
     T = int(cycle_slots if cycle_slots is not None else topo.cycle_slots)
     spec = _resolve_pattern(model, pattern)
     conflicts = derive_conflicts(topo)
-    routes = dict(model.routes)
 
     placed_int: list[Interval] = []
     placed_real: list[Interval] = []
     plans: list[GroupPlan] = []
     group_products: dict[str, float] = {}
-    windows: dict[str, int] = {}
     windows_real: dict[str, float] = {}
     case_labels: dict[str, str] = {}
     predicted: dict[str, str] = {}
@@ -651,11 +633,10 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
     for label in spec.placement:
         chain = build_group_chain(model, label, T)
         structures = candidate_structures(model, chain, conflicts)
-        group_txs = model.group_transmissions(label)
         txmap = _transmitter_map(model, chain)
-        a_int = early_window(placed_int, group_txs, conflicts)
-        a_real = float(early_window(placed_real, group_txs, conflicts))
-        windows[label], windows_real[label] = a_int, a_real
+        a_int = early_window(placed_int, txmap.values(), conflicts)
+        a_real = float(early_window(placed_real, txmap.values(), conflicts))
+        windows_real[label] = a_real
         blocked = _blocked_uses(txmap, a_int, placed_int, conflicts)
 
         best: tuple[Structure, StructuredRelax, GroupInteger,
@@ -685,10 +666,10 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
         tub_entries.update(group_tub)
         placed_real.extend(intervals)
 
-        plan = _build_plan(chain, st, gi, a_int, hide_order)
+        plan = _build_plan(chain, st, gi, a_int, hide_order, txmap)
         plans.append(plan)
         placed_int.extend((u.slot, u.slot + 1, (u.tx, u.link))
-                          for u in place_plans(topo, routes, [plan]))
+                          for u in place_plans(topo, [plan]))
         for early, src in ((False, gi.serialized), (True, gi.early),
                            (True, gi.rider)):
             for (node, k, link), v in src.items():
@@ -698,21 +679,17 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
 
     # label order, so patterns whose groups reach equal products tie exactly
     tub = math.prod(group_products[label] for label in sorted(group_products))
-    alloc = SlotAllocation(model, spec, entries, {}, 0.0, True)
-    alloc.per_node, alloc.com_product = com_probability(alloc, model)
-    alloc.feasible = alloc.com_product > 0.0
-
-    return PatternSolution(model, spec, T, tub, alloc.com_product, alloc, tub_entries,
-                           windows, windows_real, case_labels, predicted, plans,
-                           alloc.feasible)
+    per_node, com = com_probability(entries, model)
+    return PatternSolution(model, spec, T, tub, com, SlotAllocation(entries, per_node),
+                           tub_entries, windows_real, case_labels, predicted, plans)
 
 
 def solution_timeline(solution: PatternSolution):
     """Materialize a solved pattern into its verified slot-by-slot timeline."""
     from .timeline import build_timeline
     topo = solution.model.topology
-    return build_timeline(topo, dict(solution.model.routes), solution.plans,
-                          derive_conflicts(topo), solution.cycle_slots)
+    return build_timeline(topo, solution.plans, derive_conflicts(topo),
+                          solution.cycle_slots)
 
 
 def optimize(topology: Topology, cycle_slots: int | None = None,

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from .topology import Branch, ConflictSet, Topology, derive_conflicts
 
-GROUP_LABELS = ("X", "Y", "Z")
-
 
 @dataclass(frozen=True)
 class PathModel:
@@ -22,20 +20,20 @@ class PathModel:
     no_sep_branch: int                     # gateway id of the Z branch
     sep_link_a: int                        # separation link in the X branch
     sep_link_b: int                        # separation link in the Y branch
-    labels: tuple[tuple[str, int], ...]    # group label -> gateway id
-    groups: tuple[tuple[str, tuple[int, ...]], ...]  # label -> origins, upstream first
-    routes: tuple[tuple[int, tuple[int, ...]], ...]  # node -> link ids toward its gateway
+    labels: dict[str, int]                 # group label -> gateway id
+    groups: dict[str, tuple[int, ...]]     # label -> origins, upstream first
+    routes: dict[int, tuple[int, ...]]     # node -> link ids toward its gateway
     name: str                              # "l-r-d"
     model_type: int                        # 1 | 2 | 3
 
     def group(self, label: str) -> tuple[int, ...]:
-        return dict(self.groups)[label]
+        return self.groups[label]
 
     def gateway_of(self, label: str) -> int:
-        return dict(self.labels)[label]
+        return self.labels[label]
 
     def route(self, node: int) -> tuple[int, ...]:
-        return dict(self.routes)[node]
+        return self.routes[node]
 
     def transmitters(self, node: int) -> tuple[tuple[int, int], ...]:
         """The (tx node, link) sequence that carries this origin's packet."""
@@ -106,9 +104,9 @@ def _build_model(topology: Topology, z_branch: Branch, x_branch: Branch,
         no_sep_branch=z_branch.gateway,
         sep_link_a=sep_a,
         sep_link_b=sep_b,
-        labels=(("X", x_branch.gateway), ("Y", y_branch.gateway), ("Z", z_branch.gateway)),
-        groups=(("X", sx), ("Y", sy), ("Z", sz)),
-        routes=tuple(sorted(routes.items())),
+        labels={"X": x_branch.gateway, "Y": y_branch.gateway, "Z": z_branch.gateway},
+        groups={"X": sx, "Y": sy, "Z": sz},
+        routes=dict(sorted(routes.items())),
         name=name,
         model_type=model_type,
     )

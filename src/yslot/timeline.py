@@ -40,18 +40,20 @@ class Unit:
 
 @dataclass(frozen=True)
 class PlacedBurst:
-    """A run of identical transmissions, placed consecutively.
+    """A run of identical transmissions, placed consecutively: origin's
+    k-th packet sent by tx over link, count times.
 
-    riders are co-scheduled transmissions sharing this burst's slots
-    (at most one rider per slot).
+    riders are early bursts co-scheduled in this burst's first slots
+    (at most one rider unit per slot).
     """
 
     origin: int
     k: int
+    tx: int
     link: int
     count: int
     early: bool
-    riders: tuple[tuple[int, int, int, int], ...] = ()  # (origin, k, link, count)
+    riders: tuple[PlacedBurst, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -110,36 +112,21 @@ class VerificationReport:
         return self.violations[0] if self.violations else None
 
 
-def _tx_of(topology: Topology, origin: int, route: tuple[int, ...], link: int) -> tuple[int, int]:
-    cur = origin
-    for lid in route:
-        if lid == link:
-            return cur, topology.links[lid].other(cur)
-        cur = topology.links[lid].other(cur)
-    raise ValueError(f"link {link} not on route of {origin}")
-
-
-def place_plans(topology: Topology, routes: dict[int, tuple[int, ...]],
-                plans: list[GroupPlan]) -> list[Unit]:
+def place_plans(topology: Topology, plans: list[GroupPlan]) -> list[Unit]:
     """Materialize group plans into units; deterministic in plan order."""
     units: list[Unit] = []
 
     def emit(burst: PlacedBurst, start: int) -> int:
-        tx, rx = _tx_of(topology, burst.origin, routes[burst.origin], burst.link)
-        rider_queue = []
-        for r_origin, r_k, r_link, r_count in burst.riders:
-            r_tx, r_rx = _tx_of(topology, r_origin, routes[r_origin], r_link)
-            rider_queue.extend((r_tx, r_rx, r_link, r_origin, r_k)
-                               for _ in range(r_count))
-        for i in range(burst.count):
-            slot = start + i
-            units.append(Unit(slot, tx, rx, burst.link, burst.origin, burst.k, burst.early))
-            if i < len(rider_queue):
-                r_tx, r_rx, r_link, r_origin, r_k = rider_queue[i]
-                units.append(Unit(slot, r_tx, r_rx, r_link, r_origin, r_k, True))
-        if len(rider_queue) > burst.count:
+        rx = topology.links[burst.link].other(burst.tx)
+        end = start + burst.count
+        units.extend(Unit(slot, burst.tx, rx, burst.link, burst.origin, burst.k,
+                          burst.early) for slot in range(start, end))
+        cursor = start
+        for rider in burst.riders:
+            cursor = emit(rider, cursor)
+        if cursor > end:
             raise DoesNotFit("rider transmissions exceed their host burst")
-        return start + burst.count
+        return end
 
     for plan in plans:
         cursor = 0
@@ -154,12 +141,12 @@ def place_plans(topology: Topology, routes: dict[int, tuple[int, ...]],
     return units
 
 
-def build_timeline(topology: Topology, routes: dict[int, tuple[int, ...]],
-                   plans: list[GroupPlan], conflicts: ConflictSet,
-                   cycle_slots: int | None = None) -> Timeline:
+def build_timeline(topology: Topology, plans: list[GroupPlan],
+                   conflicts: ConflictSet, cycle_slots: int | None = None,
+                   ) -> Timeline:
     """Place all plans and verify; raises on the first violation."""
     T = cycle_slots if cycle_slots is not None else topology.cycle_slots
-    timeline = Timeline(place_plans(topology, routes, plans), T)
+    timeline = Timeline(place_plans(topology, plans), T)
     report = verify_timeline(timeline, conflicts, T)
     if not report.ok:
         v = report.first()

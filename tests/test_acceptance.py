@@ -217,10 +217,9 @@ def test_criterion_10_tub_bounds_com(matrix):
 
 
 def test_criterion_11_timeline_validity(matrix):
-    for key, (topology, model, sol) in matrix.items():
+    for key, (topology, _model, sol) in matrix.items():
         conflicts = derive_conflicts(topology)
-        timeline = build_timeline(topology, dict(model.routes), sol.plans,
-                                  conflicts, key[1])
+        timeline = build_timeline(topology, sol.plans, conflicts, key[1])
         report = verify_timeline(timeline, conflicts, key[1],
                                  sol.allocation.entries)
         assert report.ok, (key, report.first())
@@ -264,8 +263,7 @@ def test_criterion_12_monte_carlo(case1):
     model = find_model(case1, "3-2-3", 11)
     sol = solve_pattern(model, 1, 30)
     conflicts = derive_conflicts(case1)
-    timeline = build_timeline(case1, dict(model.routes), sol.plans,
-                              conflicts, 30)
+    timeline = build_timeline(case1, sol.plans, conflicts, 30)
     report = simulate(timeline, case1, trials, seed=20240811)
     rerun = simulate(timeline, case1, trials, seed=20240811)
     assert report == rerun
@@ -277,7 +275,7 @@ def test_criterion_12_monte_carlo(case1):
         topology = _random_topology(rng)
         m = enumerate_path_models(topology)[0]
         s = solve_pattern(m, patterns_for(m)[0], topology.cycle_slots)
-        tl = build_timeline(topology, dict(m.routes), s.plans,
+        tl = build_timeline(topology, s.plans,
                             derive_conflicts(topology), topology.cycle_slots)
         rep = simulate(tl, topology, trials, seed=3000 + i)
         chk = compare(rep, s.allocation.per_node)

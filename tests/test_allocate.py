@@ -12,7 +12,7 @@ from conftest import (TABLE_P1_COM, TABLE_P1_TUB, compositions,
 from yslot import (GroupChain, Origin, com_probability, find_model, optimize,
                    patterns_for, round_allocation, solve_pattern,
                    validate_topology)
-from yslot.allocate import (SlotAllocation, Structure, _delivery_product,
+from yslot.allocate import (Structure, _delivery_product,
                             assign_early_slots, build_group_chain, early_window)
 from yslot.relax import Use
 from yslot.topology import derive_conflicts
@@ -194,9 +194,7 @@ def product_z(topo, model, totals):
 
 def test_com_probability_trivials(case1):
     model = find_model(case1, "3-2-3", 11)
-    spec = patterns_for(model)[0]
-    alloc = SlotAllocation(model, spec, {(8, 1, 10, False): 2}, {}, 0.0, True)
-    per_node, product = com_probability(alloc, model)
+    per_node, product = com_probability({(8, 1, 10, False): 2}, model)
     assert per_node[8] == pytest.approx(1 - 0.3 ** 2, abs=1e-12)  # q10 = 0.3
     assert per_node[4] == 0.0
     assert product == 0.0

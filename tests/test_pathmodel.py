@@ -72,7 +72,7 @@ def test_routes_loop_free_and_single_gateway(case1):
                 cur = case1.links[link].other(cur)
             assert case1.is_gateway(cur)
             assert cur == m.gateway_of(next(
-                g for g, members in m.groups if node in members))
+                g for g, members in m.groups.items() if node in members))
 
 
 def test_group_sizes_partition_nodes(case1):

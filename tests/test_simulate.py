@@ -50,7 +50,7 @@ def test_table_allocation_close_to_analytic(case1):
     model = find_model(case1, "3-2-3", 11)
     sol = solve_pattern(model, 1, 30)
     conflicts = derive_conflicts(case1)
-    tl = build_timeline(case1, dict(model.routes), sol.plans, conflicts, 30)
+    tl = build_timeline(case1, sol.plans, conflicts, 30)
     report = simulate(tl, case1, TRIALS, seed=123)
     checks = compare(report, sol.allocation.per_node)
     assert all(c.ok for c in checks), [c for c in checks if not c.ok]
@@ -60,7 +60,7 @@ def test_reuse_never_hurts(case1):
     model = find_model(case1, "3-2-3", 11)
     sol = solve_pattern(model, 1, 30)
     conflicts = derive_conflicts(case1)
-    tl = build_timeline(case1, dict(model.routes), sol.plans, conflicts, 30)
+    tl = build_timeline(case1, sol.plans, conflicts, 30)
     plain = simulate(tl, case1, 20000, seed=7)
     reuse = simulate(tl, case1, 20000, seed=7, reuse=True)
     for node in plain.per_node:
@@ -71,7 +71,7 @@ def test_all_delivered_bounded_by_per_node(case1):
     model = find_model(case1, "2-2-4", 11)
     sol = solve_pattern(model, 2, 30)
     conflicts = derive_conflicts(case1)
-    tl = build_timeline(case1, dict(model.routes), sol.plans, conflicts, 30)
+    tl = build_timeline(case1, sol.plans, conflicts, 30)
     for reuse in (False, True):
         report = simulate(tl, case1, 20000, seed=3, reuse=reuse)
         for node, count in report.per_node_counts.items():

@@ -6,14 +6,14 @@ import pytest
 from yslot import (DoesNotFit, build_timeline, derive_conflicts,
                    find_model, optimize, solution_timeline, solve_pattern,
                    verify_timeline)
-from yslot.timeline import Timeline, Unit
+from yslot.timeline import GroupPlan, PlacedBurst, Timeline, Unit, place_plans
 
 
 def solved_timeline(topology, name, pid, T=30):
     model = find_model(topology, name, 11)
     sol = solve_pattern(model, pid, T)
     conflicts = derive_conflicts(topology)
-    tl = build_timeline(topology, dict(model.routes), sol.plans, conflicts, T)
+    tl = build_timeline(topology, sol.plans, conflicts, T)
     return model, sol, tl, conflicts
 
 
@@ -64,8 +64,7 @@ def test_determinism(case1):
 
 def test_empty_plans_give_empty_timeline(case1):
     conflicts = derive_conflicts(case1)
-    model = find_model(case1, "3-2-3", 11)
-    tl = build_timeline(case1, dict(model.routes), [], conflicts, 30)
+    tl = build_timeline(case1, [], conflicts, 30)
     assert tl.units == [] and tl.length == 0
 
 
@@ -101,29 +100,43 @@ def test_verify_flags_causality(case1):
 
 
 def test_build_raises_on_overflowing_window(case1):
-    from yslot.timeline import GroupPlan, PlacedBurst
     conflicts = derive_conflicts(case1)
-    model = find_model(case1, "3-2-3", 11)
-    plan = GroupPlan("Z", 2, (PlacedBurst(8, 1, 10, 5, True, ()),), ())
+    plan = GroupPlan("Z", 2, (PlacedBurst(8, 1, 8, 10, 5, True, ()),), ())
     with pytest.raises(DoesNotFit):
-        build_timeline(case1, dict(model.routes), [plan], conflicts, 30)
+        build_timeline(case1, [plan], conflicts, 30)
 
 
 def test_build_raises_on_conflict_and_causality(case1):
     from yslot import CausalityViolation, ConflictViolation
-    from yslot.timeline import GroupPlan, PlacedBurst
     conflicts = derive_conflicts(case1)
-    model = find_model(case1, "3-2-3", 11)
     # two zero-window groups whose first bursts interfere (3 vs 4)
-    plans = [GroupPlan("X", 0, (), (PlacedBurst(3, 1, 3, 2, False, ()),)),
-             GroupPlan("Z", 0, (), (PlacedBurst(4, 1, 8, 2, False, ()),))]
+    plans = [GroupPlan("X", 0, (), (PlacedBurst(3, 1, 3, 3, 2, False, ()),)),
+             GroupPlan("Z", 0, (), (PlacedBurst(4, 1, 4, 8, 2, False, ()),))]
     with pytest.raises(ConflictViolation):
-        build_timeline(case1, dict(model.routes), plans, conflicts, 30)
+        build_timeline(case1, plans, conflicts, 30)
     # a relay burst scheduled before the origin ever transmitted
-    plan = GroupPlan("X", 0, (), (PlacedBurst(3, 1, 2, 1, False, ()),
-                                  PlacedBurst(3, 1, 3, 1, False, ())))
+    plan = GroupPlan("X", 0, (), (PlacedBurst(3, 1, 2, 2, 1, False, ()),
+                                  PlacedBurst(3, 1, 3, 3, 1, False, ())))
     with pytest.raises(CausalityViolation):
-        build_timeline(case1, dict(model.routes), [plan], conflicts, 30)
+        build_timeline(case1, [plan], conflicts, 30)
+
+
+def test_riders_fill_their_host_burst_first_slots(case1):
+    # two feeder hops into the central node 4 ride on terminal 8's burst
+    riders = (PlacedBurst(3, 1, 3, 4, 1, True), PlacedBurst(5, 1, 5, 5, 1, True))
+    plan = GroupPlan("Z", 5, (), (PlacedBurst(8, 1, 8, 10, 3, False, riders),))
+    units = place_plans(case1, [plan])
+    assert sorted(units, key=lambda u: (u.slot, u.tx)) == [
+        Unit(5, 3, 4, 4, 3, 1, True), Unit(5, 8, 11, 10, 8, 1, False),
+        Unit(6, 5, 4, 5, 5, 1, True), Unit(6, 8, 11, 10, 8, 1, False),
+        Unit(7, 8, 11, 10, 8, 1, False)]
+
+
+def test_place_raises_when_riders_exceed_their_host(case1):
+    riders = (PlacedBurst(3, 1, 3, 4, 2, True), PlacedBurst(5, 1, 5, 5, 2, True))
+    plan = GroupPlan("Z", 0, (), (PlacedBurst(8, 1, 8, 10, 3, False, riders),))
+    with pytest.raises(DoesNotFit):
+        place_plans(case1, [plan])
 
 
 def test_grid_lines_stable_format(case1):
