@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,17 @@ import pytest
 
 from conftest import (TABLE_P1_COM, TABLE_P1_TUB, compositions,
                       product_from_totals, table_totals)
-from yslot import (GroupChain, Origin, com_probability, find_model, optimize,
-                   patterns_for, round_allocation, solve_pattern,
-                   validate_topology)
-from yslot.allocate import (Structure, _delivery_product,
-                            assign_early_slots, build_group_chain, early_window)
-from yslot.relax import Use
+import yslot.allocate
+from yslot import (GroupChain, Origin, com_probability, enumerate_path_models,
+                   find_model, optimize, patterns_for, round_allocation,
+                   solve_pattern, validate_topology)
+from yslot.allocate import (Structure, _blocked_uses, _chain_uses,
+                            _delivery_product, _gain, _greedy_int, _runs,
+                            _split_structure, _transmitter_map,
+                            assign_early_slots, build_group_chain,
+                            candidate_structures, early_window)
+from yslot.relax import Use, solve_plain_structure
+from yslot.timeline import place_plans
 from yslot.topology import derive_conflicts
 
 GOLDEN_YS = Path(__file__).resolve().parent / "golden" / "ys"
@@ -48,6 +54,68 @@ def brute_force_best(chain, budget):
 
 def alloc_product(chain, vals):
     return _delivery_product(chain.origins, vals)
+
+
+def greedy_oracle(st, budget):
+    """Reference linear scan: every slot rescans every entry and takes the
+    first one of largest marginal gain, a host entry adding the best rider
+    marginal (the first rider of largest gain)."""
+    hosts = set(st.hosts)
+    entries = [((u.node, k, u.link), u.q, (u.node, u.link) in hosts)
+               for u in st.uses for k in range(1, u.weight + 1)]
+    riders = [((u.node, k, u.link), u.q)
+              for u in st.riders for k in range(1, u.weight + 1)]
+    vals = {key: 0 for key, _q, _host in entries}
+    rvals = {key: 0 for key, _q in riders}
+    for _ in range(max(0, budget)):
+        rider, rider_gain = None, 0.0
+        for key, q in riders:
+            g = _gain(q, rvals[key])
+            if rider is None or g > rider_gain:
+                rider, rider_gain = key, g
+        chosen, chosen_gain, chosen_host = None, -math.inf, False
+        for key, q, is_host in entries:
+            g = _gain(q, vals[key])
+            if is_host and rider is not None:
+                g = g + rider_gain
+            if g > chosen_gain:
+                chosen, chosen_gain, chosen_host = key, g, is_host
+        if chosen is None:
+            break
+        vals[chosen] += 1
+        if chosen_host and rider is not None:
+            rvals[rider] += 1
+    return vals, rvals
+
+
+def seeded_y(rng, loss):
+    """A generated Y: three branches of 1-4 nodes, rates 1-3, link and
+    two-hop-through-the-centre proximity plus up to three random pairs;
+    `loss()` gives each link's loss rate."""
+    lengths = [rng.randint(1, 4) for _ in range(3)]
+    n_nodes = 1 + sum(lengths)
+    links, centre_nbs, node = [], [], 2
+    for index, length in enumerate(lengths):
+        prev = 1
+        centre_nbs.append(node)
+        for _ in range(length):
+            links.append((prev, node))
+            prev, node = node, node + 1
+        links.append((prev, n_nodes + 1 + index))
+    proximity = {tuple(sorted(pair)) for pair in links}
+    proximity.update((a, b) for a in centre_nbs for b in centre_nbs if a < b)
+    ids = range(1, n_nodes + 4)
+    spare = [(a, b) for a in ids for b in ids if a < b and (a, b) not in proximity]
+    proximity.update(rng.sample(spare, rng.randint(0, 3)))
+    return validate_topology({
+        "cycle_slots": 30,
+        "nodes": [{"id": n, "rate": rng.randint(1, 3)}
+                  for n in range(1, n_nodes + 1)],
+        "gateways": [{"id": g} for g in range(n_nodes + 1, n_nodes + 4)],
+        "links": [{"id": i + 1, "a": a, "b": b, "loss": loss()}
+                  for i, (a, b) in enumerate(links)],
+        "proximity": [list(p) for p in sorted(proximity)],
+    })
 
 
 def test_round_allocation_sy_golden():
@@ -103,6 +171,67 @@ def test_round_allocation_matches_brute_force_small_grid():
     assert checked >= 4000
 
 
+def test_heap_greedy_matches_linear_scan_oracle():
+    # every structure kind on seeded Ys: losses drawn over (0.01, 0.99),
+    # all equal (ties everywhere) and all at 0.01 (gains underflow to 0)
+    rng = random.Random(5)
+    loss_modes = [lambda: round(rng.uniform(0.01, 0.99), 4),
+                  lambda: 0.3, lambda: 0.01]
+    kinds = set()
+    checked = 0
+    for seed in range(12):
+        topo = seeded_y(rng, loss_modes[seed % 3])
+        conflicts = derive_conflicts(topo)
+        for model in enumerate_path_models(topo)[:3]:
+            for label in ("X", "Y", "Z"):
+                chain = build_group_chain(model, label, 30)
+                for st in candidate_structures(model, chain, conflicts):
+                    kinds.add(st.kind)
+                    first = {(st.uses[0].node, st.uses[0].link)}
+                    for part in (st, *_split_structure(st, first)):
+                        for budget in (0, 1, 7, 60, rng.randint(100, 1000)):
+                            assert _greedy_int(part, budget) == \
+                                greedy_oracle(part, budget), (seed, part, budget)
+                            checked += 1
+    assert kinds == {"plain", "rider-terminal", "rider-feeders"}
+    assert checked >= 1000
+
+
+def test_round_allocation_ties_go_to_earliest_after_underflow():
+    # once q**v underflows every gain is 0 and the earliest packet takes
+    # every remaining slot, so the split is not the even 200/200
+    chain = chain_from_routes([[(1, 0.0141)]], 400, rates=[2])
+    assert round_allocation(chain, 400) == {(100, 1, 1): 225, (100, 2, 1): 175}
+
+
+def test_greedy_can_leave_the_relaxed_solution_by_more_than_a_slot():
+    chain = chain_from_routes(
+        [[(1, 0.9525), (2, 0.0671), (3, 0.0975)], [(2, 0.0671), (3, 0.0975)],
+         [(3, 0.0975)]], 62, rates=[1, 3, 1])
+    vals = round_allocation(chain, 62)
+    relaxed = solve_plain_structure(list(_chain_uses(chain)), 62.0)
+    assert vals[(100, 1, 1)] == 39
+    assert relaxed.values[(100, 1)] == pytest.approx(41.02, abs=0.01)
+
+
+def test_round_allocation_gain_evaluations_stay_linear(monkeypatch):
+    # the linear scan evaluates about budget x entries gains
+    calls = []
+
+    def counting(q, v):
+        calls.append(v)
+        return _gain(q, v)
+
+    monkeypatch.setattr(yslot.allocate, "_gain", counting)
+    chain = chain_from_routes(
+        [[(1, 0.4), (2, 0.15), (3, 0.3)], [(2, 0.15), (3, 0.3)], [(3, 0.3)]],
+        1000, rates=[2, 1, 2])
+    entries = sum(o.rate * len(o.route) for o in chain.origins)
+    assert entries >= 10
+    assert sum(round_allocation(chain, 1000).values()) == 1000
+    assert len(calls) < 1000 + 2 * entries
+
+
 def test_infeasible_budget_flagged_not_raised():
     chain = chain_from_routes([[(1, 0.3), (2, 0.3)], [(2, 0.3)]], 2)
     vals = round_allocation(chain, 2)
@@ -146,6 +275,67 @@ def test_224_window_follows_prioritized_bursts(case1):
 def test_early_window_empty_placement(case1):
     conflicts = derive_conflicts(case1)
     assert early_window([], {(4, 8)}, conflicts) == 0
+
+
+def early_window_oracle(placed, group_txs, conflicts):
+    """Reference scan: the latest end of a placed interval that conflicts
+    with any of the group's transmitters."""
+    a = 0
+    for _start, end, txlink in placed:
+        if end <= a:
+            continue
+        if any(conflicts.conflict(txlink, g) for g in group_txs):
+            a = end
+    return a
+
+
+def blocked_uses_oracle(txmap, window, placed, conflicts):
+    """Reference scan: use keys whose transmitter conflicts with an
+    interval starting inside the window."""
+    return {use_key for use_key, txlink in txmap.items()
+            if any(start < window and conflicts.conflict(other, txlink)
+                   for start, _end, other in placed)}
+
+
+def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
+    # integer placements as coalesced runs against one interval per unit,
+    # real-valued placements as they are, over the 27 case-1 solutions
+    conflicts = derive_conflicts(case1)
+    seen = []
+
+    def recording(placed, group_txs, conflicts):
+        seen.append(list(placed))
+        return early_window(placed, group_txs, conflicts)
+
+    monkeypatch.setattr(yslot.allocate, "early_window", recording)
+    solved = 0
+    for model in enumerate_path_models(case1):
+        for spec in patterns_for(model):
+            seen.clear()
+            sol = solve_pattern(model, spec, 30)
+            solved += 1
+            for i, plan in enumerate(sol.plans):
+                txmap = _transmitter_map(model, build_group_chain(model, plan.label, 30))
+                runs, real = seen[2 * i], seen[2 * i + 1]
+                units = [(u.slot, u.slot + 1, (u.tx, u.link))
+                         for u in place_plans(case1, sol.plans[:i])]
+                assert runs == [r for p in sol.plans[:i]
+                                for r in _runs(place_plans(case1, [p]))]
+                assert sorted((t, tx) for start, end, tx in runs
+                              for t in range(start, end)) == \
+                    sorted((start, tx) for start, _end, tx in units)
+                txs = txmap.values()
+                assert early_window(runs, txs, conflicts) == plan.window == \
+                    early_window_oracle(units, txs, conflicts)
+                assert early_window(real, txs, conflicts) == \
+                    sol.windows_real[plan.label] == \
+                    early_window_oracle(real, txs, conflicts)
+                for w in (*range(31), sol.windows_real[plan.label]):
+                    assert _blocked_uses(txmap, w, runs, conflicts) == \
+                        blocked_uses_oracle(txmap, w, units, conflicts)
+                    assert _blocked_uses(txmap, w, real, conflicts) == \
+                        blocked_uses_oracle(txmap, w, real, conflicts)
+    assert solved == 27
 
 
 def test_assign_early_identity_without_window():
