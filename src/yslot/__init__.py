@@ -2,7 +2,7 @@
 
 from .allocate import (PatternSolution, SlotAllocation, assign_early_slots,
                        build_group_chain, candidate_structures, com_probability,
-                       early_window, optimize, round_allocation,
+                       early_window, optimize, relaxed_table,
                        solution_timeline, solve_pattern)
 from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
                         find_model, patterns_for)

@@ -6,14 +6,15 @@ Pipeline per group, in pattern placement order:
    overlap orientations when a feeder's first-hop burst and the terminal
    node's own burst do not interfere (the feeder hops can share the
    terminal's slots, or vice versa).
-2. Relaxed optimum per structure (adjunct-variable solve) - the TUB side.
-3. Integer optimum per structure by greedy marginal-gain allocation, then
+2. Integer optimum per structure by greedy marginal-gain allocation, then
    the early-window step: slots of unblocked downstream transmitters are
    hidden inside the window left by previously placed groups, or, when the
    window exceeds what can be hidden, the group splits into a window part
    and a post-window part.
-4. The best structure by integer product wins; TUB is the same structure's
-   relaxed product, so TUB >= COM holds by relaxed feasibility.
+3. The best structure by integer product wins (COM).
+4. The relaxed optimum (adjunct-variable solve) of the winning structure
+   only is the group's TUB product, so TUB >= COM holds by relaxed
+   feasibility; `relaxed_table` builds the TUB slot table on demand.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ TxLink = tuple[int, int]
 EntryKey = tuple[int, int, int]  # (origin node, packet k, link)
 SlotKey = tuple[int, int, int, bool]  # (origin node, packet k, link, early)
 Interval = tuple[float, float, TxLink]  # placed [start, end) of a transmitter
+Ranks = tuple[dict[int, int], dict[int, int]]  # link ranks, origin ranks
 
 
 @lru_cache(maxsize=1 << 16)
@@ -216,7 +218,7 @@ def _split_structure(st: Structure, hide_set: set[TxLink],
             Structure("plain", "plain", hide, (), ()))
 
 
-def _chain_ranks(chain: GroupChain) -> tuple[dict[int, int], dict[int, int]]:
+def _chain_ranks(chain: GroupChain) -> Ranks:
     """Rank of each link, upstream first (deepest from the gateway), and of
     each origin in chain order."""
     depth: dict[int, int] = {}
@@ -273,15 +275,15 @@ def _blocked_uses(txmap: dict[TxLink, TxLink], window, placed: list[Interval],
             if _hits(mask, txlink, conflicts)}
 
 
-def _hideable_uses(chain: GroupChain, st: Structure,
-                   blocked: set[TxLink]) -> list[TxLink]:
+def _hideable_uses(chain: GroupChain, st: Structure, blocked: set[TxLink],
+                   ranks: Ranks) -> list[TxLink]:
     """Budget uses that may move into the window, in fill order (upstream
     link first, downstream origin first within a link).  A hop qualifies
     only if every upstream hop of the same packet qualifies, so the packet
     can reach its transmitter inside the window."""
     use_keys = st.use_keys()
     hosts = set(st.hosts)
-    order, pos = _chain_ranks(chain)
+    order, pos = ranks
     out = []
     for o in chain.origins:
         for link, _ in o.route:
@@ -317,8 +319,7 @@ class GroupInteger:
     early: dict[EntryKey, int]
     rider: dict[EntryKey, int]
     product: float
-    regime: str   # none | hide | split
-    label: str
+    label: str    # window regime: "" none, c1-c4 hide, c5 split
 
     def totals(self) -> dict[EntryKey, int]:
         out: dict[EntryKey, int] = {}
@@ -399,12 +400,12 @@ def assign_early_slots(chain: GroupChain, st: Structure,
 
     gi: GroupInteger | None = None
     if window <= 0:
-        gi = GroupInteger(dict(tentative), {}, dict(rider), 0.0, "none", "")
+        gi = GroupInteger(dict(tentative), {}, dict(rider), 0.0, "")
     elif sum(use_caps.values()) >= window:
         early = _fill_window(chain, tentative, hide_order, window)
         if sum(early.values()) == window:
             serialized = {k: v - early.get(k, 0) for k, v in tentative.items()}
-            gi = GroupInteger(serialized, early, dict(rider), 0.0, "hide",
+            gi = GroupInteger(serialized, early, dict(rider), 0.0,
                               _classify_case(hide_order, use_caps, window))
 
     if gi is None:
@@ -413,24 +414,10 @@ def assign_early_slots(chain: GroupChain, st: Structure,
         vals_rest, rider_rest = _greedy_int(st_rest, budget - window)
         vals_hide, _ = _greedy_int(st_hide, window)
         early = _drop_uncausal(chain, vals_hide, hide_set)
-        gi = GroupInteger(vals_rest, early, rider_rest, 0.0, "split", "c5")
+        gi = GroupInteger(vals_rest, early, rider_rest, 0.0, "c5")
 
     gi.product = _delivery_product(chain.origins, gi.totals())
     return gi
-
-
-def round_allocation(chain: GroupChain, budget: int) -> dict[EntryKey, int]:
-    """Integer slot map for one chain, summing exactly to the budget and
-    maximizing the delivery product.  Greedy marginal-gain allocation is
-    provably optimal for the separable concave objective, but it need not
-    stay within one slot of the relaxed solution: losses (0.9525, 0.0671,
-    0.0975) on a three-origin chain with rates (1, 3, 1) and budget 62 give
-    the lossy first hop 39 slots where the relaxed optimum gives 41.02.
-    Once q**v underflows every gain is 0 and the earliest entry takes the
-    remaining slots."""
-    vals, _ = _greedy_int(Structure("plain", "plain", _chain_uses(chain), (), ()),
-                          budget)
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +438,7 @@ class PatternSolution:
     tub_product: float
     com_product: float
     allocation: SlotAllocation
-    tub_entries: dict[SlotKey, float]   # relaxed slots, keyed like allocation.entries
-    windows_real: dict[str, float]
+    structures: dict[str, Structure]   # chosen structure per group
     case_labels: dict[str, str]
     predicted: dict[str, str]
     plans: list[GroupPlan]         # placement order
@@ -475,12 +461,12 @@ class PatternSolution:
         return ";".join(parts) if parts else "-"
 
 
-def _serial_order(chain: GroupChain, st: Structure) -> list[TxLink]:
+def _serial_order(st: Structure, ranks: Ranks) -> list[TxLink]:
     """Burst order of the budget uses: upstream links first, upstream
     origins first within a link; a rider-hosting terminal burst moves to
     the front so its riders (the feeders' first hops) precede the feeders'
     later hops."""
-    order, pos = _chain_ranks(chain)
+    order, pos = ranks
     keys = sorted(((u.node, u.link) for u in st.uses),
                   key=lambda key: (order[key[1]], pos[key[0]]))
     if st.kind == "rider-feeders":
@@ -514,9 +500,9 @@ def _rider_assignment(st: Structure, gi: GroupInteger,
 
 def _build_plan(chain: GroupChain, st: Structure, gi: GroupInteger,
                 window: int, hide_order: list[TxLink],
-                txmap: dict[TxLink, TxLink]) -> GroupPlan:
+                txmap: dict[TxLink, TxLink], ranks: Ranks) -> GroupPlan:
     rates = {o.node: o.rate for o in chain.origins}
-    serial_keys = [(n, k, l) for n, l in _serial_order(chain, st)
+    serial_keys = [(n, k, l) for n, l in _serial_order(st, ranks)
                    for k in range(1, rates[n] + 1)]
     riders = _rider_assignment(st, gi, serial_keys, txmap)
     serialized = tuple(
@@ -568,54 +554,67 @@ def _relaxed_split(st: Structure, hide_order: list[TxLink], window: float,
     return totals, rider, early
 
 
-def _real_stage(chain: GroupChain, st: Structure, relaxed: StructuredRelax,
-                window: float, hide_order: list[TxLink], budget: float,
-                txmap: dict[TxLink, TxLink],
-                ) -> tuple[dict[SlotKey, float], list[Interval]]:
-    """Real-valued mirror of the early-window step: the group's TUB slot
-    entries and the intervals its transmitters occupy."""
-    totals = _scaled(relaxed.values, st.uses)
-    rider = _scaled(relaxed.values, st.riders)
-    early: dict[TxLink, float] = {}
-    if window > 1e-12:
-        if sum(totals[key] for key in hide_order) + 1e-9 >= window:
-            early = _real_fill(totals, hide_order, window)
-        else:
-            totals, rider, early = _relaxed_split(st, hide_order, window, budget)
-    serialized = {key: max(0.0, totals.get(key, 0.0) - early.get(key, 0.0))
-                  for key in st.use_keys()}
-
-    intervals: list[Interval] = []
-    cursor = 0.0
-    for key in hide_order:
-        e = early.get(key, 0.0)
-        if e > 1e-12:
-            intervals.append((cursor, cursor + e, txmap[key]))
-            cursor += e
-    cursor = window
-    host_spans: list[tuple[float, float]] = []
-    for key in _serial_order(chain, st):
-        length = serialized[key]
-        if length > 1e-12:
-            intervals.append((cursor, cursor + length, txmap[key]))
-            if key in st.hosts:
-                host_spans.append((cursor, cursor + length))
-            cursor += length
-    if host_spans:
-        lo = min(span[0] for span in host_spans)
-        hi = max(span[1] for span in host_spans)
-        intervals.extend((lo, hi, txmap[(u.node, u.link)]) for u in st.riders)
-
+def relaxed_table(solution: PatternSolution,
+                  ) -> tuple[dict[SlotKey, float], dict[str, float]]:
+    """TUB slot table of a solved pattern, keyed like allocation.entries,
+    and its real-valued early windows per group: the placement walked again
+    over the chosen structures, each group's relaxed optimum taken through
+    the real-valued mirror of the early-window step."""
+    model = solution.model
+    conflicts = derive_conflicts(model.topology)
+    budget = float(solution.cycle_slots)
+    placed: list[Interval] = []
     entries: dict[SlotKey, float] = {}
-    for o in chain.origins:
-        for link, _q in o.route:
-            key = (o.node, link)
-            s_pp = serialized.get(key, 0.0) / o.rate
-            e_pp = (early.get(key, 0.0) + rider.get(key, 0.0)) / o.rate
-            for k in range(1, o.rate + 1):
-                entries[(o.node, k, link, False)] = s_pp
-                entries[(o.node, k, link, True)] = e_pp
-    return entries, intervals
+    windows: dict[str, float] = {}
+
+    for label in solution.pattern.placement:
+        chain = build_group_chain(model, label, budget)
+        st = solution.structures[label]
+        txmap = _transmitter_map(model, chain)
+        ranks = _chain_ranks(chain)
+        window = float(early_window(placed, txmap.values(), conflicts))
+        windows[label] = window
+        hide_order = _hideable_uses(
+            chain, st, _blocked_uses(txmap, window, placed, conflicts), ranks)
+
+        relaxed = _relax_structure(st, budget)
+        totals = _scaled(relaxed.values, st.uses)
+        rider = _scaled(relaxed.values, st.riders)
+        early: dict[TxLink, float] = {}
+        if window > 1e-12:
+            if sum(totals[key] for key in hide_order) + 1e-9 >= window:
+                early = _real_fill(totals, hide_order, window)
+            else:
+                totals, rider, early = _relaxed_split(st, hide_order, window, budget)
+        serialized = {key: max(0.0, totals.get(key, 0.0) - early.get(key, 0.0))
+                      for key in st.use_keys()}
+
+        # early slots from 0, serialized bursts from the window on; hosts
+        # are never hideable, so only serialized bursts add host spans
+        host_spans: list[tuple[float, float]] = []
+        for cursor, keys, lengths in ((0.0, hide_order, early),
+                                      (window, _serial_order(st, ranks), serialized)):
+            for key in keys:
+                length = lengths.get(key, 0.0)
+                if length > 1e-12:
+                    placed.append((cursor, cursor + length, txmap[key]))
+                    if key in st.hosts:
+                        host_spans.append((cursor, cursor + length))
+                    cursor += length
+        if host_spans:
+            lo = min(span[0] for span in host_spans)
+            hi = max(span[1] for span in host_spans)
+            placed.extend((lo, hi, txmap[(u.node, u.link)]) for u in st.riders)
+
+        for o in chain.origins:
+            for link, _q in o.route:
+                key = (o.node, link)
+                s_pp = serialized.get(key, 0.0) / o.rate
+                e_pp = (early.get(key, 0.0) + rider.get(key, 0.0)) / o.rate
+                for k in range(1, o.rate + 1):
+                    entries[(o.node, k, link, False)] = s_pp
+                    entries[(o.node, k, link, True)] = e_pp
+    return entries, windows
 
 
 def com_probability(entries: dict[SlotKey, int], model: PathModel,
@@ -667,55 +666,44 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
     spec = _resolve_pattern(model, pattern)
     conflicts = derive_conflicts(topo)
 
-    placed_int: list[Interval] = []
-    placed_real: list[Interval] = []
+    placed: list[Interval] = []
     plans: list[GroupPlan] = []
+    structures: dict[str, Structure] = {}
     group_products: dict[str, float] = {}
-    windows_real: dict[str, float] = {}
     case_labels: dict[str, str] = {}
     predicted: dict[str, str] = {}
-    tub_entries: dict[SlotKey, float] = {}
     entries: dict[SlotKey, int] = {}
 
     for label in spec.placement:
         chain = build_group_chain(model, label, T)
-        structures = candidate_structures(model, chain, conflicts)
+        candidates = candidate_structures(model, chain, conflicts)
         txmap = _transmitter_map(model, chain)
-        a_int = early_window(placed_int, txmap.values(), conflicts)
-        a_real = float(early_window(placed_real, txmap.values(), conflicts))
-        windows_real[label] = a_real
-        blocked = _blocked_uses(txmap, a_int, placed_int, conflicts)
+        ranks = _chain_ranks(chain)
+        window = early_window(placed, txmap.values(), conflicts)
+        blocked = _blocked_uses(txmap, window, placed, conflicts)
 
-        best: tuple[Structure, StructuredRelax, GroupInteger,
-                    list[TxLink]] | None = None
-        for st in structures:
-            relaxed = _relax_structure(st, float(T))
-            hide_order = _hideable_uses(chain, st, blocked)
+        best: tuple[Structure, GroupInteger, list[TxLink]] | None = None
+        for st in candidates:
+            hide_order = _hideable_uses(chain, st, blocked, ranks)
             tentative, rider = _greedy_int(st, T)
-            gi = assign_early_slots(chain, st, tentative, rider, a_int,
+            gi = assign_early_slots(chain, st, tentative, rider, window,
                                     hide_order, T)
-            if best is None or gi.product > best[2].product:
-                best = (st, relaxed, gi, hide_order)
-        st, relaxed, gi, hide_order = best
-        pred = predicted_case(chain, structures)
+            if best is None or gi.product > best[1].product:
+                best = (st, gi, hide_order)
+        st, gi, hide_order = best
+        structures[label] = st
+        group_products[label] = _relax_structure(st, float(T)).product
+        pred = predicted_case(chain, candidates)
         if pred:
             predicted[label] = pred
         lab = st.label if st.label != "plain" else ""
         if gi.label:
             lab = f"{lab}+{gi.label}" if lab else gi.label
         case_labels[label] = lab
-        group_products[label] = relaxed.product
 
-        blocked_r = _blocked_uses(txmap, a_real, placed_real, conflicts)
-        group_tub, intervals = _real_stage(
-            chain, st, relaxed, a_real, _hideable_uses(chain, st, blocked_r),
-            float(T), txmap)
-        tub_entries.update(group_tub)
-        placed_real.extend(intervals)
-
-        plan = _build_plan(chain, st, gi, a_int, hide_order, txmap)
+        plan = _build_plan(chain, st, gi, window, hide_order, txmap, ranks)
         plans.append(plan)
-        placed_int.extend(_runs(place_plans(topo, [plan])))
+        placed.extend(_runs(place_plans(topo, [plan])))
         for early, src in ((False, gi.serialized), (True, gi.early),
                            (True, gi.rider)):
             for (node, k, link), v in src.items():
@@ -727,7 +715,7 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
     tub = math.prod(group_products[label] for label in sorted(group_products))
     per_node, com = com_probability(entries, model)
     return PatternSolution(model, spec, T, tub, com, SlotAllocation(entries, per_node),
-                           tub_entries, windows_real, case_labels, predicted, plans)
+                           structures, case_labels, predicted, plans)
 
 
 def solution_timeline(solution: PatternSolution):

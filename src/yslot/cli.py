@@ -19,7 +19,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .allocate import PatternSolution, optimize, solution_timeline, solve_pattern
+from .allocate import (PatternSolution, optimize, relaxed_table,
+                       solution_timeline, solve_pattern)
 from .pathmodel import enumerate_path_models, find_model, patterns_for
 from .simulate import InvalidTimeline, NodeSetMismatch, compare, simulate
 from .timeline import TimelineError
@@ -107,16 +108,18 @@ def entry_name(node: int, link: int, k: int, rate: int, early: bool) -> str:
     return f"{mark}[{node},{link}]"
 
 
-def _slot_table_rows(sol: PatternSolution) -> tuple[list[dict], list[str]]:
+def _slot_table_rows(sol: PatternSolution, tub_entries: dict,
+                     ) -> tuple[list[dict], list[str]]:
+    """TUB and COM rows of a solution, given its `relaxed_table` entries."""
     rates = sol.model.topology.rates
     # columns by node, link, packet, then s before s'
-    keys = sorted(sol.tub_entries, key=lambda e: (e[0], e[2], e[1], e[3]))
+    keys = sorted(tub_entries, key=lambda e: (e[0], e[2], e[1], e[3]))
     names = [entry_name(node, link, k, rates[node], early)
              for node, k, link, early in keys]
     head = {"model": sol.model.name, "pattern": sol.pattern.pattern_id,
             "case": sol.case_label}
     tub_row = {"row": "TUB", **head, "product": sol.tub_product,
-               **{n: sol.tub_entries[e] for n, e in zip(names, keys)}}
+               **{n: tub_entries[e] for n, e in zip(names, keys)}}
     com_row = {"row": "COM", **head, "product": sol.com_product,
                **{n: sol.allocation.entries.get(e, 0) for n, e in zip(names, keys)}}
     return [tub_row, com_row], ["row", "model", "pattern", "case", "product"] + names
@@ -186,7 +189,7 @@ def run(cfg: RunConfig) -> int:
                          "trials", "seed", "algorithm", "reuse"], cfg)
             return 0 if (not checks or all(c.ok for c in checks)) else 1
 
-        rows, fields = _slot_table_rows(sol)
+        rows, fields = _slot_table_rows(sol, relaxed_table(sol)[0])
         if cfg.command == "report":
             fmt = f"{{:.{cfg.digits}f}}"
             cols = ["row", "product"] + [f for f in fields if f.startswith("s")]

@@ -88,7 +88,6 @@ class Use:
 @dataclass(frozen=True)
 class StructuredRelax:
     values: dict[tuple[int, int], float]   # budget uses AND rider uses
-    adjunct: float
     product: float
     residual: float
 
@@ -122,23 +121,27 @@ def _solve_log(fn, target: float, t: float, what: str) -> float:
     raise ConvergenceError(f"{what} root did not converge")
 
 
-def _f_log(q: float, s: float) -> tuple[float, float]:
+def _terms(uses: list[Use]) -> list[tuple[int, float, float]]:
+    """Per-use constants of a solve: (weight, c, log c) with c = -log q."""
+    return [(u.weight, c := -math.log(u.q), math.log(c)) for u in uses]
+
+
+def _f_log(c: float, log_c: float, s: float) -> tuple[float, float]:
     """F(q, e^s) = softplus(s + log c) / c with c = -log q, and its
     derivative in s."""
-    c = -math.log(q)
-    z = s + math.log(c)
+    z = s + log_c
     e = math.exp(-abs(z))
     return ((max(z, 0.0) + math.log1p(e)) / c,
             (1.0 if z > 0.0 else e) / ((1.0 + e) * c))
 
 
-def _load(uses: list[Use], s: float) -> tuple[float, float]:
+def _load(terms: list[tuple[int, float, float]], s: float) -> tuple[float, float]:
     """Budget used, sum of w * F(q, e^s), and its derivative in s."""
     total = slope = 0.0
-    for u in uses:
-        f, df = _f_log(u.q, s)
-        total += u.weight * f
-        slope += u.weight * df
+    for w, c, log_c in terms:
+        f, df = _f_log(c, log_c, s)
+        total += w * f
+        slope += w * df
     return total, slope
 
 
@@ -153,32 +156,36 @@ def _solve_structure(uses: list[Use], budget: float, what: str,
     """
     tied = [*inner, coupled] if coupled is not None else []
     others = [u for u in uses if u not in tied]
+    inner_terms, other_terms = _terms(inner), _terms(others)
+    if coupled is not None:
+        _w, c, log_c = _terms([coupled])[0]
 
     def load(t: float) -> tuple[float, float, float, float]:
         """Budget used and its t-derivative, x and log y."""
-        inner_load, inner_slope = _load(inner, t)
+        inner_load, inner_slope = _load(inner_terms, t)
         x, log_y, dlog_y = 0.0, t, 1.0
         if coupled is not None:
-            c = -math.log(coupled.q)
             x = max(inner_load / coupled.weight, 1e-300)
-            log_g = math.log(c) - c * x - math.log(-math.expm1(-c * x))
+            log_g = log_c - c * x - math.log(-math.expm1(-c * x))
             log_y = -max(-t, log_g) - math.log1p(math.exp(-abs(t + log_g)))
             # d log y / dt, with dG/dx = -G (c + G)
             dlog_y = (math.exp(log_y - t) + math.exp(log_y + log_g)
                       * (c + math.exp(log_g)) * inner_slope / coupled.weight)
-        other_load, other_slope = _load(others, log_y)
+        other_load, other_slope = _load(other_terms, log_y)
         return (other_load + inner_load, other_slope * dlog_y + inner_slope,
                 x, log_y)
 
     # the load is at least the budget where its asymptote meets it (plain:
     # convex in t, so Newton falls monotonically from here to the root)
-    cs = [(u.weight, -math.log(u.q)) for u in [*others, *inner]]
-    start = ((budget - sum(w * math.log(c) / c for w, c in cs))
-             / sum(w / c for w, c in cs))
+    cs = [*other_terms, *inner_terms]
+    start = ((budget - sum(w * lc / c for w, c, lc in cs))
+             / sum(w / c for w, c, _lc in cs))
     t = _solve_log(load, budget, start, what)
     _, _, x, log_y = load(t)
-    values = {(u.node, u.link): _f_log(u.q, log_y)[0] for u in others}
-    values.update(((u.node, u.link), _f_log(u.q, t)[0]) for u in inner)
+    values = {(u.node, u.link): _f_log(cu, lcu, log_y)[0]
+              for u, (_w, cu, lcu) in zip(others, other_terms)}
+    values.update(((u.node, u.link), _f_log(cu, lcu, t)[0])
+                  for u, (_w, cu, lcu) in zip(inner, inner_terms))
     if coupled is not None:
         values[(coupled.node, coupled.link)] = x
     residual = abs(sum(u.weight * values[(u.node, u.link)] for u in uses) - budget)
@@ -186,8 +193,7 @@ def _solve_structure(uses: list[Use], budget: float, what: str,
         raise ConvergenceError(f"{what} residual {residual:.3e} above tolerance")
     log_m = sum(u.weight * math.log1p(-u.q ** values[(u.node, u.link)])
                 for u in (*uses, *(u for u in tied if u not in uses)))
-    return StructuredRelax(values, math.exp(log_y) if log_y < 709.0 else math.inf,
-                           math.exp(log_m), residual)
+    return StructuredRelax(values, math.exp(log_m), residual)
 
 
 def solve_plain_structure(uses: list[Use], budget: float) -> StructuredRelax:

@@ -8,6 +8,7 @@ import pytest
 
 import yslot.allocate
 from yslot import validate_topology
+from yslot.allocate import Structure, _chain_uses, _greedy_int
 from yslot.relax import Use, solve_plain_structure
 
 
@@ -99,6 +100,12 @@ def solve_plain_chain(chain):
     uses = [Use(o.node, link, q, o.rate) for o in chain.origins
             for link, q in o.route]
     return solve_plain_structure(uses, chain.budget)
+
+
+def plain_greedy(chain, budget: int) -> dict:
+    """Greedy integer slot map of a chain's plain serialized budget."""
+    plain = Structure("plain", "plain", _chain_uses(chain), (), ())
+    return _greedy_int(plain, budget)[0]
 
 
 @contextlib.contextmanager

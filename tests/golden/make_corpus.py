@@ -33,7 +33,7 @@ import shutil
 from pathlib import Path
 
 from yslot import (ConvergenceError, enumerate_path_models, optimize,
-                   patterns_for, validate_topology)
+                   patterns_for, relaxed_table, validate_topology)
 from yslot.cli import _slot_table_rows, main
 
 HERE = Path(__file__).resolve().parent
@@ -107,7 +107,8 @@ def _reprs(value):
 
 
 def solution_record(sol) -> dict:
-    tub_row, com_row = _slot_table_rows(sol)[0]
+    tub_entries, windows_real = relaxed_table(sol)
+    tub_row, com_row = _slot_table_rows(sol, tub_entries)[0]
     return _reprs({
         "model": sol.model.name,
         "no_sep_branch": sol.model.no_sep_branch,
@@ -117,7 +118,7 @@ def solution_record(sol) -> dict:
         "case_labels": dict(sorted(sol.case_labels.items())),
         "predicted": dict(sorted(sol.predicted.items())),
         "windows": dict(sorted(sol.windows.items())),
-        "windows_real": dict(sorted(sol.windows_real.items())),
+        "windows_real": dict(sorted(windows_real.items())),
         "tub_table": tub_row,
         "com_table": com_row,
     })

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (TABLE_P1_COM, TABLE_P1_TUB, compositions,
-                      product_from_totals, table_totals)
+from conftest import (TABLE_P1_COM, TABLE_P1_TUB, compositions, plain_greedy,
+                      product_from_totals, recorded_residuals, table_totals)
 import yslot.allocate
 from yslot import (GroupChain, Origin, com_probability, enumerate_path_models,
-                   find_model, optimize, patterns_for, round_allocation,
+                   find_model, optimize, patterns_for, relaxed_table,
                    solve_pattern, validate_topology)
 from yslot.allocate import (Structure, _blocked_uses, _chain_uses,
                             _delivery_product, _gain, _greedy_int, _runs,
@@ -120,14 +120,14 @@ def seeded_y(rng, loss):
 
 def test_round_allocation_sy_golden():
     chain = chain_from_routes([[(6, 0.3), (7, 0.2)], [(7, 0.2)]], 30)
-    vals = round_allocation(chain, 30)
+    vals = plain_greedy(chain, 30)
     assert vals == {(100, 1, 6): 12, (100, 1, 7): 9, (101, 1, 7): 9}
 
 
 def test_round_allocation_sx_golden(case1):
     model = find_model(case1, "3-2-3", 11)
     chain = build_group_chain(model, "X", 30)
-    vals = round_allocation(chain, 30)
+    vals = plain_greedy(chain, 30)
     # reference row: s11=5, s21=5, s31=6, s22=4, s32=4, s33=6
     assert vals == {(3, 1, 3): 6, (3, 1, 2): 4, (3, 1, 1): 6,
                     (2, 1, 2): 4, (2, 1, 1): 5, (1, 1, 1): 5}
@@ -135,7 +135,7 @@ def test_round_allocation_sx_golden(case1):
 
 def test_round_allocation_hand_value():
     chain = chain_from_routes([[(1, 0.5), (2, 0.5)], [(2, 0.5)]], 5)
-    vals = round_allocation(chain, 5)
+    vals = plain_greedy(chain, 5)
     assert sorted(vals.values()) == [1, 2, 2]
     assert alloc_product(chain, vals) == pytest.approx(0.28125, abs=1e-12)
     assert brute_force_best(chain, 5) == pytest.approx(0.28125, abs=1e-12)
@@ -144,7 +144,7 @@ def test_round_allocation_hand_value():
 def test_round_allocation_sums_exactly():
     chain = chain_from_routes(
         [[(1, 0.4), (2, 0.15), (3, 0.3)], [(2, 0.15), (3, 0.3)], [(3, 0.3)]], 17)
-    vals = round_allocation(chain, 17)
+    vals = plain_greedy(chain, 17)
     assert sum(vals.values()) == 17
 
 
@@ -163,7 +163,7 @@ def test_round_allocation_matches_brute_force_small_grid():
             chain = chain_from_routes(
                 [[(l + 1, qs[l]) for l in s] for s in shape], 12)
             for budget in (1, 4, 7, 12):
-                vals = round_allocation(chain, budget)
+                vals = plain_greedy(chain, budget)
                 mine = alloc_product(chain, vals)
                 best = brute_force_best(chain, budget)
                 assert mine == pytest.approx(best, abs=1e-12), (shape, qs, budget)
@@ -201,14 +201,14 @@ def test_round_allocation_ties_go_to_earliest_after_underflow():
     # once q**v underflows every gain is 0 and the earliest packet takes
     # every remaining slot, so the split is not the even 200/200
     chain = chain_from_routes([[(1, 0.0141)]], 400, rates=[2])
-    assert round_allocation(chain, 400) == {(100, 1, 1): 225, (100, 2, 1): 175}
+    assert plain_greedy(chain, 400) == {(100, 1, 1): 225, (100, 2, 1): 175}
 
 
 def test_greedy_can_leave_the_relaxed_solution_by_more_than_a_slot():
     chain = chain_from_routes(
         [[(1, 0.9525), (2, 0.0671), (3, 0.0975)], [(2, 0.0671), (3, 0.0975)],
          [(3, 0.0975)]], 62, rates=[1, 3, 1])
-    vals = round_allocation(chain, 62)
+    vals = plain_greedy(chain, 62)
     relaxed = solve_plain_structure(list(_chain_uses(chain)), 62.0)
     assert vals[(100, 1, 1)] == 39
     assert relaxed.values[(100, 1)] == pytest.approx(41.02, abs=0.01)
@@ -228,20 +228,20 @@ def test_round_allocation_gain_evaluations_stay_linear(monkeypatch):
         1000, rates=[2, 1, 2])
     entries = sum(o.rate * len(o.route) for o in chain.origins)
     assert entries >= 10
-    assert sum(round_allocation(chain, 1000).values()) == 1000
+    assert sum(plain_greedy(chain, 1000).values()) == 1000
     assert len(calls) < 1000 + 2 * entries
 
 
 def test_infeasible_budget_flagged_not_raised():
     chain = chain_from_routes([[(1, 0.3), (2, 0.3)], [(2, 0.3)]], 2)
-    vals = round_allocation(chain, 2)
+    vals = plain_greedy(chain, 2)
     assert sum(vals.values()) == 2
     assert alloc_product(chain, vals) == 0.0
 
 
 def test_per_packet_counts_differ_at_most_one():
     chain = chain_from_routes([[(1, 0.3), (2, 0.4)]], 13, rates=[3])
-    vals = round_allocation(chain, 13)
+    vals = plain_greedy(chain, 13)
     assert sum(vals.values()) == 13
     for link in (1, 2):
         per_k = [vals[(100, k, link)] for k in (1, 2, 3)]
@@ -255,7 +255,7 @@ def test_early_window_examples(case1):
     p2 = solve_pattern(model, 2, 30)
     assert p2.windows["X"] == 4           # s48* = 4
     assert p2.windows["Y"] == 4
-    assert p2.windows_real["X"] == pytest.approx(3.4322, abs=1e-3)
+    assert relaxed_table(p2)[1]["X"] == pytest.approx(3.4322, abs=1e-3)
     m215 = find_model(case1, "2-1-5", 11)
     sol = solve_pattern(m215, 1, 30)
     assert all(w == 0 for w in sol.windows.values())
@@ -313,10 +313,14 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
         for spec in patterns_for(model):
             seen.clear()
             sol = solve_pattern(model, spec, 30)
+            integer_seen = list(seen)
+            seen.clear()
+            windows_real = relaxed_table(sol)[1]
+            real_seen = list(seen)
             solved += 1
             for i, plan in enumerate(sol.plans):
                 txmap = _transmitter_map(model, build_group_chain(model, plan.label, 30))
-                runs, real = seen[2 * i], seen[2 * i + 1]
+                runs, real = integer_seen[i], real_seen[i]
                 units = [(u.slot, u.slot + 1, (u.tx, u.link))
                          for u in place_plans(case1, sol.plans[:i])]
                 assert runs == [r for p in sol.plans[:i]
@@ -328,9 +332,9 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
                 assert early_window(runs, txs, conflicts) == plan.window == \
                     early_window_oracle(units, txs, conflicts)
                 assert early_window(real, txs, conflicts) == \
-                    sol.windows_real[plan.label] == \
+                    windows_real[plan.label] == \
                     early_window_oracle(real, txs, conflicts)
-                for w in (*range(31), sol.windows_real[plan.label]):
+                for w in (*range(31), windows_real[plan.label]):
                     assert _blocked_uses(txmap, w, runs, conflicts) == \
                         blocked_uses_oracle(txmap, w, units, conflicts)
                     assert _blocked_uses(txmap, w, real, conflicts) == \
@@ -342,10 +346,10 @@ def test_assign_early_identity_without_window():
     chain = chain_from_routes([[(1, 0.3), (2, 0.4)], [(2, 0.4)]], 10)
     uses = tuple(Use(o.node, l, q, o.rate) for o in chain.origins for l, q in o.route)
     st = Structure("plain", "plain", uses, (), ())
-    tentative = round_allocation(chain, 10)
+    tentative = plain_greedy(chain, 10)
     gi = assign_early_slots(chain, st, tentative, {}, 0, [], 10)
     assert gi.early == {} and gi.serialized == tentative
-    assert gi.regime == "none"
+    assert gi.label == ""
 
 
 def test_assign_early_c4_match_or_beat(case1):
@@ -415,6 +419,15 @@ def test_optimize_rankings(all_cases):
         return ordering.index(name)
 
     assert rank(3, "2-1-5") < rank(1, "2-1-5")
+
+
+def test_optimize_solves_one_relaxed_problem_per_group(case1):
+    # ranking reads only the winning structure's relaxed product, and the
+    # slot table is built on demand, so each solution costs three solves
+    with recorded_residuals() as residuals:
+        solutions = optimize(case1, 30)
+    assert len(solutions) == 27
+    assert len(residuals) == 3 * 27
 
 
 def test_optimize_orders_and_dedups(case1):
