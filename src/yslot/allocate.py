@@ -7,10 +7,11 @@ Pipeline per group, in pattern placement order:
    node's own burst do not interfere (the feeder hops can share the
    terminal's slots, or vice versa).
 2. Integer optimum per structure by greedy marginal-gain allocation, then
-   the early-window step: slots of unblocked downstream transmitters are
-   hidden inside the window left by previously placed groups, or, when the
-   window exceeds what can be hidden, the group splits into a window part
-   and a post-window part.
+   the early-window step, one rule in the integer and the relaxed walk:
+   fill the window left by previously placed groups with the slots of
+   unblocked transmitters, in fill order (upstream hops first), and only
+   when the fill falls short split the group into a window part and a
+   post-window part.
 3. The best structure by integer product wins (COM).
 4. The relaxed optimum (adjunct-variable solve) of the winning structure
    only is the group's TUB product, so TUB >= COM holds by relaxed
@@ -85,10 +86,8 @@ def _origin(model: PathModel, node: int) -> Origin:
     return Origin(node, topo.rates[node], route)
 
 
-def build_group_chain(model: PathModel, label: str, budget: float) -> GroupChain:
-    return GroupChain(label=label,
-                      origins=tuple(_origin(model, n) for n in model.group(label)),
-                      budget=float(budget))
+def build_group_chain(model: PathModel, label: str) -> GroupChain:
+    return GroupChain(label, tuple(_origin(model, n) for n in model.group(label)))
 
 
 def candidate_structures(model: PathModel, chain: GroupChain,
@@ -239,29 +238,14 @@ def _transmitter_map(model: PathModel, chain: GroupChain) -> dict[TxLink, TxLink
     return out
 
 
-def _mask_of(txs, conflicts: ConflictSet) -> int:
-    """Transmissions that conflict with any of `txs`, as one bitmask."""
-    mask = 0
-    for t in txs:
-        i = conflicts.index.get(t)
-        if i is not None:
-            mask |= conflicts.masks[i]
-    return mask
-
-
-def _hits(mask: int, txlink: TxLink, conflicts: ConflictSet) -> bool:
-    i = conflicts.index.get(txlink)
-    return i is not None and bool(mask >> i & 1)
-
-
 def early_window(placed: list[Interval], group_txs, conflicts: ConflictSet):
     """First slot from which nothing already placed conflicts with any of
     the group's transmitters; 0 when there is no conflicting burst.
     Placements are [start, end) intervals; integer slot s is (s, s + 1)."""
-    mask = _mask_of(group_txs, conflicts)
+    mask = conflicts.mask_of(group_txs)
     a = 0
     for _start, end, txlink in placed:
-        if end > a and _hits(mask, txlink, conflicts):
+        if end > a and conflicts.hits(mask, txlink):
             a = end
     return a
 
@@ -269,10 +253,9 @@ def early_window(placed: list[Interval], group_txs, conflicts: ConflictSet):
 def _blocked_uses(txmap: dict[TxLink, TxLink], window, placed: list[Interval],
                   conflicts: ConflictSet) -> set[TxLink]:
     """Use keys whose transmitter conflicts with anything inside the window."""
-    mask = _mask_of((other for start, _end, other in placed if start < window),
-                    conflicts)
+    mask = conflicts.mask_of(other for start, _end, other in placed if start < window)
     return {use_key for use_key, txlink in txmap.items()
-            if _hits(mask, txlink, conflicts)}
+            if conflicts.hits(mask, txlink)}
 
 
 def _hideable_uses(chain: GroupChain, st: Structure, blocked: set[TxLink],
@@ -295,22 +278,24 @@ def _hideable_uses(chain: GroupChain, st: Structure, blocked: set[TxLink],
     return out
 
 
-def _classify_case(hide_order: list[TxLink], capacities: dict[TxLink, float],
-                   window) -> str:
-    """Window-regime label (c1-c5) from the hide capacities in fill order."""
+def _classify_case(hide_order: list[TxLink], tentative: dict[EntryKey, int],
+                   window: int) -> str:
+    """Hide-regime label of a filled window: c1 (c2) when the first
+    (second) hideable use alone could cover it, c3 when the first two
+    could, else c4; "" at window 0.  Capacities are the tentative slots of
+    each hideable use, in fill order, and they cover the window."""
     if window <= 0:
         return ""
-    caps = [capacities.get(k, 0) for k in hide_order]
-    if caps and window <= caps[0]:
+    capacities = dict.fromkeys(hide_order, 0)
+    for (node, _k, link), v in tentative.items():
+        if (node, link) in capacities:
+            capacities[(node, link)] += v
+    caps = list(capacities.values())
+    if window <= caps[0]:
         return "c1"
-    if len(caps) > 1 and window <= caps[1]:
+    if window <= caps[1]:
         return "c2"
-    total = 0.0
-    for i, c in enumerate(caps):
-        total += c
-        if window <= total:
-            return "c3" if i <= 1 else "c4"
-    return "c5"
+    return "c3" if window <= caps[0] + caps[1] else "c4"
 
 
 @dataclass
@@ -344,17 +329,22 @@ def _delivery_product(origins, totals: dict[EntryKey, int]) -> float:
 def _fill_window(chain: GroupChain, tentative: dict[EntryKey, int],
                  hide_order: list[TxLink], window: int) -> dict[EntryKey, int]:
     """Hide up to `window` tentative slots following the fill order; a hop
-    enters the window only if its packet's upstream hops already did."""
+    enters the window only if its packet's previous hop did.  The fill
+    order puts every packet's upstream hops first, so that packet is then
+    present at the hop's transmitter inside the window."""
+    if window <= 0:
+        return {}
     rates = {o.node: o.rate for o in chain.origins}
-    routes = {o.node: [link for link, _ in o.route] for o in chain.origins}
+    previous = {(o.node, link): up for o in chain.origins
+                for (up, _), (link, _) in zip(o.route, o.route[1:])}
     early: dict[EntryKey, int] = {}
     remaining = window
     for node, link in hide_order:
-        upstream = routes[node][:routes[node].index(link)]
+        up = previous.get((node, link))
         for k in range(1, rates[node] + 1):
             if remaining <= 0:
                 break
-            if any(early.get((node, k, up), 0) == 0 for up in upstream):
+            if up is not None and (node, k, up) not in early:
                 continue
             take = min(tentative.get((node, k, link), 0), remaining)
             if take > 0:
@@ -363,59 +353,28 @@ def _fill_window(chain: GroupChain, tentative: dict[EntryKey, int],
     return early
 
 
-def _drop_uncausal(chain: GroupChain, early: dict[EntryKey, int],
-                   hide_set: set[TxLink]) -> dict[EntryKey, int]:
-    """Drop window slots whose packet cannot be present there (an upstream
-    hop got none).  Only starved budgets ever trigger this."""
-    out: dict[EntryKey, int] = {}
-    for o in chain.origins:
-        links = []
-        for link, _ in o.route:
-            if (o.node, link) not in hide_set:
-                break
-            links.append(link)
-        for k in range(1, o.rate + 1):
-            for link in links:
-                v = early.get((o.node, k, link), 0)
-                if v <= 0:
-                    break
-                out[(o.node, k, link)] = v
-    return out
-
-
 def assign_early_slots(chain: GroupChain, st: Structure,
                        tentative: dict[EntryKey, int], rider: dict[EntryKey, int],
                        window: int, hide_order: list[TxLink],
                        budget: int) -> GroupInteger:
-    """Early-window step.  Hiding into the window preserves the budget-T
-    optimum when the hideable slots cover the window (cases c1-c4);
-    otherwise the window part and post-window part are solved separately
-    with budgets `window` and `budget - window` (case c5).  Both
-    regimes are optimal for the constraint set (serialized sum <= budget -
-    window, early sum <= window, early only on hideable hops)."""
-    use_caps: dict[TxLink, float] = {key: 0 for key in hide_order}
-    for (node, k, link), v in tentative.items():
-        if (node, link) in use_caps:
-            use_caps[(node, link)] += v
-
-    gi: GroupInteger | None = None
-    if window <= 0:
-        gi = GroupInteger(dict(tentative), {}, dict(rider), 0.0, "")
-    elif sum(use_caps.values()) >= window:
-        early = _fill_window(chain, tentative, hide_order, window)
-        if sum(early.values()) == window:
-            serialized = {k: v - early.get(k, 0) for k, v in tentative.items()}
-            gi = GroupInteger(serialized, early, dict(rider), 0.0,
-                              _classify_case(hide_order, use_caps, window))
-
-    if gi is None:
-        hide_set = set(hide_order)
-        st_rest, st_hide = _split_structure(st, hide_set)
+    """Early-window step: fill the window from the budget-T optimum, and
+    split only if the fill falls short.  A full window keeps that optimum
+    (none at window 0, hide cases c1-c4); otherwise the hideable uses share
+    the window and the other uses share `budget - window` (case c5), the
+    window part filled by the same rule.  Both regimes are optimal for the
+    constraint set (serialized sum <= budget - window, early sum <= window,
+    early only on hideable hops)."""
+    early = _fill_window(chain, tentative, hide_order, window)
+    if sum(early.values()) == window:
+        serialized = {k: v - early.get(k, 0) for k, v in tentative.items()}
+        gi = GroupInteger(serialized, early, dict(rider), 0.0,
+                          _classify_case(hide_order, tentative, window))
+    else:
+        st_rest, st_hide = _split_structure(st, set(hide_order))
         vals_rest, rider_rest = _greedy_int(st_rest, budget - window)
         vals_hide, _ = _greedy_int(st_hide, window)
-        early = _drop_uncausal(chain, vals_hide, hide_set)
+        early = _fill_window(chain, vals_hide, hide_order, window)
         gi = GroupInteger(vals_rest, early, rider_rest, 0.0, "c5")
-
     gi.product = _delivery_product(chain.origins, gi.totals())
     return gi
 
@@ -538,8 +497,8 @@ def _real_fill(totals: dict[TxLink, float], hide_order: list[TxLink],
 
 def _relaxed_split(st: Structure, hide_order: list[TxLink], window: float,
                    budget: float):
-    """Relaxed case c5: the window exceeds the hideable mass, so the
-    hideable uses share the window and the others, riders included, share
+    """Relaxed case c5: the fill fell short of the window, so the hideable
+    uses share the window and the others, riders included, share
     budget - window.  Returns per-use (totals, rider, early)."""
     st_rest, st_hide = _split_structure(st, set(hide_order))
     totals: dict[TxLink, float] = {}
@@ -568,7 +527,7 @@ def relaxed_table(solution: PatternSolution,
     windows: dict[str, float] = {}
 
     for label in solution.pattern.placement:
-        chain = build_group_chain(model, label, budget)
+        chain = build_group_chain(model, label)
         st = solution.structures[label]
         txmap = _transmitter_map(model, chain)
         ranks = _chain_ranks(chain)
@@ -580,12 +539,9 @@ def relaxed_table(solution: PatternSolution,
         relaxed = _relax_structure(st, budget)
         totals = _scaled(relaxed.values, st.uses)
         rider = _scaled(relaxed.values, st.riders)
-        early: dict[TxLink, float] = {}
-        if window > 1e-12:
-            if sum(totals[key] for key in hide_order) + 1e-9 >= window:
-                early = _real_fill(totals, hide_order, window)
-            else:
-                totals, rider, early = _relaxed_split(st, hide_order, window, budget)
+        early = _real_fill(totals, hide_order, window)
+        if sum(early.values()) + 1e-9 < window:
+            totals, rider, early = _relaxed_split(st, hide_order, window, budget)
         serialized = {key: max(0.0, totals.get(key, 0.0) - early.get(key, 0.0))
                       for key in st.use_keys()}
 
@@ -675,7 +631,7 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
     entries: dict[SlotKey, int] = {}
 
     for label in spec.placement:
-        chain = build_group_chain(model, label, T)
+        chain = build_group_chain(model, label)
         candidates = candidate_structures(model, chain, conflicts)
         txmap = _transmitter_map(model, chain)
         ranks = _chain_ranks(chain)

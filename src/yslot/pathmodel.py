@@ -148,9 +148,8 @@ def find_model(topology: Topology, name: str,
 
 def _groups_conflict(model: PathModel, conflicts: ConflictSet,
                      g1: str, g2: str) -> bool:
-    t1 = model.group_transmissions(g1)
-    t2 = model.group_transmissions(g2)
-    return any(conflicts.conflict(a, b) for a in t1 for b in t2)
+    mask = conflicts.mask_of(model.group_transmissions(g1))
+    return any(conflicts.hits(mask, t) for t in model.group_transmissions(g2))
 
 
 def patterns_for(model: PathModel) -> list[PatternSpec]:

@@ -59,7 +59,6 @@ class Origin:
 class GroupChain:
     label: str
     origins: tuple[Origin, ...]  # most-upstream origin first
-    budget: float
 
 
 def budget_terms(chain: GroupChain) -> list[tuple[int, int]]:

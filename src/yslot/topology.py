@@ -99,7 +99,8 @@ class Topology:
 class ConflictSet:
     """Transmissions that may not share a time slot: bit j of
     masks[index[t]] is set when t conflicts with the j-th transmission.
-    Bitmasks keep the set small, since each topology holds its own."""
+    Bitmasks keep the set small, since each topology holds its own; other
+    modules read them only through `conflict`, `mask_of` and `hits`."""
 
     index: dict[tuple[int, int], int]
     masks: tuple[int, ...]
@@ -107,6 +108,20 @@ class ConflictSet:
     def conflict(self, t1: tuple[int, int], t2: tuple[int, int]) -> bool:
         i, j = self.index.get(t1), self.index.get(t2)
         return i is not None and j is not None and bool(self.masks[i] >> j & 1)
+
+    def mask_of(self, txs) -> int:
+        """Transmissions that conflict with any of `txs`, as one bitmask."""
+        mask = 0
+        for t in txs:
+            i = self.index.get(t)
+            if i is not None:
+                mask |= self.masks[i]
+        return mask
+
+    def hits(self, mask: int, t: tuple[int, int]) -> bool:
+        """Whether transmission `t` is in a `mask_of` bitmask."""
+        i = self.index.get(t)
+        return i is not None and bool(mask >> i & 1)
 
     @property
     def pairs(self) -> frozenset[frozenset[tuple[int, int]]]:

@@ -94,12 +94,12 @@ def table_totals(table: dict) -> dict:
     return totals
 
 
-def solve_plain_chain(chain):
+def solve_plain_chain(chain, budget):
     """Relaxed optimum of a chain's serialized budget (every route hop of
     every origin is a budget use)."""
     uses = [Use(o.node, link, q, o.rate) for o in chain.origins
             for link, q in o.route]
-    return solve_plain_structure(uses, chain.budget)
+    return solve_plain_structure(uses, budget)
 
 
 def plain_greedy(chain, budget: int) -> dict:

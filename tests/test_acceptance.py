@@ -146,8 +146,8 @@ def test_criterion_8_budget_exactness(matrix, all_cases):
             Origin(200 + i, rng.randint(1, 2),
                    tuple((j + 1, losses[j]) for j in range(i, n)))
             for i in range(n))
-        chain = GroupChain("g", origins, rng.uniform(4, 60))
-        sol = solve_plain_chain(chain)
+        chain = GroupChain("g", origins)
+        sol = solve_plain_chain(chain, rng.uniform(4, 60))
         assert sol.residual <= 1e-9
         budget = rng.randint(len([1 for o in origins for _ in o.route]), 40)
         vals = plain_greedy(chain, budget)
@@ -191,7 +191,7 @@ def test_criterion_9_oracle_equivalence():
             origins = tuple(Origin(300 + i, 1, tuple((l + 1, qs[l]) for l in s))
                             for i, s in enumerate(shape))
             for b in range(1, max_budget + 1):
-                chain = GroupChain("g", origins, float(b))
+                chain = GroupChain("g", origins)
                 mine = math.log(x) if (x := _delivery_product(
                     origins, plain_greedy(chain, b))) > 0 else -np.inf
                 brute = value[budget_idx[b]].max()
@@ -203,7 +203,7 @@ def test_criterion_9_oracle_equivalence():
                 checked += 1
     # the hand value: 2 origins, both links q=0.5, budget 5
     chain = GroupChain("g", (Origin(1, 1, ((1, 0.5), (2, 0.5))),
-                             Origin(2, 1, ((2, 0.5),))), 5.0)
+                             Origin(2, 1, ((2, 0.5),))))
     assert _delivery_product(chain.origins, plain_greedy(chain, 5)) == \
         pytest.approx(0.28125, abs=1e-12)
     ok(9, f"greedy rounding equals brute force on {checked} grid cases "

@@ -14,11 +14,11 @@ import yslot.allocate
 from yslot import (GroupChain, Origin, com_probability, enumerate_path_models,
                    find_model, optimize, patterns_for, relaxed_table,
                    solve_pattern, validate_topology)
-from yslot.allocate import (Structure, _blocked_uses, _chain_uses,
-                            _delivery_product, _gain, _greedy_int, _runs,
-                            _split_structure, _transmitter_map,
-                            assign_early_slots, build_group_chain,
-                            candidate_structures, early_window)
+from yslot.allocate import (Structure, _blocked_uses, _chain_ranks, _chain_uses,
+                            _delivery_product, _fill_window, _gain, _greedy_int,
+                            _hideable_uses, _runs, _split_structure,
+                            _transmitter_map, assign_early_slots,
+                            build_group_chain, candidate_structures, early_window)
 from yslot.relax import Use, solve_plain_structure
 from yslot.timeline import place_plans
 from yslot.topology import derive_conflicts
@@ -26,11 +26,11 @@ from yslot.topology import derive_conflicts
 GOLDEN_YS = Path(__file__).resolve().parent / "golden" / "ys"
 
 
-def chain_from_routes(routes, budget, rates=None):
+def chain_from_routes(routes, rates=None):
     """routes: list of ((link, q), ...) per origin, upstream first."""
     origins = tuple(Origin(100 + i, (rates or [1] * len(routes))[i], tuple(r))
                     for i, r in enumerate(routes))
-    return GroupChain("g", origins, float(budget))
+    return GroupChain("g", origins)
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,14 +119,14 @@ def seeded_y(rng, loss):
 
 
 def test_round_allocation_sy_golden():
-    chain = chain_from_routes([[(6, 0.3), (7, 0.2)], [(7, 0.2)]], 30)
+    chain = chain_from_routes([[(6, 0.3), (7, 0.2)], [(7, 0.2)]])
     vals = plain_greedy(chain, 30)
     assert vals == {(100, 1, 6): 12, (100, 1, 7): 9, (101, 1, 7): 9}
 
 
 def test_round_allocation_sx_golden(case1):
     model = find_model(case1, "3-2-3", 11)
-    chain = build_group_chain(model, "X", 30)
+    chain = build_group_chain(model, "X")
     vals = plain_greedy(chain, 30)
     # reference row: s11=5, s21=5, s31=6, s22=4, s32=4, s33=6
     assert vals == {(3, 1, 3): 6, (3, 1, 2): 4, (3, 1, 1): 6,
@@ -134,7 +134,7 @@ def test_round_allocation_sx_golden(case1):
 
 
 def test_round_allocation_hand_value():
-    chain = chain_from_routes([[(1, 0.5), (2, 0.5)], [(2, 0.5)]], 5)
+    chain = chain_from_routes([[(1, 0.5), (2, 0.5)], [(2, 0.5)]])
     vals = plain_greedy(chain, 5)
     assert sorted(vals.values()) == [1, 2, 2]
     assert alloc_product(chain, vals) == pytest.approx(0.28125, abs=1e-12)
@@ -143,7 +143,7 @@ def test_round_allocation_hand_value():
 
 def test_round_allocation_sums_exactly():
     chain = chain_from_routes(
-        [[(1, 0.4), (2, 0.15), (3, 0.3)], [(2, 0.15), (3, 0.3)], [(3, 0.3)]], 17)
+        [[(1, 0.4), (2, 0.15), (3, 0.3)], [(2, 0.15), (3, 0.3)], [(3, 0.3)]])
     vals = plain_greedy(chain, 17)
     assert sum(vals.values()) == 17
 
@@ -161,7 +161,7 @@ def test_round_allocation_matches_brute_force_small_grid():
         n_links = max(max(s) for s in shape) + 1
         for qs in itertools.product(qgrid, repeat=n_links):
             chain = chain_from_routes(
-                [[(l + 1, qs[l]) for l in s] for s in shape], 12)
+                [[(l + 1, qs[l]) for l in s] for s in shape])
             for budget in (1, 4, 7, 12):
                 vals = plain_greedy(chain, budget)
                 mine = alloc_product(chain, vals)
@@ -184,7 +184,7 @@ def test_heap_greedy_matches_linear_scan_oracle():
         conflicts = derive_conflicts(topo)
         for model in enumerate_path_models(topo)[:3]:
             for label in ("X", "Y", "Z"):
-                chain = build_group_chain(model, label, 30)
+                chain = build_group_chain(model, label)
                 for st in candidate_structures(model, chain, conflicts):
                     kinds.add(st.kind)
                     first = {(st.uses[0].node, st.uses[0].link)}
@@ -200,14 +200,14 @@ def test_heap_greedy_matches_linear_scan_oracle():
 def test_round_allocation_ties_go_to_earliest_after_underflow():
     # once q**v underflows every gain is 0 and the earliest packet takes
     # every remaining slot, so the split is not the even 200/200
-    chain = chain_from_routes([[(1, 0.0141)]], 400, rates=[2])
+    chain = chain_from_routes([[(1, 0.0141)]], rates=[2])
     assert plain_greedy(chain, 400) == {(100, 1, 1): 225, (100, 2, 1): 175}
 
 
 def test_greedy_can_leave_the_relaxed_solution_by_more_than_a_slot():
     chain = chain_from_routes(
         [[(1, 0.9525), (2, 0.0671), (3, 0.0975)], [(2, 0.0671), (3, 0.0975)],
-         [(3, 0.0975)]], 62, rates=[1, 3, 1])
+         [(3, 0.0975)]], rates=[1, 3, 1])
     vals = plain_greedy(chain, 62)
     relaxed = solve_plain_structure(list(_chain_uses(chain)), 62.0)
     assert vals[(100, 1, 1)] == 39
@@ -225,7 +225,7 @@ def test_round_allocation_gain_evaluations_stay_linear(monkeypatch):
     monkeypatch.setattr(yslot.allocate, "_gain", counting)
     chain = chain_from_routes(
         [[(1, 0.4), (2, 0.15), (3, 0.3)], [(2, 0.15), (3, 0.3)], [(3, 0.3)]],
-        1000, rates=[2, 1, 2])
+        rates=[2, 1, 2])
     entries = sum(o.rate * len(o.route) for o in chain.origins)
     assert entries >= 10
     assert sum(plain_greedy(chain, 1000).values()) == 1000
@@ -233,14 +233,14 @@ def test_round_allocation_gain_evaluations_stay_linear(monkeypatch):
 
 
 def test_infeasible_budget_flagged_not_raised():
-    chain = chain_from_routes([[(1, 0.3), (2, 0.3)], [(2, 0.3)]], 2)
+    chain = chain_from_routes([[(1, 0.3), (2, 0.3)], [(2, 0.3)]])
     vals = plain_greedy(chain, 2)
     assert sum(vals.values()) == 2
     assert alloc_product(chain, vals) == 0.0
 
 
 def test_per_packet_counts_differ_at_most_one():
-    chain = chain_from_routes([[(1, 0.3), (2, 0.4)]], 13, rates=[3])
+    chain = chain_from_routes([[(1, 0.3), (2, 0.4)]], rates=[3])
     vals = plain_greedy(chain, 13)
     assert sum(vals.values()) == 13
     for link in (1, 2):
@@ -319,7 +319,7 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
             real_seen = list(seen)
             solved += 1
             for i, plan in enumerate(sol.plans):
-                txmap = _transmitter_map(model, build_group_chain(model, plan.label, 30))
+                txmap = _transmitter_map(model, build_group_chain(model, plan.label))
                 runs, real = integer_seen[i], real_seen[i]
                 units = [(u.slot, u.slot + 1, (u.tx, u.link))
                          for u in place_plans(case1, sol.plans[:i])]
@@ -343,13 +343,108 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
 
 
 def test_assign_early_identity_without_window():
-    chain = chain_from_routes([[(1, 0.3), (2, 0.4)], [(2, 0.4)]], 10)
+    chain = chain_from_routes([[(1, 0.3), (2, 0.4)], [(2, 0.4)]])
     uses = tuple(Use(o.node, l, q, o.rate) for o in chain.origins for l, q in o.route)
     st = Structure("plain", "plain", uses, (), ())
     tentative = plain_greedy(chain, 10)
     gi = assign_early_slots(chain, st, tentative, {}, 0, [], 10)
     assert gi.early == {} and gi.serialized == tentative
     assert gi.label == ""
+
+
+def two_origin_chain():
+    """Origin 100 (rate 2) sends over links 1 and 2, origin 101 over link 2;
+    its plain structure and fill order, upstream link first."""
+    chain = chain_from_routes([[(1, 0.3), (2, 0.4)], [(2, 0.4)]], rates=[2, 1])
+    st = Structure("plain", "plain", _chain_uses(chain), (), ())
+    hide_order = _hideable_uses(chain, st, set(), _chain_ranks(chain))
+    assert hide_order == [(100, 1), (101, 2), (100, 2)]
+    return chain, st, hide_order
+
+
+# packet 100.1 got no slot on link 1, yet holds slots on link 2
+STARVED = {(100, 1, 1): 0, (100, 2, 1): 1, (100, 1, 2): 2, (100, 2, 2): 2,
+           (101, 1, 2): 1}
+
+
+def test_fill_keeps_a_packet_without_its_upstream_hop_out():
+    chain, st, hide_order = two_origin_chain()
+    early = _fill_window(chain, STARVED, hide_order, 4)
+    assert early == {(100, 2, 1): 1, (101, 1, 2): 1, (100, 2, 2): 2}
+    gi = assign_early_slots(chain, st, STARVED, {}, 4, hide_order, 6)
+    assert gi.label == "c4" and gi.early == early
+    assert gi.serialized == {**STARVED, (100, 2, 1): 0, (101, 1, 2): 0,
+                             (100, 2, 2): 0}
+    # one slot more and the fill falls short, though link 2 could hold it
+    assert _fill_window(chain, STARVED, hide_order, 5) == early
+    assert assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6).label == "c5"
+
+
+def test_split_window_keeps_a_packet_without_its_upstream_hop_out(monkeypatch):
+    # the window part of a c5 split goes through the same fill; greedy
+    # allocations never starve an upstream hop, so hand one in
+    chain, st, hide_order = two_origin_chain()
+    window_part = {**STARVED, (100, 2, 2): 1}
+    greedy = _greedy_int
+
+    def starved_window_part(part, budget):
+        if part.use_keys() == set(hide_order):
+            assert budget == sum(window_part.values()) == 5
+            return dict(window_part), {}
+        return greedy(part, budget)
+
+    monkeypatch.setattr(yslot.allocate, "_greedy_int", starved_window_part)
+    gi = assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6)
+    assert gi.label == "c5"
+    assert gi.early == {(100, 2, 1): 1, (101, 1, 2): 1, (100, 2, 2): 1}
+
+
+@pytest.mark.parametrize("window, label", [
+    (0, ""), (2, "c1"), (3, "c2"), (5, "c3"), (9, "c4"), (10, "c5")])
+def test_window_regime_boundaries(window, label):
+    # hide capacities 2, 3, 4 in fill order; a window equal to a capacity
+    # (or to the sum of the first two, or of all) still hides
+    chain, st, hide_order = two_origin_chain()
+    tentative = {(100, 1, 1): 1, (100, 2, 1): 1, (101, 1, 2): 3,
+                 (100, 1, 2): 2, (100, 2, 2): 2}
+    gi = assign_early_slots(chain, st, tentative, {}, window, hide_order, 12)
+    assert gi.label == label
+    if label != "c5":
+        assert sum(gi.early.values()) == window
+        assert gi.totals() == tentative
+
+
+def uncausal_hops(st, vals):
+    """Packet hops holding slots while the packet's previous budget hop
+    holds none (uses run origin by origin, route order)."""
+    return [(b.node, k, b.link) for a, b in zip(st.uses, st.uses[1:])
+            if a.node == b.node for k in range(1, a.weight + 1)
+            if vals[(b.node, k, b.link)] > 0 and vals[(a.node, k, a.link)] == 0]
+
+
+def test_greedy_allocations_are_causal():
+    # every first slot has gain +inf and goes out in entry order, upstream
+    # hop first, so even starved budgets never skip a packet's upstream hop
+    rng = random.Random(11)
+    kinds = set()
+    checked = 0
+    for _ in range(8):
+        topo = seeded_y(rng, lambda: round(rng.uniform(0.01, 0.99), 4))
+        conflicts = derive_conflicts(topo)
+        for model in enumerate_path_models(topo)[:3]:
+            for label in ("X", "Y", "Z"):
+                chain = build_group_chain(model, label)
+                ranks = _chain_ranks(chain)
+                for st in candidate_structures(model, chain, conflicts):
+                    kinds.add(st.kind)
+                    hide = set(_hideable_uses(chain, st, set(), ranks))
+                    for part in (st, *_split_structure(st, hide)):
+                        for budget in (*range(25), 60, 200):
+                            vals, _rvals = _greedy_int(part, budget)
+                            assert uncausal_hops(part, vals) == [], (part, budget)
+                            checked += 1
+    assert kinds == {"plain", "rider-terminal", "rider-feeders"}
+    assert checked >= 10000
 
 
 def test_assign_early_c4_match_or_beat(case1):

@@ -13,27 +13,27 @@ from yslot.relax import (Use, solve_plain_structure, solve_rider_feeders,
 from yslot.topology import derive_conflicts
 
 
-def chain_sx_case1(budget=30.0):
+def chain_sx_case1():
     return GroupChain("X", (
         Origin(3, 1, ((3, 0.2), (2, 0.1), (1, 0.2))),
         Origin(2, 1, ((2, 0.1), (1, 0.2))),
         Origin(1, 1, ((1, 0.2),)),
-    ), budget)
+    ))
 
 
-def chain_sy_case1(budget=30.0):
+def chain_sy_case1():
     return GroupChain("Y", (
         Origin(5, 1, ((6, 0.3), (7, 0.2))),
         Origin(6, 1, ((7, 0.2),)),
-    ), budget)
+    ))
 
 
-def chain_sz_case1(budget=30.0):
+def chain_sz_case1():
     return GroupChain("Z", (
         Origin(4, 1, ((8, 0.2), (9, 0.5), (10, 0.3))),
         Origin(7, 1, ((9, 0.5), (10, 0.3))),
         Origin(8, 1, ((10, 0.3),)),
-    ), budget)
+    ))
 
 
 def test_gfun_values():
@@ -72,7 +72,7 @@ def test_ffun_strictly_increasing():
 
 def test_budget_terms_examples():
     assert budget_terms(chain_sx_case1()) == [(1, 3), (2, 2), (3, 1)]
-    single = GroupChain("Z", (Origin(8, 3, ((10, 0.3),)),), 10.0)
+    single = GroupChain("Z", (Origin(8, 3, ((10, 0.3),)),))
     assert budget_terms(single) == [(10, 3)]
 
 
@@ -80,7 +80,7 @@ def test_budget_terms_224_case1_variant(case1):
     # the case-1 budget for the 2-2-4 bottom group drops the feeder
     # first hop: 2 uses of link 8, 3 of link 9, 4 of link 10
     model = find_model(case1, "2-2-4", 11)
-    chain = build_group_chain(model, "Z", 30)
+    chain = build_group_chain(model, "Z")
     structures = candidate_structures(model, chain, derive_conflicts(case1))
     rider_feed = next(s for s in structures if s.kind == "rider-feeders")
     mult: dict[int, int] = {}
@@ -90,7 +90,7 @@ def test_budget_terms_224_case1_variant(case1):
 
 
 def test_golden_relaxed_sx():
-    sol = solve_plain_chain(chain_sx_case1())
+    sol = solve_plain_chain(chain_sx_case1(), 30.0)
     assert sol.values[(1, 1)] == pytest.approx(5.5001, abs=1e-3)
     assert sol.values[(2, 2)] == pytest.approx(3.9999, abs=1e-3)
     assert sol.values[(3, 3)] == pytest.approx(5.5001, abs=1e-3)
@@ -98,21 +98,21 @@ def test_golden_relaxed_sx():
 
 
 def test_golden_relaxed_sy():
-    sol = solve_plain_chain(chain_sy_case1())
+    sol = solve_plain_chain(chain_sy_case1(), 30.0)
     assert sol.values[(5, 6)] == pytest.approx(11.8741, abs=1e-3)
     assert sol.values[(5, 7)] == pytest.approx(9.0630, abs=1e-3)
     assert sol.values[(6, 7)] == pytest.approx(9.0630, abs=1e-3)
 
 
 def test_golden_relaxed_sz():
-    sol = solve_plain_chain(chain_sz_case1())
+    sol = solve_plain_chain(chain_sz_case1(), 30.0)
     assert sol.values[(4, 8)] == pytest.approx(3.4322, abs=1e-3)
     assert sol.values[(4, 9)] == pytest.approx(6.7617, abs=1e-3)
     assert sol.values[(4, 10)] == pytest.approx(4.3481, abs=1e-3)
 
 
 def test_equal_slots_per_link():
-    sol = solve_plain_chain(chain_sx_case1())
+    sol = solve_plain_chain(chain_sx_case1(), 30.0)
     assert sol.values[(1, 1)] == sol.values[(2, 1)] == sol.values[(3, 1)]
     assert sol.values[(2, 2)] == sol.values[(3, 2)]
     # symmetric losses get symmetric slots: q1 = q3 = 0.2
@@ -128,13 +128,14 @@ def test_budget_exactness_random_chains():
         for i in range(n_links):
             route = tuple((j + 1, losses[j]) for j in range(i, n_links))
             origins.append(Origin(100 + i, rng.randint(1, 3), route))
-        chain = GroupChain("g", tuple(reversed(origins)), rng.uniform(5, 80))
+        chain = GroupChain("g", tuple(reversed(origins)))
+        budget = rng.uniform(5, 80)
         chain = GroupChain("g", tuple(sorted(chain.origins,
-                                             key=lambda o: -len(o.route))), chain.budget)
-        sol = solve_plain_chain(chain)
+                                             key=lambda o: -len(o.route))))
+        sol = solve_plain_chain(chain, budget)
         used = sum(o.rate * sol.values[(o.node, link)]
                    for o in chain.origins for link, _ in o.route)
-        assert abs(used - chain.budget) <= 1e-9
+        assert abs(used - budget) <= 1e-9
         # strictly below 1 mathematically; float rounding may saturate
         assert 0.0 < sol.product <= 1.0
         assert all(v > 0 for v in sol.values.values())
@@ -143,14 +144,14 @@ def test_budget_exactness_random_chains():
 def test_tub_monotone_in_budget():
     prev = 0.0
     for budget in (10.0, 20.0, 30.0, 50.0):
-        sol = solve_plain_chain(chain_sz_case1(budget))
+        sol = solve_plain_chain(chain_sz_case1(), budget)
         assert sol.product > prev
         prev = sol.product
 
 
 def test_nonpositive_budget_rejected():
     with pytest.raises(DomainError):
-        solve_plain_chain(chain_sx_case1(0.0))
+        solve_plain_chain(chain_sx_case1(), 0.0)
 
 
 def test_convergence_error_on_saturating_equation():
@@ -169,9 +170,9 @@ def test_heterogeneous_rates_budget():
     chain = GroupChain("g", (
         Origin(1, 2, ((1, 0.3), (2, 0.2))),
         Origin(2, 3, ((2, 0.2),)),
-    ), 24.0)
+    ))
     assert budget_terms(chain) == [(1, 2), (2, 5)]
-    sol = solve_plain_chain(chain)
+    sol = solve_plain_chain(chain, 24.0)
     used = 2 * (sol.values[(1, 1)] + sol.values[(1, 2)]) + 3 * sol.values[(2, 2)]
     assert abs(used - 24.0) <= 1e-9
 

@@ -97,6 +97,7 @@ def test_conflicts_symmetric(case1):
     for t1 in txs:
         for t2 in txs:
             assert c.conflict(t1, t2) == c.conflict(t2, t1)
+            assert c.hits(c.mask_of([t1]), t2) == c.conflict(t1, t2)
 
 
 def test_adding_proximity_never_removes_conflicts(case1_raw):
