@@ -128,9 +128,8 @@ def test_budget_exactness_random_chains():
         for i in range(n_links):
             route = tuple((j + 1, losses[j]) for j in range(i, n_links))
             origins.append(Origin(100 + i, rng.randint(1, 3), route))
-        chain = GroupChain("g", tuple(reversed(origins)))
         budget = rng.uniform(5, 80)
-        chain = GroupChain("g", tuple(sorted(chain.origins,
+        chain = GroupChain("g", tuple(sorted(reversed(origins),
                                              key=lambda o: -len(o.route))))
         sol = solve_plain_chain(chain, budget)
         used = sum(o.rate * sol.values[(o.node, link)]
