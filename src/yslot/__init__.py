@@ -1,13 +1,10 @@
 """Optimal TDMA slot allocation for Y-shaped 3-gateway sensor backbones."""
 
-from .allocate import (PatternSolution, SlotAllocation, assign_early_slots,
-                       build_group_chain, candidate_structures, com_probability,
-                       early_window, optimize, relaxed_table,
+from .allocate import (PatternSolution, SlotAllocation, optimize, relaxed_table,
                        solution_timeline, solve_pattern)
 from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
                         find_model, patterns_for)
-from .relax import (ConvergenceError, DomainError, GroupChain, Origin,
-                    budget_terms, ffun, gfun)
+from .relax import ConvergenceError, DomainError
 from .simulate import (InvalidTimeline, NodeSetMismatch, SimReport, compare,
                        simulate)
 from .timeline import (CausalityViolation, ConflictViolation, DoesNotFit,

@@ -677,8 +677,7 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
 def solution_timeline(solution: PatternSolution):
     """Materialize a solved pattern into its verified slot-by-slot timeline."""
     from .timeline import build_timeline
-    topo = solution.model.topology
-    return build_timeline(topo, solution.plans, derive_conflicts(topo),
+    return build_timeline(solution.model.topology, solution.plans,
                           solution.cycle_slots)
 
 

@@ -1,11 +1,12 @@
 """Command-line interface: enumerate, solve, optimize, simulate, report.
 
-Exit codes: 0 ok, 1 infeasible allocation or failed checks, 2 usage or
-config error, 3 internal error (a solver, timeline or simulation fault,
-reported as one `error: internal: ...` line, no traceback).  Output files
-are byte-stable for identical inputs: CSV and JSON carry the same
-full-precision values (metadata like the RNG seed is part of the report
-data, never wall-clock timestamps).
+Exit codes: 0 ok, 1 infeasible allocation or a node's simulated rate
+beyond 3 sigma (the exact tail where few rare outcomes are expected), 2
+usage or config error, 3 internal error (a solver, timeline or simulation
+fault, reported as one `error: internal: ...` line, no traceback).
+Output files are byte-stable for identical inputs: CSV and JSON carry the
+same full-precision values (metadata like the RNG seed is part of the
+report data, never wall-clock timestamps).
 """
 
 from __future__ import annotations
@@ -16,37 +17,17 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .allocate import (PatternSolution, optimize, relaxed_table,
                        solution_timeline, solve_pattern)
 from .pathmodel import enumerate_path_models, find_model, patterns_for
-from .simulate import InvalidTimeline, NodeSetMismatch, compare, simulate
+from .simulate import (InvalidTimeline, NodeSetMismatch, _rate_check, compare,
+                       simulate)
 from .timeline import TimelineError
 from .topology import Topology, TopologyError, load_config, validate_topology
 
 CONFIG_DIR_ENV = "YSLOT_CONFIG_DIR"
-
-
-@dataclass
-class RunConfig:
-    """Parsed CLI arguments; options a subcommand does not take keep these
-    defaults."""
-
-    command: str
-    topology: str
-    no_sep_branch: int | None = None
-    model: str | None = None
-    pattern: int | None = None
-    cycle_slots: int | None = None
-    trials: int = 100000
-    seed: int = 0
-    reuse: bool = False
-    output: str | None = None
-    fmt: str = "csv"
-    emit_timeline: str | None = None
-    digits: int = 4
 
 
 def _resolve_topology_path(path: str) -> Path:
@@ -59,16 +40,16 @@ def _resolve_topology_path(path: str) -> Path:
     return p
 
 
-def _load(cfg: RunConfig) -> Topology:
-    raw = load_config(_resolve_topology_path(cfg.topology))
+def _load(args: argparse.Namespace) -> Topology:
+    raw = load_config(_resolve_topology_path(args.topology))
     topology = validate_topology(raw)
-    if cfg.cycle_slots is not None and cfg.cycle_slots < 1:
+    if args.cycle_slots is not None and args.cycle_slots < 1:
         raise TopologyError("cycle_slots override must be >= 1")
     return topology
 
 
-def _emit(rows: list[dict], fieldnames: list[str], cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(rows: list[dict], fieldnames: list[str], args: argparse.Namespace) -> None:
+    if args.fmt == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -76,8 +57,8 @@ def _emit(rows: list[dict], fieldnames: list[str], cfg: RunConfig) -> None:
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    if cfg.output:
-        Path(cfg.output).write_text(text)
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -125,13 +106,15 @@ def _slot_table_rows(sol: PatternSolution, tub_entries: dict,
     return [tub_row, com_row], ["row", "model", "pattern", "case", "product"] + names
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit status."""
-    topology = _load(cfg)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed subcommand; returns the process exit status."""
+    if args.command == "report" and args.digits < 0:
+        raise ValueError("--digits must be >= 0")
+    topology = _load(args)
 
-    if cfg.command == "enumerate":
+    if args.command == "enumerate":
         rows = []
-        for m in enumerate_path_models(topology, cfg.no_sep_branch):
+        for m in enumerate_path_models(topology, args.no_sep_branch):
             rows.append({
                 "model": m.name,
                 "type": m.model_type,
@@ -144,68 +127,59 @@ def run(cfg: RunConfig) -> int:
                 "patterns": len(patterns_for(m)),
             })
         _emit(rows, ["model", "type", "no_sep_branch", "sep_link_a", "sep_link_b",
-                     "group_x", "group_y", "group_z", "patterns"], cfg)
+                     "group_x", "group_y", "group_z", "patterns"], args)
         return 0
 
     # report without --model is the ranked summary of optimize
-    if cfg.command == "optimize" or (cfg.command == "report" and cfg.model is None):
-        solutions = optimize(topology, cfg.cycle_slots, cfg.no_sep_branch)
-        _emit([_solution_row(s) for s in solutions], SUMMARY_FIELDS, cfg)
+    if args.command == "optimize" or (args.command == "report" and args.model is None):
+        solutions = optimize(topology, args.cycle_slots, args.no_sep_branch)
+        _emit([_solution_row(s) for s in solutions], SUMMARY_FIELDS, args)
         return 0 if any(s.feasible for s in solutions) else 1
 
-    if cfg.command in ("solve", "report", "simulate"):
-        if cfg.model is None:
-            raise TopologyError(f"{cfg.command} requires --model")
-        model = find_model(topology, cfg.model, cfg.no_sep_branch)
-        sol = solve_pattern(model, cfg.pattern, cfg.cycle_slots)
+    model = find_model(topology, args.model, args.no_sep_branch)
+    sol = solve_pattern(model, args.pattern, args.cycle_slots)
 
-        if cfg.command == "simulate":
-            timeline = solution_timeline(sol)
-            report = simulate(timeline, topology, cfg.trials, cfg.seed,
-                              reuse=cfg.reuse)
-            meta = {"trials": report.trials, "seed": report.seed,
-                    "algorithm": report.algorithm, "reuse": report.reuse}
-            # analytic COM follows the dedicated-slot model: compare only
-            # when slot reuse is off
-            checks = compare(report, sol.allocation.per_node) if not cfg.reuse else []
-            if checks:
-                rows = [{"node": c.node, "empirical": c.empirical,
-                         "analytic": c.analytic, "sigma": c.sigma, "z": c.z,
-                         "ok": c.ok, **meta} for c in checks]
-                com = sol.com_product
-                sigma = (com * (1.0 - com) / report.trials) ** 0.5
-                z = (report.all_rate - com) / sigma if sigma else 0.0
-                rows.append({"node": "all", "empirical": report.all_rate,
-                             "analytic": com, "sigma": sigma, "z": z,
-                             "ok": abs(z) <= 3.0, **meta})
-            else:
-                rows = [{"node": n, "empirical": r, "analytic": "", "sigma": "",
-                         "z": "", "ok": "", **meta}
-                        for n, r in sorted(report.per_node.items())]
-                rows.append({"node": "all", "empirical": report.all_rate,
-                             "analytic": "", "sigma": "", "z": "", "ok": "",
-                             **meta})
-            _emit(rows, ["node", "empirical", "analytic", "sigma", "z", "ok",
-                         "trials", "seed", "algorithm", "reuse"], cfg)
-            return 0 if (not checks or all(c.ok for c in checks)) else 1
+    if args.command == "simulate":
+        timeline = solution_timeline(sol)
+        report = simulate(timeline, topology, args.trials, args.seed,
+                          reuse=args.reuse)
+        meta = {"trials": report.trials, "seed": report.seed,
+                "algorithm": report.algorithm, "reuse": report.reuse}
+        # analytic COM follows the dedicated-slot model: compare only
+        # when slot reuse is off
+        checks = compare(report, sol.allocation.per_node) if not args.reuse else []
+        if checks:
+            every = _rate_check("all", report.all_rate, sol.com_product,
+                                report.trials)
+            rows = [{"node": c.node, "empirical": c.empirical,
+                     "analytic": c.analytic, "sigma": c.sigma, "z": c.z,
+                     "ok": c.ok, **meta} for c in [*checks, every]]
+        else:
+            rows = [{"node": n, "empirical": r, "analytic": "", "sigma": "",
+                     "z": "", "ok": "", **meta}
+                    for n, r in sorted(report.per_node.items())]
+            rows.append({"node": "all", "empirical": report.all_rate,
+                         "analytic": "", "sigma": "", "z": "", "ok": "",
+                         **meta})
+        _emit(rows, ["node", "empirical", "analytic", "sigma", "z", "ok",
+                     "trials", "seed", "algorithm", "reuse"], args)
+        return 0 if (not checks or all(c.ok for c in checks)) else 1
 
-        rows, fields = _slot_table_rows(sol, relaxed_table(sol)[0])
-        if cfg.command == "report":
-            fmt = f"{{:.{cfg.digits}f}}"
-            cols = ["row", "product"] + [f for f in fields if f.startswith("s")]
-            width = max(len(n) for n in cols)
-            sys.stderr.write(" ".join(n.rjust(width) for n in cols) + "\n")
-            for row in rows:
-                cells = [str(row["row"]).rjust(width)]
-                cells += [fmt.format(float(row[n])).rjust(width) for n in cols[1:]]
-                sys.stderr.write(" ".join(cells) + "\n")
-        _emit(rows, fields, cfg)
-        if cfg.emit_timeline:
-            timeline = solution_timeline(sol)
-            Path(cfg.emit_timeline).write_text("\n".join(timeline.to_lines()) + "\n")
-        return 0 if sol.feasible else 1
-
-    raise TopologyError(f"unknown command {cfg.command}")
+    rows, fields = _slot_table_rows(sol, relaxed_table(sol)[0])
+    if args.command == "report":
+        fmt = f"{{:.{args.digits}f}}"
+        cols = ["row", "product"] + [f for f in fields if f.startswith("s")]
+        width = max(len(n) for n in cols)
+        sys.stderr.write(" ".join(n.rjust(width) for n in cols) + "\n")
+        for row in rows:
+            cells = [str(row["row"]).rjust(width)]
+            cells += [fmt.format(float(row[n])).rjust(width) for n in cols[1:]]
+            sys.stderr.write(" ".join(cells) + "\n")
+    _emit(rows, fields, args)
+    if getattr(args, "emit_timeline", None):  # solve only
+        timeline = solution_timeline(sol)
+        Path(args.emit_timeline).write_text("\n".join(timeline.to_lines()) + "\n")
+    return 0 if sol.feasible else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -262,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return run(RunConfig(**vars(args)))
+        return run(args)
     except (TopologyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ class PathModel:
     no_sep_branch: int                     # gateway id of the Z branch
     sep_link_a: int                        # separation link in the X branch
     sep_link_b: int                        # separation link in the Y branch
-    labels: dict[str, int]                 # group label -> gateway id
     groups: dict[str, tuple[int, ...]]     # label -> origins, upstream first
     routes: dict[int, tuple[int, ...]]     # node -> link ids toward its gateway
     name: str                              # "l-r-d"
@@ -28,9 +27,6 @@ class PathModel:
 
     def group(self, label: str) -> tuple[int, ...]:
         return self.groups[label]
-
-    def gateway_of(self, label: str) -> int:
-        return self.labels[label]
 
     def route(self, node: int) -> tuple[int, ...]:
         return self.routes[node]
@@ -104,7 +100,6 @@ def _build_model(topology: Topology, z_branch: Branch, x_branch: Branch,
         no_sep_branch=z_branch.gateway,
         sep_link_a=sep_a,
         sep_link_b=sep_b,
-        labels={"X": x_branch.gateway, "Y": y_branch.gateway, "Z": z_branch.gateway},
         groups={"X": sx, "Y": sy, "Z": sz},
         routes=dict(sorted(routes.items())),
         name=name,

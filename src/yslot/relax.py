@@ -20,32 +20,11 @@ from dataclasses import dataclass
 
 
 class DomainError(ValueError):
-    """Argument outside the loss-rate / slot-count domain."""
+    """Slot budget outside the relaxed solver's domain (it must be > 0)."""
 
 
 class ConvergenceError(RuntimeError):
     """Adjunct-variable root finding failed to reach tolerance."""
-
-
-def gfun(q: float, x: float) -> float:
-    """Marginal log-gain of slots: -q^x log q / (1 - q^x)."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"loss rate {q} not in (0,1)")
-    if x <= 0.0:
-        raise DomainError(f"slot count {x} must be > 0")
-    lq = math.log(q)
-    # -lq / (q^-x - 1), stable for both tiny and huge x
-    return -lq / math.expm1(-x * lq)
-
-
-def ffun(q: float, y: float) -> float:
-    """Inverse of gfun in its second argument: F(q, y) with gfun(q, F(q,y)) = 1/y."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"loss rate {q} not in (0,1)")
-    if y < 0.0:
-        raise DomainError(f"adjunct value {y} must be >= 0")
-    lq = math.log(q)
-    return math.log1p(-y * lq) / (-lq)
 
 
 @dataclass(frozen=True)

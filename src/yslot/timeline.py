@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .topology import ConflictSet, Topology
+from .topology import ConflictSet, Topology, derive_conflicts
 
 
 class TimelineError(Exception):
@@ -142,12 +142,10 @@ def place_plans(topology: Topology, plans: list[GroupPlan]) -> list[Unit]:
 
 
 def build_timeline(topology: Topology, plans: list[GroupPlan],
-                   conflicts: ConflictSet, cycle_slots: int | None = None,
-                   ) -> Timeline:
+                   cycle_slots: int) -> Timeline:
     """Place all plans and verify; raises on the first violation."""
-    T = cycle_slots if cycle_slots is not None else topology.cycle_slots
-    timeline = Timeline(place_plans(topology, plans), T)
-    report = verify_timeline(timeline, conflicts, T)
+    timeline = Timeline(place_plans(topology, plans), cycle_slots)
+    report = verify_timeline(timeline, derive_conflicts(topology), cycle_slots)
     if not report.ok:
         v = report.first()
         exc = {"conflict": ConflictViolation, "causality": CausalityViolation,

@@ -123,12 +123,6 @@ class ConflictSet:
         i = self.index.get(t)
         return i is not None and bool(mask >> i & 1)
 
-    @property
-    def pairs(self) -> frozenset[frozenset[tuple[int, int]]]:
-        """Every conflicting unordered pair."""
-        return frozenset(frozenset((a, b)) for a in self.index for b in self.index
-                         if self.index[a] < self.index[b] and self.conflict(a, b))
-
 
 def _conflict_rule(u: int, v: int, x: int, w: int,
                    proximity: frozenset[tuple[int, int]]) -> bool:

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import importlib.resources
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,19 @@ import yslot.allocate
 from yslot import validate_topology
 from yslot.allocate import Structure, _chain_uses, _greedy_int
 from yslot.relax import Use, solve_plain_structure
+
+
+def gfun(q: float, x: float) -> float:
+    """Closed-form marginal log-gain of x slots: G(q, x) = -q^x log q / (1 - q^x)."""
+    lq = math.log(q)
+    return -lq / math.expm1(-x * lq)
+
+
+def ffun(q: float, y: float) -> float:
+    """Closed-form inverse of G in x: F(q, y) = -log(1 - y log q) / log q,
+    so that G(q, F(q, y)) = 1/y."""
+    lq = math.log(q)
+    return math.log1p(-y * lq) / (-lq)
 
 
 def load_case_raw(case: int) -> dict:
@@ -154,7 +168,6 @@ def compositions(n: int, total: int) -> np.ndarray:
 
 def product_from_totals(topology, model, totals: dict) -> float:
     """Delivery product of a reference row, evaluated from slot totals."""
-    import math
     log_m = 0.0
     for node in topology.nodes:
         for link in model.route(node):

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import (TABLE_P1_COM, TABLE_P1_TUB, TABLE_P2_COM, TABLE_P2_TUB,
-                      compositions, plain_greedy, product_from_totals, slot_key,
-                      solve_plain_chain, table_totals)
+                      compositions, ffun, gfun, plain_greedy, product_from_totals,
+                      slot_key, solve_plain_chain, table_totals)
 from yslot import (build_timeline, compare, derive_conflicts,
-                   enumerate_path_models, ffun, find_model, gfun, patterns_for,
+                   enumerate_path_models, find_model, patterns_for,
                    relaxed_table, simulate, solve_pattern, validate_topology,
                    verify_timeline)
 from yslot.allocate import _delivery_product
-from yslot.relax import GroupChain, Origin
+from yslot.relax import GroupChain, Origin, _f_log
 
 
 def ok(n, text):
@@ -122,19 +122,27 @@ def test_criterion_6_t_monotonicity(matrix):
 
 
 def test_criterion_7_fg_properties():
+    # the solver's F, _f_log(c, log c, log y), against the closed forms
     rng = random.Random(0xF00D)
-    worst = 0.0
+    worst_f = worst = 0.0
     for _ in range(10000):
         q = rng.uniform(0.01, 0.99)
         y = math.exp(rng.uniform(math.log(1e-3), math.log(1e6)))
-        worst = max(worst, abs(y * gfun(q, ffun(q, y)) - 1.0))
+        c = -math.log(q)
+        f = _f_log(c, math.log(c), math.log(y))[0]
+        worst_f = max(worst_f, abs(f / ffun(q, y) - 1.0))
+        worst = max(worst, abs(y * gfun(q, f) - 1.0))
+    assert worst_f <= 1e-12
     assert worst <= 1e-10
-    assert ffun(0.5, 0.0) == 0.0 and ffun(0.05, 0.0) == 0.0
-    for q in (0.1, 0.5, 0.9):
-        values = [ffun(q, y) for y in (1e-3, 1e-1, 1.0, 10.0, 1e3)]
+    for q in (0.05, 0.5, 0.9):
+        c = -math.log(q)
+        assert _f_log(c, math.log(c), -800.0)[0] == 0.0
+        values = [_f_log(c, math.log(c), math.log(y))[0]
+                  for y in (1e-3, 1e-1, 1.0, 10.0, 1e3)]
         assert all(b > a for a, b in zip(values, values[1:]))
-    ok(7, f"inverse identity over 10^4 draws (worst {worst:.2e}), "
-          "ffun(q,0)=0, strict monotonicity")
+    ok(7, f"solver F vs closed form over 10^4 draws (worst {worst_f:.2e}), "
+          f"inverse identity (worst {worst:.2e}), F -> 0 as y -> 0, "
+          "strict monotonicity")
 
 
 def test_criterion_8_budget_exactness(matrix, all_cases):
@@ -220,7 +228,7 @@ def test_criterion_10_tub_bounds_com(matrix):
 def test_criterion_11_timeline_validity(matrix):
     for key, (topology, _model, sol) in matrix.items():
         conflicts = derive_conflicts(topology)
-        timeline = build_timeline(topology, sol.plans, conflicts, key[1])
+        timeline = build_timeline(topology, sol.plans, key[1])
         report = verify_timeline(timeline, conflicts, key[1],
                                  sol.allocation.entries)
         assert report.ok, (key, report.first())
@@ -263,8 +271,7 @@ def test_criterion_12_monte_carlo(case1):
 
     model = find_model(case1, "3-2-3", 11)
     sol = solve_pattern(model, 1, 30)
-    conflicts = derive_conflicts(case1)
-    timeline = build_timeline(case1, sol.plans, conflicts, 30)
+    timeline = build_timeline(case1, sol.plans, 30)
     report = simulate(timeline, case1, trials, seed=20240811)
     rerun = simulate(timeline, case1, trials, seed=20240811)
     assert report == rerun
@@ -276,8 +283,7 @@ def test_criterion_12_monte_carlo(case1):
         topology = _random_topology(rng)
         m = enumerate_path_models(topology)[0]
         s = solve_pattern(m, patterns_for(m)[0], topology.cycle_slots)
-        tl = build_timeline(topology, s.plans,
-                            derive_conflicts(topology), topology.cycle_slots)
+        tl = build_timeline(topology, s.plans, topology.cycle_slots)
         rep = simulate(tl, topology, trials, seed=3000 + i)
         chk = compare(rep, s.allocation.per_node)
         assert all(c.ok for c in chk), (i, [c for c in chk if not c.ok])

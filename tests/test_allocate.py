@@ -11,15 +11,15 @@ import pytest
 from conftest import (TABLE_P1_COM, TABLE_P1_TUB, compositions, plain_greedy,
                       product_from_totals, recorded_residuals, table_totals)
 import yslot.allocate
-from yslot import (GroupChain, Origin, com_probability, enumerate_path_models,
-                   find_model, optimize, patterns_for, relaxed_table,
-                   solve_pattern, validate_topology)
+from yslot import (enumerate_path_models, find_model, optimize, patterns_for,
+                   relaxed_table, solve_pattern, validate_topology)
 from yslot.allocate import (Structure, _blocked_uses, _chain_ranks, _chain_uses,
                             _delivery_product, _fill_window, _gain, _greedy_int,
                             _hideable_uses, _runs, _split_structure,
                             _transmitter_map, assign_early_slots,
-                            build_group_chain, candidate_structures, early_window)
-from yslot.relax import Use, solve_plain_structure
+                            build_group_chain, candidate_structures,
+                            com_probability, early_window)
+from yslot.relax import GroupChain, Origin, Use, solve_plain_structure
 from yslot.timeline import place_plans
 from yslot.topology import derive_conflicts
 

@@ -128,6 +128,28 @@ def test_simulate_subcommand(tmp_path):
     assert all(r["ok"] == "True" for r in rows[:-1])
 
 
+def test_simulate_single_rare_miss_passes(capsys):
+    # at seed 15 node 6 (analytic 0.999999488) loses one of 1e5 packets
+    assert run_cli("simulate", "-c", CASE1, "--model", "3-2-3",
+                   "--no-sep-branch", "11", "--pattern", "1",
+                   "--trials", "100000", "--seed", "15") == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert rows[5]["node"] == "6" and rows[5]["empirical"] == "0.99999"
+    assert float(rows[5]["z"]) < -4
+    assert all(r["ok"] == "True" for r in rows)
+
+
+def test_negative_digits_rejected_before_any_output(tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert run_cli("report", "-c", CASE1, "--model", "3-2-3",
+                   "--no-sep-branch", "11", "--pattern", "1",
+                   "--digits", "-1", "-o", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --digits must be >= 0\n"
+    assert not out.exists()
+
+
 def test_t_slots_override(tmp_path):
     out = tmp_path / "t20.csv"
     assert run_cli("solve", "-c", CASE1, "--model", "3-2-3",

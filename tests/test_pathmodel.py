@@ -64,15 +64,20 @@ def test_groups_and_types(case1):
 
 def test_routes_loop_free_and_single_gateway(case1):
     for m in enumerate_path_models(case1):
-        for node in case1.nodes:
-            route = m.route(node)
-            assert len(set(route)) == len(route)
-            cur = node
-            for link in route:
-                cur = case1.links[link].other(cur)
-            assert case1.is_gateway(cur)
-            assert cur == m.gateway_of(next(
-                g for g, members in m.groups.items() if node in members))
+        reached = {}
+        for label, members in m.groups.items():
+            for node in members:
+                route = m.route(node)
+                assert len(set(route)) == len(route)
+                cur = node
+                for link in route:
+                    cur = case1.links[link].other(cur)
+                assert case1.is_gateway(cur)
+                # every member of a group reaches the same gateway
+                assert reached.setdefault(label, cur) == cur
+        assert sorted(n for ms in m.groups.values() for n in ms) == sorted(case1.nodes)
+        assert sorted(reached) == ["X", "Y", "Z"]
+        assert len(set(reached.values())) == 3
 
 
 def test_group_sizes_partition_nodes(case1):

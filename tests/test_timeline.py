@@ -13,7 +13,7 @@ def solved_timeline(topology, name, pid, T=30):
     model = find_model(topology, name, 11)
     sol = solve_pattern(model, pid, T)
     conflicts = derive_conflicts(topology)
-    tl = build_timeline(topology, sol.plans, conflicts, T)
+    tl = build_timeline(topology, sol.plans, T)
     return model, sol, tl, conflicts
 
 
@@ -63,8 +63,7 @@ def test_determinism(case1):
 
 
 def test_empty_plans_give_empty_timeline(case1):
-    conflicts = derive_conflicts(case1)
-    tl = build_timeline(case1, [], conflicts, 30)
+    tl = build_timeline(case1, [], 30)
     assert tl.units == [] and tl.length == 0
 
 
@@ -100,25 +99,23 @@ def test_verify_flags_causality(case1):
 
 
 def test_build_raises_on_overflowing_window(case1):
-    conflicts = derive_conflicts(case1)
     plan = GroupPlan("Z", 2, (PlacedBurst(8, 1, 8, 10, 5, True, ()),), ())
     with pytest.raises(DoesNotFit):
-        build_timeline(case1, [plan], conflicts, 30)
+        build_timeline(case1, [plan], 30)
 
 
 def test_build_raises_on_conflict_and_causality(case1):
     from yslot import CausalityViolation, ConflictViolation
-    conflicts = derive_conflicts(case1)
     # two zero-window groups whose first bursts interfere (3 vs 4)
     plans = [GroupPlan("X", 0, (), (PlacedBurst(3, 1, 3, 3, 2, False, ()),)),
              GroupPlan("Z", 0, (), (PlacedBurst(4, 1, 4, 8, 2, False, ()),))]
     with pytest.raises(ConflictViolation):
-        build_timeline(case1, plans, conflicts, 30)
+        build_timeline(case1, plans, 30)
     # a relay burst scheduled before the origin ever transmitted
     plan = GroupPlan("X", 0, (), (PlacedBurst(3, 1, 2, 2, 1, False, ()),
                                   PlacedBurst(3, 1, 3, 3, 1, False, ())))
     with pytest.raises(CausalityViolation):
-        build_timeline(case1, [plan], conflicts, 30)
+        build_timeline(case1, [plan], 30)
 
 
 def test_riders_fill_their_host_burst_first_slots(case1):

@@ -100,16 +100,23 @@ def test_conflicts_symmetric(case1):
             assert c.hits(c.mask_of([t1]), t2) == c.conflict(t1, t2)
 
 
+def conflict_pairs(topology):
+    conflicts = derive_conflicts(topology)
+    txs = topology.transmissions()
+    return {frozenset((a, b)) for a in txs for b in txs
+            if a != b and conflicts.conflict(a, b)}
+
+
 def test_adding_proximity_never_removes_conflicts(case1_raw):
     base = validate_topology(case1_raw)
-    base_pairs = derive_conflicts(base).pairs
+    base_pairs = conflict_pairs(base)
     rng = random.Random(7)
     ids = [n["id"] for n in case1_raw["nodes"]] + [g["id"] for g in case1_raw["gateways"]]
     for _ in range(20):
         raw = copy.deepcopy(case1_raw)
         a, b = rng.sample(ids, 2)
         raw["proximity"].append([a, b])
-        grown = derive_conflicts(validate_topology(raw)).pairs
+        grown = conflict_pairs(validate_topology(raw))
         assert base_pairs <= grown
 
 
