@@ -7,11 +7,11 @@ Pipeline per group, in pattern placement order:
    node's own burst do not interfere (the feeder hops can share the
    terminal's slots, or vice versa).
 2. Integer optimum per structure by greedy marginal-gain allocation, then
-   the early-window step, one rule in the integer and the relaxed walk:
-   fill the window left by previously placed groups with the slots of
-   unblocked transmitters, in fill order (upstream hops first), and only
-   when the fill falls short split the group into a window part and a
-   post-window part.
+   the early-window step, one `_fill` for the integer (per packet hop) and
+   the relaxed (per use) walk: move the slots of unblocked transmitters
+   into the window left by previously placed groups, in fill order
+   (upstream hops first), until it is covered, and only when the fill
+   falls short split the group into a window part and a post-window part.
 3. The best structure by integer product wins (COM).
 4. The relaxed optimum (adjunct-variable solve) of the winning structure
    only is the group's TUB product, so TUB >= COM holds by relaxed
@@ -80,14 +80,12 @@ def _chain_uses(chain: GroupChain) -> tuple[Use, ...]:
                  for o in chain.origins for link, q in o.route)
 
 
-def _origin(model: PathModel, node: int) -> Origin:
-    topo = model.topology
-    route = tuple((lid, topo.links[lid].loss) for lid in model.route(node))
-    return Origin(node, topo.rates[node], route)
-
-
 def build_group_chain(model: PathModel, label: str) -> GroupChain:
-    return GroupChain(label, tuple(_origin(model, n) for n in model.group(label)))
+    topo = model.topology
+    return GroupChain(label, tuple(
+        Origin(n, topo.rates[n],
+               tuple((lid, topo.links[lid].loss) for lid in model.route(n)))
+        for n in model.group(label)))
 
 
 def candidate_structures(model: PathModel, chain: GroupChain,
@@ -229,15 +227,6 @@ def _chain_ranks(chain: GroupChain) -> Ranks:
             {o.node: i for i, o in enumerate(chain.origins)})
 
 
-def _transmitter_map(model: PathModel, chain: GroupChain) -> dict[TxLink, TxLink]:
-    """(origin, link) -> (tx node, link) for every route step of the group."""
-    out = {}
-    for o in chain.origins:
-        for tx, link in model.transmitters(o.node):
-            out[(o.node, link)] = (tx, link)
-    return out
-
-
 def early_window(placed: list[Interval], group_txs, conflicts: ConflictSet):
     """First slot from which nothing already placed conflicts with any of
     the group's transmitters; 0 when there is no conflicting burst.
@@ -326,31 +315,36 @@ def _delivery_product(origins, totals: dict[EntryKey, int]) -> float:
     return math.exp(log_m) if log_m > -math.inf else 0.0
 
 
-def _fill_window(chain: GroupChain, tentative: dict[EntryKey, int],
-                 hide_order: list[TxLink], window: int) -> dict[EntryKey, int]:
-    """Hide up to `window` tentative slots following the fill order; a hop
-    enters the window only if its packet's previous hop did.  The fill
-    order puts every packet's upstream hops first, so that packet is then
-    present at the hop's transmitter inside the window."""
-    if window <= 0:
-        return {}
+def _fill(amounts: dict, order, window, eps: float = 0.0) -> dict:
+    """Move amounts into the window in fill order until it is covered (per
+    packet hop or, with the relaxed walk's `eps`, per use); `order` is read
+    only while the window is open."""
+    early = {}
+    remaining = window
+    for key in order:
+        if remaining <= eps:
+            break
+        take = min(amounts.get(key, 0), remaining)
+        if take > eps:
+            early[key] = take
+            remaining -= take
+    return early
+
+
+def _packet_order(chain: GroupChain, hide_order: list[TxLink],
+                  tentative: dict[EntryKey, int]):
+    """Packet hops of the hideable uses in fill order, each only if its
+    packet holds tentative slots on its previous hop.  Hideable uses are
+    route prefixes filled upstream first, so that hop is in the window
+    before this one unless the window is covered."""
     rates = {o.node: o.rate for o in chain.origins}
     previous = {(o.node, link): up for o in chain.origins
                 for (up, _), (link, _) in zip(o.route, o.route[1:])}
-    early: dict[EntryKey, int] = {}
-    remaining = window
     for node, link in hide_order:
         up = previous.get((node, link))
         for k in range(1, rates[node] + 1):
-            if remaining <= 0:
-                break
-            if up is not None and (node, k, up) not in early:
-                continue
-            take = min(tentative.get((node, k, link), 0), remaining)
-            if take > 0:
-                early[(node, k, link)] = take
-                remaining -= take
-    return early
+            if up is None or tentative.get((node, k, up), 0) > 0:
+                yield (node, k, link)
 
 
 def assign_early_slots(chain: GroupChain, st: Structure,
@@ -364,7 +358,7 @@ def assign_early_slots(chain: GroupChain, st: Structure,
     window part filled by the same rule.  Both regimes are optimal for the
     constraint set (serialized sum <= budget - window, early sum <= window,
     early only on hideable hops)."""
-    early = _fill_window(chain, tentative, hide_order, window)
+    early = _fill(tentative, _packet_order(chain, hide_order, tentative), window)
     if sum(early.values()) == window:
         serialized = {k: v - early.get(k, 0) for k, v in tentative.items()}
         gi = GroupInteger(serialized, early, dict(rider), 0.0,
@@ -373,7 +367,7 @@ def assign_early_slots(chain: GroupChain, st: Structure,
         st_rest, st_hide = _split_structure(st, set(hide_order))
         vals_rest, rider_rest = _greedy_int(st_rest, budget - window)
         vals_hide, _ = _greedy_int(st_hide, window)
-        early = _fill_window(chain, vals_hide, hide_order, window)
+        early = _fill(vals_hide, _packet_order(chain, hide_order, vals_hide), window)
         gi = GroupInteger(vals_rest, early, rider_rest, 0.0, "c5")
     gi.product = _delivery_product(chain.origins, gi.totals())
     return gi
@@ -479,22 +473,6 @@ def _scaled(values: dict[TxLink, float], uses) -> dict[TxLink, float]:
     return {(u.node, u.link): values[(u.node, u.link)] * u.weight for u in uses}
 
 
-def _real_fill(totals: dict[TxLink, float], hide_order: list[TxLink],
-               window: float) -> dict[TxLink, float]:
-    """Per-use real fill: move relaxed use totals into the window in fill
-    order until it is covered (the real counterpart of `_fill_window`)."""
-    early: dict[TxLink, float] = {}
-    remaining = window
-    for key in hide_order:
-        take = min(totals[key], remaining)
-        if take > 1e-12:
-            early[key] = take
-            remaining -= take
-        if remaining <= 1e-12:
-            break
-    return early
-
-
 def _relaxed_split(st: Structure, hide_order: list[TxLink], window: float,
                    budget: float):
     """Relaxed case c5: the fill fell short of the window, so the hideable
@@ -529,7 +507,7 @@ def relaxed_table(solution: PatternSolution,
     for label in solution.pattern.placement:
         chain = build_group_chain(model, label)
         st = solution.structures[label]
-        txmap = _transmitter_map(model, chain)
+        txmap = model.transmitter_map(label)
         ranks = _chain_ranks(chain)
         window = float(early_window(placed, txmap.values(), conflicts))
         windows[label] = window
@@ -539,7 +517,7 @@ def relaxed_table(solution: PatternSolution,
         relaxed = _relax_structure(st, budget)
         totals = _scaled(relaxed.values, st.uses)
         rider = _scaled(relaxed.values, st.riders)
-        early = _real_fill(totals, hide_order, window)
+        early = _fill(totals, hide_order, window, 1e-12)
         if sum(early.values()) + 1e-9 < window:
             totals, rider, early = _relaxed_split(st, hide_order, window, budget)
         serialized = {key: max(0.0, totals.get(key, 0.0) - early.get(key, 0.0))
@@ -573,28 +551,12 @@ def relaxed_table(solution: PatternSolution,
     return entries, windows
 
 
-def com_probability(entries: dict[SlotKey, int], model: PathModel,
-                    ) -> tuple[dict[int, float], float]:
-    """Per-node delivery probability and the overall product.
-
-    A packet's M multiplies (1 - q_j^{total slots}) over its route links;
-    zero slots on any route link means it cannot be delivered.
-    """
-    totals: dict[EntryKey, int] = {}
-    for (node, k, link, _early), v in entries.items():
-        key = (node, k, link)
-        totals[key] = totals.get(key, 0) + v
-    per_node = {node: _delivery_product([_origin(model, node)], totals)
-                for node in model.topology.nodes}
-    return per_node, math.prod(per_node.values())
-
-
 def _resolve_pattern(model: PathModel, pattern) -> PatternSpec:
+    if isinstance(pattern, PatternSpec):
+        return pattern
     specs = patterns_for(model)
     if pattern is None:
         return specs[0]
-    if isinstance(pattern, PatternSpec):
-        return pattern
     matches = [s for s in specs if s.pattern_id == pattern]
     if not matches:
         raise ValueError(f"model {model.name} has no pattern {pattern}")
@@ -629,11 +591,12 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
     case_labels: dict[str, str] = {}
     predicted: dict[str, str] = {}
     entries: dict[SlotKey, int] = {}
+    per_node = dict.fromkeys(topo.nodes, 0.0)
 
     for label in spec.placement:
         chain = build_group_chain(model, label)
         candidates = candidate_structures(model, chain, conflicts)
-        txmap = _transmitter_map(model, chain)
+        txmap = model.transmitter_map(label)
         ranks = _chain_ranks(chain)
         window = early_window(placed, txmap.values(), conflicts)
         blocked = _blocked_uses(txmap, window, placed, conflicts)
@@ -666,10 +629,13 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
                 if v > 0:
                     key = (node, k, link, early)
                     entries[key] = entries.get(key, 0) + v
+        totals = gi.totals()
+        for o in chain.origins:
+            per_node[o.node] = _delivery_product([o], totals)
 
-    # label order, so patterns whose groups reach equal products tie exactly
+    # label order, and per_node in node order, so equal products tie exactly
     tub = math.prod(group_products[label] for label in sorted(group_products))
-    per_node, com = com_probability(entries, model)
+    com = math.prod(per_node.values())
     return PatternSolution(model, spec, T, tub, com, SlotAllocation(entries, per_node),
                            structures, case_labels, predicted, plans)
 

@@ -39,11 +39,10 @@ class PathModel:
             cur = self.topology.links[link_id].other(cur)
         return tuple(out)
 
-    def group_transmissions(self, label: str) -> frozenset[tuple[int, int]]:
-        txs: set[tuple[int, int]] = set()
-        for node in self.group(label):
-            txs.update(self.transmitters(node))
-        return frozenset(txs)
+    def transmitter_map(self, label: str) -> dict[tuple[int, int], tuple[int, int]]:
+        """(origin, link) -> (tx node, link) for every route step of a group."""
+        return {(node, link): (tx, link) for node in self.group(label)
+                for tx, link in self.transmitters(node)}
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,9 @@ def enumerate_path_models(topology: Topology,
     offers n positions and the model count is the sum over Z-branch choices of
     the product of the other two branches' node counts.
     """
+    if no_sep_branch is not None and no_sep_branch not in topology.gateways:
+        raise ValueError(f"no_sep_branch {no_sep_branch} is not a gateway id; "
+                         f"expected one of {sorted(topology.gateways)}")
     models = []
     for z_branch in topology.branches:
         if no_sep_branch is not None and z_branch.gateway != no_sep_branch:
@@ -143,8 +145,8 @@ def find_model(topology: Topology, name: str,
 
 def _groups_conflict(model: PathModel, conflicts: ConflictSet,
                      g1: str, g2: str) -> bool:
-    mask = conflicts.mask_of(model.group_transmissions(g1))
-    return any(conflicts.hits(mask, t) for t in model.group_transmissions(g2))
+    mask = conflicts.mask_of(model.transmitter_map(g1).values())
+    return any(conflicts.hits(mask, t) for t in model.transmitter_map(g2).values())
 
 
 def patterns_for(model: PathModel) -> list[PatternSpec]:

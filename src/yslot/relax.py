@@ -132,6 +132,8 @@ def _solve_structure(uses: list[Use], budget: float, what: str,
     total over its weight, and the other uses F(q, y) with
     1/y = e^-t + G(q_c, x) from the coupled use's stationarity.
     """
+    if budget <= 0.0:
+        raise DomainError(f"budget {budget} must be > 0")
     tied = [*inner, coupled] if coupled is not None else []
     others = [u for u in uses if u not in tied]
     inner_terms, other_terms = _terms(inner), _terms(others)
@@ -177,8 +179,6 @@ def _solve_structure(uses: list[Use], budget: float, what: str,
 def solve_plain_structure(uses: list[Use], budget: float) -> StructuredRelax:
     """Relaxed optimum of serialized budget uses: every use gets F(q, y) for
     one adjunct y, and the budget is met."""
-    if budget <= 0.0:
-        raise DomainError(f"budget {budget} must be > 0")
     return _solve_structure(uses, budget, "plain budget", [], None)
 
 

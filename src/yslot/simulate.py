@@ -55,6 +55,8 @@ def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
     """Replay the timeline `trials` times; deterministic for a given seed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     report = verify_timeline(timeline, derive_conflicts(topology),
                              timeline.cycle_slots)
     if not report.ok:
@@ -85,27 +87,20 @@ def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
     for u in units:
         q = topology.links[u.link].loss
         draw = rng.random(trials) < (1.0 - q)
-        rx = u.rx
+        rx, designated = u.rx, (u.origin, u.k)
+        # the designated packet keeps its slot whenever the sender holds it
+        assigned = held(u.tx, designated)
+        held(rx, designated)[...] |= assigned & draw
         if not reuse:
-            ok = held(u.tx, (u.origin, u.k)) & draw
-            held(rx, (u.origin, u.k))
-            holds[(rx, u.origin, u.k)] |= ok
             continue
-        candidates = [(u.origin, u.k)] + [p for p in stream[(u.tx, u.link)]
-                                          if p != (u.origin, u.k)]
-        assigned = np.zeros(trials, dtype=bool)
-        for i, packet in enumerate(candidates):
-            if i == 0:
-                # the designated packet keeps its slot whenever it is held
-                claim = held(u.tx, packet)
-            else:
-                claim = held(u.tx, packet) & ~held(rx, packet) & ~assigned
+        for packet in stream[(u.tx, u.link)]:
+            if packet == designated:
+                continue
+            claim = held(u.tx, packet) & ~held(rx, packet) & ~assigned
             if not claim.any():
                 continue
-            ok = claim & draw
-            held(rx, packet)
-            holds[(rx, packet[0], packet[1])] |= ok
-            assigned |= claim
+            held(rx, packet)[...] |= claim & draw
+            assigned = assigned | claim
 
     gateways = set(topology.gateways)
     delivered: dict[tuple[int, int], np.ndarray] = {}

@@ -9,8 +9,8 @@ import pytest
 
 import yslot.allocate
 from yslot import validate_topology
-from yslot.allocate import Structure, _chain_uses, _greedy_int
-from yslot.relax import Use, solve_plain_structure
+from yslot.allocate import Structure, _chain_uses, _delivery_product, _greedy_int
+from yslot.relax import Origin, Use, solve_plain_structure
 
 
 def gfun(q: float, x: float) -> float:
@@ -164,6 +164,22 @@ def compositions(n: int, total: int) -> np.ndarray:
     out = np.array(rows, dtype=np.int16)
     out.flags.writeable = False
     return out
+
+
+def com_probability(entries: dict, model) -> tuple[dict[int, float], float]:
+    """Reference per-node delivery probability and overall product of a
+    slot table: sum each packet hop's slots across the early flag, then
+    multiply (1 - q^slots) over each node's packets and route links."""
+    topo = model.topology
+    totals: dict[tuple[int, int, int], int] = {}
+    for (node, k, link, _early), v in entries.items():
+        totals[(node, k, link)] = totals.get((node, k, link), 0) + v
+    per_node = {}
+    for node in topo.nodes:
+        route = tuple((lid, topo.links[lid].loss) for lid in model.route(node))
+        per_node[node] = _delivery_product(
+            [Origin(node, topo.rates[node], route)], totals)
+    return per_node, math.prod(per_node.values())
 
 
 def product_from_totals(topology, model, totals: dict) -> float:

@@ -8,17 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (TABLE_P1_COM, TABLE_P1_TUB, compositions, plain_greedy,
-                      product_from_totals, recorded_residuals, table_totals)
+from conftest import (TABLE_P1_COM, TABLE_P1_TUB, com_probability, compositions,
+                      plain_greedy, product_from_totals, recorded_residuals,
+                      table_totals)
 import yslot.allocate
 from yslot import (enumerate_path_models, find_model, optimize, patterns_for,
                    relaxed_table, solve_pattern, validate_topology)
 from yslot.allocate import (Structure, _blocked_uses, _chain_ranks, _chain_uses,
-                            _delivery_product, _fill_window, _gain, _greedy_int,
-                            _hideable_uses, _runs, _split_structure,
-                            _transmitter_map, assign_early_slots,
+                            _delivery_product, _fill, _gain, _greedy_int,
+                            _hideable_uses, _packet_order, _runs,
+                            _split_structure, assign_early_slots,
                             build_group_chain, candidate_structures,
-                            com_probability, early_window)
+                            early_window)
 from yslot.relax import GroupChain, Origin, Use, solve_plain_structure
 from yslot.timeline import place_plans
 from yslot.topology import derive_conflicts
@@ -319,7 +320,7 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
             real_seen = list(seen)
             solved += 1
             for i, plan in enumerate(sol.plans):
-                txmap = _transmitter_map(model, build_group_chain(model, plan.label))
+                txmap = model.transmitter_map(plan.label)
                 runs, real = integer_seen[i], real_seen[i]
                 units = [(u.slot, u.slot + 1, (u.tx, u.link))
                          for u in place_plans(case1, sol.plans[:i])]
@@ -367,16 +368,48 @@ STARVED = {(100, 1, 1): 0, (100, 2, 1): 1, (100, 1, 2): 2, (100, 2, 2): 2,
            (101, 1, 2): 1}
 
 
+def fill_window_oracle(chain, tentative, hide_order, window):
+    """Reference integer fill: hide up to `window` tentative slots following
+    the fill order; a hop enters the window only if its packet's previous
+    hop did."""
+    if window <= 0:
+        return {}
+    rates = {o.node: o.rate for o in chain.origins}
+    previous = {(o.node, link): up for o in chain.origins
+                for (up, _), (link, _) in zip(o.route, o.route[1:])}
+    early = {}
+    remaining = window
+    for node, link in hide_order:
+        up = previous.get((node, link))
+        for k in range(1, rates[node] + 1):
+            if remaining <= 0:
+                break
+            if up is not None and (node, k, up) not in early:
+                continue
+            take = min(tentative.get((node, k, link), 0), remaining)
+            if take > 0:
+                early[(node, k, link)] = take
+                remaining -= take
+    return early
+
+
+def integer_fill(chain, tentative, hide_order, window):
+    return _fill(tentative, _packet_order(chain, hide_order, tentative), window)
+
+
 def test_fill_keeps_a_packet_without_its_upstream_hop_out():
     chain, st, hide_order = two_origin_chain()
-    early = _fill_window(chain, STARVED, hide_order, 4)
+    early = integer_fill(chain, STARVED, hide_order, 4)
     assert early == {(100, 2, 1): 1, (101, 1, 2): 1, (100, 2, 2): 2}
+    for window in range(8):
+        assert integer_fill(chain, STARVED, hide_order, window) == \
+            fill_window_oracle(chain, STARVED, hide_order, window)
     gi = assign_early_slots(chain, st, STARVED, {}, 4, hide_order, 6)
     assert gi.label == "c4" and gi.early == early
     assert gi.serialized == {**STARVED, (100, 2, 1): 0, (101, 1, 2): 0,
                              (100, 2, 2): 0}
     # one slot more and the fill falls short, though link 2 could hold it
-    assert _fill_window(chain, STARVED, hide_order, 5) == early
+    assert integer_fill(chain, STARVED, hide_order, 5) == early
     assert assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6).label == "c5"
 
 
@@ -424,7 +457,9 @@ def uncausal_hops(st, vals):
 
 def test_greedy_allocations_are_causal():
     # every first slot has gain +inf and goes out in entry order, upstream
-    # hop first, so even starved budgets never skip a packet's upstream hop
+    # hop first, so even starved budgets never skip a packet's upstream hop;
+    # the one fill, on packet hops whose previous hop holds slots, matches
+    # the reference fill that checks the previous hop was filled
     rng = random.Random(11)
     kinds = set()
     checked = 0
@@ -437,11 +472,15 @@ def test_greedy_allocations_are_causal():
                 ranks = _chain_ranks(chain)
                 for st in candidate_structures(model, chain, conflicts):
                     kinds.add(st.kind)
-                    hide = set(_hideable_uses(chain, st, set(), ranks))
-                    for part in (st, *_split_structure(st, hide)):
+                    hide_order = _hideable_uses(chain, st, set(), ranks)
+                    for part in (st, *_split_structure(st, set(hide_order))):
                         for budget in (*range(25), 60, 200):
                             vals, _rvals = _greedy_int(part, budget)
                             assert uncausal_hops(part, vals) == [], (part, budget)
+                            # windows past the tentative total fill alike
+                            for w in range(min(31, sum(vals.values()) + 2)):
+                                assert integer_fill(chain, vals, hide_order, w) \
+                                    == fill_window_oracle(chain, vals, hide_order, w)
                             checked += 1
     assert kinds == {"plain", "rider-terminal", "rider-feeders"}
     assert checked >= 10000
@@ -483,10 +522,26 @@ def product_z(topo, model, totals):
 
 def test_com_probability_trivials(case1):
     model = find_model(case1, "3-2-3", 11)
-    per_node, product = com_probability({(8, 1, 10, False): 2}, model)
+    totals = {(8, 1, 10): 2}
+    per_node = {o.node: _delivery_product([o], totals) for label in "XYZ"
+                for o in build_group_chain(model, label).origins}
     assert per_node[8] == pytest.approx(1 - 0.3 ** 2, abs=1e-12)  # q10 = 0.3
     assert per_node[4] == 0.0
-    assert product == 0.0
+    assert math.prod(per_node.values()) == 0.0
+
+
+def test_per_node_com_matches_the_slot_table(case1):
+    # the group step's per-node products against summing the slot table
+    # across the early flag and multiplying per node, bit for bit
+    solved = 0
+    for model in enumerate_path_models(case1):
+        for spec in patterns_for(model):
+            sol = solve_pattern(model, spec, 30)
+            per_node, product = com_probability(sol.allocation.entries, model)
+            assert list(sol.allocation.per_node.items()) == list(per_node.items())
+            assert sol.com_product == product
+            solved += 1
+    assert solved == 27
 
 
 def test_tub_table_row_bounds_com_row(case1):

@@ -150,6 +150,25 @@ def test_negative_digits_rejected_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_seed_names_the_flag(capsys):
+    assert run_cli("simulate", "-c", CASE1, "--model", "3-2-3",
+                   "--no-sep-branch", "11", "--trials", "10",
+                   "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "optimize"])
+def test_no_sep_branch_outside_gateways_exits_2(command, capsys):
+    # not an empty model list (exit 0) or an empty ranking (exit 1)
+    assert run_cli(command, "-c", CASE1, "--no-sep-branch", "99") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: no_sep_branch 99 is not a gateway id; "
+                            "expected one of [9, 10, 11]\n")
+
+
 def test_t_slots_override(tmp_path):
     out = tmp_path / "t20.csv"
     assert run_cli("solve", "-c", CASE1, "--model", "3-2-3",

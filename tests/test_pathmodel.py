@@ -142,3 +142,10 @@ def test_ambiguous_model_name_needs_branch(case1):
         find_model(case1, "3-2-3")          # exists for two Z choices
     with pytest.raises(ValueError):
         find_model(case1, "9-9-9", 11)      # no such model
+
+
+def test_no_sep_branch_must_be_a_gateway(case1):
+    with pytest.raises(ValueError, match=r"expected one of \[9, 10, 11\]"):
+        enumerate_path_models(case1, no_sep_branch=99)
+    with pytest.raises(ValueError, match="not a gateway id"):
+        find_model(case1, "3-2-3", 1)       # a node id, not a gateway id

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import ffun, gfun, recorded_residuals, solve_plain_chain
 from yslot import DomainError, optimize, solve_pattern
-from yslot.allocate import build_group_chain, candidate_structures
+from yslot.allocate import (_relax_structure, build_group_chain,
+                            candidate_structures)
 from yslot.pathmodel import find_model
 from yslot.relax import (GroupChain, Origin, Use, budget_terms,
                          solve_plain_structure, solve_rider_feeders,
@@ -133,6 +134,18 @@ def test_tub_monotone_in_budget():
 def test_nonpositive_budget_rejected():
     with pytest.raises(DomainError):
         solve_plain_chain(chain_sx_case1(), 0.0)
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0])
+@pytest.mark.parametrize("kind", ["plain", "rider-terminal", "rider-feeders"])
+def test_every_solver_rejects_nonpositive_budget(case1, kind, budget):
+    # a budget error is a usage error (exit 2), not a solver fault (exit 3)
+    model = find_model(case1, "3-1-4", 11)
+    chain = build_group_chain(model, "Z")
+    st, = (s for s in candidate_structures(model, chain, derive_conflicts(case1))
+           if s.kind == kind)
+    with pytest.raises(DomainError):
+        _relax_structure(st, budget)
 
 
 def test_convergence_error_on_saturating_equation():
