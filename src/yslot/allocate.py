@@ -16,6 +16,18 @@ Pipeline per group, in pattern placement order:
 4. The relaxed optimum (adjunct-variable solve) of the winning structure
    only is the group's TUB product, so TUB >= COM holds by relaxed
    feasibility; `relaxed_table` builds the TUB slot table on demand.
+
+`optimize` does each group's work once per call, in a `_GroupTable` shared
+by all its patterns and dropped when it returns (`solve_pattern` alone
+builds one for its pattern).  One topology and one T fix everything but
+the group, so the first level is keyed on (label, nodes, routes of those
+nodes) and holds the chain, candidate structures, transmitter map, ranks,
+predicted case, one read-only budget-T greedy per candidate and, once a
+structure wins, its relaxed product.  A group's step reads the placement
+before it only through the early window and the blocked uses, so the
+second level is keyed on (window, sorted blocked uses) and holds the
+step's winner, regime label, plan, placed runs and slot and COM values.
+Both hits are exact: the key is every input of the work it stands for.
 """
 
 from __future__ import annotations
@@ -577,52 +589,93 @@ def _runs(units) -> list[Interval]:
     return runs
 
 
-def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
-                  cycle_slots: int | None = None) -> PatternSolution:
-    topo = model.topology
-    T = int(cycle_slots if cycle_slots is not None else topo.cycle_slots)
-    spec = _resolve_pattern(model, pattern)
-    conflicts = derive_conflicts(topo)
+@dataclass(frozen=True)
+class _GroupStep:
+    """One group placed behind one early window and blocked-use set: the
+    winning structure, its relaxed (TUB) product, the regime label, the
+    plan and what the pattern reads off it.  Solutions share it read-only
+    and copy its containers."""
 
-    placed: list[Interval] = []
-    plans: list[GroupPlan] = []
-    structures: dict[str, Structure] = {}
-    group_products: dict[str, float] = {}
-    case_labels: dict[str, str] = {}
-    predicted: dict[str, str] = {}
-    entries: dict[SlotKey, int] = {}
-    per_node = dict.fromkeys(topo.nodes, 0.0)
+    structure: Structure
+    tub: float
+    case_label: str
+    predicted: str | None
+    plan: GroupPlan
+    runs: tuple[Interval, ...]
+    entries: dict[SlotKey, int]
+    per_node: dict[int, float]
 
-    for label in spec.placement:
-        chain = build_group_chain(model, label)
-        candidates = candidate_structures(model, chain, conflicts)
-        txmap = model.transmitter_map(label)
-        ranks = _chain_ranks(chain)
-        window = early_window(placed, txmap.values(), conflicts)
-        blocked = _blocked_uses(txmap, window, placed, conflicts)
 
-        best: tuple[Structure, GroupInteger, list[TxLink]] | None = None
-        for st in candidates:
-            hide_order = _hideable_uses(chain, st, blocked, ranks)
-            tentative, rider = _greedy_int(st, T)
+@dataclass
+class _Group:
+    """A group's pattern-independent work at one topology and T."""
+
+    chain: GroupChain
+    candidates: list[Structure]
+    txmap: dict[TxLink, TxLink]
+    ranks: Ranks
+    predicted: str | None
+    greedy: list[tuple[dict[EntryKey, int], dict[EntryKey, int]]]  # read-only
+    relaxed: dict[int, float]     # product per winning candidate index
+    steps: dict[tuple, _GroupStep]
+
+
+class _GroupTable:
+    """Each group's work, done once per topology and T: keyed on the
+    group's (label, nodes, routes), then on its (window, blocked uses)."""
+
+    def __init__(self, topology: Topology, cycle_slots: int):
+        self.topology = topology
+        self.T = cycle_slots
+        self.conflicts = derive_conflicts(topology)
+        self.groups: dict[tuple, _Group] = {}
+
+    def _group(self, model: PathModel, label: str) -> _Group:
+        nodes = model.group(label)
+        key = (label, nodes, tuple(model.route(n) for n in nodes))
+        group = self.groups.get(key)
+        if group is None:
+            chain = build_group_chain(model, label)
+            candidates = candidate_structures(model, chain, self.conflicts)
+            group = self.groups[key] = _Group(
+                chain, candidates, model.transmitter_map(label),
+                _chain_ranks(chain), predicted_case(chain, candidates),
+                [_greedy_int(st, self.T) for st in candidates], {}, {})
+        return group
+
+    def step(self, model: PathModel, label: str,
+             placed: list[Interval]) -> _GroupStep:
+        group = self._group(model, label)
+        window = early_window(placed, group.txmap.values(), self.conflicts)
+        blocked = _blocked_uses(group.txmap, window, placed, self.conflicts)
+        key = (window, tuple(sorted(blocked)))
+        step = group.steps.get(key)
+        if step is None:
+            step = group.steps[key] = self._place(group, window, blocked)
+        return step
+
+    def _place(self, group: _Group, window: int,
+               blocked: set[TxLink]) -> _GroupStep:
+        chain, T = group.chain, self.T
+        best: tuple[int, GroupInteger, list[TxLink]] | None = None
+        for i, st in enumerate(group.candidates):
+            hide_order = _hideable_uses(chain, st, blocked, group.ranks)
+            tentative, rider = group.greedy[i]
             gi = assign_early_slots(chain, st, tentative, rider, window,
                                     hide_order, T)
             if best is None or gi.product > best[1].product:
-                best = (st, gi, hide_order)
-        st, gi, hide_order = best
-        structures[label] = st
-        group_products[label] = _relax_structure(st, float(T)).product
-        pred = predicted_case(chain, candidates)
-        if pred:
-            predicted[label] = pred
+                best = (i, gi, hide_order)
+        i, gi, hide_order = best
+        st = group.candidates[i]
+        if i not in group.relaxed:
+            group.relaxed[i] = _relax_structure(st, float(T)).product
         lab = st.label if st.label != "plain" else ""
         if gi.label:
             lab = f"{lab}+{gi.label}" if lab else gi.label
-        case_labels[label] = lab
 
-        plan = _build_plan(chain, st, gi, window, hide_order, txmap, ranks)
-        plans.append(plan)
-        placed.extend(_runs(place_plans(topo, [plan])))
+        plan = _build_plan(chain, st, gi, window, hide_order, group.txmap,
+                           group.ranks)
+        entries: dict[SlotKey, int] = {}
         for early, src in ((False, gi.serialized), (True, gi.early),
                            (True, gi.rider)):
             for (node, k, link), v in src.items():
@@ -630,14 +683,42 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
                     key = (node, k, link, early)
                     entries[key] = entries.get(key, 0) + v
         totals = gi.totals()
-        for o in chain.origins:
-            per_node[o.node] = _delivery_product([o], totals)
+        per_node = {o.node: _delivery_product([o], totals) for o in chain.origins}
+        return _GroupStep(st, group.relaxed[i], lab, group.predicted, plan,
+                          tuple(_runs(place_plans(self.topology, [plan]))),
+                          entries, per_node)
 
+
+def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
+                  cycle_slots: int | None = None, *,
+                  _table: _GroupTable | None = None) -> PatternSolution:
+    """Place the pattern's groups in order; `_table` is the group table
+    `optimize` shares across its patterns (built for this T)."""
+    topo = model.topology
+    T = int(cycle_slots if cycle_slots is not None else topo.cycle_slots)
+    spec = _resolve_pattern(model, pattern)
+    table = _table if _table is not None else _GroupTable(topo, T)
+
+    placed: list[Interval] = []
+    steps: dict[str, _GroupStep] = {}
+    for label in spec.placement:
+        step = steps[label] = table.step(model, label, placed)
+        placed.extend(step.runs)
+
+    entries: dict[SlotKey, int] = {}
+    per_node = dict.fromkeys(topo.nodes, 0.0)
+    for step in steps.values():
+        entries.update(step.entries)
+        per_node.update(step.per_node)
     # label order, and per_node in node order, so equal products tie exactly
-    tub = math.prod(group_products[label] for label in sorted(group_products))
+    tub = math.prod(steps[label].tub for label in sorted(steps))
     com = math.prod(per_node.values())
-    return PatternSolution(model, spec, T, tub, com, SlotAllocation(entries, per_node),
-                           structures, case_labels, predicted, plans)
+    return PatternSolution(
+        model, spec, T, tub, com, SlotAllocation(entries, per_node),
+        {label: step.structure for label, step in steps.items()},
+        {label: step.case_label for label, step in steps.items()},
+        {label: step.predicted for label, step in steps.items() if step.predicted},
+        [step.plan for step in steps.values()])
 
 
 def solution_timeline(solution: PatternSolution):
@@ -650,10 +731,12 @@ def solution_timeline(solution: PatternSolution):
 def optimize(topology: Topology, cycle_slots: int | None = None,
              no_sep_branch: int | None = None) -> list[PatternSolution]:
     """Solve every (model, pattern); rank by COM desc, ties by TUB then name."""
+    T = int(cycle_slots if cycle_slots is not None else topology.cycle_slots)
+    table = _GroupTable(topology, T)
     solutions = []
     for model in enumerate_path_models(topology, no_sep_branch):
         for spec in patterns_for(model):
-            solutions.append(solve_pattern(model, spec, cycle_slots))
+            solutions.append(solve_pattern(model, spec, T, _table=table))
     solutions.sort(key=lambda s: (-s.com_product, -s.tub_product, s.model.name,
                                   s.model.no_sep_branch, s.pattern.pattern_id))
     return solutions

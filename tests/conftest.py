@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import yslot.allocate
-from yslot import validate_topology
+from yslot import relaxed_table, solve_pattern, validate_topology
 from yslot.allocate import Structure, _chain_uses, _delivery_product, _greedy_int
 from yslot.relax import Origin, Use, solve_plain_structure
 
@@ -193,3 +193,27 @@ def product_from_totals(topology, model, totals: dict) -> float:
                 return 0.0
             log_m += math.log1p(-q ** s)
     return math.exp(log_m)
+
+
+def solution_fields(sol, relaxed: bool = True) -> tuple:
+    """Every value a solved pattern reports, in order and bit for bit:
+    the two products as hex, then the slot table, per-node COM, plans,
+    chosen structures, case labels, predictions and, with `relaxed`, the
+    TUB table and real windows of `relaxed_table`."""
+    out = (sol.com_product.hex(), sol.tub_product.hex(),
+           list(sol.allocation.entries.items()),
+           [(node, p.hex()) for node, p in sol.allocation.per_node.items()],
+           list(sol.plans), list(sol.structures.items()),
+           list(sol.case_labels.items()), list(sol.predicted.items()))
+    if relaxed:
+        out += tuple([(key, v.hex()) for key, v in table.items()]
+                     for table in relaxed_table(sol))
+    return out
+
+
+def assert_optimize_matches_solve_pattern(solutions, cycle_slots: int) -> None:
+    """Each solution of one `optimize` equals its pattern solved alone."""
+    for sol in solutions:
+        fresh = solve_pattern(sol.model, sol.pattern, cycle_slots)
+        assert solution_fields(sol) == solution_fields(fresh), \
+            (sol.model.name, sol.model.no_sep_branch, sol.pattern.pattern_id)

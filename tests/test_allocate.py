@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (TABLE_P1_COM, TABLE_P1_TUB, com_probability, compositions,
-                      plain_greedy, product_from_totals, recorded_residuals,
-                      table_totals)
+from conftest import (TABLE_P1_COM, TABLE_P1_TUB,
+                      assert_optimize_matches_solve_pattern, com_probability,
+                      compositions, plain_greedy, product_from_totals,
+                      recorded_residuals, solution_fields, table_totals)
 import yslot.allocate
 from yslot import (enumerate_path_models, find_model, optimize, patterns_for,
                    relaxed_table, solve_pattern, validate_topology)
@@ -571,13 +572,52 @@ def test_optimize_rankings(all_cases):
     assert rank(3, "2-1-5") < rank(1, "2-1-5")
 
 
-def test_optimize_solves_one_relaxed_problem_per_group(case1):
-    # ranking reads only the winning structure's relaxed product, and the
-    # slot table is built on demand, so each solution costs three solves
+def test_optimize_solves_each_group_once(case1, monkeypatch):
+    # one optimize shares each group's work across its patterns: one
+    # relaxed solve per (group, winning structure), one greedy per
+    # (group, candidate) plus the c5 split parts of each distinct step, and
+    # one place_plans per distinct (group, window, blocked uses) step
+    calls = {"_greedy_int": 0, "place_plans": 0}
+
+    def counting(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(yslot.allocate, name,
+                            counting(name, getattr(yslot.allocate, name)))
     with recorded_residuals() as residuals:
         solutions = optimize(case1, 30)
     assert len(solutions) == 27
-    assert len(residuals) == 3 * 27
+    assert len(residuals) == 28
+    assert calls == {"_greedy_int": 93, "place_plans": 49}
+
+
+@pytest.mark.parametrize("T", [1, 8, 30, 150, 400])
+def test_optimize_equals_each_pattern_solved_alone(all_cases, T):
+    # the group table changes no value: products bit for bit, slot tables,
+    # plans, structures, labels and the relaxed table, key order included
+    for topology in all_cases.values():
+        assert_optimize_matches_solve_pattern(optimize(topology, T), T)
+
+
+def test_solutions_share_no_mutable_container(case1):
+    # solutions built from one group step share its frozen plans and
+    # structures only; emptying one solution's containers leaves the rest
+    solutions = optimize(case1, 30)
+    fresh = [solution_fields(solve_pattern(s.model, s.pattern, 30), False)
+             for s in solutions]
+    for i, sol in enumerate(solutions):
+        for container in (sol.allocation.entries, sol.allocation.per_node,
+                          sol.structures, sol.case_labels, sol.predicted):
+            container.clear()
+        sol.allocation.entries[(0, 1, 0, False)] = 1
+        sol.allocation.per_node[0] = 0.5
+        sol.plans.clear()
+        for other, expected in zip(solutions[i + 1:], fresh[i + 1:]):
+            assert solution_fields(other, False) == expected
 
 
 def test_optimize_orders_and_dedups(case1):
