@@ -23,11 +23,11 @@ builds one for its pattern).  One topology and one T fix everything but
 the group, so the first level is keyed on (label, nodes, routes of those
 nodes) and holds the chain, candidate structures, transmitter map, ranks,
 predicted case, one read-only budget-T greedy per candidate and, once a
-structure wins, its relaxed product.  A group's step reads the placement
+structure wins, its relaxed optimum.  A group's step reads the placement
 before it only through the early window and the blocked uses, so the
 second level is keyed on (window, sorted blocked uses) and holds the
-step's winner, regime label, plan, placed runs and slot and COM values.
-Both hits are exact: the key is every input of the work it stands for.
+frozen `GroupStep` a solution is made of.  Both hits are exact: the key
+is every input of the work it stands for.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
                         patterns_for)
 from .relax import (GroupChain, Origin, StructuredRelax, Use, budget_terms,
-                    solve_plain_structure, solve_rider_feeders,
+                    log1m_pow, solve_plain_structure, solve_rider_feeders,
                     solve_rider_terminal)
 from .timeline import GroupPlan, PlacedBurst, place_plans
 from .topology import ConflictSet, Topology, derive_conflicts
@@ -52,12 +53,7 @@ Interval = tuple[float, float, TxLink]  # placed [start, end) of a transmitter
 Ranks = tuple[dict[int, int], dict[int, int]]  # link ranks, origin ranks
 
 
-@lru_cache(maxsize=1 << 16)
-def _log1m_pow(q: float, v: int) -> float:
-    """log(1 - q^v); -inf at v = 0."""
-    if v <= 0:
-        return -math.inf
-    return math.log1p(-(q ** v))
+_log1m_pow = lru_cache(maxsize=1 << 16)(log1m_pow)   # integer v: slot counts
 
 
 def _gain(q: float, v: int) -> float:
@@ -403,26 +399,24 @@ class PatternSolution:
     tub_product: float
     com_product: float
     allocation: SlotAllocation
-    structures: dict[str, Structure]   # chosen structure per group
-    case_labels: dict[str, str]
-    predicted: dict[str, str]
-    plans: list[GroupPlan]         # placement order
+    steps: tuple[GroupStep, ...]   # placement order, shared read-only
 
     @property
     def feasible(self) -> bool:
         return self.com_product > 0.0
 
     @property
-    def windows(self) -> dict[str, int]:
-        return {p.label: p.window for p in self.plans}
+    def plans(self) -> tuple[GroupPlan, ...]:
+        return tuple(step.plan for step in self.steps)
 
     @property
     def window(self) -> int:
-        return max(self.windows.values(), default=0)
+        return max((plan.window for plan in self.plans), default=0)
 
     @property
     def case_label(self) -> str:
-        parts = [f"{g}:{lab}" for g, lab in sorted(self.case_labels.items()) if lab]
+        labels = sorted((s.plan.label, s.case_label) for s in self.steps)
+        parts = [f"{g}:{lab}" for g, lab in labels if lab]
         return ";".join(parts) if parts else "-"
 
 
@@ -507,8 +501,8 @@ def relaxed_table(solution: PatternSolution,
                   ) -> tuple[dict[SlotKey, float], dict[str, float]]:
     """TUB slot table of a solved pattern, keyed like allocation.entries,
     and its real-valued early windows per group: the placement walked again
-    over the chosen structures, each group's relaxed optimum taken through
-    the real-valued mirror of the early-window step."""
+    over the steps, each group's budget-T relaxed optimum (from its step)
+    taken through the real-valued mirror of the early-window step."""
     model = solution.model
     conflicts = derive_conflicts(model.topology)
     budget = float(solution.cycle_slots)
@@ -516,9 +510,9 @@ def relaxed_table(solution: PatternSolution,
     entries: dict[SlotKey, float] = {}
     windows: dict[str, float] = {}
 
-    for label in solution.pattern.placement:
+    for step in solution.steps:
+        label, st = step.plan.label, step.structure
         chain = build_group_chain(model, label)
-        st = solution.structures[label]
         txmap = model.transmitter_map(label)
         ranks = _chain_ranks(chain)
         window = float(early_window(placed, txmap.values(), conflicts))
@@ -526,9 +520,8 @@ def relaxed_table(solution: PatternSolution,
         hide_order = _hideable_uses(
             chain, st, _blocked_uses(txmap, window, placed, conflicts), ranks)
 
-        relaxed = _relax_structure(st, budget)
-        totals = _scaled(relaxed.values, st.uses)
-        rider = _scaled(relaxed.values, st.riders)
+        totals = _scaled(step.relaxed.values, st.uses)
+        rider = _scaled(step.relaxed.values, st.riders)
         early = _fill(totals, hide_order, window, 1e-12)
         if sum(early.values()) + 1e-9 < window:
             totals, rider, early = _relaxed_split(st, hide_order, window, budget)
@@ -590,20 +583,20 @@ def _runs(units) -> list[Interval]:
 
 
 @dataclass(frozen=True)
-class _GroupStep:
+class GroupStep:
     """One group placed behind one early window and blocked-use set: the
-    winning structure, its relaxed (TUB) product, the regime label, the
-    plan and what the pattern reads off it.  Solutions share it read-only
-    and copy its containers."""
+    winner and its budget-T relaxed optimum (TUB), the regime label, the
+    predicted case, the plan, its placed runs and the group's COM values.
+    Solutions share it, so nothing in it can be written."""
 
     structure: Structure
-    tub: float
+    relaxed: StructuredRelax
     case_label: str
     predicted: str | None
     plan: GroupPlan
     runs: tuple[Interval, ...]
-    entries: dict[SlotKey, int]
-    per_node: dict[int, float]
+    entries: MappingProxyType[SlotKey, int]
+    per_node: MappingProxyType[int, float]
 
 
 @dataclass
@@ -616,8 +609,8 @@ class _Group:
     ranks: Ranks
     predicted: str | None
     greedy: list[tuple[dict[EntryKey, int], dict[EntryKey, int]]]  # read-only
-    relaxed: dict[int, float]     # product per winning candidate index
-    steps: dict[tuple, _GroupStep]
+    relaxed: dict[int, StructuredRelax]   # per winning candidate index
+    steps: dict[tuple, GroupStep]
 
 
 class _GroupTable:
@@ -644,7 +637,7 @@ class _GroupTable:
         return group
 
     def step(self, model: PathModel, label: str,
-             placed: list[Interval]) -> _GroupStep:
+             placed: list[Interval]) -> GroupStep:
         group = self._group(model, label)
         window = early_window(placed, group.txmap.values(), self.conflicts)
         blocked = _blocked_uses(group.txmap, window, placed, self.conflicts)
@@ -655,7 +648,7 @@ class _GroupTable:
         return step
 
     def _place(self, group: _Group, window: int,
-               blocked: set[TxLink]) -> _GroupStep:
+               blocked: set[TxLink]) -> GroupStep:
         chain, T = group.chain, self.T
         best: tuple[int, GroupInteger, list[TxLink]] | None = None
         for i, st in enumerate(group.candidates):
@@ -668,7 +661,7 @@ class _GroupTable:
         i, gi, hide_order = best
         st = group.candidates[i]
         if i not in group.relaxed:
-            group.relaxed[i] = _relax_structure(st, float(T)).product
+            group.relaxed[i] = _relax_structure(st, float(T))
         lab = st.label if st.label != "plain" else ""
         if gi.label:
             lab = f"{lab}+{gi.label}" if lab else gi.label
@@ -684,9 +677,9 @@ class _GroupTable:
                     entries[key] = entries.get(key, 0) + v
         totals = gi.totals()
         per_node = {o.node: _delivery_product([o], totals) for o in chain.origins}
-        return _GroupStep(st, group.relaxed[i], lab, group.predicted, plan,
-                          tuple(_runs(place_plans(self.topology, [plan]))),
-                          entries, per_node)
+        return GroupStep(st, group.relaxed[i], lab, group.predicted, plan,
+                         tuple(_runs(place_plans(self.topology, [plan]))),
+                         MappingProxyType(entries), MappingProxyType(per_node))
 
 
 def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
@@ -700,25 +693,22 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
     table = _table if _table is not None else _GroupTable(topo, T)
 
     placed: list[Interval] = []
-    steps: dict[str, _GroupStep] = {}
+    steps = []
     for label in spec.placement:
-        step = steps[label] = table.step(model, label, placed)
-        placed.extend(step.runs)
+        steps.append(table.step(model, label, placed))
+        placed.extend(steps[-1].runs)
 
     entries: dict[SlotKey, int] = {}
     per_node = dict.fromkeys(topo.nodes, 0.0)
-    for step in steps.values():
+    for step in steps:
         entries.update(step.entries)
         per_node.update(step.per_node)
     # label order, and per_node in node order, so equal products tie exactly
-    tub = math.prod(steps[label].tub for label in sorted(steps))
+    tub = math.prod(step.relaxed.product
+                    for step in sorted(steps, key=lambda s: s.plan.label))
     com = math.prod(per_node.values())
-    return PatternSolution(
-        model, spec, T, tub, com, SlotAllocation(entries, per_node),
-        {label: step.structure for label, step in steps.items()},
-        {label: step.case_label for label, step in steps.items()},
-        {label: step.predicted for label, step in steps.items() if step.predicted},
-        [step.plan for step in steps.values()])
+    return PatternSolution(model, spec, T, tub, com,
+                           SlotAllocation(entries, per_node), tuple(steps))
 
 
 def solution_timeline(solution: PatternSolution):

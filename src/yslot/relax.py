@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 
 class DomainError(ValueError):
@@ -65,9 +66,19 @@ class Use:
 
 @dataclass(frozen=True)
 class StructuredRelax:
-    values: dict[tuple[int, int], float]   # budget uses AND rider uses
+    values: MappingProxyType[tuple[int, int], float]   # budget AND rider uses
     product: float
     residual: float
+
+
+def log1m_pow(q: float, v: float) -> float:
+    """log(1 - q^v); -inf at v <= 0.  Where q^v rounds to 1 (tiny v |log q|)
+    this is log(-expm1(v log q)), taken as log v + log(-log q): the two agree
+    to rounding there, and the sum stays finite when v log q underflows."""
+    if v <= 0:
+        return -math.inf
+    p = q ** v
+    return math.log1p(-p) if p < 1.0 else math.log(v) + math.log(-math.log(q))
 
 
 _T_CAP = 2.0 ** 40   # bracket widening stops here, far beyond any root
@@ -171,9 +182,9 @@ def _solve_structure(uses: list[Use], budget: float, what: str,
     residual = abs(sum(u.weight * values[(u.node, u.link)] for u in uses) - budget)
     if residual > 1e-9:
         raise ConvergenceError(f"{what} residual {residual:.3e} above tolerance")
-    log_m = sum(u.weight * math.log1p(-u.q ** values[(u.node, u.link)])
+    log_m = sum(u.weight * log1m_pow(u.q, values[(u.node, u.link)])
                 for u in (*uses, *(u for u in tied if u not in uses)))
-    return StructuredRelax(values, math.exp(log_m), residual)
+    return StructuredRelax(MappingProxyType(values), math.exp(log_m), residual)
 
 
 def solve_plain_structure(uses: list[Use], budget: float) -> StructuredRelax:

@@ -115,9 +115,12 @@ def solution_record(sol) -> dict:
         "pattern": sol.pattern.pattern_id,
         "tub": sol.tub_product,
         "com": sol.com_product,
-        "case_labels": dict(sorted(sol.case_labels.items())),
-        "predicted": dict(sorted(sol.predicted.items())),
-        "windows": dict(sorted(sol.windows.items())),
+        "case_labels": dict(sorted((s.plan.label, s.case_label)
+                                   for s in sol.steps)),
+        "predicted": dict(sorted((s.plan.label, s.predicted)
+                                 for s in sol.steps if s.predicted)),
+        "windows": dict(sorted((s.plan.label, s.plan.window)
+                               for s in sol.steps)),
         "windows_real": dict(sorted(windows_real.items())),
         "tub_table": tub_row,
         "com_table": com_row,

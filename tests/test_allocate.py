@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -250,17 +251,23 @@ def test_per_packet_counts_differ_at_most_one():
         assert max(per_k) - min(per_k) <= 1
 
 
+def windows(sol) -> dict[str, int]:
+    """Early window of each group of a solved pattern."""
+    return {plan.label: plan.window for plan in sol.plans}
+
+
 def test_early_window_examples(case1):
     model = find_model(case1, "3-2-3", 11)
     p1 = solve_pattern(model, 1, 30)
-    assert p1.windows["Z"] == 12          # max(s33*=6, s56*=12)
+    assert windows(p1)["Z"] == 12         # max(s33*=6, s56*=12)
     p2 = solve_pattern(model, 2, 30)
-    assert p2.windows["X"] == 4           # s48* = 4
-    assert p2.windows["Y"] == 4
+    assert windows(p2)["X"] == 4          # s48* = 4
+    assert windows(p2)["Y"] == 4
     assert relaxed_table(p2)[1]["X"] == pytest.approx(3.4322, abs=1e-3)
     m215 = find_model(case1, "2-1-5", 11)
     sol = solve_pattern(m215, 1, 30)
-    assert all(w == 0 for w in sol.windows.values())
+    assert all(w == 0 for w in windows(sol).values())
+    assert sol.window == 0 and p1.window == 12
 
 
 def test_224_window_follows_prioritized_bursts(case1):
@@ -271,7 +278,7 @@ def test_224_window_follows_prioritized_bursts(case1):
     com = sol.allocation.entries
     rider = com.get((3, 1, 4, True), 0) + com.get((3, 1, 4, False), 0)
     burst_8 = com.get((3, 1, 8, False), 0) + com.get((4, 1, 8, False), 0)
-    assert sol.windows["Y"] == max(rider, com.get((8, 1, 10, False), 0)) + burst_8
+    assert windows(sol)["Y"] == max(rider, com.get((8, 1, 10, False), 0)) + burst_8
 
 
 def test_early_window_empty_placement(case1):
@@ -491,7 +498,7 @@ def test_assign_early_c4_match_or_beat(case1):
     # data behind the reference row: a=12, node-4 bursts b8=3, b9=7, b10=4
     model = find_model(case1, "3-2-3", 11)
     sol = solve_pattern(model, 1, 30)
-    assert sol.case_labels["Z"] == "c4"
+    assert {s.plan.label: s.case_label for s in sol.steps}["Z"] == "c4"
 
     z_nodes = {4, 7, 8}
     com = sol.allocation.entries
@@ -595,6 +602,26 @@ def test_optimize_solves_each_group_once(case1, monkeypatch):
     assert calls == {"_greedy_int": 93, "place_plans": 49}
 
 
+def test_relaxed_table_solves_only_the_split_parts(case1, monkeypatch):
+    # each step holds its group's budget-T relaxed optimum, so the TUB table
+    # solves only the two parts of each c5 split: 9 splits over the 27
+    # solutions, where one full-budget solve per group once added 81
+    solutions = optimize(case1, 30)
+    budgets = []
+
+    def recording(st, budget):
+        budgets.append(budget)
+        return relax_structure(st, budget)
+
+    relax_structure = yslot.allocate._relax_structure
+    monkeypatch.setattr(yslot.allocate, "_relax_structure", recording)
+    with recorded_residuals() as residuals:
+        for sol in solutions:
+            relaxed_table(sol)
+    assert len(residuals) == len(budgets) == 18
+    assert max(budgets) < 30
+
+
 @pytest.mark.parametrize("T", [1, 8, 30, 150, 400])
 def test_optimize_equals_each_pattern_solved_alone(all_cases, T):
     # the group table changes no value: products bit for bit, slot tables,
@@ -604,18 +631,26 @@ def test_optimize_equals_each_pattern_solved_alone(all_cases, T):
 
 
 def test_solutions_share_no_mutable_container(case1):
-    # solutions built from one group step share its frozen plans and
-    # structures only; emptying one solution's containers leaves the rest
+    # solutions built from one group step share it, and nothing in a step
+    # can be written; emptying one solution's own slot table leaves the rest
     solutions = optimize(case1, 30)
     fresh = [solution_fields(solve_pattern(s.model, s.pattern, 30), False)
              for s in solutions]
     for i, sol in enumerate(solutions):
-        for container in (sol.allocation.entries, sol.allocation.per_node,
-                          sol.structures, sol.case_labels, sol.predicted):
+        assert isinstance(sol.steps, tuple) and isinstance(sol.plans, tuple)
+        for step in sol.steps:
+            with pytest.raises(TypeError):
+                step.entries[(0, 1, 0, False)] = 1
+            with pytest.raises(TypeError):
+                step.per_node[0] = 0.5
+            with pytest.raises(TypeError):
+                step.relaxed.values[(0, 0)] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                step.relaxed = None
+        for container in (sol.allocation.entries, sol.allocation.per_node):
             container.clear()
         sol.allocation.entries[(0, 1, 0, False)] = 1
         sol.allocation.per_node[0] = 0.5
-        sol.plans.clear()
         for other, expected in zip(solutions[i + 1:], fresh[i + 1:]):
             assert solution_fields(other, False) == expected
 
@@ -648,7 +683,7 @@ def test_predicted_case_rule(case2):
     # case-2 losses: q10 = 0.2 < q4 = 0.3 predicts the terminal-rider case
     model = find_model(case2, "2-2-4", 11)
     sol = solve_pattern(model, 2, 30)
-    assert sol.predicted["Z"] == "case2"
+    assert {s.plan.label: s.predicted for s in sol.steps}["Z"] == "case2"
 
 
 def test_pattern_budgets_respected(case1):

@@ -200,3 +200,30 @@ def test_report_summary_and_table(tmp_path, capsys):
                    "-o", str(table)) == 0
     printed = capsys.readouterr().err
     assert "TUB" in printed and "5.5001" in printed
+
+
+def one_node_branches(losses: tuple[float, float]) -> dict:
+    """The Y with one node per branch at T = 1 (central node 1, branch nodes
+    2-4, gateways 5-7), link losses alternating between the two given."""
+    links = [(1, 2), (2, 5), (1, 3), (3, 6), (1, 4), (4, 7)]
+    return {
+        "cycle_slots": 1,
+        "nodes": [{"id": n, "rate": 1} for n in range(1, 5)],
+        "gateways": [{"id": g} for g in (5, 6, 7)],
+        "links": [{"id": i + 1, "a": a, "b": b, "loss": losses[i % 2]}
+                  for i, (a, b) in enumerate(links)],
+        "proximity": [*map(list, links), [1, 5], [1, 6], [1, 7],
+                      [2, 3], [2, 4], [3, 4]],
+    }
+
+
+@pytest.mark.parametrize("losses", [(1 - 2 ** -53, 0.5), (5e-324, 1 - 2 ** -53)],
+                         ids=["near-one-and-half", "subnormal-and-near-one"])
+def test_optimize_at_the_loss_bounds_is_infeasible_not_an_error(
+        losses, tmp_path, capsys):
+    # a relaxed value v with q^v rounding to 1 once made log1p(-q^v) raise,
+    # which the CLI reported as a usage error (exit 2)
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(one_node_branches(losses)))
+    assert run_cli("optimize", "-c", str(path)) == 1
+    assert capsys.readouterr().err == ""
