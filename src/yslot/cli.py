@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 1 infeasible allocation or a node's simulated rate
 beyond 3 sigma (the exact tail where few rare outcomes are expected), 2
-usage or config error, 3 internal error (a solver, timeline or simulation
-fault, reported as one `error: internal: ...` line, no traceback).
+usage or config error, 3 internal error (a solver fault, `DomainError`
+included, or a timeline or simulation fault, reported as one
+`error: internal: ...` line, no traceback).
 Output files are byte-stable for identical inputs: CSV and JSON carry the
 same full-precision values (metadata like the RNG seed is part of the
 report data, never wall-clock timestamps).
@@ -22,6 +23,7 @@ from pathlib import Path
 from .allocate import (PatternSolution, optimize, relaxed_table,
                        solution_timeline, solve_pattern)
 from .pathmodel import enumerate_path_models, find_model, patterns_for
+from .relax import DomainError
 from .simulate import (InvalidTimeline, NodeSetMismatch, _rate_check, compare,
                        simulate)
 from .timeline import TimelineError
@@ -237,12 +239,13 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return run(args)
+    except (DomainError, RuntimeError, TimelineError, InvalidTimeline,
+            NodeSetMismatch) as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (TopologyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, TimelineError, InvalidTimeline, NodeSetMismatch) as exc:
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
+from typing import NamedTuple
 
 from .topology import ConflictSet, Topology, derive_conflicts
 
@@ -25,8 +28,7 @@ class ConflictViolation(TimelineError):
     pass
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(NamedTuple):
     """One transmission: origin's k-th packet sent by tx over link in a slot."""
 
     slot: int
@@ -38,8 +40,12 @@ class Unit:
     early: bool
 
 
-@dataclass(frozen=True)
-class PlacedBurst:
+# a Unit from a row in its field order, built in C without the Python frame
+# of the generated __new__: about half the cost of calling Unit per slot
+_unit_of_row = partial(tuple.__new__, Unit)
+
+
+class PlacedBurst(NamedTuple):
     """A run of identical transmissions, placed consecutively: origin's
     k-th packet sent by tx over link, count times.
 
@@ -119,8 +125,9 @@ def place_plans(topology: Topology, plans: list[GroupPlan]) -> list[Unit]:
     def emit(burst: PlacedBurst, start: int) -> int:
         rx = topology.links[burst.link].other(burst.tx)
         end = start + burst.count
-        units.extend(Unit(slot, burst.tx, rx, burst.link, burst.origin, burst.k,
-                          burst.early) for slot in range(start, end))
+        units.extend(map(_unit_of_row, zip(
+            range(start, end), repeat(burst.tx), repeat(rx), repeat(burst.link),
+            repeat(burst.origin), repeat(burst.k), repeat(burst.early))))
         cursor = start
         for rider in burst.riders:
             cursor = emit(rider, cursor)
@@ -157,38 +164,42 @@ def build_timeline(topology: Topology, plans: list[GroupPlan],
 def verify_timeline(timeline: Timeline, conflicts: ConflictSet, cycle_slots: int,
                     allocation_counts: dict[tuple[int, int, int, bool], int] | None = None,
                     ) -> VerificationReport:
-    """Check the three Timeline invariants; report every violating slot."""
+    """Check the three Timeline invariants; report every violating slot.
+
+    One walk over the occupied slots in order checks both conflicts and
+    causality; violations come out as fit (in unit order), then conflict,
+    then causality (each in slot order)."""
+    by_slot = timeline.slots()
+    order = sorted(by_slot)
     violations: list[Violation] = []
+    if order and (order[0] < 0 or order[-1] >= cycle_slots):
+        violations.extend(
+            Violation("fit", u.slot, f"transmission outside cycle of {cycle_slots} slots")
+            for u in timeline.units if u.slot < 0 or u.slot >= cycle_slots)
 
-    for u in timeline.units:
-        if u.slot < 0 or u.slot >= cycle_slots:
-            violations.append(Violation("fit", u.slot,
-                                        f"transmission outside cycle of {cycle_slots} slots"))
-
-    for slot, cell in sorted(timeline.slots().items()):
-        for i, u1 in enumerate(cell):
-            for u2 in cell[i + 1:]:
-                t1, t2 = (u1.tx, u1.link), (u2.tx, u2.link)
-                if t1 == t2:
-                    violations.append(Violation(
-                        "conflict", slot, f"duplicate transmission {t1}"))
-                elif conflicts.conflict(t1, t2):
-                    violations.append(Violation(
-                        "conflict", slot,
-                        f"tx {u1.tx} on link {u1.link} vs tx {u2.tx} on link {u2.link}"))
-
-    # causality: a relay sends a packet only after a strictly earlier unit
-    # carried the same packet with the relay as its receiver
-    first_rx: dict[tuple[int, int, int], int] = {}
-    for v in timeline.units:
-        key = (v.origin, v.k, v.rx)
-        first_rx[key] = min(v.slot, first_rx.get(key, v.slot))
-    for u in sorted(timeline.units, key=lambda u: u.slot):
-        received = first_rx.get((u.origin, u.k, u.tx), u.slot)
-        if u.tx != u.origin and not received < u.slot:
-            violations.append(Violation(
-                "causality", u.slot,
-                f"packet {u.origin}.{u.k} sent by {u.tx} before any reception"))
+    # conflicts: a slot runs the pairwise scan only when its transmissions
+    # clash; a burst repeats one slot's transmissions, so the last clean
+    # list is kept.  causality: a relay sends a packet only after a strictly
+    # earlier unit carried the same packet with the relay as its receiver
+    late: list[Violation] = []
+    received: set[tuple[int, int, int]] = set()
+    clean = None
+    for slot in order:
+        cell = by_slot[slot]
+        if len(cell) > 1:
+            txs = [(u.tx, u.link) for u in cell]
+            if txs != clean:
+                if conflicts.clash(txs):
+                    violations.extend(_conflicts_in(slot, cell, conflicts))
+                else:
+                    clean = txs
+        for u in cell:
+            if u.tx != u.origin and (u.origin, u.k, u.tx) not in received:
+                late.append(Violation(
+                    "causality", slot,
+                    f"packet {u.origin}.{u.k} sent by {u.tx} before any reception"))
+        received.update([(u.origin, u.k, u.rx) for u in cell])
+    violations.extend(late)
 
     if allocation_counts is not None:
         got = Counter((u.origin, u.k, u.link, u.early) for u in timeline.units)
@@ -198,3 +209,18 @@ def verify_timeline(timeline: Timeline, conflicts: ConflictSet, cycle_slots: int
                 "fit", -1, "transmission counts do not match the allocation"))
 
     return VerificationReport(ok=not violations, violations=violations)
+
+
+def _conflicts_in(slot: int, cell: list[Unit], conflicts: ConflictSet) -> list[Violation]:
+    """Every repeated or conflicting pair of one slot's units, in cell order."""
+    out = []
+    for i, u1 in enumerate(cell):
+        for u2 in cell[i + 1:]:
+            t1, t2 = (u1.tx, u1.link), (u2.tx, u2.link)
+            if t1 == t2:
+                out.append(Violation("conflict", slot, f"duplicate transmission {t1}"))
+            elif conflicts.conflict(t1, t2):
+                out.append(Violation(
+                    "conflict", slot,
+                    f"tx {u1.tx} on link {u1.link} vs tx {u2.tx} on link {u2.link}"))
+    return out

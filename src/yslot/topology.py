@@ -100,7 +100,8 @@ class ConflictSet:
     """Transmissions that may not share a time slot: bit j of
     masks[index[t]] is set when t conflicts with the j-th transmission.
     Bitmasks keep the set small, since each topology holds its own; other
-    modules read them only through `conflict`, `mask_of` and `hits`."""
+    modules read them only through `conflict`, `mask_of`, `hits` and
+    `clash`."""
 
     index: dict[tuple[int, int], int]
     masks: tuple[int, ...]
@@ -122,6 +123,19 @@ class ConflictSet:
         """Whether transmission `t` is in a `mask_of` bitmask."""
         i = self.index.get(t)
         return i is not None and bool(mask >> i & 1)
+
+    def clash(self, txs) -> bool:
+        """Whether a transmission of `txs` repeats or conflicts with an
+        earlier one, or is not in the index: one pass that ORs the masks
+        seen so far.  False clears `txs` without a pairwise check."""
+        seen = hit = 0
+        for t in txs:
+            i = self.index.get(t)
+            if i is None or (seen | hit) >> i & 1:
+                return True
+            seen |= 1 << i
+            hit |= self.masks[i]
+        return False
 
 
 def _conflict_rule(u: int, v: int, x: int, w: int,

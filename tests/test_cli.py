@@ -7,7 +7,8 @@ import pytest
 
 import yslot.allocate
 import yslot.cli
-from yslot import CausalityViolation, ConvergenceError, InvalidTimeline
+from yslot import (CausalityViolation, ConvergenceError, DomainError,
+                   InvalidTimeline)
 from yslot.cli import main
 
 CASE1 = str(importlib.resources.files("yslot").joinpath("data/example8_case1.json"))
@@ -23,6 +24,7 @@ def test_missing_topology_exits_2(capsys):
 
 
 @pytest.mark.parametrize("exc", [ConvergenceError("could not bracket"),
+                                 DomainError("budget 0.0 must be > 0"),
                                  CausalityViolation("slot 3: early relay"),
                                  InvalidTimeline("bad grid"),
                                  RuntimeError("leftover")],

@@ -139,7 +139,8 @@ def test_nonpositive_budget_rejected():
 @pytest.mark.parametrize("budget", [0.0, -1.0])
 @pytest.mark.parametrize("kind", ["plain", "rider-terminal", "rider-feeders"])
 def test_every_solver_rejects_nonpositive_budget(case1, kind, budget):
-    # a budget error is a usage error (exit 2), not a solver fault (exit 3)
+    # every solver kind raises it; the CLI reports it as an internal
+    # solver fault (exit 3), not a usage error
     model = find_model(case1, "3-1-4", 11)
     chain = build_group_chain(model, "Z")
     st, = (s for s in candidate_structures(model, chain, derive_conflicts(case1))

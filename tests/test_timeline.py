@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -164,10 +163,10 @@ def corrupted(timeline, rng):
     units = timeline.units
     T = timeline.cycle_slots
     last = max(u.slot for u in units)
-    yield [dataclasses.replace(u, slot=rng.randrange(T)) for u in units]
-    yield [dataclasses.replace(u, slot=last - u.slot) for u in units]
+    yield [u._replace(slot=rng.randrange(T)) for u in units]
+    yield [u._replace(slot=last - u.slot) for u in units]
     yield rng.sample(units, len(units) // 2)
-    yield [dataclasses.replace(u, rx=u.tx, tx=u.rx) if rng.random() < 0.2 else u
+    yield [u._replace(rx=u.tx, tx=u.rx) if rng.random() < 0.2 else u
            for u in units]
 
 
@@ -187,3 +186,71 @@ def test_causality_check_matches_quadratic_oracle(case1):
             assert got == want
             broken += bool(want)
     assert broken >= 27 * 3
+
+
+def conflict_oracle(timeline, conflicts):
+    """Reference pairwise scan of every occupied slot."""
+    out = []
+    for slot, cell in sorted(timeline.slots().items()):
+        for i, u1 in enumerate(cell):
+            for u2 in cell[i + 1:]:
+                t1, t2 = (u1.tx, u1.link), (u2.tx, u2.link)
+                if t1 == t2:
+                    out.append(("conflict", slot, f"duplicate transmission {t1}"))
+                elif conflicts.conflict(t1, t2):
+                    out.append(("conflict", slot,
+                                f"tx {u1.tx} on link {u1.link} vs tx {u2.tx} on link {u2.link}"))
+    return out
+
+
+def test_conflict_check_matches_pairwise_oracle(case1):
+    rng = random.Random(12)
+    conflicts = derive_conflicts(case1)
+    clashing = 0
+    for sol in optimize(case1, 30):
+        timeline = solution_timeline(sol)
+        units = timeline.units
+        # link -1 is in no topology, so its transmissions miss the index
+        unindexed = [u._replace(link=-1) if rng.random() < 0.3 else u for u in units]
+        variants = [units, *corrupted(timeline, rng),
+                    units + rng.sample(units, len(units) // 4),
+                    unindexed + rng.sample(unindexed, len(units) // 4)]
+        for variant in variants:
+            tl = Timeline(list(variant), 30)
+            report = verify_timeline(tl, conflicts, 30)
+            got = [(v.kind, v.slot, v.detail) for v in report.violations]
+            want = conflict_oracle(tl, conflicts)
+            assert got == want + causality_oracle(tl)
+            clashing += bool(want)
+    assert clashing >= 27 * 3
+
+
+def test_placing_plans_together_equals_placing_each_alone(case1):
+    for T in (30, 60):
+        solutions = optimize(case1, T)
+        assert len(solutions) == 27
+        for sol in solutions:
+            alone = [u for plan in sol.plans for u in place_plans(case1, [plan])]
+            assert place_plans(case1, sol.plans) == alone
+
+
+def test_one_unit_per_burst_slot_riders_included(case1):
+    def slots(burst):
+        return burst.count + sum(slots(r) for r in burst.riders)
+
+    riders = 0
+    for sol in optimize(case1, 60):
+        bursts = [b for plan in sol.plans for b in plan.early + plan.serialized]
+        assert len(place_plans(case1, sol.plans)) == sum(map(slots, bursts))
+        riders += sum(len(b.riders) for b in bursts)
+    assert riders > 0
+
+
+def test_placed_values_cannot_be_written():
+    unit = Unit(0, 3, 2, 3, 3, 1, False)
+    burst = PlacedBurst(3, 1, 3, 3, 2, False)
+    with pytest.raises(AttributeError):
+        unit.slot = 1
+    with pytest.raises(AttributeError):
+        burst.count = 1
+    assert burst.riders == ()
