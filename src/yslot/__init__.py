@@ -5,8 +5,7 @@ from .allocate import (PatternSolution, SlotAllocation, optimize, relaxed_table,
 from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
                         find_model, patterns_for)
 from .relax import ConvergenceError, DomainError
-from .simulate import (InvalidTimeline, NodeSetMismatch, SimReport, compare,
-                       simulate)
+from .simulate import NodeSetMismatch, SimReport, compare, simulate
 from .timeline import (CausalityViolation, ConflictViolation, DoesNotFit,
                        GroupPlan, Timeline, build_timeline, verify_timeline)
 from .topology import (ConflictSet, GatewayCountNot3, LinkNotInProximity,

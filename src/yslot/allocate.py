@@ -49,7 +49,7 @@ from .topology import ConflictSet, Topology, derive_conflicts
 TxLink = tuple[int, int]
 EntryKey = tuple[int, int, int]  # (origin node, packet k, link)
 SlotKey = tuple[int, int, int, bool]  # (origin node, packet k, link, early)
-Interval = tuple[float, float, TxLink]  # placed [start, end) of a transmitter
+Placed = dict[TxLink, tuple[float, float]]  # first start, last end per transmitter
 Ranks = tuple[dict[int, int], dict[int, int]]  # link ranks, origin ranks
 
 
@@ -235,22 +235,29 @@ def _chain_ranks(chain: GroupChain) -> Ranks:
             {o.node: i for i, o in enumerate(chain.origins)})
 
 
-def early_window(placed: list[Interval], group_txs, conflicts: ConflictSet):
+def _widen(placed: Placed, txlink: TxLink, start, end) -> None:
+    """Grow a transmitter's placed extent to cover [start, end)."""
+    lo, hi = placed.get(txlink, (start, end))
+    placed[txlink] = (min(lo, start), max(hi, end))
+
+
+def early_window(placed: Placed, group_txs, conflicts: ConflictSet):
     """First slot from which nothing already placed conflicts with any of
     the group's transmitters; 0 when there is no conflicting burst.
-    Placements are [start, end) intervals; integer slot s is (s, s + 1)."""
+    The scans read a transmitter only through its extent: its last end
+    here, its first start in `_blocked_uses`; integer slot s is (s, s + 1)."""
     mask = conflicts.mask_of(group_txs)
     a = 0
-    for _start, end, txlink in placed:
+    for txlink, (_start, end) in placed.items():
         if end > a and conflicts.hits(mask, txlink):
             a = end
     return a
 
 
-def _blocked_uses(txmap: dict[TxLink, TxLink], window, placed: list[Interval],
+def _blocked_uses(txmap: dict[TxLink, TxLink], window, placed: Placed,
                   conflicts: ConflictSet) -> set[TxLink]:
     """Use keys whose transmitter conflicts with anything inside the window."""
-    mask = conflicts.mask_of(other for start, _end, other in placed if start < window)
+    mask = conflicts.mask_of(tx for tx, (start, _end) in placed.items() if start < window)
     return {use_key for use_key, txlink in txmap.items()
             if conflicts.hits(mask, txlink)}
 
@@ -506,7 +513,7 @@ def relaxed_table(solution: PatternSolution,
     model = solution.model
     conflicts = derive_conflicts(model.topology)
     budget = float(solution.cycle_slots)
-    placed: list[Interval] = []
+    placed: Placed = {}
     entries: dict[SlotKey, float] = {}
     windows: dict[str, float] = {}
 
@@ -528,22 +535,18 @@ def relaxed_table(solution: PatternSolution,
         serialized = {key: max(0.0, totals.get(key, 0.0) - early.get(key, 0.0))
                       for key in st.use_keys()}
 
-        # early slots from 0, serialized bursts from the window on; hosts
-        # are never hideable, so only serialized bursts add host spans
-        host_spans: list[tuple[float, float]] = []
+        # early slots from 0, serialized bursts from the window on; riders
+        # span their hosts, which are never hideable
         for cursor, keys, lengths in ((0.0, hide_order, early),
                                       (window, _serial_order(st, ranks), serialized)):
             for key in keys:
                 length = lengths.get(key, 0.0)
                 if length > 1e-12:
-                    placed.append((cursor, cursor + length, txmap[key]))
+                    _widen(placed, txmap[key], cursor, cursor + length)
                     if key in st.hosts:
-                        host_spans.append((cursor, cursor + length))
+                        for u in st.riders:
+                            _widen(placed, txmap[(u.node, u.link)], cursor, cursor + length)
                     cursor += length
-        if host_spans:
-            lo = min(span[0] for span in host_spans)
-            hi = max(span[1] for span in host_spans)
-            placed.extend((lo, hi, txmap[(u.node, u.link)]) for u in st.riders)
 
         for o in chain.origins:
             for link, _q in o.route:
@@ -568,25 +571,11 @@ def _resolve_pattern(model: PathModel, pattern) -> PatternSpec:
     return matches[0]
 
 
-def _runs(units) -> list[Interval]:
-    """One [start, end) interval per contiguous run of a transmitter's
-    units.  Window scans read only the latest end and the earliest start
-    of a transmitter's intervals, so runs stand in for single units."""
-    runs: list[Interval] = []
-    for u in units:
-        tx = (u.tx, u.link)
-        if runs and runs[-1][2] == tx and runs[-1][1] == u.slot:
-            runs[-1] = (runs[-1][0], u.slot + 1, tx)
-        else:
-            runs.append((u.slot, u.slot + 1, tx))
-    return runs
-
-
 @dataclass(frozen=True)
 class GroupStep:
     """One group placed behind one early window and blocked-use set: the
     winner and its budget-T relaxed optimum (TUB), the regime label, the
-    predicted case, the plan, its placed runs and the group's COM values.
+    predicted case, the plan, its placed extents and the group's COM values.
     Solutions share it, so nothing in it can be written."""
 
     structure: Structure
@@ -594,7 +583,7 @@ class GroupStep:
     case_label: str
     predicted: str | None
     plan: GroupPlan
-    runs: tuple[Interval, ...]
+    extents: MappingProxyType[TxLink, tuple[int, int]]
     entries: MappingProxyType[SlotKey, int]
     per_node: MappingProxyType[int, float]
 
@@ -637,7 +626,7 @@ class _GroupTable:
         return group
 
     def step(self, model: PathModel, label: str,
-             placed: list[Interval]) -> GroupStep:
+             placed: Placed) -> GroupStep:
         group = self._group(model, label)
         window = early_window(placed, group.txmap.values(), self.conflicts)
         blocked = _blocked_uses(group.txmap, window, placed, self.conflicts)
@@ -677,9 +666,13 @@ class _GroupTable:
                     entries[key] = entries.get(key, 0) + v
         totals = gi.totals()
         per_node = {o.node: _delivery_product([o], totals) for o in chain.origins}
+        slots: dict[TxLink, list[int]] = {}   # extents: each transmitter's hull
+        for u in place_plans(self.topology, [plan]):
+            slots.setdefault((u.tx, u.link), []).append(u.slot)
+        extents = {tx: (min(s), max(s) + 1) for tx, s in slots.items()}
         return GroupStep(st, group.relaxed[i], lab, group.predicted, plan,
-                         tuple(_runs(place_plans(self.topology, [plan]))),
-                         MappingProxyType(entries), MappingProxyType(per_node))
+                         MappingProxyType(extents), MappingProxyType(entries),
+                         MappingProxyType(per_node))
 
 
 def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
@@ -692,11 +685,12 @@ def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
     spec = _resolve_pattern(model, pattern)
     table = _table if _table is not None else _GroupTable(topo, T)
 
-    placed: list[Interval] = []
+    placed: Placed = {}
     steps = []
     for label in spec.placement:
         steps.append(table.step(model, label, placed))
-        placed.extend(steps[-1].runs)
+        for txlink, (start, end) in steps[-1].extents.items():
+            _widen(placed, txlink, start, end)
 
     entries: dict[SlotKey, int] = {}
     per_node = dict.fromkeys(topo.nodes, 0.0)

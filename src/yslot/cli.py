@@ -18,14 +18,15 @@ import io
 import json
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 from .allocate import (PatternSolution, optimize, relaxed_table,
                        solution_timeline, solve_pattern)
 from .pathmodel import enumerate_path_models, find_model, patterns_for
 from .relax import DomainError
-from .simulate import (InvalidTimeline, NodeSetMismatch, _rate_check, compare,
-                       simulate)
+from .simulate import (NodeComparison, NodeSetMismatch, SimReport, _rate_check,
+                       compare, simulate)
 from .timeline import TimelineError
 from .topology import Topology, TopologyError, load_config, validate_topology
 
@@ -80,6 +81,18 @@ def _solution_row(sol: PatternSolution) -> dict:
 
 SUMMARY_FIELDS = ["model", "no_sep_branch", "pattern", "case", "tub", "com",
                   "window", "feasible"]
+SIMULATE_FIELDS = ["node", "empirical", "analytic", "sigma", "z", "ok",
+                   "trials", "seed", "algorithm", "reuse"]
+
+
+def _simulate_rows(report: SimReport, checks: list[NodeComparison]) -> list[dict]:
+    """One row per node, then one for "all": each rate with its 3-sigma
+    check, or without checks (slot reuse) with the check fields blank."""
+    cells = [astuple(c) for c in checks] or [
+        (node, rate, "", "", "", "")
+        for node, rate in [*sorted(report.per_node.items()), ("all", report.all_rate)]]
+    meta = (report.trials, report.seed, report.algorithm, report.reuse)
+    return [dict(zip(SIMULATE_FIELDS, (*cell, *meta))) for cell in cells]
 
 
 def entry_name(node: int, link: int, k: int, rate: int, early: bool) -> str:
@@ -145,27 +158,13 @@ def run(args: argparse.Namespace) -> int:
         timeline = solution_timeline(sol)
         report = simulate(timeline, topology, args.trials, args.seed,
                           reuse=args.reuse)
-        meta = {"trials": report.trials, "seed": report.seed,
-                "algorithm": report.algorithm, "reuse": report.reuse}
         # analytic COM follows the dedicated-slot model: compare only
         # when slot reuse is off
         checks = compare(report, sol.allocation.per_node) if not args.reuse else []
-        if checks:
-            every = _rate_check("all", report.all_rate, sol.com_product,
-                                report.trials)
-            rows = [{"node": c.node, "empirical": c.empirical,
-                     "analytic": c.analytic, "sigma": c.sigma, "z": c.z,
-                     "ok": c.ok, **meta} for c in [*checks, every]]
-        else:
-            rows = [{"node": n, "empirical": r, "analytic": "", "sigma": "",
-                     "z": "", "ok": "", **meta}
-                    for n, r in sorted(report.per_node.items())]
-            rows.append({"node": "all", "empirical": report.all_rate,
-                         "analytic": "", "sigma": "", "z": "", "ok": "",
-                         **meta})
-        _emit(rows, ["node", "empirical", "analytic", "sigma", "z", "ok",
-                     "trials", "seed", "algorithm", "reuse"], args)
-        return 0 if (not checks or all(c.ok for c in checks)) else 1
+        every = [_rate_check("all", report.all_rate, sol.com_product,
+                             report.trials)] if checks else []
+        _emit(_simulate_rows(report, [*checks, *every]), SIMULATE_FIELDS, args)
+        return 0 if all(c.ok for c in checks) else 1
 
     rows, fields = _slot_table_rows(sol, relaxed_table(sol)[0])
     if args.command == "report":
@@ -239,8 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return run(args)
-    except (DomainError, RuntimeError, TimelineError, InvalidTimeline,
-            NodeSetMismatch) as exc:
+    except (DomainError, RuntimeError, TimelineError, NodeSetMismatch) as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (TopologyError, ValueError) as exc:

@@ -11,7 +11,7 @@ keeps reports bit-identical for a fixed seed in both reuse modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +19,6 @@ from .timeline import Timeline, verify_timeline
 from .topology import Topology, derive_conflicts
 
 RNG_ALGORITHM = "numpy-PCG64"
-
-
-class InvalidTimeline(Exception):
-    pass
 
 
 class NodeSetMismatch(Exception):
@@ -35,9 +31,13 @@ class SimReport:
     seed: int
     algorithm: str
     reuse: bool
-    per_node: dict[int, float]   # fraction of trials delivering all of the node's packets
-    all_rate: float              # fraction of trials delivering every packet
-    per_node_counts: dict[int, int] = field(default_factory=dict)
+    per_node_counts: dict[int, int]  # trials delivering all of the node's packets
+    all_rate: float                  # fraction of trials delivering every packet
+
+    @property
+    def per_node(self) -> dict[int, float]:
+        """Fraction of trials delivering all of the node's packets."""
+        return {n: c / self.trials for n, c in self.per_node_counts.items()}
 
 
 @dataclass
@@ -52,20 +52,17 @@ class NodeComparison:
 
 def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
              reuse: bool = False) -> SimReport:
-    """Replay the timeline `trials` times; deterministic for a given seed."""
+    """Replay the timeline `trials` times; deterministic for a given seed.
+    An invalid timeline raises as in `build_timeline`."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    report = verify_timeline(timeline, derive_conflicts(topology),
-                             timeline.cycle_slots)
-    if not report.ok:
-        v = report.first()
-        raise InvalidTimeline(f"{v.kind} at slot {v.slot}: {v.detail}")
+    verify_timeline(timeline, derive_conflicts(topology),
+                    timeline.cycle_slots).raise_first()
 
     units = sorted(timeline.units, key=lambda u: (u.slot, u.tx, u.link, u.origin, u.k))
     packets = sorted({(u.origin, u.k) for u in units})
-    all_nodes = sorted(topology.rates)
 
     # per-(tx, link) stream order for slot reuse
     stream: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -102,33 +99,20 @@ def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
             held(rx, packet)[...] |= claim & draw
             assigned = assigned | claim
 
-    gateways = set(topology.gateways)
-    delivered: dict[tuple[int, int], np.ndarray] = {}
-    for origin, k in packets:
-        got = np.zeros(trials, dtype=bool)
-        for g in gateways:
-            key = (g, origin, k)
-            if key in holds:
-                got |= holds[key]
-        delivered[(origin, k)] = got
-
-    per_node, per_counts = {}, {}
+    # a node delivers when each of its packets reached some gateway
+    counts, missed = {}, np.zeros(trials, dtype=bool)
     all_ok = np.ones(trials, dtype=bool)
-    for node in all_nodes:
-        node_pkts = [p for p in packets if p[0] == node]
-        if node_pkts:
-            ok = np.ones(trials, dtype=bool)
-            for p in node_pkts:
-                ok &= delivered[p]
-        else:
-            ok = np.zeros(trials, dtype=bool)
-        per_node[node] = float(ok.mean())
-        per_counts[node] = int(ok.sum())
+    for node in sorted(topology.rates):
+        ks = [k for origin, k in packets if origin == node]
+        ok = np.full(trials, bool(ks))
+        for k in ks:
+            ok &= np.logical_or.reduce(
+                [holds.get((g, node, k), missed) for g in topology.gateways])
+        counts[node] = int(ok.sum())
         all_ok &= ok
 
-    return SimReport(trials=trials, seed=seed, algorithm=RNG_ALGORITHM,
-                     reuse=reuse, per_node=per_node,
-                     all_rate=float(all_ok.mean()), per_node_counts=per_counts)
+    return SimReport(trials, seed, RNG_ALGORITHM, reuse, counts,
+                     float(all_ok.mean()))
 
 
 THREE_SIGMA_TAIL = 0.00135  # one-sided normal tail beyond 3 sigma
@@ -164,8 +148,8 @@ def _rate_check(node, empirical: float, p: float, trials: int) -> NodeComparison
 def compare(report: SimReport, analytic: dict[int, float]) -> list[NodeComparison]:
     """Check each node's empirical rate against its analytic delivery
     probability at 3 sigma (`_rate_check`)."""
-    if set(report.per_node) != set(analytic):
-        raise NodeSetMismatch(
-            f"nodes {sorted(report.per_node)} vs analytic {sorted(analytic)}")
-    return [_rate_check(node, report.per_node[node], analytic[node], report.trials)
+    rates = report.per_node
+    if set(rates) != set(analytic):
+        raise NodeSetMismatch(f"nodes {sorted(rates)} vs analytic {sorted(analytic)}")
+    return [_rate_check(node, rates[node], analytic[node], report.trials)
             for node in sorted(analytic)]

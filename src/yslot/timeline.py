@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .topology import ConflictSet, Topology, derive_conflicts
@@ -28,6 +29,10 @@ class ConflictViolation(TimelineError):
     pass
 
 
+_ERRORS = {"conflict": ConflictViolation, "causality": CausalityViolation,
+           "fit": DoesNotFit}
+
+
 class Unit(NamedTuple):
     """One transmission: origin's k-th packet sent by tx over link in a slot."""
 
@@ -43,6 +48,7 @@ class Unit(NamedTuple):
 # a Unit from a row in its field order, built in C without the Python frame
 # of the generated __new__: about half the cost of calling Unit per slot
 _unit_of_row = partial(tuple.__new__, Unit)
+_sent = itemgetter(1, 2, 3)   # a Unit's (tx, rx, link)
 
 
 class PlacedBurst(NamedTuple):
@@ -117,6 +123,11 @@ class VerificationReport:
     def first(self) -> Violation | None:
         return self.violations[0] if self.violations else None
 
+    def raise_first(self) -> None:
+        """Raise the first violation, if any, as its `TimelineError` subclass."""
+        if v := self.first():
+            raise _ERRORS[v.kind](f"slot {v.slot}: {v.detail}")
+
 
 def place_plans(topology: Topology, plans: list[GroupPlan]) -> list[Unit]:
     """Materialize group plans into units; deterministic in plan order."""
@@ -152,12 +163,7 @@ def build_timeline(topology: Topology, plans: list[GroupPlan],
                    cycle_slots: int) -> Timeline:
     """Place all plans and verify; raises on the first violation."""
     timeline = Timeline(place_plans(topology, plans), cycle_slots)
-    report = verify_timeline(timeline, derive_conflicts(topology), cycle_slots)
-    if not report.ok:
-        v = report.first()
-        exc = {"conflict": ConflictViolation, "causality": CausalityViolation,
-               "fit": DoesNotFit}[v.kind]
-        raise exc(f"slot {v.slot}: {v.detail}")
+    verify_timeline(timeline, derive_conflicts(topology), cycle_slots).raise_first()
     return timeline
 
 
@@ -166,16 +172,23 @@ def verify_timeline(timeline: Timeline, conflicts: ConflictSet, cycle_slots: int
                     ) -> VerificationReport:
     """Check the three Timeline invariants; report every violating slot.
 
-    One walk over the occupied slots in order checks both conflicts and
-    causality; violations come out as fit (in unit order), then conflict,
-    then causality (each in slot order)."""
+    Fit: each unit lies inside the cycle and is a transmission of the
+    topology (checked once per distinct (tx, rx, link), since a burst
+    repeats one).  One walk over the occupied slots in order checks both
+    conflicts and causality; violations come out as fit (in unit order),
+    then conflict, then causality (each in slot order)."""
     by_slot = timeline.slots()
     order = sorted(by_slot)
     violations: list[Violation] = []
-    if order and (order[0] < 0 or order[-1] >= cycle_slots):
-        violations.extend(
-            Violation("fit", u.slot, f"transmission outside cycle of {cycle_slots} slots")
-            for u in timeline.units if u.slot < 0 or u.slot >= cycle_slots)
+    foreign = {t for t in set(map(_sent, timeline.units)) if not conflicts.sends(*t)}
+    if foreign or order and (order[0] < 0 or order[-1] >= cycle_slots):
+        for u in timeline.units:
+            if u.slot < 0 or u.slot >= cycle_slots:
+                violations.append(Violation(
+                    "fit", u.slot, f"transmission outside cycle of {cycle_slots} slots"))
+            if _sent(u) in foreign:
+                violations.append(Violation("fit", u.slot, f"tx {u.tx} on link {u.link} "
+                                            f"to {u.rx} is not a transmission of the topology"))
 
     # conflicts: a slot runs the pairwise scan only when its transmissions
     # clash; a burst repeats one slot's transmissions, so the last clean

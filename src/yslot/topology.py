@@ -98,13 +98,18 @@ class Topology:
 @dataclass(frozen=True)
 class ConflictSet:
     """Transmissions that may not share a time slot: bit j of
-    masks[index[t]] is set when t conflicts with the j-th transmission.
-    Bitmasks keep the set small, since each topology holds its own; other
-    modules read them only through `conflict`, `mask_of`, `hits` and
-    `clash`."""
+    masks[index[t]] is set when t conflicts with the j-th transmission,
+    and receivers[t] is the node that t sends to.  Bitmasks keep the set
+    small, since each topology holds its own; other modules read them only
+    through `sends`, `conflict`, `mask_of`, `hits` and `clash`."""
 
     index: dict[tuple[int, int], int]
     masks: tuple[int, ...]
+    receivers: dict[tuple[int, int], int]
+
+    def sends(self, tx: int, rx: int, link: int) -> bool:
+        """Whether tx -> rx over link is a transmission of the topology."""
+        return self.receivers.get((tx, link)) == rx
 
     def conflict(self, t1: tuple[int, int], t2: tuple[int, int]) -> bool:
         i, j = self.index.get(t1), self.index.get(t2)
@@ -161,7 +166,7 @@ def derive_conflicts(topology: Topology) -> ConflictSet:
             if _conflict_rule(t1[0], recv[t1], t2[0], recv[t2], topology.proximity):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
-    conflicts = ConflictSet({t: i for i, t in enumerate(txs)}, tuple(masks))
+    conflicts = ConflictSet({t: i for i, t in enumerate(txs)}, tuple(masks), recv)
     object.__setattr__(topology, "_conflicts", conflicts)
     return conflicts
 

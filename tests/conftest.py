@@ -198,7 +198,7 @@ def product_from_totals(topology, model, totals: dict) -> float:
 def solution_fields(sol, relaxed: bool = True) -> tuple:
     """Every value a solved pattern reports, in order and bit for bit:
     the two products as hex, then the slot table, per-node COM, the group
-    steps (structure, relaxed optimum, labels, plan, runs and the group's
+    steps (structure, relaxed optimum, labels, plan, extents and the group's
     COM values) and, with `relaxed`, the TUB table and real windows of
     `relaxed_table`."""
     out = (sol.com_product.hex(), sol.tub_product.hex(),

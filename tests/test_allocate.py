@@ -18,8 +18,8 @@ from yslot import (enumerate_path_models, find_model, optimize, patterns_for,
                    relaxed_table, solve_pattern, validate_topology)
 from yslot.allocate import (Structure, _blocked_uses, _chain_ranks, _chain_uses,
                             _delivery_product, _fill, _gain, _greedy_int,
-                            _hideable_uses, _packet_order, _runs,
-                            _split_structure, assign_early_slots,
+                            _hideable_uses, _packet_order,
+                            _split_structure, _widen, assign_early_slots,
                             build_group_chain, candidate_structures,
                             early_window)
 from yslot.relax import GroupChain, Origin, Use, solve_plain_structure
@@ -283,7 +283,15 @@ def test_224_window_follows_prioritized_bursts(case1):
 
 def test_early_window_empty_placement(case1):
     conflicts = derive_conflicts(case1)
-    assert early_window([], {(4, 8)}, conflicts) == 0
+    assert early_window({}, {(4, 8)}, conflicts) == 0
+
+
+def test_widen_keeps_first_start_and_last_end():
+    placed = {}
+    for start, end in ((12, 20), (0, 5), (3, 8), (1.5, 2.5)):
+        _widen(placed, (4, 8), start, end)
+    _widen(placed, (5, 5), 6.25, 7.0)
+    assert placed == {(4, 8): (0, 20), (5, 5): (6.25, 7.0)}
 
 
 def early_window_oracle(placed, group_txs, conflicts):
@@ -306,14 +314,29 @@ def blocked_uses_oracle(txmap, window, placed, conflicts):
                    for start, _end, other in placed)}
 
 
+def hull(intervals):
+    """Per-transmitter extent (first start, last end) of [start, end)
+    intervals, written plainly."""
+    out = {}
+    for start, end, tx in intervals:
+        lo, hi = out.get(tx, (start, end))
+        out[tx] = (min(lo, start), max(hi, end))
+    return out
+
+
+def unit_intervals(units):
+    return [(u.slot, u.slot + 1, (u.tx, u.link)) for u in units]
+
+
 def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
-    # integer placements as coalesced runs against one interval per unit,
-    # real-valued placements as they are, over the 27 case-1 solutions
+    # integer placements as per-transmitter extents against one interval
+    # per unit, real-valued extents against the plain scans, over the 27
+    # case-1 solutions
     conflicts = derive_conflicts(case1)
     seen = []
 
     def recording(placed, group_txs, conflicts):
-        seen.append(list(placed))
+        seen.append(dict(placed))
         return early_window(placed, group_txs, conflicts)
 
     monkeypatch.setattr(yslot.allocate, "early_window", recording)
@@ -327,27 +350,25 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
             windows_real = relaxed_table(sol)[1]
             real_seen = list(seen)
             solved += 1
-            for i, plan in enumerate(sol.plans):
+            for i, (plan, step) in enumerate(zip(sol.plans, sol.steps)):
+                assert dict(step.extents) == \
+                    hull(unit_intervals(place_plans(case1, [plan])))
                 txmap = model.transmitter_map(plan.label)
-                runs, real = integer_seen[i], real_seen[i]
-                units = [(u.slot, u.slot + 1, (u.tx, u.link))
-                         for u in place_plans(case1, sol.plans[:i])]
-                assert runs == [r for p in sol.plans[:i]
-                                for r in _runs(place_plans(case1, [p]))]
-                assert sorted((t, tx) for start, end, tx in runs
-                              for t in range(start, end)) == \
-                    sorted((start, tx) for start, _end, tx in units)
+                extents, real = integer_seen[i], real_seen[i]
+                units = unit_intervals(place_plans(case1, sol.plans[:i]))
+                assert extents == hull(units)
+                real_intervals = [(lo, hi, tx) for tx, (lo, hi) in real.items()]
                 txs = txmap.values()
-                assert early_window(runs, txs, conflicts) == plan.window == \
+                assert early_window(extents, txs, conflicts) == plan.window == \
                     early_window_oracle(units, txs, conflicts)
                 assert early_window(real, txs, conflicts) == \
                     windows_real[plan.label] == \
-                    early_window_oracle(real, txs, conflicts)
+                    early_window_oracle(real_intervals, txs, conflicts)
                 for w in (*range(31), windows_real[plan.label]):
-                    assert _blocked_uses(txmap, w, runs, conflicts) == \
+                    assert _blocked_uses(txmap, w, extents, conflicts) == \
                         blocked_uses_oracle(txmap, w, units, conflicts)
                     assert _blocked_uses(txmap, w, real, conflicts) == \
-                        blocked_uses_oracle(txmap, w, real, conflicts)
+                        blocked_uses_oracle(txmap, w, real_intervals, conflicts)
     assert solved == 27
 
 

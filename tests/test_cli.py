@@ -7,8 +7,7 @@ import pytest
 
 import yslot.allocate
 import yslot.cli
-from yslot import (CausalityViolation, ConvergenceError, DomainError,
-                   InvalidTimeline)
+from yslot import CausalityViolation, ConvergenceError, DomainError
 from yslot.cli import main
 
 CASE1 = str(importlib.resources.files("yslot").joinpath("data/example8_case1.json"))
@@ -26,7 +25,6 @@ def test_missing_topology_exits_2(capsys):
 @pytest.mark.parametrize("exc", [ConvergenceError("could not bracket"),
                                  DomainError("budget 0.0 must be > 0"),
                                  CausalityViolation("slot 3: early relay"),
-                                 InvalidTimeline("bad grid"),
                                  RuntimeError("leftover")],
                          ids=lambda e: type(e).__name__)
 @pytest.mark.parametrize("command", ["solve", "optimize", "simulate"])

@@ -1,8 +1,9 @@
 import pytest
 
-from yslot import (NodeSetMismatch, SimReport, build_timeline, compare,
-                   find_model, simulate, solve_pattern, validate_topology)
-from yslot.timeline import Timeline, Unit
+from yslot import (ConflictViolation, DoesNotFit, NodeSetMismatch, SimReport,
+                   build_timeline, compare, find_model, simulate, solve_pattern,
+                   validate_topology)
+from yslot.timeline import GroupPlan, PlacedBurst, Timeline, Unit, place_plans
 
 TRIALS = 100000
 
@@ -65,6 +66,18 @@ def test_reuse_never_hurts(case1):
         assert reuse.per_node[node] >= plain.per_node[node]
 
 
+def test_per_node_rate_is_count_over_trials(case1):
+    model = find_model(case1, "2-2-4", 11)
+    sol = solve_pattern(model, 2, 30)
+    tl = build_timeline(case1, sol.plans, 30)
+    for reuse in (False, True):
+        report = simulate(tl, case1, 20000, seed=3, reuse=reuse)
+        assert list(report.per_node) == list(report.per_node_counts) == \
+            sorted(case1.rates)
+        for n, count in report.per_node_counts.items():
+            assert report.per_node[n] == count / report.trials
+
+
 def test_all_delivered_bounded_by_per_node(case1):
     model = find_model(case1, "2-2-4", 11)
     sol = solve_pattern(model, 2, 30)
@@ -107,7 +120,8 @@ def test_rare_misses_use_the_exact_tail():
 
     def ok(misses, analytic=p):
         rate = (trials - misses) / trials
-        report = SimReport(trials, 0, "numpy-PCG64", False, {1: rate}, rate)
+        report = SimReport(trials, 0, "numpy-PCG64", False,
+                           {1: trials - misses}, rate)
         (check,) = compare(report, {1: analytic})
         assert check.sigma == (analytic * (1 - analytic) / trials) ** 0.5
         return check.ok
@@ -125,12 +139,32 @@ def test_node_set_mismatch():
 
 
 def test_invalid_timeline_rejected(case1):
-    from yslot import InvalidTimeline
     # nodes 3 and 4 co-scheduled: interference at node 7
     tl = Timeline([Unit(0, 3, 2, 3, 3, 1, False),
                    Unit(0, 4, 7, 8, 4, 1, False)], 30)
-    with pytest.raises(InvalidTimeline):
+    with pytest.raises(ConflictViolation):
         simulate(tl, case1, 10, seed=0)
+
+
+def test_simulate_rejects_as_build_timeline_does(case1):
+    # two zero-window groups whose first bursts interfere (3 vs 4)
+    plans = [GroupPlan("X", 0, (), (PlacedBurst(3, 1, 3, 3, 2, False, ()),)),
+             GroupPlan("Z", 0, (), (PlacedBurst(4, 1, 4, 8, 2, False, ()),))]
+    with pytest.raises(ConflictViolation) as built:
+        build_timeline(case1, plans, 30)
+    with pytest.raises(ConflictViolation) as replayed:
+        simulate(Timeline(place_plans(case1, plans), 30), case1, 10, seed=0)
+    assert type(replayed.value) is type(built.value)
+    assert str(replayed.value) == str(built.value)
+
+
+@pytest.mark.parametrize("unit", [
+    Unit(0, 1, 9, -1, 1, 1, False),   # link -1 is in no topology
+    Unit(0, 5, 11, 6, 5, 1, False),   # link 6 joins 5 and 6, not gateway 11
+], ids=["unknown-link", "wrong-receiver"])
+def test_transmission_outside_topology_rejected(case1, unit):
+    with pytest.raises(DoesNotFit, match="not a transmission of the topology"):
+        simulate(Timeline([unit], 30), case1, 10, seed=0)
 
 
 def test_nonpositive_trials_rejected():

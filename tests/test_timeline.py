@@ -85,6 +85,20 @@ def test_verify_flags_beyond_cycle(case1):
     assert report.first().kind == "fit"
 
 
+def test_verify_flags_transmission_outside_topology(case1):
+    conflicts = derive_conflicts(case1)
+    # an unknown link, then a real (tx, link) sent to the wrong receiver
+    tl = Timeline([Unit(0, 1, 9, -1, 1, 1, False),
+                   Unit(0, 5, 11, 6, 5, 1, False),
+                   Unit(1, 5, 11, 6, 5, 1, False),
+                   Unit(2, 5, 6, 6, 5, 1, False)], 30)
+    report = verify_timeline(tl, conflicts, 30)
+    assert [(v.kind, v.slot) for v in report.violations] == \
+        [("fit", 0), ("fit", 0), ("fit", 1)]
+    assert report.first().detail == \
+        "tx 1 on link -1 to 9 is not a transmission of the topology"
+
+
 def test_verify_flags_causality(case1):
     conflicts = derive_conflicts(case1)
     # node 2 relays node 3's packet before node 3 ever sent it
@@ -188,6 +202,19 @@ def test_causality_check_matches_quadratic_oracle(case1):
     assert broken >= 27 * 3
 
 
+def fit_oracle(timeline, topology):
+    """Reference per-unit scan: a unit must be a transmission of the
+    topology (a non-gateway end of a link, sending to the other end)."""
+    out = []
+    for u in timeline.units:
+        link = topology.links.get(u.link)
+        if (link is None or topology.is_gateway(u.tx)
+                or {u.tx, u.rx} != {link.a, link.b}):
+            out.append(("fit", u.slot, f"tx {u.tx} on link {u.link} to {u.rx}"
+                        " is not a transmission of the topology"))
+    return out
+
+
 def conflict_oracle(timeline, conflicts):
     """Reference pairwise scan of every occupied slot."""
     out = []
@@ -206,7 +233,7 @@ def conflict_oracle(timeline, conflicts):
 def test_conflict_check_matches_pairwise_oracle(case1):
     rng = random.Random(12)
     conflicts = derive_conflicts(case1)
-    clashing = 0
+    clashing = foreign = 0
     for sol in optimize(case1, 30):
         timeline = solution_timeline(sol)
         units = timeline.units
@@ -220,9 +247,11 @@ def test_conflict_check_matches_pairwise_oracle(case1):
             report = verify_timeline(tl, conflicts, 30)
             got = [(v.kind, v.slot, v.detail) for v in report.violations]
             want = conflict_oracle(tl, conflicts)
-            assert got == want + causality_oracle(tl)
+            assert got == fit_oracle(tl, case1) + want + causality_oracle(tl)
             clashing += bool(want)
+            foreign += bool(fit_oracle(tl, case1))
     assert clashing >= 27 * 3
+    assert foreign >= 27
 
 
 def test_placing_plans_together_equals_placing_each_alone(case1):
