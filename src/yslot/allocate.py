@@ -7,11 +7,11 @@ Pipeline per group, in pattern placement order:
    node's own burst do not interfere (the feeder hops can share the
    terminal's slots, or vice versa).
 2. Integer optimum per structure by greedy marginal-gain allocation, then
-   the early-window step, one `_fill` for the integer (per packet hop) and
-   the relaxed (per use) walk: move the slots of unblocked transmitters
-   into the window left by previously placed groups, in fill order
-   (upstream hops first), until it is covered, and only when the fill
-   falls short split the group into a window part and a post-window part.
+   the early-window step, one `_early_step` for the integer (per packet
+   hop) and the relaxed (per use) walk: move the slots of unblocked
+   transmitters into the window left by previously placed groups, in fill
+   order (upstream hops first), until it is covered, and only when the
+   fill falls short split the group into a window part and the rest.
 3. The best structure by integer product wins (COM).
 4. The relaxed optimum (adjunct-variable solve) of the winning structure
    only is the group's TUB product, so TUB >= COM holds by relaxed
@@ -54,6 +54,7 @@ Ranks = tuple[dict[int, int], dict[int, int]]  # link ranks, origin ranks
 
 
 _log1m_pow = lru_cache(maxsize=1 << 16)(log1m_pow)   # integer v: slot counts
+_TOL = 1e-9   # the relaxed solver's residual bound: the TUB walk's one tolerance
 
 
 def _gain(q: float, v: int) -> float:
@@ -346,6 +347,27 @@ def _fill(amounts: dict, order, window, eps: float = 0.0) -> dict:
     return early
 
 
+def _early_step(st: Structure, optimum: dict, rider: dict, window, budget,
+                hide_order: list[TxLink], order, solve, eps: float = 0.0):
+    """Early-window step of both walks: fill the window from the budget-T
+    optimum in fill order (`order(amounts)`); a full window keeps that
+    optimum (none at window 0, hide cases c1-c4).  Otherwise split (c5):
+    `solve(part, budget)` shares `budget - window` among the other uses and
+    `window` among the hideable ones, restricted to the hops their fill
+    order admits.  Both regimes are optimal for the constraint set
+    (serialized sum <= budget - window, early sum <= window, early only on
+    hideable hops).  Returns (serialized, early in fill order, rider, split)."""
+    early = _fill(optimum, order(optimum), window, eps)
+    if sum(early.values()) + eps >= window:
+        serialized = {key: v - early.get(key, 0) for key, v in optimum.items()}
+        return serialized, early, rider, False
+    st_rest, st_hide = _split_structure(st, set(hide_order))
+    serialized, rider = solve(st_rest, budget - window)
+    hide, _ = solve(st_hide, window)
+    early = {key: hide[key] for key in order(hide) if hide.get(key, 0) > eps}
+    return serialized, early, rider, True
+
+
 def _packet_order(chain: GroupChain, hide_order: list[TxLink],
                   tentative: dict[EntryKey, int]):
     """Packet hops of the hideable uses in fill order, each only if its
@@ -366,24 +388,15 @@ def assign_early_slots(chain: GroupChain, st: Structure,
                        tentative: dict[EntryKey, int], rider: dict[EntryKey, int],
                        window: int, hide_order: list[TxLink],
                        budget: int) -> GroupInteger:
-    """Early-window step: fill the window from the budget-T optimum, and
-    split only if the fill falls short.  A full window keeps that optimum
-    (none at window 0, hide cases c1-c4); otherwise the hideable uses share
-    the window and the other uses share `budget - window` (case c5), the
-    window part filled by the same rule.  Both regimes are optimal for the
-    constraint set (serialized sum <= budget - window, early sum <= window,
-    early only on hideable hops)."""
-    early = _fill(tentative, _packet_order(chain, hide_order, tentative), window)
-    if sum(early.values()) == window:
-        serialized = {k: v - early.get(k, 0) for k, v in tentative.items()}
-        gi = GroupInteger(serialized, early, dict(rider), 0.0,
-                          _classify_case(hide_order, tentative, window))
-    else:
-        st_rest, st_hide = _split_structure(st, set(hide_order))
-        vals_rest, rider_rest = _greedy_int(st_rest, budget - window)
-        vals_hide, _ = _greedy_int(st_hide, window)
-        early = _fill(vals_hide, _packet_order(chain, hide_order, vals_hide), window)
-        gi = GroupInteger(vals_rest, early, rider_rest, 0.0, "c5")
+    """Integer early-window step, per packet hop: `_early_step` with the
+    greedy, plus the regime label and the group's delivery product.  A
+    greedy at budget `window` fills exactly `window`, so restricting its
+    window part equals filling it."""
+    serialized, early, rider, split = _early_step(
+        st, tentative, rider, window, budget, hide_order,
+        lambda amounts: _packet_order(chain, hide_order, amounts), _greedy_int)
+    gi = GroupInteger(serialized, early, rider, 0.0, "c5" if split else
+                      _classify_case(hide_order, tentative, window))
     gi.product = _delivery_product(chain.origins, gi.totals())
     return gi
 
@@ -465,8 +478,8 @@ def _rider_assignment(st: Structure, gi: GroupInteger,
 
 
 def _build_plan(chain: GroupChain, st: Structure, gi: GroupInteger,
-                window: int, hide_order: list[TxLink],
-                txmap: dict[TxLink, TxLink], ranks: Ranks) -> GroupPlan:
+                window: int, txmap: dict[TxLink, TxLink], ranks: Ranks,
+                ) -> GroupPlan:
     rates = {o.node: o.rate for o in chain.origins}
     serial_keys = [(n, k, l) for n, l in _serial_order(st, ranks)
                    for k in range(1, rates[n] + 1)]
@@ -475,33 +488,24 @@ def _build_plan(chain: GroupChain, st: Structure, gi: GroupInteger,
         PlacedBurst(n, k, txmap[(n, l)][0], l, gi.serialized[(n, k, l)], False,
                     tuple(riders.get((n, k, l), ())))
         for n, k, l in serial_keys if gi.serialized.get((n, k, l), 0) > 0)
-    early = tuple(PlacedBurst(n, k, txmap[(n, l)][0], l, gi.early[(n, k, l)], True)
-                  for n, l in hide_order for k in range(1, rates[n] + 1)
-                  if gi.early.get((n, k, l), 0) > 0)
+    early = tuple(PlacedBurst(n, k, txmap[(n, l)][0], l, v, True)
+                  for (n, k, l), v in gi.early.items())
     return GroupPlan(chain.label, window, early, serialized)
 
 
-def _scaled(values: dict[TxLink, float], uses) -> dict[TxLink, float]:
-    """Per-use totals over all of an origin's packets."""
-    return {(u.node, u.link): values[(u.node, u.link)] * u.weight for u in uses}
+def _scaled(values: dict[TxLink, float], st: Structure):
+    """Per-use totals over all of an origin's packets, of the structure's
+    uses and of its riders."""
+    return tuple({(u.node, u.link): values[(u.node, u.link)] * u.weight
+                  for u in uses} for uses in (st.uses, st.riders))
 
 
-def _relaxed_split(st: Structure, hide_order: list[TxLink], window: float,
-                   budget: float):
-    """Relaxed case c5: the fill fell short of the window, so the hideable
-    uses share the window and the others, riders included, share
-    budget - window.  Returns per-use (totals, rider, early)."""
-    st_rest, st_hide = _split_structure(st, set(hide_order))
-    totals: dict[TxLink, float] = {}
-    rider: dict[TxLink, float] = {}
-    early: dict[TxLink, float] = {}
-    if budget - window > 1e-9 and st_rest.uses:
-        sub = _relax_structure(st_rest, budget - window)
-        totals = _scaled(sub.values, st_rest.uses)
-        rider = _scaled(sub.values, st.riders)
-    if st_hide.uses:
-        early = _scaled(_relax_structure(st_hide, window).values, st_hide.uses)
-    return totals, rider, early
+def _relaxed_uses(st: Structure, budget: float):
+    """Per-use totals of the relaxed optimum at `budget`, of the uses and
+    the riders; none without uses or budget."""
+    if not st.uses or budget <= _TOL:
+        return {}, {}
+    return _scaled(_relax_structure(st, budget).values, st)
 
 
 def relaxed_table(solution: PatternSolution,
@@ -509,7 +513,7 @@ def relaxed_table(solution: PatternSolution,
     """TUB slot table of a solved pattern, keyed like allocation.entries,
     and its real-valued early windows per group: the placement walked again
     over the steps, each group's budget-T relaxed optimum (from its step)
-    taken through the real-valued mirror of the early-window step."""
+    taken per use through the early-window step."""
     model = solution.model
     conflicts = derive_conflicts(model.topology)
     budget = float(solution.cycle_slots)
@@ -526,22 +530,16 @@ def relaxed_table(solution: PatternSolution,
         windows[label] = window
         hide_order = _hideable_uses(
             chain, st, _blocked_uses(txmap, window, placed, conflicts), ranks)
-
-        totals = _scaled(step.relaxed.values, st.uses)
-        rider = _scaled(step.relaxed.values, st.riders)
-        early = _fill(totals, hide_order, window, 1e-12)
-        if sum(early.values()) + 1e-9 < window:
-            totals, rider, early = _relaxed_split(st, hide_order, window, budget)
-        serialized = {key: max(0.0, totals.get(key, 0.0) - early.get(key, 0.0))
-                      for key in st.use_keys()}
+        serialized, early, rider, _ = _early_step(
+            st, *_scaled(step.relaxed.values, st), window, budget, hide_order,
+            lambda amounts: hide_order, _relaxed_uses, _TOL)
 
         # early slots from 0, serialized bursts from the window on; riders
         # span their hosts, which are never hideable
-        for cursor, keys, lengths in ((0.0, hide_order, early),
-                                      (window, _serial_order(st, ranks), serialized)):
-            for key in keys:
-                length = lengths.get(key, 0.0)
-                if length > 1e-12:
+        serial = [(key, serialized.get(key, 0.0)) for key in _serial_order(st, ranks)]
+        for cursor, bursts in ((0.0, early.items()), (window, serial)):
+            for key, length in bursts:
+                if length > _TOL:
                     _widen(placed, txmap[key], cursor, cursor + length)
                     if key in st.hosts:
                         for u in st.riders:
@@ -639,15 +637,15 @@ class _GroupTable:
     def _place(self, group: _Group, window: int,
                blocked: set[TxLink]) -> GroupStep:
         chain, T = group.chain, self.T
-        best: tuple[int, GroupInteger, list[TxLink]] | None = None
+        best: tuple[int, GroupInteger] | None = None
         for i, st in enumerate(group.candidates):
             hide_order = _hideable_uses(chain, st, blocked, group.ranks)
             tentative, rider = group.greedy[i]
             gi = assign_early_slots(chain, st, tentative, rider, window,
                                     hide_order, T)
             if best is None or gi.product > best[1].product:
-                best = (i, gi, hide_order)
-        i, gi, hide_order = best
+                best = (i, gi)
+        i, gi = best
         st = group.candidates[i]
         if i not in group.relaxed:
             group.relaxed[i] = _relax_structure(st, float(T))
@@ -655,8 +653,7 @@ class _GroupTable:
         if gi.label:
             lab = f"{lab}+{gi.label}" if lab else gi.label
 
-        plan = _build_plan(chain, st, gi, window, hide_order, group.txmap,
-                           group.ranks)
+        plan = _build_plan(chain, st, gi, window, group.txmap, group.ranks)
         entries: dict[SlotKey, int] = {}
         for early, src in ((False, gi.serialized), (True, gi.early),
                            (True, gi.rider)):

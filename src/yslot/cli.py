@@ -2,9 +2,9 @@
 
 Exit codes: 0 ok, 1 infeasible allocation or a node's simulated rate
 beyond 3 sigma (the exact tail where few rare outcomes are expected), 2
-usage or config error, 3 internal error (a solver fault, `DomainError`
-included, or a timeline or simulation fault, reported as one
-`error: internal: ...` line, no traceback).
+usage or config error or an unwritable output path, 3 internal error (a
+solver fault, `DomainError` included, or a timeline or simulation fault,
+reported as one `error: internal: ...` line, no traceback).
 Output files are byte-stable for identical inputs: CSV and JSON carry the
 same full-precision values (metadata like the RNG seed is part of the
 report data, never wall-clock timestamps).
@@ -241,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, RuntimeError, TimelineError, NodeSetMismatch) as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (TopologyError, ValueError) as exc:
+    except (TopologyError, ValueError, OSError) as exc:   # OSError: writing output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,8 @@ import yslot.allocate
 from yslot import (enumerate_path_models, find_model, optimize, patterns_for,
                    relaxed_table, solve_pattern, validate_topology)
 from yslot.allocate import (Structure, _blocked_uses, _chain_ranks, _chain_uses,
-                            _delivery_product, _fill, _gain, _greedy_int,
-                            _hideable_uses, _packet_order,
+                            _delivery_product, _early_step, _fill, _gain,
+                            _greedy_int, _hideable_uses, _packet_order,
                             _split_structure, _widen, assign_early_slots,
                             build_group_chain, candidate_structures,
                             early_window)
@@ -459,6 +459,48 @@ def test_split_window_keeps_a_packet_without_its_upstream_hop_out(monkeypatch):
     gi = assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6)
     assert gi.label == "c5"
     assert gi.early == {(100, 2, 1): 1, (101, 1, 2): 1, (100, 2, 2): 1}
+
+
+def test_split_window_part_by_restriction_equals_the_fill():
+    # case c5 keeps the window part's hops that its fill order admits; a
+    # greedy at budget `window` holds exactly `window` slots, so that equals
+    # filling the window from it, fill order included
+    rng = random.Random(14)
+    checked = 0
+    for _ in range(10):
+        topo = seeded_y(rng, lambda: round(rng.uniform(0.01, 0.99), 4))
+        conflicts = derive_conflicts(topo)
+        for model in enumerate_path_models(topo)[:3]:
+            for label in ("X", "Y", "Z"):
+                chain = build_group_chain(model, label)
+                for st in candidate_structures(model, chain, conflicts):
+                    uses = sorted(st.use_keys())
+                    blocked = set(rng.sample(uses, rng.randrange(len(uses))))
+                    hide_order = _hideable_uses(chain, st, blocked, _chain_ranks(chain))
+                    rest, hide = _split_structure(st, set(hide_order))
+                    empty = {key: 0 for key in _greedy_int(st, 0)[0]}
+                    for window in range(1, 16):
+                        budget = window + rng.randrange(20)
+                        gi = assign_early_slots(chain, st, empty, {}, window,
+                                                hide_order, budget)
+                        part = _greedy_int(hide, window)[0]
+                        filled = _fill(part, _packet_order(chain, hide_order, part), window)
+                        assert gi.label == "c5"
+                        assert list(gi.early.items()) == list(filled.items())
+                        assert gi.serialized == _greedy_int(rest, budget - window)[0]
+                        checked += 1
+    assert checked >= 1500
+    # a window part with a starved upstream hop, restricted and filled alike
+    chain, st, hide_order = two_origin_chain()
+    for part in (STARVED, {**STARVED, (100, 2, 2): 1}):
+        window = sum(part.values())
+        _serialized, early, _rider, split = _early_step(
+            st, {}, {}, window, window, hide_order,
+            lambda amounts: _packet_order(chain, hide_order, amounts),
+            lambda part_st, _budget: (dict(part) if part_st.uses else {}, {}))
+        assert split
+        assert early == _fill(part, _packet_order(chain, hide_order, part), window)
+        assert (100, 1, 2) not in early and (100, 1, 1) not in early
 
 
 @pytest.mark.parametrize("window, label", [

@@ -118,6 +118,21 @@ def test_emit_timeline(tmp_path):
     assert lines[0].startswith("0:")
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "dir-as-file"])
+@pytest.mark.parametrize("flag", ["-o", "--emit-timeline"])
+def test_unwritable_output_path_exits_2_with_one_line(flag, target, tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "out.txt" if target == "missing-dir" else tmp_path
+    extra = ["-o", str(tmp_path / "t.csv")] if flag == "--emit-timeline" else []
+    assert run_cli("solve", "-c", CASE1, "--model", "3-2-3", "--no-sep-branch", "11",
+                   "--pattern", "1", *extra, flag, str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    if flag == "-o":
+        assert run_cli("optimize", "-c", CASE1, "-o", str(path)) == 2
+        assert capsys.readouterr().err == err
+
+
 def test_simulate_subcommand(tmp_path):
     out = tmp_path / "sim.csv"
     assert run_cli("simulate", "-c", CASE1, "--model", "3-2-3",

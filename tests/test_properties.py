@@ -8,20 +8,25 @@ A second suite runs `optimize` on shorter Ys and checks every solution
 against its pattern solved alone.  A third mixes losses at the validation
 bounds (5e-324, 1e-300 and 1 - 2^-53, within the open interval (0, 1))
 with ordinary ones, and checks that every solution holds the invariants
-and the CLI ends in a solution or a clean "infeasible".  Examples are
-derandomized so every run checks the same scenarios.
+and the CLI ends in a solution or a clean "infeasible".  Two more check
+that the first placed group's COM neither falls as T grows nor falls
+below its plain-only COM.  Neither holds for a whole pattern, since a
+group with more slots can widen a later group's window; an example pins
+each.  Examples are derandomized so every run checks the same scenarios.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import yslot.allocate
 from conftest import assert_optimize_matches_solve_pattern, recorded_residuals
-from yslot import (derive_conflicts, enumerate_path_models, optimize,
-                   patterns_for, relaxed_table, solution_timeline,
+from yslot import (derive_conflicts, enumerate_path_models, find_model,
+                   optimize, patterns_for, relaxed_table, solution_timeline,
                    solve_pattern, validate_topology, verify_timeline)
 from yslot.cli import main
 
@@ -107,6 +112,20 @@ def assert_solution_invariants(topology, sol, T: int) -> None:
     report = verify_timeline(solution_timeline(sol), derive_conflicts(topology),
                              T, sol.allocation.entries)
     assert report.ok, report.first()
+    # the TUB table keeps each group's budgets: serialized slots and the
+    # real window fit T, early slots of budget uses fit the window
+    tub, windows = relaxed_table(sol)
+    assert min(tub.values()) >= 0.0
+    for step in sol.steps:
+        label = step.plan.label
+        nodes = set(sol.model.group(label))
+        riders = {(u.node, u.link) for u in step.structure.riders}
+        serial = sum(v for (node, _k, _link, early), v in tub.items()
+                     if node in nodes and not early)
+        early = sum(v for (node, _k, link, early), v in tub.items()
+                    if node in nodes and early and (node, link) not in riders)
+        assert serial + windows[label] <= T + 1e-9, label
+        assert early <= windows[label] + 1e-9, label
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
@@ -141,3 +160,102 @@ def test_losses_at_the_validation_bounds(config):
         assert main(["solve", "-c", str(path), "--model", model.name,
                      "--no-sep-branch", str(model.no_sep_branch),
                      "--pattern", str(spec.pattern_id), "-o", out]) in (0, 1)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ys(4, 300), st.integers(1, 4))
+def test_first_group_com_is_non_decreasing_in_T(y, step):
+    # the first placed group sees no window: its COM is the best greedy
+    # product at budget T, which one more slot can only keep or raise
+    topology, T = y
+    previous = first_group_coms(optimize(topology, T))
+    for t in range(T + step, T + 5 * step, step):
+        coms = first_group_coms(optimize(topology, t))
+        for key, com in coms.items():
+            assert com >= previous[key], (key, t)
+        previous = coms
+
+
+def first_group_coms(solutions) -> dict:
+    return {(s.model.name, s.model.no_sep_branch, s.pattern.pattern_id):
+            math.prod(s.steps[0].per_node.values()) for s in solutions}
+
+
+def test_pattern_com_can_fall_as_T_grows():
+    # a later group's window can grow faster than T: here one more slot
+    # widens Z's window by two, so its case-c5 serialized budget T - window
+    # shrinks by one and the pattern's COM falls
+    # branches 1-2-3 to gateway 10, 1-4-5 to 11, 1-6-7-8-9 to 12
+    links = [(1, 2), (2, 3), (3, 10), (1, 4), (4, 5), (5, 11),
+             (1, 6), (6, 7), (7, 8), (8, 9), (9, 12)]
+    config = {
+        "nodes": [{"id": n, "rate": 1} for n in range(1, 10)],
+        "gateways": [{"id": g} for g in (10, 11, 12)],
+        "links": [{"id": i + 1, "a": a, "b": b, "loss": 0.5}
+                  for i, (a, b) in enumerate(links)],
+        "proximity": [[a, b] for a, b in links] + [[2, 4], [2, 6], [4, 6], [5, 7]],
+    }
+    found = {}
+    for T in (42, 43):
+        topology = validate_topology({**config, "cycle_slots": T})
+        model = find_model(topology, "3-2-4", 10)
+        spec = next(p for p in patterns_for(model) if p.pattern_id == 1)
+        sol = solve_pattern(model, spec, T)
+        z = next(step for step in sol.steps if step.plan.label == "Z")
+        serial = sum(v for (_n, _k, _l, early), v in z.entries.items() if not early)
+        found[T] = (sol.com_product, z.plan.window, serial, z.case_label)
+    assert found[42][1:] == (21, 21, "c5") and found[43][1:] == (23, 20, "c5")
+    assert found[43][0] < found[42][0]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ys(4, 300))
+def test_first_group_com_at_least_its_plain_com(y):
+    # the overlap structures are extra candidates: behind the same (empty)
+    # window, dropping them never raises the first group's COM
+    topology, T = y
+    coms = first_group_coms(optimize(topology, T))
+    plain = optimize_plain_only(topology, T)
+    assert {step.structure.kind for s in plain for step in s.steps} == {"plain"}
+    for key, com in first_group_coms(plain).items():
+        assert coms[key] >= com, key
+
+
+def optimize_plain_only(topology, T):
+    candidates = yslot.allocate.candidate_structures
+    try:
+        yslot.allocate.candidate_structures = lambda *args: candidates(*args)[:1]
+        return optimize(topology, T)
+    finally:
+        yslot.allocate.candidate_structures = candidates
+
+
+def test_overlap_structures_can_lower_the_best_com():
+    # X's rider-feeders structure beats its plain one, but its extra slots
+    # widen Y's window from 8 to 13, and the best COM falls below the
+    # plain-only best
+    rates = {1: 1, 2: 2, 3: 3, 4: 2, 5: 1, 6: 1, 7: 3, 8: 3}
+    links = [(1, 2, 0.59), (2, 9, 0.72), (1, 3, 0.6), (3, 4, 0.42),
+             (4, 10, 0.14), (1, 5, 0.18), (5, 6, 0.21), (6, 7, 0.21),
+             (7, 8, 0.18), (8, 11, 0.24)]
+    topology = validate_topology({
+        "cycle_slots": 18,
+        "nodes": [{"id": n, "rate": r} for n, r in rates.items()],
+        "gateways": [{"id": g} for g in (9, 10, 11)],
+        "links": [{"id": i + 1, "a": a, "b": b, "loss": q}
+                  for i, (a, b, q) in enumerate(links)],
+        "proximity": [[a, b] for a, b, _q in links]
+        + [[2, 3], [2, 5], [3, 5], [7, 9]],
+    })
+    full, plain = optimize(topology, 18), optimize_plain_only(topology, 18)
+    assert full[0].com_product < plain[0].com_product
+
+    def steps(solutions):
+        sol = next(s for s in solutions if (s.model.name, s.model.no_sep_branch,
+                                            s.pattern.pattern_id) == ("4-1-3", 10, 2))
+        return {step.plan.label: step for step in sol.steps}
+    full_steps, plain_steps = steps(full), steps(plain)
+    assert full_steps["X"].structure.kind == "rider-feeders"
+    assert (plain_steps["Y"].plan.window, full_steps["Y"].plan.window) == (8, 13)
