@@ -17,17 +17,18 @@ Pipeline per group, in pattern placement order:
    only is the group's TUB product, so TUB >= COM holds by relaxed
    feasibility; `relaxed_table` builds the TUB slot table on demand.
 
-`optimize` does each group's work once per call, in a `_GroupTable` shared
-by all its patterns and dropped when it returns (`solve_pattern` alone
-builds one for its pattern).  One topology and one T fix everything but
-the group, so the first level is keyed on (label, nodes, routes of those
-nodes) and holds the chain, candidate structures, transmitter map, ranks,
-predicted case, one read-only budget-T greedy per candidate and, once a
-structure wins, its relaxed optimum.  A group's step reads the placement
-before it only through the early window and the blocked uses, so the
-second level is keyed on (window, sorted blocked uses) and holds the
-frozen `GroupStep` a solution is made of.  Both hits are exact: the key
-is every input of the work it stands for.
+`_GroupTable.solve` is the one loop that places a pattern's groups.
+`optimize` shares one table across all its patterns and drops it when it
+returns; `solve_pattern` builds one for its pattern.  One topology and
+one T fix everything but the group, so the first level is keyed on
+(label, nodes, routes of those nodes) and holds the chain, candidate
+structures, transmitter map, ranks, predicted case, one read-only
+budget-T greedy per candidate and, once a structure wins, its relaxed
+optimum.  A group's step reads the placement before it only through the
+early window and the blocked uses, so the second level is keyed on
+(window, sorted blocked uses) and holds the frozen `GroupStep` a
+solution is made of.  Both hits are exact: the key is every input of the
+work it stands for.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
 from .relax import (GroupChain, Origin, StructuredRelax, Use, budget_terms,
                     log1m_pow, solve_plain_structure, solve_rider_feeders,
                     solve_rider_terminal)
-from .timeline import GroupPlan, PlacedBurst, place_plans
+from .timeline import GroupPlan, PlacedBurst, build_timeline, place_plans
 from .topology import ConflictSet, Topology, derive_conflicts
 
 TxLink = tuple[int, int]
@@ -604,9 +605,9 @@ class _GroupTable:
     """Each group's work, done once per topology and T: keyed on the
     group's (label, nodes, routes), then on its (window, blocked uses)."""
 
-    def __init__(self, topology: Topology, cycle_slots: int):
+    def __init__(self, topology: Topology, cycle_slots: int | None):
         self.topology = topology
-        self.T = cycle_slots
+        self.T = int(cycle_slots if cycle_slots is not None else topology.cycle_slots)
         self.conflicts = derive_conflicts(topology)
         self.groups: dict[tuple, _Group] = {}
 
@@ -622,17 +623,6 @@ class _GroupTable:
                 _chain_ranks(chain), predicted_case(chain, candidates),
                 [_greedy_int(st, self.T) for st in candidates], {}, {})
         return group
-
-    def step(self, model: PathModel, label: str,
-             placed: Placed) -> GroupStep:
-        group = self._group(model, label)
-        window = early_window(placed, group.txmap.values(), self.conflicts)
-        blocked = _blocked_uses(group.txmap, window, placed, self.conflicts)
-        key = (window, tuple(sorted(blocked)))
-        step = group.steps.get(key)
-        if step is None:
-            step = group.steps[key] = self._place(group, window, blocked)
-        return step
 
     def _place(self, group: _Group, window: int,
                blocked: set[TxLink]) -> GroupStep:
@@ -671,40 +661,46 @@ class _GroupTable:
                          MappingProxyType(extents), MappingProxyType(entries),
                          MappingProxyType(per_node))
 
+    def solve(self, model: PathModel, spec: PatternSpec) -> PatternSolution:
+        """Place the pattern's groups in order, each step looked up by its
+        (window, sorted blocked uses) or placed, then merge the steps."""
+        placed: Placed = {}
+        steps = []
+        for label in spec.placement:
+            group = self._group(model, label)
+            window = early_window(placed, group.txmap.values(), self.conflicts)
+            blocked = _blocked_uses(group.txmap, window, placed, self.conflicts)
+            key = (window, tuple(sorted(blocked)))
+            step = group.steps.get(key)
+            if step is None:
+                step = group.steps[key] = self._place(group, window, blocked)
+            steps.append(step)
+            for txlink, (start, end) in step.extents.items():
+                _widen(placed, txlink, start, end)
+
+        entries: dict[SlotKey, int] = {}
+        per_node = dict.fromkeys(self.topology.nodes, 0.0)
+        for step in steps:
+            entries.update(step.entries)
+            per_node.update(step.per_node)
+        # label order, and per_node in node order, so equal products tie exactly
+        tub = math.prod(step.relaxed.product
+                        for step in sorted(steps, key=lambda s: s.plan.label))
+        com = math.prod(per_node.values())
+        return PatternSolution(model, spec, self.T, tub, com,
+                               SlotAllocation(entries, per_node), tuple(steps))
+
 
 def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
-                  cycle_slots: int | None = None, *,
-                  _table: _GroupTable | None = None) -> PatternSolution:
-    """Place the pattern's groups in order; `_table` is the group table
-    `optimize` shares across its patterns (built for this T)."""
-    topo = model.topology
-    T = int(cycle_slots if cycle_slots is not None else topo.cycle_slots)
+                  cycle_slots: int | None = None) -> PatternSolution:
+    """Solve one pattern of a model (its first by default); T defaults to
+    the topology's cycle_slots."""
     spec = _resolve_pattern(model, pattern)
-    table = _table if _table is not None else _GroupTable(topo, T)
-
-    placed: Placed = {}
-    steps = []
-    for label in spec.placement:
-        steps.append(table.step(model, label, placed))
-        for txlink, (start, end) in steps[-1].extents.items():
-            _widen(placed, txlink, start, end)
-
-    entries: dict[SlotKey, int] = {}
-    per_node = dict.fromkeys(topo.nodes, 0.0)
-    for step in steps:
-        entries.update(step.entries)
-        per_node.update(step.per_node)
-    # label order, and per_node in node order, so equal products tie exactly
-    tub = math.prod(step.relaxed.product
-                    for step in sorted(steps, key=lambda s: s.plan.label))
-    com = math.prod(per_node.values())
-    return PatternSolution(model, spec, T, tub, com,
-                           SlotAllocation(entries, per_node), tuple(steps))
+    return _GroupTable(model.topology, cycle_slots).solve(model, spec)
 
 
 def solution_timeline(solution: PatternSolution):
     """Materialize a solved pattern into its verified slot-by-slot timeline."""
-    from .timeline import build_timeline
     return build_timeline(solution.model.topology, solution.plans,
                           solution.cycle_slots)
 
@@ -712,12 +708,10 @@ def solution_timeline(solution: PatternSolution):
 def optimize(topology: Topology, cycle_slots: int | None = None,
              no_sep_branch: int | None = None) -> list[PatternSolution]:
     """Solve every (model, pattern); rank by COM desc, ties by TUB then name."""
-    T = int(cycle_slots if cycle_slots is not None else topology.cycle_slots)
-    table = _GroupTable(topology, T)
-    solutions = []
-    for model in enumerate_path_models(topology, no_sep_branch):
-        for spec in patterns_for(model):
-            solutions.append(solve_pattern(model, spec, T, _table=table))
+    table = _GroupTable(topology, cycle_slots)
+    solutions = [table.solve(model, spec)
+                 for model in enumerate_path_models(topology, no_sep_branch)
+                 for spec in patterns_for(model)]
     solutions.sort(key=lambda s: (-s.com_product, -s.tub_product, s.model.name,
                                   s.model.no_sep_branch, s.pattern.pattern_id))
     return solutions

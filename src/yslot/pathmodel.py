@@ -31,18 +31,16 @@ class PathModel:
     def route(self, node: int) -> tuple[int, ...]:
         return self.routes[node]
 
-    def transmitters(self, node: int) -> tuple[tuple[int, int], ...]:
-        """The (tx node, link) sequence that carries this origin's packet."""
-        out, cur = [], node
-        for link_id in self.route(node):
-            out.append((cur, link_id))
-            cur = self.topology.links[link_id].other(cur)
-        return tuple(out)
-
     def transmitter_map(self, label: str) -> dict[tuple[int, int], tuple[int, int]]:
-        """(origin, link) -> (tx node, link) for every route step of a group."""
-        return {(node, link): (tx, link) for node in self.group(label)
-                for tx, link in self.transmitters(node)}
+        """(origin, link) -> (tx node, link) for every route step of a group:
+        each hop is sent by the far end of the hop before it."""
+        out = {}
+        for node in self.group(label):
+            tx = node
+            for link_id in self.route(node):
+                out[(node, link_id)] = (tx, link_id)
+                tx = self.topology.links[link_id].other(tx)
+        return out
 
 
 @dataclass(frozen=True)
@@ -56,38 +54,28 @@ class PatternSpec:
     independent: tuple[str, ...]  # groups conflicting with nobody
 
 
-def _branch_groups(branch: Branch, sep_index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split a branch at inter-node link index: (outer group, inner remnant).
-
-    Both returned tuples are ordered most-upstream node first.
-    """
-    outer = branch.nodes[sep_index:]
-    remnant = tuple(reversed(branch.nodes[:sep_index]))
-    return outer, remnant
-
-
 def _build_model(topology: Topology, z_branch: Branch, x_branch: Branch,
                  y_branch: Branch, ia: int, ib: int) -> PathModel:
+    """Separation links at inter-node link index ia of X and ib of Y.  Each
+    group lists its nodes most upstream first: X and Y are the outer slices
+    of their branches, Z the two inner remnants (separation side first),
+    the central node and the Z branch."""
     sep_a = x_branch.inter_node_links[ia]
     sep_b = y_branch.inter_node_links[ib]
-    sx, rem_x = _branch_groups(x_branch, ia)
-    sy, rem_y = _branch_groups(y_branch, ib)
-    central = topology.central
-    sz = rem_x + rem_y + (central,) + z_branch.nodes
+    sx, sy = x_branch.nodes[ia:], y_branch.nodes[ib:]
+    sz = (x_branch.nodes[:ia][::-1] + y_branch.nodes[:ib][::-1]
+          + (topology.central,) + z_branch.nodes)
 
-    routes: dict[int, tuple[int, ...]] = {}
-    for branch, sep_index, outer in ((x_branch, ia, sx), (y_branch, ib, sy)):
-        for j, node in enumerate(branch.nodes):
-            if j >= sep_index:
-                routes[node] = tuple(branch.links[j + 1:])
     z_links = z_branch.links
-    routes[central] = tuple(z_links)
+    routes: dict[int, tuple[int, ...]] = {topology.central: z_links}
     for j, node in enumerate(z_branch.nodes):
-        routes[node] = tuple(z_links[j + 1:])
+        routes[node] = z_links[j + 1:]
     for branch, sep_index in ((x_branch, ia), (y_branch, ib)):
-        for j, node in enumerate(branch.nodes[:sep_index]):
-            # inner remnant forwards back to the central node, then down Z
-            routes[node] = tuple(reversed(branch.links[: j + 1])) + tuple(z_links)
+        for j, node in enumerate(branch.nodes):
+            # outward to the branch's gateway, or (inner remnant) back to
+            # the central node, then down Z
+            routes[node] = (branch.links[j + 1:] if j >= sep_index
+                            else branch.links[j::-1] + z_links)
 
     adjacent = {x_branch.links[0], y_branch.links[0]}
     deep = sum(1 for s in (sep_a, sep_b) if s not in adjacent)
@@ -126,6 +114,10 @@ def enumerate_path_models(topology: Topology,
         for ia in range(len(x_branch.inter_node_links)):
             for ib in range(len(y_branch.inter_node_links)):
                 models.append(_build_model(topology, z_branch, x_branch, y_branch, ia, ib))
+    if not models:
+        where = "" if no_sep_branch is None else f" with no_sep_branch {no_sep_branch}"
+        raise ValueError(f"no path model{where}: both separated branches "
+                         "need at least one node")
     return models
 
 

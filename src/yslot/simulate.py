@@ -62,11 +62,10 @@ def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
                     timeline.cycle_slots).raise_first()
 
     units = sorted(timeline.units, key=lambda u: (u.slot, u.tx, u.link, u.origin, u.k))
-    packets = sorted({(u.origin, u.k) for u in units})
 
     # per-(tx, link) stream order for slot reuse
     stream: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u in units:
+    for u in units if reuse else ():
         lst = stream.setdefault((u.tx, u.link), [])
         if (u.origin, u.k) not in lst:
             lst.append((u.origin, u.k))
@@ -99,13 +98,13 @@ def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
             held(rx, packet)[...] |= claim & draw
             assigned = assigned | claim
 
-    # a node delivers when each of its packets reached some gateway
+    # a node delivers when each of its packets, scheduled or not, reached
+    # some gateway
     counts, missed = {}, np.zeros(trials, dtype=bool)
     all_ok = np.ones(trials, dtype=bool)
-    for node in sorted(topology.rates):
-        ks = [k for origin, k in packets if origin == node]
-        ok = np.full(trials, bool(ks))
-        for k in ks:
+    for node, rate in sorted(topology.rates.items()):
+        ok = np.ones(trials, dtype=bool)
+        for k in range(1, rate + 1):
             ok &= np.logical_or.reduce(
                 [holds.get((g, node, k), missed) for g in topology.gateways])
         counts[node] = int(ok.sum())

@@ -188,17 +188,28 @@ def load_config(path: str | Path) -> dict:
     return raw
 
 
+def _int(value, what: str) -> int:
+    """An integer config field, where int() would read True as 1 and "3" as 3
+    and cut 2.7 to 2; `value % 1` is nonzero, or nan, for any fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise TopologyError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def validate_topology(raw: dict) -> Topology:
     """Validate a raw config dict and derive the central node and branches."""
     try:
-        node_items = [(int(n["id"]), int(n.get("rate", 1))) for n in raw["nodes"]]
-        gw_ids = [int(g["id"]) for g in raw["gateways"]]
+        node_items = [(_int(n["id"], "node id"), _int(n.get("rate", 1), "rate"))
+                      for n in raw["nodes"]]
+        gw_ids = [_int(g["id"], "gateway id") for g in raw["gateways"]]
         link_items = [
-            Link(int(l["id"]), int(l["a"]), int(l["b"]), float(l["loss"]))
+            Link(_int(l["id"], "link id"), _int(l["a"], "link endpoint"),
+                 _int(l["b"], "link endpoint"), float(l["loss"]))
             for l in raw["links"]
         ]
-        prox_items = [tuple(int(x) for x in p) for p in raw.get("proximity", [])]
-        cycle_slots = int(raw["cycle_slots"])
+        prox_items = [tuple(_int(x, "proximity id") for x in p)
+                      for p in raw.get("proximity", [])]
+        cycle_slots = _int(raw["cycle_slots"], "cycle_slots")
     except (KeyError, TypeError, ValueError) as exc:
         raise TopologyError(f"malformed config: {exc}") from exc
 
@@ -230,7 +241,10 @@ def validate_topology(raw: dict) -> Topology:
             raise LossOutOfRange(f"link {l.id} loss {l.loss} not in (0,1)")
 
     proximity = set()
-    for a, b in prox_items:
+    for pair in prox_items:
+        if len(pair) != 2:
+            raise TopologyError(f"proximity entry {list(pair)} is not a pair")
+        a, b = pair
         if a == b:
             raise TopologyError(f"proximity pair ({a},{b}) repeats an id")
         if a not in ids or b not in ids:

@@ -32,6 +32,29 @@ def load_case_raw(case: int) -> dict:
     return json.loads(text)
 
 
+def branch_config(lengths: tuple[int, int, int], cycle_slots: int = 30) -> dict:
+    """A Y config with branches of the given node counts, where 0 links the
+    central node (id 1) straight to a gateway.  Branch nodes are numbered
+    outward branch by branch, the three gateways come last; every loss is
+    0.3 and proximity holds the links' endpoints."""
+    n_nodes = 1 + sum(lengths)
+    links, node = [], 2
+    for index, length in enumerate(lengths):
+        prev = 1
+        for _ in range(length):
+            links.append((prev, node))
+            prev, node = node, node + 1
+        links.append((prev, n_nodes + 1 + index))
+    return {
+        "cycle_slots": cycle_slots,
+        "nodes": [{"id": n} for n in range(1, n_nodes + 1)],
+        "gateways": [{"id": n_nodes + 1 + i} for i in range(3)],
+        "links": [{"id": i + 1, "a": a, "b": b, "loss": 0.3}
+                  for i, (a, b) in enumerate(links)],
+        "proximity": [list(pair) for pair in links],
+    }
+
+
 @pytest.fixture(scope="session")
 def case1_raw():
     return load_case_raw(1)

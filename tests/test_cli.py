@@ -2,11 +2,12 @@ import csv
 import importlib.resources
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
 import yslot.allocate
-import yslot.cli
+from conftest import branch_config
 from yslot import CausalityViolation, ConvergenceError, DomainError
 from yslot.cli import main
 
@@ -32,8 +33,7 @@ def test_internal_error_exits_3_with_one_line(command, exc, monkeypatch, capsys)
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(yslot.allocate, "solve_pattern", broken)
-    monkeypatch.setattr(yslot.cli, "solve_pattern", broken)
+    monkeypatch.setattr(yslot.allocate._GroupTable, "solve", broken)
     model = ["--model", "3-2-3", "--no-sep-branch", "11"]
     extra = {"solve": model, "optimize": [],
              "simulate": [*model, "--trials", "10"]}[command]
@@ -154,6 +154,22 @@ def test_simulate_single_rare_miss_passes(capsys):
     assert all(r["ok"] == "True" for r in rows)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_counts_packets_without_a_slot(fmt, capsys):
+    # node 7 (rate 3) has a packet with no slot: it never delivers, so its
+    # rate and the all rate read 0, as the analytic COM says, not z=inf
+    y06 = str(Path(__file__).parent / "golden/ys/y06.json")
+    assert run_cli("simulate", "-c", y06, "--model", "1-1-5",
+                   "--no-sep-branch", "10", "--pattern", "1",
+                   "--trials", "20000", "--seed", "1", "--format", fmt) == 0
+    out = capsys.readouterr().out
+    assert "inf" not in out.lower()
+    rows = (json.loads(out, parse_constant=pytest.fail) if fmt == "json"
+            else list(csv.DictReader(out.splitlines())))
+    assert [(str(r["node"]), float(r["empirical"])) for r in rows[-2:]] == \
+        [("7", 0.0), ("all", 0.0)]
+
+
 def test_negative_digits_rejected_before_any_output(tmp_path, capsys):
     out = tmp_path / "table.csv"
     assert run_cli("report", "-c", CASE1, "--model", "3-2-3",
@@ -182,6 +198,43 @@ def test_no_sep_branch_outside_gateways_exits_2(command, capsys):
     assert captured.out == ""
     assert captured.err == ("error: no_sep_branch 99 is not a gateway id; "
                             "expected one of [9, 10, 11]\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw["nodes"][0].update(rate=2.7), "rate 2.7 is not an integer"),
+    (lambda raw: raw["proximity"].append([1, 2, 3]),
+     "proximity entry [1, 2, 3] is not a pair"),
+], ids=["fractional-rate", "proximity-triple"])
+def test_bad_config_value_exits_2_with_one_line(edit, message, tmp_path, capsys):
+    raw = json.loads(Path(CASE1).read_text())
+    edit(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli("optimize", "-c", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "optimize", "report", "solve",
+                                     "simulate"])
+@pytest.mark.parametrize("lengths, no_sep_branch", [
+    ((0, 0, 0), None), ((0, 2, 3), 8)],
+    ids=["central-only", "empty-separated-branch"])
+def test_no_path_model_exits_2_with_one_line(command, lengths, no_sep_branch,
+                                             tmp_path, capsys):
+    # not an empty model list (exit 0) or an empty ranking (exit 1)
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps(branch_config(lengths)))
+    extra = [] if no_sep_branch is None else ["--no-sep-branch", str(no_sep_branch)]
+    if command in ("solve", "simulate"):
+        extra += ["--model", "1-1-1"]
+    assert run_cli(command, "-c", str(path), *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    where = "" if no_sep_branch is None else f" with no_sep_branch {no_sep_branch}"
+    assert captured.err == (f"error: no path model{where}: both separated "
+                            "branches need at least one node\n")
 
 
 def test_t_slots_override(tmp_path):

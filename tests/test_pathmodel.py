@@ -2,6 +2,7 @@ import copy
 
 import pytest
 
+from conftest import branch_config
 from yslot import (enumerate_path_models, find_model, patterns_for,
                    validate_topology)
 
@@ -149,3 +150,20 @@ def test_no_sep_branch_must_be_a_gateway(case1):
         enumerate_path_models(case1, no_sep_branch=99)
     with pytest.raises(ValueError, match="not a gateway id"):
         find_model(case1, "3-2-3", 1)       # a node id, not a gateway id
+
+
+@pytest.mark.parametrize("lengths, no_sep_branch", [
+    ((0, 0, 0), None),    # the central node alone, linked to three gateways
+    ((0, 2, 3), 8),       # Z is the 2-node branch: X has no node to separate
+], ids=["central-only", "empty-separated-branch"])
+def test_no_path_model_is_an_error(lengths, no_sep_branch):
+    topology = validate_topology(branch_config(lengths))
+    with pytest.raises(ValueError, match="^no path model"):
+        enumerate_path_models(topology, no_sep_branch)
+
+
+def test_empty_branch_can_be_z():
+    topology = validate_topology(branch_config((0, 2, 3)))
+    models = enumerate_path_models(topology)
+    assert {m.no_sep_branch for m in models} == {7}
+    assert len(models) == 2 * 3

@@ -1,8 +1,12 @@
+import json
+import math
+from pathlib import Path
+
 import pytest
 
 from yslot import (ConflictViolation, DoesNotFit, NodeSetMismatch, SimReport,
-                   build_timeline, compare, find_model, simulate, solve_pattern,
-                   validate_topology)
+                   build_timeline, compare, find_model, simulate,
+                   solution_timeline, solve_pattern, validate_topology)
 from yslot.timeline import GroupPlan, PlacedBurst, Timeline, Unit, place_plans
 
 TRIALS = 100000
@@ -104,6 +108,24 @@ def test_zero_slot_node_never_delivers(case1):
     checks = compare(report, {n: (1 - 0.3 if n == 8 else 0.0)
                               for n in report.per_node})
     assert all(c.ok for c in checks)
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["dedicated", "reuse"])
+def test_packet_without_a_slot_is_never_delivered(reuse):
+    # golden y06, model 1-1-5 (no-sep branch 10) pattern 1: the greedy
+    # schedules only packet 1 of node 7 (rate 3), so its COM is 0; its
+    # other two packets have no unit in the timeline
+    raw = json.loads((Path(__file__).parent / "golden/ys/y06.json").read_text())
+    top = validate_topology(raw)
+    sol = solve_pattern(find_model(top, "1-1-5", 10), 1)
+    tl = solution_timeline(sol)
+    assert top.rates[7] == 3 and sol.allocation.per_node[7] == 0.0
+    assert {u.k for u in tl.units if u.origin == 7} == {1}
+    report = simulate(tl, top, 20000, seed=1, reuse=reuse)
+    assert report.per_node_counts[7] == 0 and report.all_rate == 0.0
+    if not reuse:   # the analytic COM is the dedicated-slot model's
+        checks = compare(report, sol.allocation.per_node)
+        assert all(c.ok and math.isfinite(c.z) for c in checks)
 
 
 def test_corrupted_analytic_fails():

@@ -66,6 +66,53 @@ def test_nonpositive_rate_rejected(case1_raw):
         validate_topology(raw)
 
 
+def _set(raw, path, value):
+    """Replace the config field at `path` (keys and list indices)."""
+    *parents, last = path
+    for key in parents:
+        raw = raw[key]
+    raw[last] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    (("nodes", 0, "rate"), 2.7),
+    (("nodes", 0, "rate"), True),
+    (("nodes", 0, "id"), "1"),
+    (("cycle_slots",), 30.9),
+    (("cycle_slots",), "30"),
+    (("gateways", 0, "id"), False),
+    (("links", 0, "id"), 1.5),
+    (("links", 0, "a"), "1"),
+    (("proximity", 0, 1), 2.5),
+    (("proximity", 0, 0), None),
+    (("cycle_slots",), float("inf")),
+], ids=["rate-fraction", "rate-bool", "node-id-string", "cycle-slots-fraction",
+        "cycle-slots-string", "gateway-id-bool", "link-id-fraction",
+        "link-endpoint-string", "proximity-id-fraction", "proximity-id-null",
+        "cycle-slots-inf"])
+def test_non_integer_field_rejected_not_truncated(case1_raw, path, value):
+    raw = copy.deepcopy(case1_raw)
+    _set(raw, path, value)
+    with pytest.raises(TopologyError, match=f"{value!r} is not an integer"):
+        validate_topology(raw)
+
+
+def test_integral_float_reads_as_int(case1_raw):
+    raw = copy.deepcopy(case1_raw)
+    raw["nodes"][0]["rate"], raw["cycle_slots"] = 2.0, 30.0
+    topology = validate_topology(raw)
+    assert type(topology.cycle_slots) is int and topology.cycle_slots == 30
+    assert type(topology.rates[1]) is int and topology.rates[1] == 2
+
+
+@pytest.mark.parametrize("entry", [[1, 2, 3], [1], []])
+def test_proximity_entry_must_be_a_pair(case1_raw, entry):
+    raw = copy.deepcopy(case1_raw)
+    raw["proximity"].append(entry)
+    with pytest.raises(TopologyError, match=r"proximity entry \[.*\] is not a pair"):
+        validate_topology(raw)
+
+
 def test_example_interference_constraints(case1):
     c = derive_conflicts(case1)
     # 3-2-3: 3 and 4 cannot send at the same time, nor 5 and 4
