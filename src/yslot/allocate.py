@@ -173,18 +173,27 @@ def _greedy_int(st: Structure, budget: int,
     top is the earliest entry of largest gain.  The few hosts are summed
     with the rider gain and compared one by one each slot, since that sum
     can round two unequal host gains into a tie the index must break.
+    Entries of one loss share one list of negated gains, indexed by slot
+    count and extended when an entry first reaches its end, so each gain
+    is computed once per call.
     """
     entries = _packet_entries(st.uses)
     riders = _packet_entries(st.riders)
     host_keys = set(st.hosts) if riders else set()
-    vals = {key: 0 for key, _q in entries}
-    rvals = {key: 0 for key, _q in riders}
+    tables: dict[float, list[float]] = {}
+    for _key, q in entries + riders:
+        if q not in tables:
+            tables[q] = [-_gain(q, 0)]
+    qs = [q for _key, q in entries]
+    rqs = [q for _key, q in riders]
+    gains = [tables[q] for q in qs]
+    rgains = [tables[q] for q in rqs]
+    vals = [0] * len(entries)
+    rvals = [0] * len(riders)
     hosts = [i for i, (key, _q) in enumerate(entries)
              if (key[0], key[2]) in host_keys]
-    host_gain = {i: _gain(entries[i][1], 0) for i in hosts}
-    free = [(-_gain(q, 0), i) for i, (key, q) in enumerate(entries)
-            if i not in host_gain]
-    rheap = [(-_gain(q, 0), i) for i, (_key, q) in enumerate(riders)]
+    free = [(t[0], i) for i, t in enumerate(gains) if i not in hosts]
+    rheap = [(t[0], r) for r, t in enumerate(rgains)]
     heapq.heapify(free)
     heapq.heapify(rheap)
 
@@ -193,26 +202,32 @@ def _greedy_int(st: Structure, budget: int,
         if hosts:
             rider_gain = -rheap[0][0]
             for i in hosts:
-                g = host_gain[i] + rider_gain
+                g = -gains[i][vals[i]] + rider_gain
                 if g > best_gain:
                     best, best_gain = i, g
         if free and (best is None or -free[0][0] > best_gain
                      or (-free[0][0] == best_gain and free[0][1] < best)):
             i = free[0][1]
-            key, q = entries[i]
-            vals[key] += 1
-            heapq.heapreplace(free, (-_gain(q, vals[key]), i))
+            v = vals[i] = vals[i] + 1
+            t = gains[i]
+            if v == len(t):
+                t.append(-_gain(qs[i], v))
+            heapq.heapreplace(free, (t[v], i))
         elif best is not None:
-            key, q = entries[best]
-            vals[key] += 1
-            host_gain[best] = _gain(q, vals[key])
+            v = vals[best] = vals[best] + 1
+            t = gains[best]
+            if v == len(t):
+                t.append(-_gain(qs[best], v))
             r = rheap[0][1]
-            rkey, rq = riders[r]
-            rvals[rkey] += 1
-            heapq.heapreplace(rheap, (-_gain(rq, rvals[rkey]), r))
+            v = rvals[r] = rvals[r] + 1
+            t = rgains[r]
+            if v == len(t):
+                t.append(-_gain(rqs[r], v))
+            heapq.heapreplace(rheap, (t[v], r))
         else:
             break
-    return vals, rvals
+    return (dict(zip((key for key, _q in entries), vals)),
+            dict(zip((key for key, _q in riders), rvals)))
 
 
 def _split_structure(st: Structure, hide_set: set[TxLink],
@@ -653,10 +668,9 @@ class _GroupTable:
                     entries[key] = entries.get(key, 0) + v
         totals = gi.totals()
         per_node = {o.node: _delivery_product([o], totals) for o in chain.origins}
-        slots: dict[TxLink, list[int]] = {}   # extents: each transmitter's hull
-        for u in place_plans(self.topology, [plan]):
-            slots.setdefault((u.tx, u.link), []).append(u.slot)
-        extents = {tx: (min(s), max(s) + 1) for tx, s in slots.items()}
+        extents: dict[TxLink, tuple[int, int]] = {}   # each transmitter's hull
+        for r in place_plans(self.topology, [plan]):
+            _widen(extents, (r.tx, r.link), r.start, r.start + r.count)
         return GroupStep(st, group.relaxed[i], lab, group.predicted, plan,
                          MappingProxyType(extents), MappingProxyType(entries),
                          MappingProxyType(per_node))

@@ -49,6 +49,8 @@ class Unit(NamedTuple):
 # of the generated __new__: about half the cost of calling Unit per slot
 _unit_of_row = partial(tuple.__new__, Unit)
 _sent = itemgetter(1, 2, 3)   # a Unit's (tx, rx, link)
+_packet = itemgetter(4, 5)    # a Unit's (origin, k)
+_sent_packet = itemgetter(1, 2, 3, 4, 5)   # both at once
 
 
 class PlacedBurst(NamedTuple):
@@ -129,16 +131,30 @@ class VerificationReport:
             raise _ERRORS[v.kind](f"slot {v.slot}: {v.detail}")
 
 
-def place_plans(topology: Topology, plans: list[GroupPlan]) -> list[Unit]:
-    """Materialize group plans into units; deterministic in plan order."""
-    units: list[Unit] = []
+class Run(NamedTuple):
+    """A burst placed at its first slot: count units from start on, each
+    origin's k-th packet sent by tx to rx over link."""
+
+    start: int
+    count: int
+    tx: int
+    rx: int
+    link: int
+    origin: int
+    k: int
+    early: bool
+
+
+def place_plans(topology: Topology, plans: list[GroupPlan]) -> list[Run]:
+    """Place group plans as one run per burst, each rider a run of its own
+    at its host's cursor; deterministic in plan order."""
+    runs: list[Run] = []
 
     def emit(burst: PlacedBurst, start: int) -> int:
         rx = topology.links[burst.link].other(burst.tx)
         end = start + burst.count
-        units.extend(map(_unit_of_row, zip(
-            range(start, end), repeat(burst.tx), repeat(rx), repeat(burst.link),
-            repeat(burst.origin), repeat(burst.k), repeat(burst.early))))
+        runs.append(Run(start, burst.count, burst.tx, rx, burst.link,
+                        burst.origin, burst.k, burst.early))
         cursor = start
         for rider in burst.riders:
             cursor = emit(rider, cursor)
@@ -156,13 +172,22 @@ def place_plans(topology: Topology, plans: list[GroupPlan]) -> list[Unit]:
         cursor = plan.window
         for burst in plan.serialized:
             cursor = emit(burst, cursor)
+    return runs
+
+
+def units_of(runs: list[Run]) -> list[Unit]:
+    """One unit per slot of each run, in run order."""
+    units: list[Unit] = []
+    for start, count, *fields in runs:
+        units.extend(map(_unit_of_row, zip(range(start, start + count),
+                                           *map(repeat, fields))))
     return units
 
 
 def build_timeline(topology: Topology, plans: list[GroupPlan],
                    cycle_slots: int) -> Timeline:
     """Place all plans and verify; raises on the first violation."""
-    timeline = Timeline(place_plans(topology, plans), cycle_slots)
+    timeline = Timeline(units_of(place_plans(topology, plans)), cycle_slots)
     verify_timeline(timeline, derive_conflicts(topology), cycle_slots).raise_first()
     return timeline
 
@@ -172,16 +197,19 @@ def verify_timeline(timeline: Timeline, conflicts: ConflictSet, cycle_slots: int
                     ) -> VerificationReport:
     """Check the three Timeline invariants; report every violating slot.
 
-    Fit: each unit lies inside the cycle and is a transmission of the
-    topology (checked once per distinct (tx, rx, link), since a burst
-    repeats one).  One walk over the occupied slots in order checks both
-    conflicts and causality; violations come out as fit (in unit order),
-    then conflict, then causality (each in slot order)."""
+    Fit: each unit lies inside the cycle, is a transmission of the
+    topology and carries a packet its origin generates (checked once per
+    distinct (tx, rx, link) and (origin, k), since a burst repeats one).
+    One walk over the occupied slots in order checks both conflicts and
+    causality; violations come out as fit (in unit order), then conflict,
+    then causality (each in slot order)."""
     by_slot = timeline.slots()
     order = sorted(by_slot)
     violations: list[Violation] = []
-    foreign = {t for t in set(map(_sent, timeline.units)) if not conflicts.sends(*t)}
-    if foreign or order and (order[0] < 0 or order[-1] >= cycle_slots):
+    sent = set(map(_sent_packet, timeline.units))
+    foreign = {t[:3] for t in sent if not conflicts.sends(*t[:3])}
+    stray = {t[3:] for t in sent if not conflicts.generates(*t[3:])}
+    if foreign or stray or order and (order[0] < 0 or order[-1] >= cycle_slots):
         for u in timeline.units:
             if u.slot < 0 or u.slot >= cycle_slots:
                 violations.append(Violation(
@@ -189,6 +217,9 @@ def verify_timeline(timeline: Timeline, conflicts: ConflictSet, cycle_slots: int
             if _sent(u) in foreign:
                 violations.append(Violation("fit", u.slot, f"tx {u.tx} on link {u.link} "
                                             f"to {u.rx} is not a transmission of the topology"))
+            if _packet(u) in stray:
+                violations.append(Violation("fit", u.slot, f"packet {u.origin}.{u.k} "
+                                            f"is not generated by node {u.origin}"))
 
     # conflicts: a slot runs the pairwise scan only when its transmissions
     # clash; a burst repeats one slot's transmissions, so the last clean

@@ -99,17 +99,23 @@ class Topology:
 class ConflictSet:
     """Transmissions that may not share a time slot: bit j of
     masks[index[t]] is set when t conflicts with the j-th transmission,
-    and receivers[t] is the node that t sends to.  Bitmasks keep the set
-    small, since each topology holds its own; other modules read them only
-    through `sends`, `conflict`, `mask_of`, `hits` and `clash`."""
+    receivers[t] is the node that t sends to, and rates are the topology's
+    packets per cycle by node.  Bitmasks keep the set small, since each
+    topology holds its own; other modules read them only through `sends`,
+    `generates`, `conflict`, `mask_of`, `hits` and `clash`."""
 
     index: dict[tuple[int, int], int]
     masks: tuple[int, ...]
     receivers: dict[tuple[int, int], int]
+    rates: dict[int, int]
 
     def sends(self, tx: int, rx: int, link: int) -> bool:
         """Whether tx -> rx over link is a transmission of the topology."""
         return self.receivers.get((tx, link)) == rx
+
+    def generates(self, origin: int, k: int) -> bool:
+        """Whether node origin generates a k-th packet per cycle."""
+        return 1 <= k <= self.rates.get(origin, 0)
 
     def conflict(self, t1: tuple[int, int], t2: tuple[int, int]) -> bool:
         i, j = self.index.get(t1), self.index.get(t2)
@@ -166,7 +172,8 @@ def derive_conflicts(topology: Topology) -> ConflictSet:
             if _conflict_rule(t1[0], recv[t1], t2[0], recv[t2], topology.proximity):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
-    conflicts = ConflictSet({t: i for i, t in enumerate(txs)}, tuple(masks), recv)
+    conflicts = ConflictSet({t: i for i, t in enumerate(txs)}, tuple(masks), recv,
+                            topology.rates)
     object.__setattr__(topology, "_conflicts", conflicts)
     return conflicts
 
@@ -196,6 +203,14 @@ def _int(value, what: str) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """A real config field, where float() would read "0.2" as 0.2 and True
+    as 1.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TopologyError(f"{what} {value!r} is not a real number")
+    return float(value)
+
+
 def validate_topology(raw: dict) -> Topology:
     """Validate a raw config dict and derive the central node and branches."""
     try:
@@ -204,7 +219,7 @@ def validate_topology(raw: dict) -> Topology:
         gw_ids = [_int(g["id"], "gateway id") for g in raw["gateways"]]
         link_items = [
             Link(_int(l["id"], "link id"), _int(l["a"], "link endpoint"),
-                 _int(l["b"], "link endpoint"), float(l["loss"]))
+                 _int(l["b"], "link endpoint"), _real(l["loss"], "loss"))
             for l in raw["links"]
         ]
         prox_items = [tuple(_int(x, "proximity id") for x in p)

@@ -7,7 +7,8 @@ import pytest
 from yslot import (ConflictViolation, DoesNotFit, NodeSetMismatch, SimReport,
                    build_timeline, compare, find_model, simulate,
                    solution_timeline, solve_pattern, validate_topology)
-from yslot.timeline import GroupPlan, PlacedBurst, Timeline, Unit, place_plans
+from yslot.timeline import (GroupPlan, PlacedBurst, Timeline, Unit, place_plans,
+                            units_of)
 
 TRIALS = 100000
 
@@ -175,7 +176,7 @@ def test_simulate_rejects_as_build_timeline_does(case1):
     with pytest.raises(ConflictViolation) as built:
         build_timeline(case1, plans, 30)
     with pytest.raises(ConflictViolation) as replayed:
-        simulate(Timeline(place_plans(case1, plans), 30), case1, 10, seed=0)
+        simulate(Timeline(units_of(place_plans(case1, plans)), 30), case1, 10, seed=0)
     assert type(replayed.value) is type(built.value)
     assert str(replayed.value) == str(built.value)
 
@@ -187,6 +188,12 @@ def test_simulate_rejects_as_build_timeline_does(case1):
 def test_transmission_outside_topology_rejected(case1, unit):
     with pytest.raises(DoesNotFit, match="not a transmission of the topology"):
         simulate(Timeline([unit], 30), case1, 10, seed=0)
+
+
+def test_packet_beyond_origin_rate_rejected(case1):
+    # node 8 generates one packet per cycle
+    with pytest.raises(DoesNotFit, match="packet 8.5 is not generated by node 8"):
+        simulate(Timeline([Unit(1, 8, 11, 10, 8, 5, False)], 30), case1, 10, seed=0)
 
 
 def test_nonpositive_trials_rejected():

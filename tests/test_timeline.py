@@ -1,11 +1,14 @@
+import json
 import random
 
 import pytest
+from golden.make_corpus import YS_DIR
 
 from yslot import (DoesNotFit, build_timeline, derive_conflicts,
                    find_model, optimize, solution_timeline, solve_pattern,
-                   verify_timeline)
-from yslot.timeline import GroupPlan, PlacedBurst, Timeline, Unit, place_plans
+                   validate_topology, verify_timeline)
+from yslot.timeline import (GroupPlan, PlacedBurst, Timeline, Unit, place_plans,
+                            units_of)
 
 
 def solved_timeline(topology, name, pid, T=30):
@@ -99,6 +102,22 @@ def test_verify_flags_transmission_outside_topology(case1):
         "tx 1 on link -1 to 9 is not a transmission of the topology"
 
 
+def test_verify_flags_packet_its_origin_does_not_generate(case1):
+    conflicts = derive_conflicts(case1)
+    # node 8 has rate 1, so it sends no packet 5 and no packet 0; fit
+    # violations come out in unit order, whatever their reason
+    tl = Timeline([Unit(1, 8, 11, 10, 8, 5, False),
+                   Unit(2, 8, 11, 10, 8, 1, False),
+                   Unit(30, 8, 11, 10, 8, 0, False),
+                   Unit(3, 8, 11, 10, 8, 5, False)], 30)
+    report = verify_timeline(tl, conflicts, 30)
+    assert [(v.kind, v.slot) for v in report.violations] == \
+        [("fit", 1), ("fit", 30), ("fit", 30), ("fit", 3)]
+    assert report.first().detail == "packet 8.5 is not generated by node 8"
+    assert report.violations[2].detail == "packet 8.0 is not generated by node 8"
+    assert verify_timeline(Timeline(tl.units[1:2], 30), conflicts, 30).ok
+
+
 def test_verify_flags_causality(case1):
     conflicts = derive_conflicts(case1)
     # node 2 relays node 3's packet before node 3 ever sent it
@@ -135,7 +154,7 @@ def test_riders_fill_their_host_burst_first_slots(case1):
     # two feeder hops into the central node 4 ride on terminal 8's burst
     riders = (PlacedBurst(3, 1, 3, 4, 1, True), PlacedBurst(5, 1, 5, 5, 1, True))
     plan = GroupPlan("Z", 5, (), (PlacedBurst(8, 1, 8, 10, 3, False, riders),))
-    units = place_plans(case1, [plan])
+    units = units_of(place_plans(case1, [plan]))
     assert sorted(units, key=lambda u: (u.slot, u.tx)) == [
         Unit(5, 3, 4, 4, 3, 1, True), Unit(5, 8, 11, 10, 8, 1, False),
         Unit(6, 5, 4, 5, 5, 1, True), Unit(6, 8, 11, 10, 8, 1, False),
@@ -267,12 +286,57 @@ def test_one_unit_per_burst_slot_riders_included(case1):
     def slots(burst):
         return burst.count + sum(slots(r) for r in burst.riders)
 
+    def runs(burst):
+        return 1 + sum(runs(r) for r in burst.riders)
+
     riders = 0
     for sol in optimize(case1, 60):
         bursts = [b for plan in sol.plans for b in plan.early + plan.serialized]
-        assert len(place_plans(case1, sol.plans)) == sum(map(slots, bursts))
+        placed = place_plans(case1, sol.plans)
+        assert len(placed) == sum(map(runs, bursts))
+        assert len(units_of(placed)) == sum(map(slots, bursts))
         riders += sum(len(b.riders) for b in bursts)
     assert riders > 0
+
+
+def place_oracle(topology, plans):
+    """Reference placement, one unit per slot: early bursts from slot 0,
+    serialized bursts from the window, each rider in its host's first
+    slots."""
+    units = []
+
+    def emit(burst, start):
+        rx = topology.links[burst.link].other(burst.tx)
+        for slot in range(start, start + burst.count):
+            units.append(Unit(slot, burst.tx, rx, burst.link, burst.origin,
+                              burst.k, burst.early))
+        cursor = start
+        for rider in burst.riders:
+            cursor = emit(rider, cursor)
+        assert cursor <= start + burst.count
+        return start + burst.count
+
+    for plan in plans:
+        cursor = 0
+        for burst in plan.early:
+            cursor = emit(burst, cursor)
+        assert cursor <= plan.window
+        cursor = plan.window
+        for burst in plan.serialized:
+            cursor = emit(burst, cursor)
+    return units
+
+
+def test_placed_runs_expand_to_the_per_slot_oracle(case1):
+    solutions = optimize(case1, 30) + optimize(case1, 60)
+    for path in sorted(YS_DIR.glob("y??.json")):
+        solutions += optimize(validate_topology(json.loads(path.read_text())))
+    assert len(solutions) > 2 * 27
+    for sol in solutions:
+        topology = sol.model.topology
+        want = place_oracle(topology, sol.plans)
+        assert units_of(place_plans(topology, sol.plans)) == want
+        assert solution_timeline(sol).units == want
 
 
 def test_placed_values_cannot_be_written():

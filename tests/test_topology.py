@@ -1,11 +1,14 @@
 import copy
+import json
 import random
+import re
 
 import pytest
 
 from yslot import (GatewayCountNot3, LinkNotInProximity, LossOutOfRange,
                    NoDegree3Node, NotATree, TopologyError, derive_conflicts,
                    validate_topology)
+from yslot.cli import main
 
 
 def test_example_is_valid_with_central_node_4(case1):
@@ -95,6 +98,23 @@ def test_non_integer_field_rejected_not_truncated(case1_raw, path, value):
     _set(raw, path, value)
     with pytest.raises(TopologyError, match=f"{value!r} is not an integer"):
         validate_topology(raw)
+
+
+@pytest.mark.parametrize("value", ["0.2", True, None, [0.2]],
+                         ids=["string", "bool", "null", "list"])
+def test_non_real_loss_rejected(case1_raw, value, tmp_path, capsys):
+    raw = copy.deepcopy(case1_raw)
+    raw["links"][0]["loss"] = value
+    message = f"loss {value!r} is not a real number"
+    with pytest.raises(TopologyError, match=re.escape(message)) as raised:
+        validate_topology(raw)
+    assert type(raised.value) is TopologyError
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["optimize", "-c", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(value) in err
 
 
 def test_integral_float_reads_as_int(case1_raw):
