@@ -28,7 +28,8 @@ from .relax import DomainError
 from .simulate import (NodeComparison, NodeSetMismatch, SimReport, _rate_check,
                        compare, simulate)
 from .timeline import TimelineError
-from .topology import Topology, TopologyError, load_config, validate_topology
+from .topology import (Topology, TopologyError, check_cycle_slots, load_config,
+                       validate_topology)
 
 CONFIG_DIR_ENV = "YSLOT_CONFIG_DIR"
 
@@ -46,8 +47,8 @@ def _resolve_topology_path(path: str) -> Path:
 def _load(args: argparse.Namespace) -> Topology:
     raw = load_config(_resolve_topology_path(args.topology))
     topology = validate_topology(raw)
-    if args.cycle_slots is not None and args.cycle_slots < 1:
-        raise TopologyError("cycle_slots override must be >= 1")
+    if args.cycle_slots is not None:
+        check_cycle_slots(args.cycle_slots, "cycle_slots override")
     return topology
 
 

@@ -1,13 +1,13 @@
-"""Slot-by-slot transmission grid: construction from group plans and
-verification of conflict-freedom, causality, and the cycle bound."""
+"""Slot-by-slot transmission grid: construction from group plans as placed
+runs, and verification of conflict-freedom, causality, and the cycle bound."""
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
-from operator import itemgetter
 from typing import NamedTuple
 
 from .topology import ConflictSet, Topology, derive_conflicts
@@ -48,9 +48,6 @@ class Unit(NamedTuple):
 # a Unit from a row in its field order, built in C without the Python frame
 # of the generated __new__: about half the cost of calling Unit per slot
 _unit_of_row = partial(tuple.__new__, Unit)
-_sent = itemgetter(1, 2, 3)   # a Unit's (tx, rx, link)
-_packet = itemgetter(4, 5)    # a Unit's (origin, k)
-_sent_packet = itemgetter(1, 2, 3, 4, 5)   # both at once
 
 
 class PlacedBurst(NamedTuple):
@@ -83,12 +80,24 @@ class GroupPlan:
 
 @dataclass
 class Timeline:
-    units: list[Unit]
+    """A cycle as its placed runs, in placement order; the units, one per
+    slot of each run, are expanded on first read."""
+
+    runs: list[Run]
     cycle_slots: int
+
+    @classmethod
+    def of_units(cls, units: Iterable[Unit], cycle_slots: int) -> Timeline:
+        """One one-slot run per unit, in unit order."""
+        return cls([Run(u.slot, 1, *u[1:]) for u in units], cycle_slots)
+
+    @cached_property
+    def units(self) -> list[Unit]:
+        return units_of(self.runs)
 
     @property
     def length(self) -> int:
-        return max((u.slot for u in self.units), default=-1) + 1
+        return max((r.start + r.count for r in self.runs if r.count > 0), default=0)
 
     def slots(self) -> dict[int, list[Unit]]:
         by_slot: dict[int, list[Unit]] = {}
@@ -187,7 +196,7 @@ def units_of(runs: list[Run]) -> list[Unit]:
 def build_timeline(topology: Topology, plans: list[GroupPlan],
                    cycle_slots: int) -> Timeline:
     """Place all plans and verify; raises on the first violation."""
-    timeline = Timeline(units_of(place_plans(topology, plans)), cycle_slots)
+    timeline = Timeline(place_plans(topology, plans), cycle_slots)
     verify_timeline(timeline, derive_conflicts(topology), cycle_slots).raise_first()
     return timeline
 
@@ -198,55 +207,67 @@ def verify_timeline(timeline: Timeline, conflicts: ConflictSet, cycle_slots: int
     """Check the three Timeline invariants; report every violating slot.
 
     Fit: each unit lies inside the cycle, is a transmission of the
-    topology and carries a packet its origin generates (checked once per
-    distinct (tx, rx, link) and (origin, k), since a burst repeats one).
-    One walk over the occupied slots in order checks both conflicts and
-    causality; violations come out as fit (in unit order), then conflict,
-    then causality (each in slot order)."""
-    by_slot = timeline.slots()
-    order = sorted(by_slot)
+    topology and carries a packet its origin generates.  Conflicts: no
+    slot repeats a transmission or holds two that conflict.  Causality: a
+    relay sends a packet only after a strictly earlier unit carried it
+    with the relay as its receiver.  The checks walk the placed runs and
+    expand only the runs and segments they flag; violations come out as a
+    walk over the units would give them: fit (in unit order), then
+    conflict, then causality (each in slot order, a slot's in run order)."""
+    runs = [r for r in timeline.runs if r.count > 0]
     violations: list[Violation] = []
-    sent = set(map(_sent_packet, timeline.units))
-    foreign = {t[:3] for t in sent if not conflicts.sends(*t[:3])}
-    stray = {t[3:] for t in sent if not conflicts.generates(*t[3:])}
-    if foreign or stray or order and (order[0] < 0 or order[-1] >= cycle_slots):
-        for u in timeline.units:
-            if u.slot < 0 or u.slot >= cycle_slots:
-                violations.append(Violation(
-                    "fit", u.slot, f"transmission outside cycle of {cycle_slots} slots"))
-            if _sent(u) in foreign:
-                violations.append(Violation("fit", u.slot, f"tx {u.tx} on link {u.link} "
-                                            f"to {u.rx} is not a transmission of the topology"))
-            if _packet(u) in stray:
-                violations.append(Violation("fit", u.slot, f"packet {u.origin}.{u.k} "
-                                            f"is not generated by node {u.origin}"))
+    outside = f"transmission outside cycle of {cycle_slots} slots"
+    for r in runs:
+        reasons = []
+        if not conflicts.sends(r.tx, r.rx, r.link):
+            reasons.append(f"tx {r.tx} on link {r.link} to {r.rx} "
+                           "is not a transmission of the topology")
+        if not conflicts.generates(r.origin, r.k):
+            reasons.append(f"packet {r.origin}.{r.k} is not generated by node {r.origin}")
+        if reasons or r.start < 0 or r.start + r.count > cycle_slots:
+            for slot in range(r.start, r.start + r.count):
+                if not 0 <= slot < cycle_slots:
+                    violations.append(Violation("fit", slot, outside))
+                violations.extend(Violation("fit", slot, why) for why in reasons)
 
-    # conflicts: a slot runs the pairwise scan only when its transmissions
-    # clash; a burst repeats one slot's transmissions, so the last clean
-    # list is kept.  causality: a relay sends a packet only after a strictly
-    # earlier unit carried the same packet with the relay as its receiver
-    late: list[Violation] = []
-    received: set[tuple[int, int, int]] = set()
-    clean = None
-    for slot in order:
-        cell = by_slot[slot]
-        if len(cell) > 1:
-            txs = [(u.tx, u.link) for u in cell]
-            if txs != clean:
-                if conflicts.clash(txs):
-                    violations.extend(_conflicts_in(slot, cell, conflicts))
-                else:
-                    clean = txs
-        for u in cell:
-            if u.tx != u.origin and (u.origin, u.k, u.tx) not in received:
-                late.append(Violation(
-                    "causality", slot,
-                    f"packet {u.origin}.{u.k} sent by {u.tx} before any reception"))
-        received.update([(u.origin, u.k, u.rx) for u in cell])
-    violations.extend(late)
+    # conflicts: between two run boundaries the same runs are active at
+    # every slot, so one clash call clears the whole segment; a clashing
+    # segment repeats its pairwise scan at each of its slots
+    edges: dict[int, list[int]] = {}
+    for i, r in enumerate(runs):
+        for edge in (r.start, r.start + r.count):
+            edges.setdefault(edge, []).append(i)
+    bounds = sorted(edges)
+    active: set[int] = set()
+    for lo, hi in zip(bounds, bounds[1:]):
+        active.symmetric_difference_update(edges[lo])   # runs that start or end at lo
+        if len(active) > 1:
+            cell = [runs[i] for i in sorted(active)]
+            if conflicts.clash([(r.tx, r.link) for r in cell]):
+                pairs = _conflicts_in(cell, conflicts)
+                violations.extend(Violation("conflict", slot, detail)
+                                  for slot in range(lo, hi) for detail in pairs)
+
+    # causality: a relay run's slots up to the packet's first reception at
+    # its transmitter (all of them, if none) send before any reception
+    received = {(r.origin, r.k, r.rx): r.start   # the earliest start is written last
+                for r in sorted(runs, key=lambda r: r.start, reverse=True)}
+    late = []
+    for i, r in enumerate(runs):
+        if r.tx != r.origin:
+            end = r.start + r.count
+            first = received.get((r.origin, r.k, r.tx), end)
+            late.extend((slot, i) for slot in range(r.start, min(first + 1, end)))
+    late.sort()
+    for slot, i in late:
+        r = runs[i]
+        violations.append(Violation("causality", slot, f"packet {r.origin}.{r.k} "
+                                    f"sent by {r.tx} before any reception"))
 
     if allocation_counts is not None:
-        got = Counter((u.origin, u.k, u.link, u.early) for u in timeline.units)
+        got: Counter = Counter()
+        for r in runs:
+            got[r.origin, r.k, r.link, r.early] += r.count
         want = {k: v for k, v in allocation_counts.items() if v > 0}
         if got != want:
             violations.append(Violation(
@@ -255,16 +276,15 @@ def verify_timeline(timeline: Timeline, conflicts: ConflictSet, cycle_slots: int
     return VerificationReport(ok=not violations, violations=violations)
 
 
-def _conflicts_in(slot: int, cell: list[Unit], conflicts: ConflictSet) -> list[Violation]:
-    """Every repeated or conflicting pair of one slot's units, in cell order."""
+def _conflicts_in(cell: list[Run], conflicts: ConflictSet) -> list[str]:
+    """Every repeated or conflicting pair of one slot's runs, in cell order."""
     out = []
-    for i, u1 in enumerate(cell):
-        for u2 in cell[i + 1:]:
-            t1, t2 = (u1.tx, u1.link), (u2.tx, u2.link)
+    for i, r1 in enumerate(cell):
+        for r2 in cell[i + 1:]:
+            t1, t2 = (r1.tx, r1.link), (r2.tx, r2.link)
             if t1 == t2:
-                out.append(Violation("conflict", slot, f"duplicate transmission {t1}"))
+                out.append(f"duplicate transmission {t1}")
             elif conflicts.conflict(t1, t2):
-                out.append(Violation(
-                    "conflict", slot,
-                    f"tx {u1.tx} on link {u1.link} vs tx {u2.tx} on link {u2.link}"))
+                out.append(f"tx {r1.tx} on link {r1.link} "
+                           f"vs tx {r2.tx} on link {r2.link}")
     return out

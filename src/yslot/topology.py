@@ -38,6 +38,15 @@ class LinkNotInProximity(TopologyError):
     pass
 
 
+# Caps that bound the work of solving one pattern: the integer allocation
+# takes one heap step per slot, and a timeline holds one unit per slot.
+MAX_CYCLE_SLOTS = 10_000
+# Packets per cycle times the longest route a packet can take (the node
+# count of the longest gateway-to-gateway path): it bounds the slot-table
+# entries, and with them the node count and the number of path models.
+MAX_PACKET_HOPS = 10_000
+
+
 def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
@@ -211,6 +220,15 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def check_cycle_slots(cycle_slots: int, what: str = "cycle_slots") -> None:
+    """Raise unless the cycle length lies in [1, MAX_CYCLE_SLOTS]."""
+    if cycle_slots < 1:
+        raise TopologyError(f"{what} must be >= 1")
+    if cycle_slots > MAX_CYCLE_SLOTS:
+        raise TopologyError(f"{what} {cycle_slots} is above the cap of "
+                            f"{MAX_CYCLE_SLOTS} slots")
+
+
 def validate_topology(raw: dict) -> Topology:
     """Validate a raw config dict and derive the central node and branches."""
     try:
@@ -235,8 +253,7 @@ def validate_topology(raw: dict) -> Topology:
         raise TopologyError("node ids must be positive integers")
     if any(r < 1 for r in rates.values()):
         raise TopologyError("generation rates must be >= 1")
-    if cycle_slots < 1:
-        raise TopologyError("cycle_slots must be >= 1")
+    check_cycle_slots(cycle_slots)
 
     if len(gw_ids) != 3 or len(set(gw_ids)) != 3:
         raise GatewayCountNot3(f"expected exactly 3 gateways, got {len(gw_ids)}")
@@ -315,6 +332,11 @@ def validate_topology(raw: dict) -> Topology:
             blinks.append(lid)
         branches.append(Branch(cur, tuple(nodes), tuple(blinks)))
     branches.sort(key=lambda b: (-len(b.nodes), min(b.nodes) if b.nodes else 0))
+    packets = sum(rates.values())
+    route = len(branches[0].nodes) + len(branches[1].nodes) + 1
+    if packets * route > MAX_PACKET_HOPS:
+        raise TopologyError(f"{packets} packets per cycle on routes of up to {route} "
+                            f"hops are above the cap of {MAX_PACKET_HOPS} packet hops")
 
     return Topology(
         rates=rates,

@@ -669,8 +669,8 @@ def test_optimize_solves_each_group_once(case1, monkeypatch):
 
 
 def test_solving_places_runs_not_units(case1, monkeypatch):
-    # solving reads placed runs only; the verified timeline alone expands
-    # them into one unit per slot
+    # solving and verifying read placed runs only; a timeline expands them
+    # into one unit per slot on the first read of its units
     calls = []
 
     def counting(runs):
@@ -683,7 +683,11 @@ def test_solving_places_runs_not_units(case1, monkeypatch):
             monkeypatch.setattr(module, "units_of", counting)
     solutions = optimize(case1, 30)
     assert calls == []
-    solution_timeline(solutions[0])
+    timeline = solution_timeline(solutions[0])
+    assert calls == []
+    assert timeline.units == units_of(timeline.runs)
+    assert len(calls) == 1
+    timeline.units
     assert len(calls) == 1
 
 

@@ -1,15 +1,22 @@
+import contextlib
 import csv
 import importlib.resources
+import io
 import json
 import shutil
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import yslot.allocate
-from conftest import branch_config
+from conftest import branch_config, load_case_raw
 from yslot import CausalityViolation, ConvergenceError, DomainError
 from yslot.cli import main
+from yslot.topology import MAX_CYCLE_SLOTS
 
 CASE1 = str(importlib.resources.files("yslot").joinpath("data/example8_case1.json"))
 
@@ -295,3 +302,135 @@ def test_optimize_at_the_loss_bounds_is_infeasible_not_an_error(
     path.write_text(json.dumps(one_node_branches(losses)))
     assert run_cli("optimize", "-c", str(path)) == 1
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command, cycle_slots, override", [
+    ("enumerate", 10 ** 12, None), ("optimize", MAX_CYCLE_SLOTS + 1, None),
+    ("solve", 30, 10 ** 6), ("simulate", 30, MAX_CYCLE_SLOTS + 1)],
+    ids=["enumerate-config", "optimize-config", "solve-override", "simulate-override"])
+def test_cycle_above_the_cap_exits_2_with_one_line(command, cycle_slots, override,
+                                                   tmp_path, capsys):
+    raw = load_case_raw(1)
+    raw["cycle_slots"] = cycle_slots
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(raw))
+    extra = [] if command in ("enumerate", "optimize") else [
+        "--model", "3-2-3", "--no-sep-branch", "11", "--pattern", "1"]
+    if override is not None:
+        extra += ["--t-slots", str(override)]
+    assert run_cli(command, "-c", str(path), *extra) == 2
+    captured = capsys.readouterr()
+    what = "cycle_slots" if override is None else "cycle_slots override"
+    assert captured.out == ""
+    assert captured.err == (f"error: {what} {override or cycle_slots} is above the cap "
+                            f"of {MAX_CYCLE_SLOTS} slots\n")
+
+
+def test_config_at_the_caps_solves_a_pattern_in_bounded_time(tmp_path):
+    # branches of 40 nodes: 121 packets on routes of up to 81 hops, 9 801
+    # packet hops, at the largest cycle; one solve with its slot grid takes
+    # under 1 s on a 2-vCPU VM, path-model enumeration included
+    path, grid = tmp_path / "y.json", tmp_path / "grid.txt"
+    path.write_text(json.dumps(branch_config((40, 40, 40), MAX_CYCLE_SLOTS)))
+    start = time.perf_counter()
+    code = run_cli("solve", "-c", str(path), "--model", "1-1-119", "--no-sep-branch",
+                   "124", "-o", str(tmp_path / "table.csv"), "--emit-timeline", str(grid))
+    assert time.perf_counter() - start < 20.0
+    assert code in (0, 1)
+    assert len(grid.read_text().splitlines()) == MAX_CYCLE_SLOTS
+
+
+def _set_loss(value):
+    def mutate(raw, i):
+        raw["links"][i % len(raw["links"])]["loss"] = value
+    return mutate
+
+
+def _duplicate_node(raw, i):
+    raw["nodes"].append(dict(raw["nodes"][i % len(raw["nodes"])]))
+
+
+def _duplicate_link_id(raw, i):
+    links = raw["links"]
+    links[i % len(links)]["id"] = links[(i + 1) % len(links)]["id"]
+
+
+def _self_loop(raw, i):
+    link = raw["links"][i % len(raw["links"])]
+    link["b"] = link["a"]
+
+
+def _parallel_link(raw, i):
+    link = raw["links"][i % len(raw["links"])]
+    raw["links"].append(dict(link, id=max(l["id"] for l in raw["links"]) + 1))
+
+
+def _set_rate(value):
+    def mutate(raw, i):
+        raw["nodes"][i % len(raw["nodes"])]["rate"] = value
+    return mutate
+
+
+def _proximity_pair(pair):
+    def mutate(raw, i):
+        node = raw["nodes"][i % len(raw["nodes"])]["id"]
+        raw["proximity"] = raw.get("proximity", []) + [[node, pair or node]]
+    return mutate
+
+
+def _no_proximity(raw, i):
+    raw.pop("proximity", None)
+
+
+def _fourth_gateway(raw, i):
+    node = raw["nodes"][i % len(raw["nodes"])]["id"]
+    raw["gateways"].append({"id": 99})
+    raw["links"].append({"id": 99, "a": node, "b": 99, "loss": 0.2})
+    raw["proximity"] = raw.get("proximity", []) + [[node, 99]]
+
+
+def _cycle_slots(raw, i):
+    raw["cycle_slots"] = 10 ** 12
+
+
+MUTATIONS = {
+    "nan-loss": _set_loss(float("nan")), "bool-loss": _set_loss(True),
+    "null-loss": _set_loss(None), "string-loss": _set_loss("0.2"),
+    "loss-one": _set_loss(1.0), "duplicate-node-id": _duplicate_node,
+    "duplicate-link-id": _duplicate_link_id, "self-loop": _self_loop,
+    "parallel-link": _parallel_link, "rate-0": _set_rate(0),
+    "rate-huge": _set_rate(10 ** 6), "proximity-unknown-id": _proximity_pair(999),
+    "proximity-self-pair": _proximity_pair(None), "no-proximity": _no_proximity,
+    "fourth-gateway": _fourth_gateway, "cycle-slots-huge": _cycle_slots,
+}
+
+COMMANDS = {
+    "enumerate": [], "optimize": [],
+    "solve": ["--model", "3-2-3", "--no-sep-branch", "11"],
+    "report": ["--model", "3-2-3", "--no-sep-branch", "11"],
+    "simulate": ["--model", "3-2-3", "--no-sep-branch", "11", "--trials", "200"],
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from((1, 2, 3)),
+       st.lists(st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(0, 20)),
+                max_size=2),
+       st.sampled_from(sorted(COMMANDS)))
+def test_mutated_configs_exit_cleanly(case, mutations, command):
+    # every config ends in output (0), infeasible or a failed check (1) or
+    # one config error line (2), never in an internal error (3)
+    raw = load_case_raw(case)
+    for name, i in mutations:
+        MUTATIONS[name](raw, i)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_text(json.dumps(raw))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "-c", str(path), *COMMANDS[command]])
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -7,8 +7,7 @@ import pytest
 from yslot import (ConflictViolation, DoesNotFit, NodeSetMismatch, SimReport,
                    build_timeline, compare, find_model, simulate,
                    solution_timeline, solve_pattern, validate_topology)
-from yslot.timeline import (GroupPlan, PlacedBurst, Timeline, Unit, place_plans,
-                            units_of)
+from yslot.timeline import GroupPlan, PlacedBurst, Timeline, Unit, place_plans
 
 TRIALS = 100000
 
@@ -27,8 +26,8 @@ def tiny_topology(q=0.3):
 
 
 def two_slot_timeline():
-    return Timeline([Unit(0, 1, 2, 1, 1, 1, False),
-                     Unit(1, 1, 2, 1, 1, 1, False)], 10)
+    return Timeline.of_units([Unit(0, 1, 2, 1, 1, 1, False),
+                              Unit(1, 1, 2, 1, 1, 1, False)], 10)
 
 
 def test_single_link_bernoulli():
@@ -103,7 +102,7 @@ def test_near_perfect_links_deliver():
 
 def test_zero_slot_node_never_delivers(case1):
     # schedule only node 8; everyone else has analytic M = 0
-    tl = Timeline([Unit(0, 8, 11, 10, 8, 1, False)], 30)
+    tl = Timeline.of_units([Unit(0, 8, 11, 10, 8, 1, False)], 30)
     report = simulate(tl, case1, 2000, seed=9)
     assert report.per_node[4] == 0.0
     checks = compare(report, {n: (1 - 0.3 if n == 8 else 0.0)
@@ -163,8 +162,8 @@ def test_node_set_mismatch():
 
 def test_invalid_timeline_rejected(case1):
     # nodes 3 and 4 co-scheduled: interference at node 7
-    tl = Timeline([Unit(0, 3, 2, 3, 3, 1, False),
-                   Unit(0, 4, 7, 8, 4, 1, False)], 30)
+    tl = Timeline.of_units([Unit(0, 3, 2, 3, 3, 1, False),
+                            Unit(0, 4, 7, 8, 4, 1, False)], 30)
     with pytest.raises(ConflictViolation):
         simulate(tl, case1, 10, seed=0)
 
@@ -176,7 +175,7 @@ def test_simulate_rejects_as_build_timeline_does(case1):
     with pytest.raises(ConflictViolation) as built:
         build_timeline(case1, plans, 30)
     with pytest.raises(ConflictViolation) as replayed:
-        simulate(Timeline(units_of(place_plans(case1, plans)), 30), case1, 10, seed=0)
+        simulate(Timeline(place_plans(case1, plans), 30), case1, 10, seed=0)
     assert type(replayed.value) is type(built.value)
     assert str(replayed.value) == str(built.value)
 
@@ -187,13 +186,14 @@ def test_simulate_rejects_as_build_timeline_does(case1):
 ], ids=["unknown-link", "wrong-receiver"])
 def test_transmission_outside_topology_rejected(case1, unit):
     with pytest.raises(DoesNotFit, match="not a transmission of the topology"):
-        simulate(Timeline([unit], 30), case1, 10, seed=0)
+        simulate(Timeline.of_units([unit], 30), case1, 10, seed=0)
 
 
 def test_packet_beyond_origin_rate_rejected(case1):
     # node 8 generates one packet per cycle
     with pytest.raises(DoesNotFit, match="packet 8.5 is not generated by node 8"):
-        simulate(Timeline([Unit(1, 8, 11, 10, 8, 5, False)], 30), case1, 10, seed=0)
+        simulate(Timeline.of_units([Unit(1, 8, 11, 10, 8, 5, False)], 30), case1, 10,
+                 seed=0)
 
 
 def test_nonpositive_trials_rejected():

@@ -1,10 +1,12 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from golden.make_corpus import YS_DIR
 
-from yslot import (DoesNotFit, build_timeline, derive_conflicts,
+from conftest import load_case_raw
+from yslot import (ConflictSet, DoesNotFit, build_timeline, derive_conflicts,
                    find_model, optimize, solution_timeline, solve_pattern,
                    validate_topology, verify_timeline)
 from yslot.timeline import (GroupPlan, PlacedBurst, Timeline, Unit, place_plans,
@@ -71,7 +73,7 @@ def test_empty_plans_give_empty_timeline(case1):
 
 def test_verify_flags_conflicting_pair(case1):
     conflicts = derive_conflicts(case1)
-    tl = Timeline([
+    tl = Timeline.of_units([
         Unit(0, 3, 2, 3, 3, 1, False),   # node 3 sending
         Unit(0, 4, 7, 8, 4, 1, False),   # node 4 sending in the same slot
     ], 30)
@@ -82,7 +84,7 @@ def test_verify_flags_conflicting_pair(case1):
 
 def test_verify_flags_beyond_cycle(case1):
     conflicts = derive_conflicts(case1)
-    tl = Timeline([Unit(30, 1, 9, 1, 1, 1, False)], 30)
+    tl = Timeline.of_units([Unit(30, 1, 9, 1, 1, 1, False)], 30)
     report = verify_timeline(tl, conflicts, 30)
     assert not report.ok
     assert report.first().kind == "fit"
@@ -91,10 +93,10 @@ def test_verify_flags_beyond_cycle(case1):
 def test_verify_flags_transmission_outside_topology(case1):
     conflicts = derive_conflicts(case1)
     # an unknown link, then a real (tx, link) sent to the wrong receiver
-    tl = Timeline([Unit(0, 1, 9, -1, 1, 1, False),
-                   Unit(0, 5, 11, 6, 5, 1, False),
-                   Unit(1, 5, 11, 6, 5, 1, False),
-                   Unit(2, 5, 6, 6, 5, 1, False)], 30)
+    tl = Timeline.of_units([Unit(0, 1, 9, -1, 1, 1, False),
+                            Unit(0, 5, 11, 6, 5, 1, False),
+                            Unit(1, 5, 11, 6, 5, 1, False),
+                            Unit(2, 5, 6, 6, 5, 1, False)], 30)
     report = verify_timeline(tl, conflicts, 30)
     assert [(v.kind, v.slot) for v in report.violations] == \
         [("fit", 0), ("fit", 0), ("fit", 1)]
@@ -106,22 +108,22 @@ def test_verify_flags_packet_its_origin_does_not_generate(case1):
     conflicts = derive_conflicts(case1)
     # node 8 has rate 1, so it sends no packet 5 and no packet 0; fit
     # violations come out in unit order, whatever their reason
-    tl = Timeline([Unit(1, 8, 11, 10, 8, 5, False),
-                   Unit(2, 8, 11, 10, 8, 1, False),
-                   Unit(30, 8, 11, 10, 8, 0, False),
-                   Unit(3, 8, 11, 10, 8, 5, False)], 30)
+    tl = Timeline.of_units([Unit(1, 8, 11, 10, 8, 5, False),
+                            Unit(2, 8, 11, 10, 8, 1, False),
+                            Unit(30, 8, 11, 10, 8, 0, False),
+                            Unit(3, 8, 11, 10, 8, 5, False)], 30)
     report = verify_timeline(tl, conflicts, 30)
     assert [(v.kind, v.slot) for v in report.violations] == \
         [("fit", 1), ("fit", 30), ("fit", 30), ("fit", 3)]
     assert report.first().detail == "packet 8.5 is not generated by node 8"
     assert report.violations[2].detail == "packet 8.0 is not generated by node 8"
-    assert verify_timeline(Timeline(tl.units[1:2], 30), conflicts, 30).ok
+    assert verify_timeline(Timeline.of_units(tl.units[1:2], 30), conflicts, 30).ok
 
 
 def test_verify_flags_causality(case1):
     conflicts = derive_conflicts(case1)
     # node 2 relays node 3's packet before node 3 ever sent it
-    tl = Timeline([
+    tl = Timeline.of_units([
         Unit(0, 2, 1, 2, 3, 1, False),
         Unit(1, 3, 2, 3, 3, 1, False),
     ], 30)
@@ -211,7 +213,7 @@ def test_causality_check_matches_quadratic_oracle(case1):
         timeline = solution_timeline(sol)
         variants = [timeline.units, *corrupted(timeline, rng)]
         for units in variants:
-            tl = Timeline(list(units), 30)
+            tl = Timeline.of_units(list(units), 30)
             report = verify_timeline(tl, conflicts, 30)
             got = [(v.kind, v.slot, v.detail) for v in report.violations
                    if v.kind == "causality"]
@@ -262,7 +264,7 @@ def test_conflict_check_matches_pairwise_oracle(case1):
                     units + rng.sample(units, len(units) // 4),
                     unindexed + rng.sample(unindexed, len(units) // 4)]
         for variant in variants:
-            tl = Timeline(list(variant), 30)
+            tl = Timeline.of_units(list(variant), 30)
             report = verify_timeline(tl, conflicts, 30)
             got = [(v.kind, v.slot, v.detail) for v in report.violations]
             want = conflict_oracle(tl, conflicts)
@@ -271,6 +273,113 @@ def test_conflict_check_matches_pairwise_oracle(case1):
             foreign += bool(fit_oracle(tl, case1))
     assert clashing >= 27 * 3
     assert foreign >= 27
+
+
+def verify_oracle(timeline, conflicts, cycle_slots, allocation_counts=None):
+    """Reference verifier, one unit at a time: fit per unit in unit order,
+    then one walk over the occupied slots in order for conflicts (pairwise
+    scan of a clashing slot) and causality (a relay needs the packet
+    received at a strictly earlier slot), then the allocation counts;
+    (kind, slot, detail) per violation."""
+    by_slot = timeline.slots()
+    out = []
+    for u in timeline.units:
+        if u.slot < 0 or u.slot >= cycle_slots:
+            out.append(("fit", u.slot, f"transmission outside cycle of {cycle_slots} slots"))
+        if not conflicts.sends(u.tx, u.rx, u.link):
+            out.append(("fit", u.slot, f"tx {u.tx} on link {u.link} "
+                        f"to {u.rx} is not a transmission of the topology"))
+        if not conflicts.generates(u.origin, u.k):
+            out.append(("fit", u.slot, f"packet {u.origin}.{u.k} "
+                        f"is not generated by node {u.origin}"))
+    late = []
+    received = set()
+    for slot in sorted(by_slot):
+        cell = by_slot[slot]
+        if len(cell) > 1 and conflicts.clash([(u.tx, u.link) for u in cell]):
+            for i, u1 in enumerate(cell):
+                for u2 in cell[i + 1:]:
+                    t1, t2 = (u1.tx, u1.link), (u2.tx, u2.link)
+                    if t1 == t2:
+                        out.append(("conflict", slot, f"duplicate transmission {t1}"))
+                    elif conflicts.conflict(t1, t2):
+                        out.append(("conflict", slot, f"tx {u1.tx} on link {u1.link} "
+                                    f"vs tx {u2.tx} on link {u2.link}"))
+        for u in cell:
+            if u.tx != u.origin and (u.origin, u.k, u.tx) not in received:
+                late.append(("causality", slot,
+                             f"packet {u.origin}.{u.k} sent by {u.tx} before any reception"))
+        received.update((u.origin, u.k, u.rx) for u in cell)
+    out += late
+    if allocation_counts is not None:
+        got = Counter((u.origin, u.k, u.link, u.early) for u in timeline.units)
+        if got != {k: v for k, v in allocation_counts.items() if v > 0}:
+            out.append(("fit", -1, "transmission counts do not match the allocation"))
+    return out
+
+
+def corrupted_runs(runs, T, rng):
+    """Run lists that break a valid timeline: whole runs shifted by 5 slots
+    either way (overlapping their neighbours in part), duplicated, emptied,
+    placed across slot T, shuffled, and all of these at once."""
+    def shift(r):
+        return r._replace(start=r.start + rng.choice((-5, 5)))
+
+    def across(r):
+        return r._replace(start=T - max(1, r.count // 2))
+
+    shifted = [shift(r) if rng.random() < 0.3 else r for r in runs]
+    yield shifted
+    yield runs + rng.sample(runs, len(runs) // 3)
+    yield [r._replace(count=0) if rng.random() < 0.3 else r for r in runs]
+    yield [across(r) if rng.random() < 0.2 else r for r in runs]
+    yield rng.sample(runs, len(runs))
+    mixed = [across(r) if rng.random() < 0.1 else r for r in shifted]
+    mixed += [r._replace(count=0) for r in rng.sample(runs, len(runs) // 4)]
+    mixed += rng.sample(runs, len(runs) // 4)
+    yield rng.sample(mixed, len(mixed))
+
+
+def test_run_verifier_matches_per_unit_oracle():
+    rng = random.Random(17)
+    configs = [load_case_raw(case) for case in (1, 2, 3)]
+    configs += [json.loads(path.read_text()) for path in sorted(YS_DIR.glob("y??.json"))]
+    variants = invalid = 0
+    for raw in configs:
+        topology = validate_topology(raw)
+        conflicts = derive_conflicts(topology)
+        for T in (30, 60):
+            for sol in optimize(topology, T):
+                runs = solution_timeline(sol).runs
+                for variant in [runs, *corrupted_runs(runs, T, rng)]:
+                    tl = Timeline(variant, T)
+                    counts = sol.allocation.entries
+                    got = [(v.kind, v.slot, v.detail)
+                           for v in verify_timeline(tl, conflicts, T, counts).violations]
+                    assert got == verify_oracle(tl, conflicts, T, counts)
+                    variants += 1
+                    invalid += bool(got)
+    assert variants >= 5000 and invalid >= 3500
+
+
+def test_verify_work_grows_with_runs_not_slots(case1, monkeypatch):
+    # at T = 10 000 the timeline holds one unit per slot, but building and
+    # verifying it expands none, and makes one clash call per segment
+    # between run boundaries at most
+    calls = []
+    clash = ConflictSet.clash
+
+    def counting(self, txs):
+        calls.append(txs)
+        return clash(self, txs)
+
+    timeline = solution_timeline(solve_pattern(find_model(case1, "3-2-3", 11), 1, 10_000))
+    monkeypatch.setattr(ConflictSet, "clash", counting)
+    assert verify_timeline(timeline, derive_conflicts(case1), 10_000).ok
+    assert "units" not in vars(timeline)
+    runs = len(timeline.runs)
+    assert 0 < len(calls) <= 2 * runs
+    assert len(timeline.units) > 100 * runs
 
 
 def test_placing_plans_together_equals_placing_each_alone(case1):

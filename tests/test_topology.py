@@ -5,10 +5,12 @@ import re
 
 import pytest
 
+from conftest import branch_config
 from yslot import (GatewayCountNot3, LinkNotInProximity, LossOutOfRange,
                    NoDegree3Node, NotATree, TopologyError, derive_conflicts,
                    validate_topology)
 from yslot.cli import main
+from yslot.topology import MAX_CYCLE_SLOTS, MAX_PACKET_HOPS
 
 
 def test_example_is_valid_with_central_node_4(case1):
@@ -123,6 +125,30 @@ def test_integral_float_reads_as_int(case1_raw):
     topology = validate_topology(raw)
     assert type(topology.cycle_slots) is int and topology.cycle_slots == 30
     assert type(topology.rates[1]) is int and topology.rates[1] == 2
+
+
+@pytest.mark.parametrize("cycle_slots", [MAX_CYCLE_SLOTS + 1, 10 ** 12])
+def test_cycle_slots_above_the_cap_rejected(case1_raw, cycle_slots):
+    raw = copy.deepcopy(case1_raw)
+    raw["cycle_slots"] = MAX_CYCLE_SLOTS
+    assert validate_topology(raw).cycle_slots == MAX_CYCLE_SLOTS
+    raw["cycle_slots"] = cycle_slots
+    with pytest.raises(TopologyError, match=f"cycle_slots {cycle_slots} is above the cap "
+                       f"of {MAX_CYCLE_SLOTS} slots"):
+        validate_topology(raw)
+
+
+def test_packet_hops_above_the_cap_rejected():
+    # 121 packets on routes of up to 40 + 40 + 1 hops: 9 801 packet hops
+    raw = branch_config((40, 40, 40))
+    validate_topology(raw)
+    longer = branch_config((40, 41, 40))   # 122 packets, 82 hops: 10 004
+    with pytest.raises(TopologyError, match="122 packets per cycle on routes of up "
+                       f"to 82 hops are above the cap of {MAX_PACKET_HOPS}"):
+        validate_topology(longer)
+    raw["nodes"][0]["rate"] = 10 ** 6
+    with pytest.raises(TopologyError, match="above the cap"):
+        validate_topology(raw)
 
 
 @pytest.mark.parametrize("entry", [[1, 2, 3], [1], []])
