@@ -45,7 +45,7 @@ from .relax import (GroupChain, Origin, StructuredRelax, Use, budget_terms,
                     log1m_pow, solve_plain_structure, solve_rider_feeders,
                     solve_rider_terminal)
 from .timeline import GroupPlan, PlacedBurst, build_timeline, place_plans
-from .topology import ConflictSet, Topology, derive_conflicts
+from .topology import ConflictSet, Topology, check_cycle_slots, derive_conflicts
 
 TxLink = tuple[int, int]
 EntryKey = tuple[int, int, int]  # (origin node, packet k, link)
@@ -623,6 +623,7 @@ class _GroupTable:
     def __init__(self, topology: Topology, cycle_slots: int | None):
         self.topology = topology
         self.T = int(cycle_slots if cycle_slots is not None else topology.cycle_slots)
+        check_cycle_slots(self.T)
         self.conflicts = derive_conflicts(topology)
         self.groups: dict[tuple, _Group] = {}
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -184,6 +185,7 @@ def run(args: argparse.Namespace) -> int:
     return 0 if sol.feasible else 1
 
 
+@functools.cache  # parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="yslot",

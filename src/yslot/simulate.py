@@ -5,7 +5,8 @@ Each scheduled transmission succeeds independently with probability
 a slot whose designated packet is not pending can optionally be reused for
 the next pending packet of the same (transmitter, link) stream.  Trials are
 vectorized with numpy; one uniform draw per scheduled transmission per trial
-keeps reports bit-identical for a fixed seed in both reuse modes.
+keeps reports bit-identical for a fixed seed in both reuse modes.  numpy is
+imported on the first `simulate` call, so solving alone never loads it.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .timeline import Timeline, verify_timeline
 from .topology import Topology, derive_conflicts
 
 RNG_ALGORITHM = "numpy-PCG64"
+# memory and work grow with trials: each held packet is one `trials`-long
+# bool array, and each unit draws `trials` floats
+MAX_TRIALS = 1_000_000
 
 
 class NodeSetMismatch(Exception):
@@ -56,10 +58,13 @@ def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
     An invalid timeline raises as in `build_timeline`."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials {trials} is above the cap of {MAX_TRIALS}")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     verify_timeline(timeline, derive_conflicts(topology),
                     timeline.cycle_slots).raise_first()
+    import numpy as np
 
     units = sorted(timeline.units, key=lambda u: (u.slot, u.tx, u.link, u.origin, u.k))
 

@@ -5,13 +5,15 @@ import json
 import math
 import random
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (TABLE_P1_COM, TABLE_P1_TUB,
-                      assert_optimize_matches_solve_pattern, com_probability,
+                      assert_optimize_matches_solve_pattern, branch_config,
+                      com_probability,
                       compositions, plain_greedy, product_from_totals,
                       recorded_residuals, solution_fields, table_totals)
 import yslot.allocate
@@ -26,7 +28,7 @@ from yslot.allocate import (Structure, _blocked_uses, _chain_ranks, _chain_uses,
                             early_window)
 from yslot.relax import GroupChain, Origin, Use, solve_plain_structure
 from yslot.timeline import place_plans, units_of
-from yslot.topology import derive_conflicts
+from yslot.topology import MAX_CYCLE_SLOTS, TopologyError, derive_conflicts
 
 GOLDEN_YS = Path(__file__).resolve().parent / "golden" / "ys"
 
@@ -243,6 +245,37 @@ def test_infeasible_budget_flagged_not_raised():
     vals = plain_greedy(chain, 2)
     assert sum(vals.values()) == 2
     assert alloc_product(chain, vals) == 0.0
+
+
+@pytest.mark.parametrize("cycle_slots, message", [
+    (0, "cycle_slots must be >= 1"),
+    (MAX_CYCLE_SLOTS + 1, f"cycle_slots {MAX_CYCLE_SLOTS + 1} is above the cap"),
+    (100_000, "cycle_slots 100000 is above the cap")], ids=["0", "cap+1", "1e5"])
+@pytest.mark.parametrize("call", ["solve_pattern", "optimize"])
+def test_library_cycle_outside_the_cap_raises_before_solving(
+        call, cycle_slots, message, monkeypatch):
+    # above the cap long chains once ran every solve and then raised
+    # ConvergenceError from the relaxed solver's absolute tolerance
+    topology = validate_topology(branch_config((30, 30, 30)))
+    monkeypatch.setattr(yslot.allocate._GroupTable, "solve",
+                        lambda *args: pytest.fail("solved outside the cap"))
+    with pytest.raises(TopologyError, match=message):
+        if call == "optimize":
+            optimize(topology, cycle_slots)
+        else:
+            solve_pattern(enumerate_path_models(topology)[0], 1, cycle_slots)
+
+
+def test_library_solves_near_the_cycle_cap():
+    topology = validate_topology(branch_config((20, 20, 20), MAX_CYCLE_SLOTS))
+    start = time.perf_counter()
+    for model in enumerate_path_models(topology)[::300]:
+        specs = patterns_for(model)
+        for spec in (specs[0], specs[-1]):
+            for cycle_slots in (None, MAX_CYCLE_SLOTS - 1):
+                sol = solve_pattern(model, spec, cycle_slots)
+                assert sol.cycle_slots == (cycle_slots or MAX_CYCLE_SLOTS)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_per_packet_counts_differ_at_most_one():

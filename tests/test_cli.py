@@ -3,7 +3,10 @@ import csv
 import importlib.resources
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -12,10 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import yslot
 import yslot.allocate
 from conftest import branch_config, load_case_raw
 from yslot import CausalityViolation, ConvergenceError, DomainError
-from yslot.cli import main
+from yslot.cli import _build_parser, main
+from yslot.simulate import MAX_TRIALS
 from yslot.topology import MAX_CYCLE_SLOTS
 
 CASE1 = str(importlib.resources.files("yslot").joinpath("data/example8_case1.json"))
@@ -52,6 +57,65 @@ def test_internal_error_exits_3_with_one_line(command, exc, monkeypatch, capsys)
 
 def test_usage_error_exits_2():
     assert run_cli("definitely-not-a-command") == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert _build_parser() is _build_parser()
+    model = ["--model", "3-2-3", "--no-sep-branch", "11", "--pattern", "1"]
+    calls = [
+        ["enumerate", "-c", CASE1, "--no-sep-branch", "11"],
+        ["definitely-not-a-command"],
+        ["solve", "-c", CASE1, *model, "--format", "json"],
+        ["simulate", "-c", CASE1, *model, "--trials", "1000", "--seed", "3"],
+        ["simulate", "-c", CASE1, *model, "--trials", "1000", "--reuse"],
+        ["solve", "-c", CASE1],
+        ["report", "-c", CASE1, *model, "--digits", "2"],
+        ["optimize", "-c", CASE1, "--t-slots", "20"],
+    ]
+
+    def outcomes(order):
+        seen = {}
+        for i in order:
+            code = main(list(calls[i]))
+            seen[i] = (code, *capsys.readouterr())
+        return seen
+
+    forward = outcomes(range(len(calls)))
+    assert [forward[i][0] for i in range(len(calls))] == [0, 2, 0, 0, 0, 2, 0, 0]
+    assert outcomes(reversed(range(len(calls)))) == forward
+
+
+FRESH_INTERPRETER = """
+import json, sys
+import yslot, yslot.cli
+cfg, out, tmp = sys.argv[1], [], sys.argv[2]
+model = ["--model", "3-2-3", "--no-sep-branch", "11", "--pattern", "1"]
+out.append(("import", None, "numpy" in sys.modules))
+for argv in (["enumerate", "-c", cfg],
+             ["solve", "-c", cfg, *model, "--emit-timeline", tmp + "/grid.txt"],
+             ["optimize", "-c", cfg],
+             ["report", "-c", cfg, *model],
+             ["simulate", "-c", cfg, *model, "--trials", sys.argv[3]],
+             ["simulate", "-c", cfg, *model, "--trials", "1000"]):
+    code = yslot.cli.main([*argv, "-o", tmp + "/out.csv"])
+    out.append((argv[0], code, "numpy" in sys.modules))
+print(json.dumps(out))
+"""
+
+
+def test_only_simulate_loads_numpy(tmp_path):
+    src = Path(yslot.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_INTERPRETER, CASE1, str(tmp_path),
+         str(MAX_TRIALS + 1)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert json.loads(proc.stdout) == [
+        ["import", None, False], ["enumerate", 0, False], ["solve", 0, False],
+        ["optimize", 0, False], ["report", 0, False], ["simulate", 2, False],
+        ["simulate", 0, True]]
+    assert proc.stderr.endswith(
+        f"error: trials {MAX_TRIALS + 1} is above the cap of {MAX_TRIALS}\n")
 
 
 def test_enumerate_csv(tmp_path):

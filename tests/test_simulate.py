@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from yslot import (ConflictViolation, DoesNotFit, NodeSetMismatch, SimReport,
                    build_timeline, compare, find_model, simulate,
                    solution_timeline, solve_pattern, validate_topology)
+from yslot.simulate import MAX_TRIALS
 from yslot.timeline import GroupPlan, PlacedBurst, Timeline, Unit, place_plans
 
 TRIALS = 100000
@@ -200,3 +202,14 @@ def test_nonpositive_trials_rejected():
     top = tiny_topology()
     with pytest.raises(ValueError):
         simulate(two_slot_timeline(), top, 0, seed=0)
+
+
+def test_trials_above_the_cap_rejected_before_replay(monkeypatch):
+    def verified(*args):
+        pytest.fail("verified a timeline above the trials cap")
+
+    monkeypatch.setattr(importlib.import_module("yslot.simulate"), "verify_timeline",
+                        verified)
+    with pytest.raises(ValueError, match=f"trials {MAX_TRIALS + 1} is above the cap "
+                                         f"of {MAX_TRIALS}"):
+        simulate(two_slot_timeline(), tiny_topology(), MAX_TRIALS + 1, seed=0)
