@@ -1,0 +1,156 @@
+"""Differential sweep: pin every solver output over a seeded set of Ys.
+
+    PYTHONPATH=src python tests/golden/sweep.py --check   # every block
+    PYTHONPATH=src python tests/golden/sweep.py --write   # re-pin (review why)
+
+`SCENARIOS` generated Y configs, each with its own cycle length T, are
+split into blocks of `BLOCK` scenarios, and `sweep.json` next to this
+script holds one SHA-256 digest per block.  A scenario's record is every
+`optimize` solution in rank order: the model, no-sep branch and pattern,
+both products as hex, the COM slot table and per-node COM (hex), the case
+label and window, the `relaxed_table` entries and real windows (hex), and
+the verified timeline's `to_lines()`.  Only output values are hashed, never
+type or field names, so a refactor that keeps every output keeps every
+digest.  A scenario whose relaxed solve fails to bracket its root records
+that it raised.
+
+Scenarios have branches of 1-8 nodes, rates 1-3, 0-3 extra proximity
+pairs, T from 8 to 400 (one in `LONG_EVERY` at 1000), and in one of
+`BOUND_EVERY` every loss is drawn from the smallest and largest values
+validation admits, mixed with ordinary ones.  `tests/test_golden.py`
+checks the `TIER1_BLOCKS` slice; `--check` runs the full set.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+from yslot import (ConvergenceError, optimize, relaxed_table,
+                   solution_timeline, validate_topology)
+
+DIGESTS = Path(__file__).resolve().parent / "sweep.json"
+
+SEED = 20261019
+SCENARIOS = 64
+BLOCK = 2
+TIER1_BLOCKS = (8, 12, 29)   # about 0.7 s; 29 has bound losses
+LONG_EVERY = 16
+BOUND_EVERY = 4
+BOUND_LOSSES = (5e-324, 1e-300, 1 - 2 ** -53)
+
+
+def scenario_configs() -> list[dict]:
+    """The seeded scenario list, in block order."""
+    rng = random.Random(SEED)
+    return [generated_y(rng, bound=i % BOUND_EVERY == BOUND_EVERY - 1,
+                        long=i % LONG_EVERY == LONG_EVERY - 1)
+            for i in range(SCENARIOS)]
+
+
+def generated_y(rng: random.Random, bound: bool, long: bool) -> dict:
+    """A Y with branches of 1-8 nodes, central node id 1 and gateways last;
+    proximity holds the link endpoints, the central node's neighbour pairs
+    and 0-3 random extra pairs."""
+    lengths = [rng.randint(1, 8) for _ in range(3)]
+    n_nodes = 1 + sum(lengths)
+    links, centre_nbs, node = [], [], 2
+    for index, length in enumerate(lengths):
+        prev = 1
+        centre_nbs.append(node)
+        for _ in range(length):
+            links.append((prev, node))
+            prev, node = node, node + 1
+        links.append((prev, n_nodes + 1 + index))
+    proximity = {tuple(sorted(pair)) for pair in links}
+    proximity.update((a, b) for a in centre_nbs for b in centre_nbs if a < b)
+    ids = range(1, n_nodes + 4)
+    spare = [(a, b) for a in ids for b in ids if a < b and (a, b) not in proximity]
+    proximity.update(rng.sample(spare, rng.randint(0, 3)))
+
+    def loss() -> float:
+        if bound and rng.random() < 0.5:
+            return rng.choice(BOUND_LOSSES)
+        return round(rng.uniform(0.05, 0.6), 3)
+
+    return {
+        "cycle_slots": 1000 if long else rng.randint(8, 400),
+        "nodes": [{"id": n, "rate": rng.randint(1, 3)}
+                  for n in range(1, n_nodes + 1)],
+        "gateways": [{"id": g} for g in range(n_nodes + 1, n_nodes + 4)],
+        "links": [{"id": i + 1, "a": a, "b": b, "loss": loss()}
+                  for i, (a, b) in enumerate(links)],
+        "proximity": [list(p) for p in sorted(proximity)],
+    }
+
+
+def solution_values(sol) -> list:
+    """Every output value of one solution, floats as hex."""
+    tub_entries, windows = relaxed_table(sol)
+    return [
+        sol.model.name, sol.model.no_sep_branch, sol.pattern.pattern_id,
+        sol.com_product.hex(), sol.tub_product.hex(),
+        [[*key, v] for key, v in sol.allocation.entries.items()],
+        [[node, p.hex()] for node, p in sol.allocation.per_node.items()],
+        sol.case_label, sol.window,
+        [[*key, v.hex()] for key, v in tub_entries.items()],
+        [[label, w.hex()] for label, w in windows.items()],
+        solution_timeline(sol).to_lines(),
+    ]
+
+
+def block_digest(configs: list[dict]) -> str:
+    h = hashlib.sha256()
+    for config in configs:
+        try:
+            solutions = optimize(validate_topology(config))
+        except ConvergenceError:
+            h.update(b"raises\n")
+            continue
+        for sol in solutions:
+            h.update(json.dumps(solution_values(sol)).encode())
+            h.update(b"\n")
+        h.update(b"end\n")
+    return h.hexdigest()
+
+
+def blocks(configs: list[dict]) -> list[list[dict]]:
+    return [configs[i:i + BLOCK] for i in range(0, len(configs), BLOCK)]
+
+
+def pinned() -> list[str]:
+    return json.loads(DIGESTS.read_text())["digests"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--check", action="store_true",
+                      help="recompute every block and compare with sweep.json")
+    mode.add_argument("--write", action="store_true",
+                      help="recompute every block and write sweep.json")
+    args = parser.parse_args(argv)
+    digests = []
+    for i, block in enumerate(blocks(scenario_configs())):
+        digests.append(block_digest(block))
+        print(f"block {i}: {digests[-1][:16]}", file=sys.stderr)
+    if args.write:
+        DIGESTS.write_text(json.dumps(
+            {"seed": SEED, "scenarios": SCENARIOS, "block": BLOCK,
+             "digests": digests}, indent=1) + "\n")
+        return 0
+    moved = [i for i, (got, want) in enumerate(zip(digests, pinned()))
+             if got != want]
+    if moved or len(digests) != len(pinned()):
+        print(f"sweep: blocks {moved} moved", file=sys.stderr)
+        return 1
+    print(f"sweep: {len(digests)} blocks unchanged", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

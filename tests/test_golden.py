@@ -3,6 +3,8 @@
 The corpus holds CLI bytes on the shipped configs and the optimize records
 of seeded generated Ys.  After a deliberate change of outputs, regenerate it
 with `PYTHONPATH=src python tests/golden/make_corpus.py` and review the diff.
+A slice of the differential sweep (`tests/golden/sweep.py`) runs here too;
+`PYTHONPATH=src python tests/golden/sweep.py --check` runs all of it.
 """
 
 import json
@@ -12,6 +14,7 @@ import pytest
 from golden.make_corpus import (CLI_DIR, CORPUS_SIZE, FEATURES, SHIPPED,
                                 YS_DIR, cli_invocations, features,
                                 optimize_records, run_cli, shipped_config)
+from golden import sweep
 
 Y_CONFIGS = sorted(YS_DIR.glob("y??.json"))
 
@@ -50,3 +53,9 @@ def test_corpus_covers_every_structure_and_regime():
         records = json.loads(path.with_suffix(".optimize.json").read_text())
         covered |= features(json.loads(path.read_text()), records)
     assert covered == FEATURES
+
+
+@pytest.mark.parametrize("block", sweep.TIER1_BLOCKS)
+def test_sweep_slice_matches_its_pinned_digest(block):
+    configs = sweep.blocks(sweep.scenario_configs())[block]
+    assert sweep.block_digest(configs) == sweep.pinned()[block]
