@@ -319,22 +319,6 @@ def _classify_case(hide_order: list[TxLink], tentative: dict[EntryKey, int],
     return "c3" if window <= caps[0] + caps[1] else "c4"
 
 
-@dataclass
-class GroupInteger:
-    serialized: dict[EntryKey, int]
-    early: dict[EntryKey, int]
-    rider: dict[EntryKey, int]
-    product: float
-    label: str    # window regime: "" none, c1-c4 hide, c5 split
-
-    def totals(self) -> dict[EntryKey, int]:
-        out: dict[EntryKey, int] = {}
-        for src in (self.serialized, self.early, self.rider):
-            for key, v in src.items():
-                out[key] = out.get(key, 0) + v
-        return out
-
-
 def _delivery_product(origins, totals: dict[EntryKey, int]) -> float:
     """Probability that every packet of the origins crosses its route: the
     product of (1 - q^slots) over each packet's route links, 0 when a link
@@ -403,18 +387,20 @@ def _packet_order(chain: GroupChain, hide_order: list[TxLink],
 def assign_early_slots(chain: GroupChain, st: Structure,
                        tentative: dict[EntryKey, int], rider: dict[EntryKey, int],
                        window: int, hide_order: list[TxLink],
-                       budget: int) -> GroupInteger:
+                       budget: int) -> tuple[dict[SlotKey, int], str]:
     """Integer early-window step, per packet hop: `_early_step` with the
-    greedy, plus the regime label and the group's delivery product.  A
+    greedy.  Returns the group's slot table (serialized slots, then the
+    early-window slots in fill order, then the rider slots, zero counts
+    left out) and its window regime: "" none, c1-c4 hide, c5 split.  A
     greedy at budget `window` fills exactly `window`, so restricting its
     window part equals filling it."""
     serialized, early, rider, split = _early_step(
         st, tentative, rider, window, budget, hide_order,
         lambda amounts: _packet_order(chain, hide_order, amounts), _greedy_int)
-    gi = GroupInteger(serialized, early, rider, 0.0, "c5" if split else
-                      _classify_case(hide_order, tentative, window))
-    gi.product = _delivery_product(chain.origins, gi.totals())
-    return gi
+    table = {(node, k, link, is_early): v
+             for is_early, counts in ((False, serialized), (True, early), (True, rider))
+             for (node, k, link), v in counts.items() if v > 0}
+    return table, "c5" if split else _classify_case(hide_order, tentative, window)
 
 
 # ---------------------------------------------------------------------------
@@ -470,17 +456,18 @@ def _serial_order(st: Structure, ranks: Ranks) -> list[TxLink]:
     return keys
 
 
-def _rider_assignment(st: Structure, gi: GroupInteger,
+def _rider_assignment(st: Structure, riders: set[TxLink], table: dict[SlotKey, int],
                       serial_keys: list[EntryKey], txmap: dict[TxLink, TxLink],
                       ) -> dict[EntryKey, list[PlacedBurst]]:
     """Distribute rider counts over host burst slots in stream order."""
-    queue = [[key, gi.rider[key]] for key in sorted(gi.rider) if gi.rider[key] > 0]
+    queue = sorted([key[:3], v] for key, v in table.items()
+                   if key[3] and (key[0], key[2]) in riders)
     out: dict[EntryKey, list[PlacedBurst]] = {}
     qi = 0
     for key in serial_keys:
         if (key[0], key[2]) not in st.hosts:
             continue
-        room = gi.serialized.get(key, 0)
+        room = table.get((*key, False), 0)
         while room > 0 and qi < len(queue):
             (rnode, rk, rlink), remaining = queue[qi]
             take = min(room, remaining)
@@ -493,19 +480,23 @@ def _rider_assignment(st: Structure, gi: GroupInteger,
     return out
 
 
-def _build_plan(chain: GroupChain, st: Structure, gi: GroupInteger,
+def _build_plan(chain: GroupChain, st: Structure, table: dict[SlotKey, int],
                 window: int, txmap: dict[TxLink, TxLink], ranks: Ranks,
                 ) -> GroupPlan:
+    """Serialized bursts in burst order, riders in their host bursts, and
+    the early bursts (the other early slots) in table order."""
     rates = {o.node: o.rate for o in chain.origins}
     serial_keys = [(n, k, l) for n, l in _serial_order(st, ranks)
                    for k in range(1, rates[n] + 1)]
-    riders = _rider_assignment(st, gi, serial_keys, txmap)
+    riders = {(u.node, u.link) for u in st.riders}
+    hosted = _rider_assignment(st, riders, table, serial_keys, txmap)
     serialized = tuple(
-        PlacedBurst(n, k, txmap[(n, l)][0], l, gi.serialized[(n, k, l)], False,
-                    tuple(riders.get((n, k, l), ())))
-        for n, k, l in serial_keys if gi.serialized.get((n, k, l), 0) > 0)
+        PlacedBurst(n, k, txmap[(n, l)][0], l, table[(n, k, l, False)], False,
+                    tuple(hosted.get((n, k, l), ())))
+        for n, k, l in serial_keys if (n, k, l, False) in table)
     early = tuple(PlacedBurst(n, k, txmap[(n, l)][0], l, v, True)
-                  for (n, k, l), v in gi.early.items())
+                  for (n, k, l, is_early), v in table.items()
+                  if is_early and (n, l) not in riders)
     return GroupPlan(chain.label, window, early, serialized)
 
 
@@ -622,8 +613,8 @@ class _GroupTable:
 
     def __init__(self, topology: Topology, cycle_slots: int | None):
         self.topology = topology
-        self.T = int(cycle_slots if cycle_slots is not None else topology.cycle_slots)
-        check_cycle_slots(self.T)
+        self.T = check_cycle_slots(
+            topology.cycle_slots if cycle_slots is None else cycle_slots)
         self.conflicts = derive_conflicts(topology)
         self.groups: dict[tuple, _Group] = {}
 
@@ -643,37 +634,34 @@ class _GroupTable:
     def _place(self, group: _Group, window: int,
                blocked: set[TxLink]) -> GroupStep:
         chain, T = group.chain, self.T
-        best: tuple[int, GroupInteger] | None = None
+        best = None
         for i, st in enumerate(group.candidates):
             hide_order = _hideable_uses(chain, st, blocked, group.ranks)
             tentative, rider = group.greedy[i]
-            gi = assign_early_slots(chain, st, tentative, rider, window,
-                                    hide_order, T)
-            if best is None or gi.product > best[1].product:
-                best = (i, gi)
-        i, gi = best
+            table, regime = assign_early_slots(chain, st, tentative, rider,
+                                               window, hide_order, T)
+            totals: dict[EntryKey, int] = {}   # slots per packet hop
+            for key, v in table.items():
+                hop = key[:3]
+                totals[hop] = totals.get(hop, 0) + v
+            product = _delivery_product(chain.origins, totals)
+            if best is None or product > best[0]:
+                best = (product, i, table, regime, totals)
+        _product, i, table, regime, totals = best
         st = group.candidates[i]
         if i not in group.relaxed:
             group.relaxed[i] = _relax_structure(st, float(T))
         lab = st.label if st.label != "plain" else ""
-        if gi.label:
-            lab = f"{lab}+{gi.label}" if lab else gi.label
+        if regime:
+            lab = f"{lab}+{regime}" if lab else regime
 
-        plan = _build_plan(chain, st, gi, window, group.txmap, group.ranks)
-        entries: dict[SlotKey, int] = {}
-        for early, src in ((False, gi.serialized), (True, gi.early),
-                           (True, gi.rider)):
-            for (node, k, link), v in src.items():
-                if v > 0:
-                    key = (node, k, link, early)
-                    entries[key] = entries.get(key, 0) + v
-        totals = gi.totals()
+        plan = _build_plan(chain, st, table, window, group.txmap, group.ranks)
         per_node = {o.node: _delivery_product([o], totals) for o in chain.origins}
         extents: dict[TxLink, tuple[int, int]] = {}   # each transmitter's hull
         for r in place_plans(self.topology, [plan]):
             _widen(extents, (r.tx, r.link), r.start, r.start + r.count)
         return GroupStep(st, group.relaxed[i], lab, group.predicted, plan,
-                         MappingProxyType(extents), MappingProxyType(entries),
+                         MappingProxyType(extents), MappingProxyType(table),
                          MappingProxyType(per_node))
 
     def solve(self, model: PathModel, spec: PatternSpec) -> PatternSolution:

@@ -66,7 +66,7 @@ def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
                     timeline.cycle_slots).raise_first()
     import numpy as np
 
-    units = sorted(timeline.units, key=lambda u: (u.slot, u.tx, u.link, u.origin, u.k))
+    units = sorted(timeline.units, key=lambda u: (u.start, u.tx, u.link, u.origin, u.k))
 
     # per-(tx, link) stream order for slot reuse
     stream: dict[tuple[int, int], list[tuple[int, int]]] = {}

@@ -4,7 +4,6 @@ runs, and verification of conflict-freedom, causality, and the cycle bound."""
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
@@ -33,10 +32,13 @@ _ERRORS = {"conflict": ConflictViolation, "causality": CausalityViolation,
            "fit": DoesNotFit}
 
 
-class Unit(NamedTuple):
-    """One transmission: origin's k-th packet sent by tx over link in a slot."""
+class Run(NamedTuple):
+    """A burst placed at its first slot: count transmissions from start on,
+    each origin's k-th packet sent by tx to rx over link.  A unit, one
+    transmission in one slot, is a run of count 1."""
 
-    slot: int
+    start: int
+    count: int
     tx: int
     rx: int
     link: int
@@ -45,9 +47,9 @@ class Unit(NamedTuple):
     early: bool
 
 
-# a Unit from a row in its field order, built in C without the Python frame
-# of the generated __new__: about half the cost of calling Unit per slot
-_unit_of_row = partial(tuple.__new__, Unit)
+# a Run from a row in its field order, built in C without the Python frame
+# of the generated __new__: about half the cost of calling Run per unit
+_run_of_row = partial(tuple.__new__, Run)
 
 
 class PlacedBurst(NamedTuple):
@@ -80,29 +82,24 @@ class GroupPlan:
 
 @dataclass
 class Timeline:
-    """A cycle as its placed runs, in placement order; the units, one per
-    slot of each run, are expanded on first read."""
+    """A cycle as its placed runs, in placement order; the units, one-slot
+    runs one per slot of each run, are expanded on first read."""
 
     runs: list[Run]
     cycle_slots: int
 
-    @classmethod
-    def of_units(cls, units: Iterable[Unit], cycle_slots: int) -> Timeline:
-        """One one-slot run per unit, in unit order."""
-        return cls([Run(u.slot, 1, *u[1:]) for u in units], cycle_slots)
-
     @cached_property
-    def units(self) -> list[Unit]:
+    def units(self) -> list[Run]:
         return units_of(self.runs)
 
     @property
     def length(self) -> int:
         return max((r.start + r.count for r in self.runs if r.count > 0), default=0)
 
-    def slots(self) -> dict[int, list[Unit]]:
-        by_slot: dict[int, list[Unit]] = {}
+    def slots(self) -> dict[int, list[Run]]:
+        by_slot: dict[int, list[Run]] = {}
         for u in self.units:
-            by_slot.setdefault(u.slot, []).append(u)
+            by_slot.setdefault(u.start, []).append(u)
         return by_slot
 
     def to_lines(self) -> list[str]:
@@ -140,20 +137,6 @@ class VerificationReport:
             raise _ERRORS[v.kind](f"slot {v.slot}: {v.detail}")
 
 
-class Run(NamedTuple):
-    """A burst placed at its first slot: count units from start on, each
-    origin's k-th packet sent by tx to rx over link."""
-
-    start: int
-    count: int
-    tx: int
-    rx: int
-    link: int
-    origin: int
-    k: int
-    early: bool
-
-
 def place_plans(topology: Topology, plans: list[GroupPlan]) -> list[Run]:
     """Place group plans as one run per burst, each rider a run of its own
     at its host's cursor; deterministic in plan order."""
@@ -184,12 +167,12 @@ def place_plans(topology: Topology, plans: list[GroupPlan]) -> list[Run]:
     return runs
 
 
-def units_of(runs: list[Run]) -> list[Unit]:
-    """One unit per slot of each run, in run order."""
-    units: list[Unit] = []
+def units_of(runs: list[Run]) -> list[Run]:
+    """One unit, a one-slot run, per slot of each run, in run order."""
+    units: list[Run] = []
     for start, count, *fields in runs:
-        units.extend(map(_unit_of_row, zip(range(start, start + count),
-                                           *map(repeat, fields))))
+        units.extend(map(_run_of_row, zip(range(start, start + count), repeat(1),
+                                          *map(repeat, fields))))
     return units
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 
@@ -206,8 +207,10 @@ def load_config(path: str | Path) -> dict:
 
 def _int(value, what: str) -> int:
     """An integer config field, where int() would read True as 1 and "3" as 3
-    and cut 2.7 to 2; `value % 1` is nonzero, or nan, for any fraction."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+    and cut 2.7 to 2; `value % 1` is nonzero, or nan, for any fraction.
+    Integral types beyond int (a library caller's numpy integer) pass; the
+    ABC is checked last, since it costs about ten times an int check."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Integral)) or value % 1:
         raise TopologyError(f"{what} {value!r} is not an integer")
     return int(value)
 
@@ -220,13 +223,16 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
-def check_cycle_slots(cycle_slots: int, what: str = "cycle_slots") -> None:
-    """Raise unless the cycle length lies in [1, MAX_CYCLE_SLOTS]."""
+def check_cycle_slots(cycle_slots, what: str = "cycle_slots") -> int:
+    """The cycle length as an int, read by the config's integer rule
+    (`_int`); raise unless it lies in [1, MAX_CYCLE_SLOTS]."""
+    cycle_slots = _int(cycle_slots, what)
     if cycle_slots < 1:
         raise TopologyError(f"{what} must be >= 1")
     if cycle_slots > MAX_CYCLE_SLOTS:
         raise TopologyError(f"{what} {cycle_slots} is above the cap of "
                             f"{MAX_CYCLE_SLOTS} slots")
+    return cycle_slots
 
 
 def validate_topology(raw: dict) -> Topology:

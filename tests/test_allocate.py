@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -250,7 +251,12 @@ def test_infeasible_budget_flagged_not_raised():
 @pytest.mark.parametrize("cycle_slots, message", [
     (0, "cycle_slots must be >= 1"),
     (MAX_CYCLE_SLOTS + 1, f"cycle_slots {MAX_CYCLE_SLOTS + 1} is above the cap"),
-    (100_000, "cycle_slots 100000 is above the cap")], ids=["0", "cap+1", "1e5"])
+    (100_000, "cycle_slots 100000 is above the cap"),
+    # the config's integer rule: no truncation, no bool, no string
+    (30.9, "cycle_slots 30.9 is not an integer"),
+    (True, "cycle_slots True is not an integer"),
+    ("30", "cycle_slots '30' is not an integer")],
+    ids=["0", "cap+1", "1e5", "30.9", "True", "str30"])
 @pytest.mark.parametrize("call", ["solve_pattern", "optimize"])
 def test_library_cycle_outside_the_cap_raises_before_solving(
         call, cycle_slots, message, monkeypatch):
@@ -264,6 +270,14 @@ def test_library_cycle_outside_the_cap_raises_before_solving(
             optimize(topology, cycle_slots)
         else:
             solve_pattern(enumerate_path_models(topology)[0], 1, cycle_slots)
+
+
+@pytest.mark.parametrize("cycle_slots", [30.0, np.int64(30)], ids=["30.0", "int64"])
+def test_library_cycle_reads_an_integral_value_as_int(case1, cycle_slots):
+    model = find_model(case1, "3-2-3", 11)
+    sol = solve_pattern(model, 1, cycle_slots)
+    assert type(sol.cycle_slots) is int and sol.cycle_slots == 30
+    assert solution_fields(sol) == solution_fields(solve_pattern(model, 1, 30))
 
 
 def test_library_solves_near_the_cycle_cap():
@@ -361,7 +375,7 @@ def hull(intervals):
 
 
 def unit_intervals(units):
-    return [(u.slot, u.slot + 1, (u.tx, u.link)) for u in units]
+    return [(u.start, u.start + 1, (u.tx, u.link)) for u in units]
 
 
 def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
@@ -413,9 +427,10 @@ def test_assign_early_identity_without_window():
     uses = tuple(Use(o.node, l, q, o.rate) for o in chain.origins for l, q in o.route)
     st = Structure("plain", "plain", uses, (), ())
     tentative = plain_greedy(chain, 10)
-    gi = assign_early_slots(chain, st, tentative, {}, 0, [], 10)
-    assert gi.early == {} and gi.serialized == tentative
-    assert gi.label == ""
+    table, regime = assign_early_slots(chain, st, tentative, {}, 0, [], 10)
+    serialized, early, _rider = table_parts(table)
+    assert early == {} and serialized == nonzero(tentative)
+    assert regime == ""
 
 
 def two_origin_chain():
@@ -426,6 +441,20 @@ def two_origin_chain():
     hide_order = _hideable_uses(chain, st, set(), _chain_ranks(chain))
     assert hide_order == [(100, 1), (101, 2), (100, 2)]
     return chain, st, hide_order
+
+
+def table_parts(table, riders=()):
+    """A group's slot table as its serialized, early-window and rider slot
+    counts per packet hop, each in table order."""
+    rider_keys = {(u.node, u.link) for u in riders}
+    parts = ({}, {}, {})
+    for (n, k, l, early), v in table.items():
+        parts[2 if (n, l) in rider_keys else int(early)][(n, k, l)] = v
+    return parts
+
+
+def nonzero(counts):
+    return {key: v for key, v in counts.items() if v}
 
 
 # packet 100.1 got no slot on link 1, yet holds slots on link 2
@@ -469,13 +498,13 @@ def test_fill_keeps_a_packet_without_its_upstream_hop_out():
     for window in range(8):
         assert integer_fill(chain, STARVED, hide_order, window) == \
             fill_window_oracle(chain, STARVED, hide_order, window)
-    gi = assign_early_slots(chain, st, STARVED, {}, 4, hide_order, 6)
-    assert gi.label == "c4" and gi.early == early
-    assert gi.serialized == {**STARVED, (100, 2, 1): 0, (101, 1, 2): 0,
-                             (100, 2, 2): 0}
+    table, regime = assign_early_slots(chain, st, STARVED, {}, 4, hide_order, 6)
+    assert regime == "c4" and table_parts(table)[1] == early
+    assert table_parts(table)[0] == nonzero({**STARVED, (100, 2, 1): 0, (101, 1, 2): 0,
+                                             (100, 2, 2): 0})
     # one slot more and the fill falls short, though link 2 could hold it
     assert integer_fill(chain, STARVED, hide_order, 5) == early
-    assert assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6).label == "c5"
+    assert assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6)[1] == "c5"
 
 
 def test_split_window_keeps_a_packet_without_its_upstream_hop_out(monkeypatch):
@@ -492,9 +521,9 @@ def test_split_window_keeps_a_packet_without_its_upstream_hop_out(monkeypatch):
         return greedy(part, budget)
 
     monkeypatch.setattr(yslot.allocate, "_greedy_int", starved_window_part)
-    gi = assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6)
-    assert gi.label == "c5"
-    assert gi.early == {(100, 2, 1): 1, (101, 1, 2): 1, (100, 2, 2): 1}
+    table, regime = assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6)
+    assert regime == "c5"
+    assert table_parts(table)[1] == {(100, 2, 1): 1, (101, 1, 2): 1, (100, 2, 2): 1}
 
 
 def test_split_window_part_by_restriction_equals_the_fill():
@@ -517,13 +546,15 @@ def test_split_window_part_by_restriction_equals_the_fill():
                     empty = {key: 0 for key in _greedy_int(st, 0)[0]}
                     for window in range(1, 16):
                         budget = window + rng.randrange(20)
-                        gi = assign_early_slots(chain, st, empty, {}, window,
-                                                hide_order, budget)
+                        table, regime = assign_early_slots(chain, st, empty, {}, window,
+                                                           hide_order, budget)
+                        serialized, early, rider = table_parts(table, st.riders)
                         part = _greedy_int(hide, window)[0]
                         filled = _fill(part, _packet_order(chain, hide_order, part), window)
-                        assert gi.label == "c5"
-                        assert list(gi.early.items()) == list(filled.items())
-                        assert gi.serialized == _greedy_int(rest, budget - window)[0]
+                        assert regime == "c5"
+                        assert list(early.items()) == list(filled.items())
+                        assert (serialized, rider) == tuple(
+                            map(nonzero, _greedy_int(rest, budget - window)))
                         checked += 1
     assert checked >= 1500
     # a window part with a starved upstream hop, restricted and filled alike
@@ -547,11 +578,12 @@ def test_window_regime_boundaries(window, label):
     chain, st, hide_order = two_origin_chain()
     tentative = {(100, 1, 1): 1, (100, 2, 1): 1, (101, 1, 2): 3,
                  (100, 1, 2): 2, (100, 2, 2): 2}
-    gi = assign_early_slots(chain, st, tentative, {}, window, hide_order, 12)
-    assert gi.label == label
+    table, regime = assign_early_slots(chain, st, tentative, {}, window, hide_order, 12)
+    serialized, early, _rider = table_parts(table)
+    assert regime == label
     if label != "c5":
-        assert sum(gi.early.values()) == window
-        assert gi.totals() == tentative
+        assert sum(early.values()) == window
+        assert Counter(serialized) + Counter(early) == Counter(tentative)
 
 
 def uncausal_hops(st, vals):

@@ -9,7 +9,7 @@ from yslot import (ConflictViolation, DoesNotFit, NodeSetMismatch, SimReport,
                    build_timeline, compare, find_model, simulate,
                    solution_timeline, solve_pattern, validate_topology)
 from yslot.simulate import MAX_TRIALS
-from yslot.timeline import GroupPlan, PlacedBurst, Timeline, Unit, place_plans
+from yslot.timeline import GroupPlan, PlacedBurst, Run, Timeline, place_plans
 
 TRIALS = 100000
 
@@ -28,8 +28,8 @@ def tiny_topology(q=0.3):
 
 
 def two_slot_timeline():
-    return Timeline.of_units([Unit(0, 1, 2, 1, 1, 1, False),
-                              Unit(1, 1, 2, 1, 1, 1, False)], 10)
+    return Timeline([Run(0, 1, 1, 2, 1, 1, 1, False),
+                     Run(1, 1, 1, 2, 1, 1, 1, False)], 10)
 
 
 def test_single_link_bernoulli():
@@ -104,7 +104,7 @@ def test_near_perfect_links_deliver():
 
 def test_zero_slot_node_never_delivers(case1):
     # schedule only node 8; everyone else has analytic M = 0
-    tl = Timeline.of_units([Unit(0, 8, 11, 10, 8, 1, False)], 30)
+    tl = Timeline([Run(0, 1, 8, 11, 10, 8, 1, False)], 30)
     report = simulate(tl, case1, 2000, seed=9)
     assert report.per_node[4] == 0.0
     checks = compare(report, {n: (1 - 0.3 if n == 8 else 0.0)
@@ -164,8 +164,8 @@ def test_node_set_mismatch():
 
 def test_invalid_timeline_rejected(case1):
     # nodes 3 and 4 co-scheduled: interference at node 7
-    tl = Timeline.of_units([Unit(0, 3, 2, 3, 3, 1, False),
-                            Unit(0, 4, 7, 8, 4, 1, False)], 30)
+    tl = Timeline([Run(0, 1, 3, 2, 3, 3, 1, False),
+                   Run(0, 1, 4, 7, 8, 4, 1, False)], 30)
     with pytest.raises(ConflictViolation):
         simulate(tl, case1, 10, seed=0)
 
@@ -183,18 +183,18 @@ def test_simulate_rejects_as_build_timeline_does(case1):
 
 
 @pytest.mark.parametrize("unit", [
-    Unit(0, 1, 9, -1, 1, 1, False),   # link -1 is in no topology
-    Unit(0, 5, 11, 6, 5, 1, False),   # link 6 joins 5 and 6, not gateway 11
+    Run(0, 1, 1, 9, -1, 1, 1, False),   # link -1 is in no topology
+    Run(0, 1, 5, 11, 6, 5, 1, False),   # link 6 joins 5 and 6, not gateway 11
 ], ids=["unknown-link", "wrong-receiver"])
 def test_transmission_outside_topology_rejected(case1, unit):
     with pytest.raises(DoesNotFit, match="not a transmission of the topology"):
-        simulate(Timeline.of_units([unit], 30), case1, 10, seed=0)
+        simulate(Timeline([unit], 30), case1, 10, seed=0)
 
 
 def test_packet_beyond_origin_rate_rejected(case1):
     # node 8 generates one packet per cycle
     with pytest.raises(DoesNotFit, match="packet 8.5 is not generated by node 8"):
-        simulate(Timeline.of_units([Unit(1, 8, 11, 10, 8, 5, False)], 30), case1, 10,
+        simulate(Timeline([Run(1, 1, 8, 11, 10, 8, 5, False)], 30), case1, 10,
                  seed=0)
 
 

@@ -9,7 +9,7 @@ from conftest import load_case_raw
 from yslot import (ConflictSet, DoesNotFit, build_timeline, derive_conflicts,
                    find_model, optimize, solution_timeline, solve_pattern,
                    validate_topology, verify_timeline)
-from yslot.timeline import (GroupPlan, PlacedBurst, Timeline, Unit, place_plans,
+from yslot.timeline import (GroupPlan, PlacedBurst, Run, Timeline, place_plans,
                             units_of)
 
 
@@ -42,7 +42,7 @@ def test_early_window_serializes_to_twelve_slots(case1):
     _, _, tl, _ = solved_timeline(case1, "3-2-3", 1)
     early = [u for u in tl.units if u.early]
     assert len(early) == 12
-    assert sorted(u.slot for u in early) == list(range(12))
+    assert sorted(u.start for u in early) == list(range(12))
     by_tx = {}
     for u in early:
         by_tx[u.tx] = by_tx.get(u.tx, 0) + 1
@@ -73,9 +73,9 @@ def test_empty_plans_give_empty_timeline(case1):
 
 def test_verify_flags_conflicting_pair(case1):
     conflicts = derive_conflicts(case1)
-    tl = Timeline.of_units([
-        Unit(0, 3, 2, 3, 3, 1, False),   # node 3 sending
-        Unit(0, 4, 7, 8, 4, 1, False),   # node 4 sending in the same slot
+    tl = Timeline([
+        Run(0, 1, 3, 2, 3, 3, 1, False),   # node 3 sending
+        Run(0, 1, 4, 7, 8, 4, 1, False),   # node 4 sending in the same slot
     ], 30)
     report = verify_timeline(tl, conflicts, 30)
     assert not report.ok
@@ -84,7 +84,7 @@ def test_verify_flags_conflicting_pair(case1):
 
 def test_verify_flags_beyond_cycle(case1):
     conflicts = derive_conflicts(case1)
-    tl = Timeline.of_units([Unit(30, 1, 9, 1, 1, 1, False)], 30)
+    tl = Timeline([Run(30, 1, 1, 9, 1, 1, 1, False)], 30)
     report = verify_timeline(tl, conflicts, 30)
     assert not report.ok
     assert report.first().kind == "fit"
@@ -93,10 +93,10 @@ def test_verify_flags_beyond_cycle(case1):
 def test_verify_flags_transmission_outside_topology(case1):
     conflicts = derive_conflicts(case1)
     # an unknown link, then a real (tx, link) sent to the wrong receiver
-    tl = Timeline.of_units([Unit(0, 1, 9, -1, 1, 1, False),
-                            Unit(0, 5, 11, 6, 5, 1, False),
-                            Unit(1, 5, 11, 6, 5, 1, False),
-                            Unit(2, 5, 6, 6, 5, 1, False)], 30)
+    tl = Timeline([Run(0, 1, 1, 9, -1, 1, 1, False),
+                   Run(0, 1, 5, 11, 6, 5, 1, False),
+                   Run(1, 1, 5, 11, 6, 5, 1, False),
+                   Run(2, 1, 5, 6, 6, 5, 1, False)], 30)
     report = verify_timeline(tl, conflicts, 30)
     assert [(v.kind, v.slot) for v in report.violations] == \
         [("fit", 0), ("fit", 0), ("fit", 1)]
@@ -108,24 +108,24 @@ def test_verify_flags_packet_its_origin_does_not_generate(case1):
     conflicts = derive_conflicts(case1)
     # node 8 has rate 1, so it sends no packet 5 and no packet 0; fit
     # violations come out in unit order, whatever their reason
-    tl = Timeline.of_units([Unit(1, 8, 11, 10, 8, 5, False),
-                            Unit(2, 8, 11, 10, 8, 1, False),
-                            Unit(30, 8, 11, 10, 8, 0, False),
-                            Unit(3, 8, 11, 10, 8, 5, False)], 30)
+    tl = Timeline([Run(1, 1, 8, 11, 10, 8, 5, False),
+                   Run(2, 1, 8, 11, 10, 8, 1, False),
+                   Run(30, 1, 8, 11, 10, 8, 0, False),
+                   Run(3, 1, 8, 11, 10, 8, 5, False)], 30)
     report = verify_timeline(tl, conflicts, 30)
     assert [(v.kind, v.slot) for v in report.violations] == \
         [("fit", 1), ("fit", 30), ("fit", 30), ("fit", 3)]
     assert report.first().detail == "packet 8.5 is not generated by node 8"
     assert report.violations[2].detail == "packet 8.0 is not generated by node 8"
-    assert verify_timeline(Timeline.of_units(tl.units[1:2], 30), conflicts, 30).ok
+    assert verify_timeline(Timeline(tl.units[1:2], 30), conflicts, 30).ok
 
 
 def test_verify_flags_causality(case1):
     conflicts = derive_conflicts(case1)
     # node 2 relays node 3's packet before node 3 ever sent it
-    tl = Timeline.of_units([
-        Unit(0, 2, 1, 2, 3, 1, False),
-        Unit(1, 3, 2, 3, 3, 1, False),
+    tl = Timeline([
+        Run(0, 1, 2, 1, 2, 3, 1, False),
+        Run(1, 1, 3, 2, 3, 3, 1, False),
     ], 30)
     report = verify_timeline(tl, conflicts, 30)
     assert not report.ok
@@ -157,10 +157,10 @@ def test_riders_fill_their_host_burst_first_slots(case1):
     riders = (PlacedBurst(3, 1, 3, 4, 1, True), PlacedBurst(5, 1, 5, 5, 1, True))
     plan = GroupPlan("Z", 5, (), (PlacedBurst(8, 1, 8, 10, 3, False, riders),))
     units = units_of(place_plans(case1, [plan]))
-    assert sorted(units, key=lambda u: (u.slot, u.tx)) == [
-        Unit(5, 3, 4, 4, 3, 1, True), Unit(5, 8, 11, 10, 8, 1, False),
-        Unit(6, 5, 4, 5, 5, 1, True), Unit(6, 8, 11, 10, 8, 1, False),
-        Unit(7, 8, 11, 10, 8, 1, False)]
+    assert sorted(units, key=lambda u: (u.start, u.tx)) == [
+        Run(5, 1, 3, 4, 4, 3, 1, True), Run(5, 1, 8, 11, 10, 8, 1, False),
+        Run(6, 1, 5, 4, 5, 5, 1, True), Run(6, 1, 8, 11, 10, 8, 1, False),
+        Run(7, 1, 8, 11, 10, 8, 1, False)]
 
 
 def test_place_raises_when_riders_exceed_their_host(case1):
@@ -181,14 +181,14 @@ def test_grid_lines_stable_format(case1):
 def causality_oracle(timeline):
     """Reference quadratic scan: a relayed unit needs some strictly earlier
     unit of the same packet with the relay as its receiver."""
-    ordered = sorted(timeline.units, key=lambda u: u.slot)
+    ordered = sorted(timeline.units, key=lambda u: u.start)
     out = []
     for u in ordered:
         if u.tx == u.origin:
             continue
-        if not any(v.slot < u.slot and v.origin == u.origin and v.k == u.k
+        if not any(v.start < u.start and v.origin == u.origin and v.k == u.k
                    and v.rx == u.tx for v in ordered):
-            out.append(("causality", u.slot,
+            out.append(("causality", u.start,
                         f"packet {u.origin}.{u.k} sent by {u.tx} before any reception"))
     return out
 
@@ -197,9 +197,9 @@ def corrupted(timeline, rng):
     """Variants of a valid timeline that break causality in different ways."""
     units = timeline.units
     T = timeline.cycle_slots
-    last = max(u.slot for u in units)
-    yield [u._replace(slot=rng.randrange(T)) for u in units]
-    yield [u._replace(slot=last - u.slot) for u in units]
+    last = max(u.start for u in units)
+    yield [u._replace(start=rng.randrange(T)) for u in units]
+    yield [u._replace(start=last - u.start) for u in units]
     yield rng.sample(units, len(units) // 2)
     yield [u._replace(rx=u.tx, tx=u.rx) if rng.random() < 0.2 else u
            for u in units]
@@ -213,7 +213,7 @@ def test_causality_check_matches_quadratic_oracle(case1):
         timeline = solution_timeline(sol)
         variants = [timeline.units, *corrupted(timeline, rng)]
         for units in variants:
-            tl = Timeline.of_units(list(units), 30)
+            tl = Timeline(list(units), 30)
             report = verify_timeline(tl, conflicts, 30)
             got = [(v.kind, v.slot, v.detail) for v in report.violations
                    if v.kind == "causality"]
@@ -231,7 +231,7 @@ def fit_oracle(timeline, topology):
         link = topology.links.get(u.link)
         if (link is None or topology.is_gateway(u.tx)
                 or {u.tx, u.rx} != {link.a, link.b}):
-            out.append(("fit", u.slot, f"tx {u.tx} on link {u.link} to {u.rx}"
+            out.append(("fit", u.start, f"tx {u.tx} on link {u.link} to {u.rx}"
                         " is not a transmission of the topology"))
     return out
 
@@ -264,7 +264,7 @@ def test_conflict_check_matches_pairwise_oracle(case1):
                     units + rng.sample(units, len(units) // 4),
                     unindexed + rng.sample(unindexed, len(units) // 4)]
         for variant in variants:
-            tl = Timeline.of_units(list(variant), 30)
+            tl = Timeline(list(variant), 30)
             report = verify_timeline(tl, conflicts, 30)
             got = [(v.kind, v.slot, v.detail) for v in report.violations]
             want = conflict_oracle(tl, conflicts)
@@ -284,13 +284,13 @@ def verify_oracle(timeline, conflicts, cycle_slots, allocation_counts=None):
     by_slot = timeline.slots()
     out = []
     for u in timeline.units:
-        if u.slot < 0 or u.slot >= cycle_slots:
-            out.append(("fit", u.slot, f"transmission outside cycle of {cycle_slots} slots"))
+        if u.start < 0 or u.start >= cycle_slots:
+            out.append(("fit", u.start, f"transmission outside cycle of {cycle_slots} slots"))
         if not conflicts.sends(u.tx, u.rx, u.link):
-            out.append(("fit", u.slot, f"tx {u.tx} on link {u.link} "
+            out.append(("fit", u.start, f"tx {u.tx} on link {u.link} "
                         f"to {u.rx} is not a transmission of the topology"))
         if not conflicts.generates(u.origin, u.k):
-            out.append(("fit", u.slot, f"packet {u.origin}.{u.k} "
+            out.append(("fit", u.start, f"packet {u.origin}.{u.k} "
                         f"is not generated by node {u.origin}"))
     late = []
     received = set()
@@ -362,6 +362,22 @@ def test_run_verifier_matches_per_unit_oracle():
     assert variants >= 5000 and invalid >= 3500
 
 
+def test_units_are_fixed_points(case1):
+    # a unit is a one-slot run: a timeline of units expands to the same
+    # units and verifies as its runs do, broken variants included
+    rng = random.Random(19)
+    conflicts = derive_conflicts(case1)
+    for sol in optimize(case1, 30):
+        runs = solution_timeline(sol).runs
+        for variant in [runs, *corrupted_runs(runs, 30, rng)]:
+            tl = Timeline(variant, 30)
+            of_units = Timeline(tl.units, 30)
+            assert of_units.units == tl.units
+            counts = sol.allocation.entries
+            assert verify_timeline(of_units, conflicts, 30, counts) == \
+                verify_timeline(tl, conflicts, 30, counts)
+
+
 def test_verify_work_grows_with_runs_not_slots(case1, monkeypatch):
     # at T = 10 000 the timeline holds one unit per slot, but building and
     # verifying it expands none, and makes one clash call per segment
@@ -417,8 +433,8 @@ def place_oracle(topology, plans):
     def emit(burst, start):
         rx = topology.links[burst.link].other(burst.tx)
         for slot in range(start, start + burst.count):
-            units.append(Unit(slot, burst.tx, rx, burst.link, burst.origin,
-                              burst.k, burst.early))
+            units.append(Run(slot, 1, burst.tx, rx, burst.link, burst.origin,
+                             burst.k, burst.early))
         cursor = start
         for rider in burst.riders:
             cursor = emit(rider, cursor)
@@ -449,10 +465,10 @@ def test_placed_runs_expand_to_the_per_slot_oracle(case1):
 
 
 def test_placed_values_cannot_be_written():
-    unit = Unit(0, 3, 2, 3, 3, 1, False)
+    unit = Run(0, 1, 3, 2, 3, 3, 1, False)
     burst = PlacedBurst(3, 1, 3, 3, 2, False)
     with pytest.raises(AttributeError):
-        unit.slot = 1
+        unit.start = 1
     with pytest.raises(AttributeError):
         burst.count = 1
     assert burst.riders == ()
