@@ -41,13 +41,13 @@ from types import MappingProxyType
 
 from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
                         patterns_for)
-from .relax import (GroupChain, Origin, StructuredRelax, Use, budget_terms,
-                    log1m_pow, solve_plain_structure, solve_rider_feeders,
-                    solve_rider_terminal)
+from .relax import (StructuredRelax, Use, log1m_pow, solve_plain_structure,
+                    solve_rider_feeders, solve_rider_terminal)
 from .timeline import GroupPlan, PlacedBurst, build_timeline, place_plans
 from .topology import ConflictSet, Topology, check_cycle_slots, derive_conflicts
 
-TxLink = tuple[int, int]
+TxLink = tuple[int, int]  # (tx node, link): a transmitter
+UseKey = tuple[int, int]  # (origin node, link): one origin's hop, a budget use
 EntryKey = tuple[int, int, int]  # (origin node, packet k, link)
 SlotKey = tuple[int, int, int, bool]  # (origin node, packet k, link, early)
 Placed = dict[TxLink, tuple[float, float]]  # first start, last end per transmitter
@@ -56,6 +56,19 @@ Ranks = tuple[dict[int, int], dict[int, int]]  # link ranks, origin ranks
 
 _log1m_pow = lru_cache(maxsize=1 << 16)(log1m_pow)   # integer v: slot counts
 _TOL = 1e-9   # the relaxed solver's residual bound: the TUB walk's one tolerance
+
+
+@dataclass(frozen=True)
+class Origin:
+    node: int
+    rate: int
+    route: tuple[tuple[int, float], ...]  # (link id, loss), upstream to gateway
+
+
+@dataclass(frozen=True)
+class GroupChain:
+    label: str
+    origins: tuple[Origin, ...]  # most-upstream origin first
 
 
 def _gain(q: float, v: int) -> float:
@@ -73,9 +86,9 @@ class Structure:
     label: str                 # plain | case1 | case2 | caseA | caseB
     uses: tuple[Use, ...]      # budget uses, chain order
     riders: tuple[Use, ...]    # free-riding uses (share host slots)
-    hosts: tuple[TxLink, ...]  # use keys whose slots host the riders
+    hosts: tuple[UseKey, ...]  # uses whose slots host the riders
 
-    def use_keys(self) -> set[TxLink]:
+    def use_keys(self) -> set[UseKey]:
         return {(u.node, u.link) for u in self.uses}
 
 
@@ -114,12 +127,15 @@ def candidate_structures(model: PathModel, chain: GroupChain,
         return [plain]
     gw_link, gw_q = terminal.route[0]
     term_tx: TxLink = (terminal.node, gw_link)
-    mult = dict(budget_terms(chain))
+    packets: dict[int, int] = {}   # packets per cycle over each link
+    for o in chain.origins:
+        for link, _q in o.route:
+            packets[link] = packets.get(link, 0) + o.rate
 
     feeders = []
     for o in chain.origins[:-1]:
         fh_link, fh_q = o.route[0]
-        if mult[fh_link] != o.rate:
+        if packets[fh_link] != o.rate:
             continue
         if conflicts.conflict((o.node, fh_link), term_tx):
             continue
@@ -230,7 +246,7 @@ def _greedy_int(st: Structure, budget: int,
             dict(zip((key for key, _q in riders), rvals)))
 
 
-def _split_structure(st: Structure, hide_set: set[TxLink],
+def _split_structure(st: Structure, hide_set: set[UseKey],
                      ) -> tuple[Structure, Structure]:
     """Case c5 parts: the structure without its hideable uses, and the
     hideable uses alone as a plain structure."""
@@ -271,16 +287,16 @@ def early_window(placed: Placed, group_txs, conflicts: ConflictSet):
     return a
 
 
-def _blocked_uses(txmap: dict[TxLink, TxLink], window, placed: Placed,
-                  conflicts: ConflictSet) -> set[TxLink]:
+def _blocked_uses(txmap: dict[UseKey, TxLink], window, placed: Placed,
+                  conflicts: ConflictSet) -> set[UseKey]:
     """Use keys whose transmitter conflicts with anything inside the window."""
     mask = conflicts.mask_of(tx for tx, (start, _end) in placed.items() if start < window)
     return {use_key for use_key, txlink in txmap.items()
             if conflicts.hits(mask, txlink)}
 
 
-def _hideable_uses(chain: GroupChain, st: Structure, blocked: set[TxLink],
-                   ranks: Ranks) -> list[TxLink]:
+def _hideable_uses(chain: GroupChain, st: Structure, blocked: set[UseKey],
+                   ranks: Ranks) -> list[UseKey]:
     """Budget uses that may move into the window, in fill order (upstream
     link first, downstream origin first within a link).  A hop qualifies
     only if every upstream hop of the same packet qualifies, so the packet
@@ -299,7 +315,7 @@ def _hideable_uses(chain: GroupChain, st: Structure, blocked: set[TxLink],
     return out
 
 
-def _classify_case(hide_order: list[TxLink], tentative: dict[EntryKey, int],
+def _classify_case(hide_order: list[UseKey], tentative: dict[EntryKey, int],
                    window: int) -> str:
     """Hide-regime label of a filled window: c1 (c2) when the first
     (second) hideable use alone could cover it, c3 when the first two
@@ -348,7 +364,7 @@ def _fill(amounts: dict, order, window, eps: float = 0.0) -> dict:
 
 
 def _early_step(st: Structure, optimum: dict, rider: dict, window, budget,
-                hide_order: list[TxLink], order, solve, eps: float = 0.0):
+                hide_order: list[UseKey], order, solve, eps: float = 0.0):
     """Early-window step of both walks: fill the window from the budget-T
     optimum in fill order (`order(amounts)`); a full window keeps that
     optimum (none at window 0, hide cases c1-c4).  Otherwise split (c5):
@@ -368,7 +384,7 @@ def _early_step(st: Structure, optimum: dict, rider: dict, window, budget,
     return serialized, early, rider, True
 
 
-def _packet_order(chain: GroupChain, hide_order: list[TxLink],
+def _packet_order(chain: GroupChain, hide_order: list[UseKey],
                   tentative: dict[EntryKey, int]):
     """Packet hops of the hideable uses in fill order, each only if its
     packet holds tentative slots on its previous hop.  Hideable uses are
@@ -386,7 +402,7 @@ def _packet_order(chain: GroupChain, hide_order: list[TxLink],
 
 def assign_early_slots(chain: GroupChain, st: Structure,
                        tentative: dict[EntryKey, int], rider: dict[EntryKey, int],
-                       window: int, hide_order: list[TxLink],
+                       window: int, hide_order: list[UseKey],
                        budget: int) -> tuple[dict[SlotKey, int], str]:
     """Integer early-window step, per packet hop: `_early_step` with the
     greedy.  Returns the group's slot table (serialized slots, then the
@@ -442,7 +458,7 @@ class PatternSolution:
         return ";".join(parts) if parts else "-"
 
 
-def _serial_order(st: Structure, ranks: Ranks) -> list[TxLink]:
+def _serial_order(st: Structure, ranks: Ranks) -> list[UseKey]:
     """Burst order of the budget uses: upstream links first, upstream
     origins first within a link; a rider-hosting terminal burst moves to
     the front so its riders (the feeders' first hops) precede the feeders'
@@ -456,51 +472,41 @@ def _serial_order(st: Structure, ranks: Ranks) -> list[TxLink]:
     return keys
 
 
-def _rider_assignment(st: Structure, riders: set[TxLink], table: dict[SlotKey, int],
-                      serial_keys: list[EntryKey], txmap: dict[TxLink, TxLink],
-                      ) -> dict[EntryKey, list[PlacedBurst]]:
-    """Distribute rider counts over host burst slots in stream order."""
+def _build_plan(chain: GroupChain, st: Structure, table: dict[SlotKey, int],
+                window: int, txmap: dict[UseKey, TxLink], ranks: Ranks,
+                ) -> GroupPlan:
+    """Serialized bursts in burst order, each host burst carrying rider
+    slots from the sorted rider queue in stream order, and the early
+    bursts (the other early slots) in table order."""
+    rates = {o.node: o.rate for o in chain.origins}
+    riders = {(u.node, u.link) for u in st.riders}
     queue = sorted([key[:3], v] for key, v in table.items()
                    if key[3] and (key[0], key[2]) in riders)
-    out: dict[EntryKey, list[PlacedBurst]] = {}
     qi = 0
-    for key in serial_keys:
-        if (key[0], key[2]) not in st.hosts:
-            continue
-        room = table.get((*key, False), 0)
-        while room > 0 and qi < len(queue):
-            (rnode, rk, rlink), remaining = queue[qi]
-            take = min(room, remaining)
-            out.setdefault(key, []).append(PlacedBurst(
-                rnode, rk, txmap[(rnode, rlink)][0], rlink, take, True))
-            room -= take
-            queue[qi][1] -= take
-            if queue[qi][1] == 0:
-                qi += 1
-    return out
-
-
-def _build_plan(chain: GroupChain, st: Structure, table: dict[SlotKey, int],
-                window: int, txmap: dict[TxLink, TxLink], ranks: Ranks,
-                ) -> GroupPlan:
-    """Serialized bursts in burst order, riders in their host bursts, and
-    the early bursts (the other early slots) in table order."""
-    rates = {o.node: o.rate for o in chain.origins}
-    serial_keys = [(n, k, l) for n, l in _serial_order(st, ranks)
-                   for k in range(1, rates[n] + 1)]
-    riders = {(u.node, u.link) for u in st.riders}
-    hosted = _rider_assignment(st, riders, table, serial_keys, txmap)
-    serialized = tuple(
-        PlacedBurst(n, k, txmap[(n, l)][0], l, table[(n, k, l, False)], False,
-                    tuple(hosted.get((n, k, l), ())))
-        for n, k, l in serial_keys if (n, k, l, False) in table)
+    serialized = []
+    for n, l in _serial_order(st, ranks):
+        for k in range(1, rates[n] + 1):
+            count = room = table.get((n, k, l, False), 0)
+            hosted = []
+            while (n, l) in st.hosts and room > 0 and qi < len(queue):
+                (rnode, rk, rlink), remaining = queue[qi]
+                take = min(room, remaining)
+                hosted.append(PlacedBurst(rnode, rk, txmap[(rnode, rlink)][0],
+                                          rlink, take, True))
+                room -= take
+                queue[qi][1] -= take
+                if queue[qi][1] == 0:
+                    qi += 1
+            if count:
+                serialized.append(PlacedBurst(n, k, txmap[(n, l)][0], l, count,
+                                              False, tuple(hosted)))
     early = tuple(PlacedBurst(n, k, txmap[(n, l)][0], l, v, True)
                   for (n, k, l, is_early), v in table.items()
                   if is_early and (n, l) not in riders)
-    return GroupPlan(chain.label, window, early, serialized)
+    return GroupPlan(chain.label, window, early, tuple(serialized))
 
 
-def _scaled(values: dict[TxLink, float], st: Structure):
+def _scaled(values: dict[UseKey, float], st: Structure):
     """Per-use totals over all of an origin's packets, of the structure's
     uses and of its riders."""
     return tuple({(u.node, u.link): values[(u.node, u.link)] * u.weight
@@ -599,7 +605,7 @@ class _Group:
 
     chain: GroupChain
     candidates: list[Structure]
-    txmap: dict[TxLink, TxLink]
+    txmap: dict[UseKey, TxLink]
     ranks: Ranks
     predicted: str | None
     greedy: list[tuple[dict[EntryKey, int], dict[EntryKey, int]]]  # read-only
@@ -632,7 +638,7 @@ class _GroupTable:
         return group
 
     def _place(self, group: _Group, window: int,
-               blocked: set[TxLink]) -> GroupStep:
+               blocked: set[UseKey]) -> GroupStep:
         chain, T = group.chain, self.T
         best = None
         for i, st in enumerate(group.candidates):

@@ -45,13 +45,10 @@ class PathModel:
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """Priority ordering of group transmissions around the central node."""
+    """A slot-allocation pattern: the order in which its groups are placed."""
 
     pattern_id: int
     placement: tuple[str, ...]    # group scheduling order
-    prioritized: tuple[str, ...]  # groups bursting first (supply the early window)
-    deferred: tuple[str, ...]     # groups that wait for the window to clear
-    independent: tuple[str, ...]  # groups conflicting with nobody
 
 
 def _build_model(topology: Topology, z_branch: Branch, x_branch: Branch,
@@ -153,9 +150,6 @@ def patterns_for(model: PathModel) -> list[PatternSpec]:
         g for g in ("X", "Y") if _groups_conflict(model, conflicts, g, "Z"))
     independent = tuple(g for g in ("X", "Y") if g not in conflicting)
     if not conflicting:
-        return [PatternSpec(1, ("X", "Y", "Z"), (), (), ("X", "Y", "Z"))]
-    p1 = PatternSpec(1, independent + conflicting + ("Z",),
-                     conflicting, ("Z",), independent)
-    p2 = PatternSpec(2, independent + ("Z",) + conflicting,
-                     ("Z",), conflicting, independent)
-    return [p1, p2]
+        return [PatternSpec(1, ("X", "Y", "Z"))]
+    return [PatternSpec(1, independent + conflicting + ("Z",)),
+            PatternSpec(2, independent + ("Z",) + conflicting)]

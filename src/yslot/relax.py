@@ -28,28 +28,6 @@ class ConvergenceError(RuntimeError):
     """Adjunct-variable root finding failed to reach tolerance."""
 
 
-@dataclass(frozen=True)
-class Origin:
-    node: int
-    rate: int
-    route: tuple[tuple[int, float], ...]  # (link id, loss), upstream to gateway
-
-
-@dataclass(frozen=True)
-class GroupChain:
-    label: str
-    origins: tuple[Origin, ...]  # most-upstream origin first
-
-
-def budget_terms(chain: GroupChain) -> list[tuple[int, int]]:
-    """Per-link budget coefficient: sum of rates of origins routed through it."""
-    mult: dict[int, int] = {}
-    for origin in chain.origins:
-        for link, _ in origin.route:
-            mult[link] = mult.get(link, 0) + origin.rate
-    return sorted(mult.items())
-
-
 # ---------------------------------------------------------------------------
 # structured solves: uses are per-origin (node, link) variables weighted by
 # the origin's packet rate; a rider is a free-riding burst whose length is

@@ -92,15 +92,12 @@ class Topology:
     def nodes(self) -> tuple[int, ...]:
         return tuple(sorted(self.rates))
 
-    def is_gateway(self, ident: int) -> bool:
-        return ident in self.gateways
-
     def transmissions(self) -> tuple[tuple[int, int], ...]:
         """All directed transmissions (tx node, link id); gateways never send."""
         out = []
         for link in sorted(self.links.values(), key=lambda l: l.id):
             for end in (link.a, link.b):
-                if not self.is_gateway(end):
+                if end not in self.gateways:
                     out.append((end, link.id))
         return tuple(out)
 

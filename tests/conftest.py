@@ -9,8 +9,9 @@ import pytest
 
 import yslot.allocate
 from yslot import relaxed_table, solve_pattern, validate_topology
-from yslot.allocate import Structure, _chain_uses, _delivery_product, _greedy_int
-from yslot.relax import Origin, Use, solve_plain_structure
+from yslot.allocate import (Origin, Structure, _chain_uses, _delivery_product,
+                            _greedy_int)
+from yslot.relax import Use, solve_plain_structure
 
 
 def gfun(q: float, x: float) -> float:

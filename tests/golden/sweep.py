@@ -38,7 +38,9 @@ DIGESTS = Path(__file__).resolve().parent / "sweep.json"
 SEED = 20261019
 SCENARIOS = 64
 BLOCK = 2
-TIER1_BLOCKS = (8, 12, 29)   # about 0.7 s; 29 has bound losses
+# about 1.5 s; a winner of every structure (caseA from 19, case2 from 29),
+# and bound losses in 29
+TIER1_BLOCKS = (8, 12, 19, 29)
 LONG_EVERY = 16
 BOUND_EVERY = 4
 BOUND_LOSSES = (5e-324, 1e-300, 1 - 2 ** -53)

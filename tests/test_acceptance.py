@@ -19,8 +19,8 @@ from yslot import (build_timeline, compare, derive_conflicts,
                    enumerate_path_models, find_model, patterns_for,
                    relaxed_table, simulate, solve_pattern, validate_topology,
                    verify_timeline)
-from yslot.allocate import _delivery_product
-from yslot.relax import GroupChain, Origin, _f_log
+from yslot.allocate import GroupChain, Origin, _delivery_product
+from yslot.relax import _f_log
 
 
 def ok(n, text):

@@ -21,13 +21,13 @@ import yslot.allocate
 from yslot import (enumerate_path_models, find_model, optimize, patterns_for,
                    relaxed_table, solution_timeline, solve_pattern,
                    validate_topology)
-from yslot.allocate import (Structure, _blocked_uses, _chain_ranks, _chain_uses,
-                            _delivery_product, _early_step, _fill, _gain,
-                            _greedy_int, _hideable_uses, _packet_order,
-                            _split_structure, _widen, assign_early_slots,
-                            build_group_chain, candidate_structures,
-                            early_window)
-from yslot.relax import GroupChain, Origin, Use, solve_plain_structure
+from yslot.allocate import (GroupChain, Origin, Structure, _blocked_uses,
+                            _chain_ranks, _chain_uses, _delivery_product,
+                            _early_step, _fill, _gain, _greedy_int,
+                            _hideable_uses, _packet_order, _split_structure,
+                            _widen, assign_early_slots, build_group_chain,
+                            candidate_structures, early_window)
+from yslot.relax import Use, solve_plain_structure
 from yslot.timeline import place_plans, units_of
 from yslot.topology import MAX_CYCLE_SLOTS, TopologyError, derive_conflicts
 
@@ -838,6 +838,30 @@ def test_predicted_case_rule(case2):
     model = find_model(case2, "2-2-4", 11)
     sol = solve_pattern(model, 2, 30)
     assert {s.plan.label: s.predicted for s in sol.steps}["Z"] == "case2"
+
+
+@pytest.mark.parametrize("name, riders", [("1-2-5", [(2, 3)]),
+                                          ("1-1-6", [(2, 3), (5, 5)])],
+                         ids=["1-2-5", "1-1-6"])
+def test_feeder_first_hop_carries_only_its_own_packets(case1, name, riders):
+    # Z's inner remnant of the X branch is nodes 2 then 3: node 3's first
+    # hop, link 4, also carries node 2's packets, so only node 2 rides,
+    # though neither first hop conflicts with the terminal's own burst
+    model = find_model(case1, name, 11)
+    chain = build_group_chain(model, "Z")
+    conflicts = derive_conflicts(case1)
+    upstream, inner = chain.origins[:2]
+    assert (upstream.node, inner.node) == (2, 3)
+    assert upstream.route[1][0] == inner.route[0][0] == 4
+    terminal = chain.origins[-1]
+    term_tx = (terminal.node, terminal.route[0][0])
+    assert not conflicts.conflict((2, 3), term_tx)
+    assert not conflicts.conflict((3, 4), term_tx)
+    structures = candidate_structures(model, chain, conflicts)
+    rider_feed = next(s for s in structures if s.kind == "rider-feeders")
+    assert [(u.node, u.link) for u in rider_feed.riders] == riders
+    rider_term = next(s for s in structures if s.kind == "rider-terminal")
+    assert list(rider_term.hosts) == riders
 
 
 def test_pattern_budgets_respected(case1):

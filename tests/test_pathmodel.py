@@ -73,7 +73,7 @@ def test_routes_loop_free_and_single_gateway(case1):
                 cur = node
                 for link in route:
                     cur = case1.links[link].other(cur)
-                assert case1.is_gateway(cur)
+                assert cur in case1.gateways
                 # every member of a group reaches the same gateway
                 assert reached.setdefault(label, cur) == cur
         assert sorted(n for ms in m.groups.values() for n in ms) == sorted(case1.nodes)
@@ -95,27 +95,23 @@ def test_patterns_323(case1):
     m = find_model(case1, "3-2-3", 11)
     specs = patterns_for(m)
     assert len(specs) == 2
-    assert specs[0].prioritized == ("X", "Y")
-    assert specs[0].deferred == ("Z",)
-    assert specs[1].prioritized == ("Z",)
-    assert specs[1].deferred == ("X", "Y")
-    assert specs[0].independent == ()
+    assert specs[0].placement == ("X", "Y", "Z")
+    assert specs[1].placement == ("Z", "X", "Y")
 
 
 def test_patterns_224_x_independent(case1):
     m = find_model(case1, "2-2-4", 11)
     specs = patterns_for(m)
     assert len(specs) == 2
-    assert specs[0].independent == ("X",)
-    assert specs[0].prioritized == ("Y",)
-    assert specs[1].prioritized == ("Z",)
+    assert specs[0].placement == ("X", "Y", "Z")
+    assert specs[1].placement == ("X", "Z", "Y")
 
 
 def test_patterns_215_single(case1):
     m = find_model(case1, "2-1-5", 11)
     specs = patterns_for(m)
     assert len(specs) == 1
-    assert specs[0].independent == ("X", "Y", "Z")
+    assert specs[0].placement == ("X", "Y", "Z")
 
 
 def test_relabeling_gateways_preserves_groups(case1_raw, case1):

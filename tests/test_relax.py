@@ -5,11 +5,10 @@ import pytest
 
 from conftest import ffun, gfun, recorded_residuals, solve_plain_chain
 from yslot import DomainError, optimize, solve_pattern
-from yslot.allocate import (_relax_structure, build_group_chain,
-                            candidate_structures)
+from yslot.allocate import (GroupChain, Origin, _relax_structure,
+                            build_group_chain, candidate_structures)
 from yslot.pathmodel import find_model
-from yslot.relax import (GroupChain, Origin, Use, budget_terms,
-                         solve_plain_structure, solve_rider_feeders,
+from yslot.relax import (Use, solve_plain_structure, solve_rider_feeders,
                          solve_rider_terminal)
 from yslot.topology import derive_conflicts
 
@@ -51,12 +50,6 @@ def test_ffun_strictly_increasing():
         q = rng.uniform(0.05, 0.95)
         y = rng.uniform(1e-3, 1e3)
         assert ffun(q, y * 1.01) > ffun(q, y)
-
-
-def test_budget_terms_examples():
-    assert budget_terms(chain_sx_case1()) == [(1, 3), (2, 2), (3, 1)]
-    single = GroupChain("Z", (Origin(8, 3, ((10, 0.3),)),))
-    assert budget_terms(single) == [(10, 3)]
 
 
 def test_budget_terms_224_case1_variant(case1):
@@ -166,7 +159,6 @@ def test_heterogeneous_rates_budget():
         Origin(1, 2, ((1, 0.3), (2, 0.2))),
         Origin(2, 3, ((2, 0.2),)),
     ))
-    assert budget_terms(chain) == [(1, 2), (2, 5)]
     sol = solve_plain_chain(chain, 24.0)
     used = 2 * (sol.values[(1, 1)] + sol.values[(1, 2)]) + 3 * sol.values[(2, 2)]
     assert abs(used - 24.0) <= 1e-9

@@ -229,7 +229,7 @@ def fit_oracle(timeline, topology):
     out = []
     for u in timeline.units:
         link = topology.links.get(u.link)
-        if (link is None or topology.is_gateway(u.tx)
+        if (link is None or u.tx in topology.gateways
                 or {u.tx, u.rx} != {link.a, link.b}):
             out.append(("fit", u.start, f"tx {u.tx} on link {u.link} to {u.rx}"
                         " is not a transmission of the topology"))
