@@ -12,7 +12,9 @@ Pipeline per group, in pattern placement order:
    transmitters into the window left by previously placed groups, in fill
    order (upstream hops first), until it is covered, and only when the
    fill falls short split the group into a window part and the rest.
-3. The best structure by integer product wins (COM).
+3. The best structure by integer product wins (COM).  Greedy gains and
+   products read log(1 - q^v) from the solve's loss tables, so each
+   (q, v) is computed once per solve, not once per call.
 4. The relaxed optimum (adjunct-variable solve) of the winning structure
    only is the group's TUB product, so TUB >= COM holds by relaxed
    feasibility; `relaxed_table` builds the TUB slot table on demand.
@@ -24,7 +26,8 @@ one T fix everything but the group, so the first level is keyed on
 (label, nodes, routes of those nodes) and holds the chain, candidate
 structures, transmitter map, ranks, predicted case, one read-only
 budget-T greedy per candidate and, once a structure wins, its relaxed
-optimum.  A group's step reads the placement before it only through the
+optimum.  The table also owns the loss tables, so no cache outlives a
+solve.  A group's step reads the placement before it only through the
 early window and the blocked uses, so the second level is keyed on
 (window, sorted blocked uses) and holds the frozen `GroupStep` a
 solution is made of.  Both hits are exact: the key is every input of the
@@ -36,7 +39,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 
 from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
@@ -54,7 +56,6 @@ Placed = dict[TxLink, tuple[float, float]]  # first start, last end per transmit
 Ranks = tuple[dict[int, int], dict[int, int]]  # link ranks, origin ranks
 
 
-_log1m_pow = lru_cache(maxsize=1 << 16)(log1m_pow)   # integer v: slot counts
 _TOL = 1e-9   # the relaxed solver's residual bound: the TUB walk's one tolerance
 
 
@@ -71,11 +72,37 @@ class GroupChain:
     origins: tuple[Origin, ...]  # most-upstream origin first
 
 
-def _gain(q: float, v: int) -> float:
-    """Marginal log-product gain of the (v+1)-th slot; +inf for the first."""
-    if v == 0:
-        return math.inf
-    return _log1m_pow(q, v + 1) - _log1m_pow(q, v)
+class _LossTable:
+    """One loss rate q: `logs[v]` is log1m_pow(q, v) at slot count v, and
+    `gains[v]` the negated marginal gain of the (v+1)-th slot,
+    -(logs[v + 1] - logs[v]) (-inf for the first); both grow on demand."""
+
+    __slots__ = ("q", "logs", "gains")
+
+    def __init__(self, q: float):
+        self.q = q
+        self.logs: list[float] = []
+        self.gains: list[float] = []
+
+    def log(self, v: int) -> float:
+        logs = self.logs
+        while len(logs) <= v:
+            logs.append(log1m_pow(self.q, len(logs)))
+        return logs[v]
+
+    def grow(self) -> list[float]:
+        """Append the next negated gain; returns `gains`."""
+        v = len(self.gains)
+        self.gains.append(-(self.log(v + 1) - self.logs[v]))
+        return self.gains
+
+
+class LossTables(dict):
+    """One solve's `_LossTable` per loss rate, made on first read."""
+
+    def __missing__(self, q: float) -> _LossTable:
+        table = self[q] = _LossTable(q)
+        return table
 
 
 @dataclass(frozen=True)
@@ -179,7 +206,7 @@ def _relax_structure(st: Structure, budget: float) -> StructuredRelax:
     return solve_rider_feeders(uses, terminal, list(st.riders), budget)
 
 
-def _greedy_int(st: Structure, budget: int,
+def _greedy_int(st: Structure, budget: int, losses: LossTables,
                 ) -> tuple[dict[EntryKey, int], dict[EntryKey, int]]:
     """Greedy marginal-gain integer allocation; exact for separable chains.
 
@@ -187,23 +214,19 @@ def _greedy_int(st: Structure, budget: int,
     the best rider marginal; ties go to the earliest entry (upstream first).
     Non-host entries and riders sit in heaps keyed (-gain, index), whose
     top is the earliest entry of largest gain.  The few hosts are summed
-    with the rider gain and compared one by one each slot, since that sum
-    can round two unequal host gains into a tie the index must break.
-    Entries of one loss share one list of negated gains, indexed by slot
-    count and extended when an entry first reaches its end, so each gain
-    is computed once per call.
+    with the rider gain and compared one by one, since that sum can round
+    two unequal host gains into a tie the index must break; a free step
+    changes neither the host counts nor the rider heap, so they are
+    rescanned only after a host step.  Gains come from the solve's loss
+    tables, so each is computed once per solve.
     """
     entries = _packet_entries(st.uses)
     riders = _packet_entries(st.riders)
     host_keys = set(st.hosts) if riders else set()
-    tables: dict[float, list[float]] = {}
-    for _key, q in entries + riders:
-        if q not in tables:
-            tables[q] = [-_gain(q, 0)]
-    qs = [q for _key, q in entries]
-    rqs = [q for _key, q in riders]
-    gains = [tables[q] for q in qs]
-    rgains = [tables[q] for q in rqs]
+    tables = [losses[q] for _key, q in entries]
+    rtables = [losses[q] for _key, q in riders]
+    gains = [t.gains or t.grow() for t in tables]
+    rgains = [t.gains or t.grow() for t in rtables]
     vals = [0] * len(entries)
     rvals = [0] * len(riders)
     hosts = [i for i, (key, _q) in enumerate(entries)
@@ -213,9 +236,10 @@ def _greedy_int(st: Structure, budget: int,
     heapq.heapify(free)
     heapq.heapify(rheap)
 
+    best, best_gain, rescan = None, -math.inf, True
     for _ in range(max(0, budget)):
-        best, best_gain = None, -math.inf
-        if hosts:
+        if hosts and rescan:
+            best, best_gain, rescan = None, -math.inf, False
             rider_gain = -rheap[0][0]
             for i in hosts:
                 g = -gains[i][vals[i]] + rider_gain
@@ -225,21 +249,19 @@ def _greedy_int(st: Structure, budget: int,
                      or (-free[0][0] == best_gain and free[0][1] < best)):
             i = free[0][1]
             v = vals[i] = vals[i] + 1
-            t = gains[i]
-            if v == len(t):
-                t.append(-_gain(qs[i], v))
-            heapq.heapreplace(free, (t[v], i))
+            if v == len(gains[i]):
+                tables[i].grow()
+            heapq.heapreplace(free, (gains[i][v], i))
         elif best is not None:
             v = vals[best] = vals[best] + 1
-            t = gains[best]
-            if v == len(t):
-                t.append(-_gain(qs[best], v))
+            if v == len(gains[best]):
+                tables[best].grow()
             r = rheap[0][1]
             v = rvals[r] = rvals[r] + 1
-            t = rgains[r]
-            if v == len(t):
-                t.append(-_gain(rqs[r], v))
-            heapq.heapreplace(rheap, (t[v], r))
+            if v == len(rgains[r]):
+                rtables[r].grow()
+            heapq.heapreplace(rheap, (rgains[r][v], r))
+            rescan = True
         else:
             break
     return (dict(zip((key for key, _q in entries), vals)),
@@ -335,7 +357,8 @@ def _classify_case(hide_order: list[UseKey], tentative: dict[EntryKey, int],
     return "c3" if window <= caps[0] + caps[1] else "c4"
 
 
-def _delivery_product(origins, totals: dict[EntryKey, int]) -> float:
+def _delivery_product(origins, totals: dict[EntryKey, int],
+                      losses: LossTables) -> float:
     """Probability that every packet of the origins crosses its route: the
     product of (1 - q^slots) over each packet's route links, 0 when a link
     got no slot."""
@@ -343,7 +366,7 @@ def _delivery_product(origins, totals: dict[EntryKey, int]) -> float:
     for o in origins:
         for k in range(1, o.rate + 1):
             for link, q in o.route:
-                log_m += _log1m_pow(q, totals.get((o.node, k, link), 0))
+                log_m += losses[q].log(totals.get((o.node, k, link), 0))
     return math.exp(log_m) if log_m > -math.inf else 0.0
 
 
@@ -402,17 +425,18 @@ def _packet_order(chain: GroupChain, hide_order: list[UseKey],
 
 def assign_early_slots(chain: GroupChain, st: Structure,
                        tentative: dict[EntryKey, int], rider: dict[EntryKey, int],
-                       window: int, hide_order: list[UseKey],
-                       budget: int) -> tuple[dict[SlotKey, int], str]:
+                       window: int, hide_order: list[UseKey], budget: int,
+                       losses: LossTables) -> tuple[dict[SlotKey, int], str]:
     """Integer early-window step, per packet hop: `_early_step` with the
-    greedy.  Returns the group's slot table (serialized slots, then the
+    greedy on the solve's loss tables.  Returns the group's slot table (serialized slots, then the
     early-window slots in fill order, then the rider slots, zero counts
     left out) and its window regime: "" none, c1-c4 hide, c5 split.  A
     greedy at budget `window` fills exactly `window`, so restricting its
     window part equals filling it."""
     serialized, early, rider, split = _early_step(
         st, tentative, rider, window, budget, hide_order,
-        lambda amounts: _packet_order(chain, hide_order, amounts), _greedy_int)
+        lambda amounts: _packet_order(chain, hide_order, amounts),
+        lambda part, part_budget: _greedy_int(part, part_budget, losses))
     table = {(node, k, link, is_early): v
              for is_early, counts in ((False, serialized), (True, early), (True, rider))
              for (node, k, link), v in counts.items() if v > 0}
@@ -615,7 +639,8 @@ class _Group:
 
 class _GroupTable:
     """Each group's work, done once per topology and T: keyed on the
-    group's (label, nodes, routes), then on its (window, blocked uses)."""
+    group's (label, nodes, routes), then on its (window, blocked uses).
+    It owns the loss tables every greedy and product of its solves reads."""
 
     def __init__(self, topology: Topology, cycle_slots: int | None):
         self.topology = topology
@@ -623,6 +648,7 @@ class _GroupTable:
             topology.cycle_slots if cycle_slots is None else cycle_slots)
         self.conflicts = derive_conflicts(topology)
         self.groups: dict[tuple, _Group] = {}
+        self.losses = LossTables()
 
     def _group(self, model: PathModel, label: str) -> _Group:
         nodes = model.group(label)
@@ -634,23 +660,23 @@ class _GroupTable:
             group = self.groups[key] = _Group(
                 chain, candidates, model.transmitter_map(label),
                 _chain_ranks(chain), predicted_case(chain, candidates),
-                [_greedy_int(st, self.T) for st in candidates], {}, {})
+                [_greedy_int(st, self.T, self.losses) for st in candidates], {}, {})
         return group
 
     def _place(self, group: _Group, window: int,
                blocked: set[UseKey]) -> GroupStep:
-        chain, T = group.chain, self.T
+        chain, T, losses = group.chain, self.T, self.losses
         best = None
         for i, st in enumerate(group.candidates):
             hide_order = _hideable_uses(chain, st, blocked, group.ranks)
             tentative, rider = group.greedy[i]
             table, regime = assign_early_slots(chain, st, tentative, rider,
-                                               window, hide_order, T)
+                                               window, hide_order, T, losses)
             totals: dict[EntryKey, int] = {}   # slots per packet hop
             for key, v in table.items():
                 hop = key[:3]
                 totals[hop] = totals.get(hop, 0) + v
-            product = _delivery_product(chain.origins, totals)
+            product = _delivery_product(chain.origins, totals, losses)
             if best is None or product > best[0]:
                 best = (product, i, table, regime, totals)
         _product, i, table, regime, totals = best
@@ -662,7 +688,8 @@ class _GroupTable:
             lab = f"{lab}+{regime}" if lab else regime
 
         plan = _build_plan(chain, st, table, window, group.txmap, group.ranks)
-        per_node = {o.node: _delivery_product([o], totals) for o in chain.origins}
+        per_node = {o.node: _delivery_product([o], totals, losses)
+                    for o in chain.origins}
         extents: dict[TxLink, tuple[int, int]] = {}   # each transmitter's hull
         for r in place_plans(self.topology, [plan]):
             _widen(extents, (r.tx, r.link), r.start, r.start + r.count)

@@ -76,6 +76,10 @@ def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
             lst.append((u.origin, u.k))
 
     rng = np.random.default_rng(np.random.PCG64(seed))
+    # one draw buffer per call, refilled per unit: the same stream as
+    # `rng.random(trials)`, without two fresh trials-long arrays per unit
+    uniforms = np.empty(trials)
+    draw = np.empty(trials, dtype=bool)
     holds: dict[tuple[int, int, int], np.ndarray] = {}
 
     def held(node: int, packet: tuple[int, int]) -> np.ndarray:
@@ -87,7 +91,8 @@ def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
 
     for u in units:
         q = topology.links[u.link].loss
-        draw = rng.random(trials) < (1.0 - q)
+        rng.random(out=uniforms)
+        np.less(uniforms, 1.0 - q, out=draw)
         rx, designated = u.rx, (u.origin, u.k)
         # the designated packet keeps its slot whenever the sender holds it
         assigned = held(u.tx, designated)

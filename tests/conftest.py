@@ -9,8 +9,8 @@ import pytest
 
 import yslot.allocate
 from yslot import relaxed_table, solve_pattern, validate_topology
-from yslot.allocate import (Origin, Structure, _chain_uses, _delivery_product,
-                            _greedy_int)
+from yslot.allocate import (LossTables, Origin, Structure, _chain_uses,
+                            _delivery_product, _greedy_int)
 from yslot.relax import Use, solve_plain_structure
 
 
@@ -143,7 +143,7 @@ def solve_plain_chain(chain, budget):
 def plain_greedy(chain, budget: int) -> dict:
     """Greedy integer slot map of a chain's plain serialized budget."""
     plain = Structure("plain", "plain", _chain_uses(chain), (), ())
-    return _greedy_int(plain, budget)[0]
+    return _greedy_int(plain, budget, LossTables())[0]
 
 
 @contextlib.contextmanager
@@ -198,11 +198,11 @@ def com_probability(entries: dict, model) -> tuple[dict[int, float], float]:
     totals: dict[tuple[int, int, int], int] = {}
     for (node, k, link, _early), v in entries.items():
         totals[(node, k, link)] = totals.get((node, k, link), 0) + v
-    per_node = {}
+    per_node, losses = {}, LossTables()
     for node in topo.nodes:
         route = tuple((lid, topo.links[lid].loss) for lid in model.route(node))
         per_node[node] = _delivery_product(
-            [Origin(node, topo.rates[node], route)], totals)
+            [Origin(node, topo.rates[node], route)], totals, losses)
     return per_node, math.prod(per_node.values())
 
 

@@ -21,13 +21,13 @@ import yslot.allocate
 from yslot import (enumerate_path_models, find_model, optimize, patterns_for,
                    relaxed_table, solution_timeline, solve_pattern,
                    validate_topology)
-from yslot.allocate import (GroupChain, Origin, Structure, _blocked_uses,
-                            _chain_ranks, _chain_uses, _delivery_product,
-                            _early_step, _fill, _gain, _greedy_int,
+from yslot.allocate import (GroupChain, LossTables, Origin, Structure,
+                            _blocked_uses, _chain_ranks, _chain_uses,
+                            _delivery_product, _early_step, _fill, _greedy_int,
                             _hideable_uses, _packet_order, _split_structure,
                             _widen, assign_early_slots, build_group_chain,
                             candidate_structures, early_window)
-from yslot.relax import Use, solve_plain_structure
+from yslot.relax import Use, log1m_pow, solve_plain_structure
 from yslot.timeline import place_plans, units_of
 from yslot.topology import MAX_CYCLE_SLOTS, TopologyError, derive_conflicts
 
@@ -61,7 +61,12 @@ def brute_force_best(chain, budget):
 
 
 def alloc_product(chain, vals):
-    return _delivery_product(chain.origins, vals)
+    return _delivery_product(chain.origins, vals, LossTables())
+
+
+def gain(q, v):
+    """Marginal log-product gain of the (v+1)-th slot; +inf for the first."""
+    return log1m_pow(q, v + 1) - log1m_pow(q, v)
 
 
 def greedy_oracle(st, budget):
@@ -78,12 +83,12 @@ def greedy_oracle(st, budget):
     for _ in range(max(0, budget)):
         rider, rider_gain = None, 0.0
         for key, q in riders:
-            g = _gain(q, rvals[key])
+            g = gain(q, rvals[key])
             if rider is None or g > rider_gain:
                 rider, rider_gain = key, g
         chosen, chosen_gain, chosen_host = None, -math.inf, False
         for key, q, is_host in entries:
-            g = _gain(q, vals[key])
+            g = gain(q, vals[key])
             if is_host and rider is not None:
                 g = g + rider_gain
             if g > chosen_gain:
@@ -198,11 +203,33 @@ def test_heap_greedy_matches_linear_scan_oracle():
                     first = {(st.uses[0].node, st.uses[0].link)}
                     for part in (st, *_split_structure(st, first)):
                         for budget in (0, 1, 7, 60, rng.randint(100, 1000)):
-                            assert _greedy_int(part, budget) == \
+                            assert _greedy_int(part, budget, LossTables()) == \
                                 greedy_oracle(part, budget), (seed, part, budget)
                             checked += 1
     assert kinds == {"plain", "rider-terminal", "rider-feeders"}
     assert checked >= 1000
+
+
+def test_heap_greedy_rescans_hosts_only_after_a_host_step():
+    # two host entries carry one rider; between host steps the free entries
+    # take slots, which leave the hosts' best gain as it was
+    st = Structure("rider-feeders", "case1",
+                   (Use(5, 8, 0.45, 1), Use(5, 10, 0.2, 1), Use(7, 10, 0.3, 2)),
+                   (Use(8, 9, 0.6, 1),), ((7, 10),))
+    hosts = {(7, 1, 10), (7, 2, 10)}
+    steps = []
+    previous = None
+    for budget in range(len(hosts) + 1, 60):
+        vals, rvals = greedy_oracle(st, budget)
+        assert _greedy_int(st, budget, LossTables()) == (vals, rvals), budget
+        if previous is not None:
+            (key,) = [k for k in vals if vals[k] != previous[k]]
+            steps.append(key in hosts)
+        previous = vals
+    # host, then free, then host again: the cached host choice is reused
+    # across free steps and replaced after each host step
+    order = "".join("h" if host else "f" for host in steps)
+    assert "hfh" in order and order.count("h") >= 5 and order.count("f") >= 5
 
 
 def test_round_allocation_ties_go_to_earliest_after_underflow():
@@ -224,14 +251,14 @@ def test_greedy_can_leave_the_relaxed_solution_by_more_than_a_slot():
 
 def test_round_allocation_gain_evaluations_stay_linear(monkeypatch):
     # the linear scan evaluates about budget x entries gains; entries of one
-    # loss share their gains, so each (q, v) is evaluated at most once
+    # loss share one loss table, so each (q, v) is evaluated at most once
     calls = []
 
     def counting(q, v):
         calls.append(v)
-        return _gain(q, v)
+        return log1m_pow(q, v)
 
-    monkeypatch.setattr(yslot.allocate, "_gain", counting)
+    monkeypatch.setattr(yslot.allocate, "log1m_pow", counting)
     chain = chain_from_routes(
         [[(1, 0.4), (2, 0.15), (3, 0.3)], [(2, 0.15), (3, 0.3)], [(3, 0.3)]],
         rates=[2, 1, 2])
@@ -427,7 +454,8 @@ def test_assign_early_identity_without_window():
     uses = tuple(Use(o.node, l, q, o.rate) for o in chain.origins for l, q in o.route)
     st = Structure("plain", "plain", uses, (), ())
     tentative = plain_greedy(chain, 10)
-    table, regime = assign_early_slots(chain, st, tentative, {}, 0, [], 10)
+    table, regime = assign_early_slots(chain, st, tentative, {}, 0, [], 10,
+                                       LossTables())
     serialized, early, _rider = table_parts(table)
     assert early == {} and serialized == nonzero(tentative)
     assert regime == ""
@@ -498,13 +526,15 @@ def test_fill_keeps_a_packet_without_its_upstream_hop_out():
     for window in range(8):
         assert integer_fill(chain, STARVED, hide_order, window) == \
             fill_window_oracle(chain, STARVED, hide_order, window)
-    table, regime = assign_early_slots(chain, st, STARVED, {}, 4, hide_order, 6)
+    table, regime = assign_early_slots(chain, st, STARVED, {}, 4, hide_order, 6,
+                                       LossTables())
     assert regime == "c4" and table_parts(table)[1] == early
     assert table_parts(table)[0] == nonzero({**STARVED, (100, 2, 1): 0, (101, 1, 2): 0,
                                              (100, 2, 2): 0})
     # one slot more and the fill falls short, though link 2 could hold it
     assert integer_fill(chain, STARVED, hide_order, 5) == early
-    assert assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6)[1] == "c5"
+    assert assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6,
+                              LossTables())[1] == "c5"
 
 
 def test_split_window_keeps_a_packet_without_its_upstream_hop_out(monkeypatch):
@@ -514,14 +544,15 @@ def test_split_window_keeps_a_packet_without_its_upstream_hop_out(monkeypatch):
     window_part = {**STARVED, (100, 2, 2): 1}
     greedy = _greedy_int
 
-    def starved_window_part(part, budget):
+    def starved_window_part(part, budget, losses):
         if part.use_keys() == set(hide_order):
             assert budget == sum(window_part.values()) == 5
             return dict(window_part), {}
-        return greedy(part, budget)
+        return greedy(part, budget, losses)
 
     monkeypatch.setattr(yslot.allocate, "_greedy_int", starved_window_part)
-    table, regime = assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6)
+    table, regime = assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6,
+                                       LossTables())
     assert regime == "c5"
     assert table_parts(table)[1] == {(100, 2, 1): 1, (101, 1, 2): 1, (100, 2, 2): 1}
 
@@ -543,18 +574,19 @@ def test_split_window_part_by_restriction_equals_the_fill():
                     blocked = set(rng.sample(uses, rng.randrange(len(uses))))
                     hide_order = _hideable_uses(chain, st, blocked, _chain_ranks(chain))
                     rest, hide = _split_structure(st, set(hide_order))
-                    empty = {key: 0 for key in _greedy_int(st, 0)[0]}
+                    losses = LossTables()
+                    empty = {key: 0 for key in _greedy_int(st, 0, losses)[0]}
                     for window in range(1, 16):
                         budget = window + rng.randrange(20)
                         table, regime = assign_early_slots(chain, st, empty, {}, window,
-                                                           hide_order, budget)
+                                                           hide_order, budget, losses)
                         serialized, early, rider = table_parts(table, st.riders)
-                        part = _greedy_int(hide, window)[0]
+                        part = _greedy_int(hide, window, losses)[0]
                         filled = _fill(part, _packet_order(chain, hide_order, part), window)
                         assert regime == "c5"
                         assert list(early.items()) == list(filled.items())
                         assert (serialized, rider) == tuple(
-                            map(nonzero, _greedy_int(rest, budget - window)))
+                            map(nonzero, _greedy_int(rest, budget - window, losses)))
                         checked += 1
     assert checked >= 1500
     # a window part with a starved upstream hop, restricted and filled alike
@@ -578,7 +610,8 @@ def test_window_regime_boundaries(window, label):
     chain, st, hide_order = two_origin_chain()
     tentative = {(100, 1, 1): 1, (100, 2, 1): 1, (101, 1, 2): 3,
                  (100, 1, 2): 2, (100, 2, 2): 2}
-    table, regime = assign_early_slots(chain, st, tentative, {}, window, hide_order, 12)
+    table, regime = assign_early_slots(chain, st, tentative, {}, window, hide_order, 12,
+                                       LossTables())
     serialized, early, _rider = table_parts(table)
     assert regime == label
     if label != "c5":
@@ -614,7 +647,7 @@ def test_greedy_allocations_are_causal():
                     hide_order = _hideable_uses(chain, st, set(), ranks)
                     for part in (st, *_split_structure(st, set(hide_order))):
                         for budget in (*range(25), 60, 200):
-                            vals, _rvals = _greedy_int(part, budget)
+                            vals, _rvals = _greedy_int(part, budget, LossTables())
                             assert uncausal_hops(part, vals) == [], (part, budget)
                             # windows past the tentative total fill alike
                             for w in range(min(31, sum(vals.values()) + 2)):
@@ -662,7 +695,8 @@ def product_z(topo, model, totals):
 def test_com_probability_trivials(case1):
     model = find_model(case1, "3-2-3", 11)
     totals = {(8, 1, 10): 2}
-    per_node = {o.node: _delivery_product([o], totals) for label in "XYZ"
+    losses = LossTables()
+    per_node = {o.node: _delivery_product([o], totals, losses) for label in "XYZ"
                 for o in build_group_chain(model, label).origins}
     assert per_node[8] == pytest.approx(1 - 0.3 ** 2, abs=1e-12)  # q10 = 0.3
     assert per_node[4] == 0.0
@@ -731,6 +765,39 @@ def test_optimize_solves_each_group_once(case1, monkeypatch):
     assert len(solutions) == 27
     assert len(residuals) == 28
     assert calls == {"_greedy_int": 93, "place_plans": 49}
+
+
+def counted_log1m_pow(monkeypatch) -> Counter:
+    """Count every (q, v) the allocation layer evaluates log1m_pow at."""
+    calls = Counter()
+
+    def counting(q, v):
+        calls[(q, v)] += 1
+        return log1m_pow(q, v)
+
+    monkeypatch.setattr(yslot.allocate, "log1m_pow", counting)
+    return calls
+
+
+def test_optimize_evaluates_each_loss_power_once(case1, monkeypatch):
+    # every greedy, c5 split part and product of one optimize reads the
+    # same loss tables
+    calls = counted_log1m_pow(monkeypatch)
+    assert len(optimize(case1, 30)) == 27
+    assert len(calls) > 30
+    assert set(calls.values()) == {1}
+
+
+def test_loss_tables_do_not_outlive_a_solve(case1, monkeypatch):
+    # a repeated solve evaluates log1m_pow as often as the first: nothing
+    # of the first solve's tables is kept
+    model = find_model(case1, "3-2-3", 11)
+    calls = counted_log1m_pow(monkeypatch)
+    first = solve_pattern(model, 1, 30)
+    once = Counter(calls)
+    second = solve_pattern(model, 1, 30)
+    assert once and calls == once + once
+    assert solution_fields(first) == solution_fields(second)
 
 
 def test_solving_places_runs_not_units(case1, monkeypatch):
