@@ -10,6 +10,7 @@ central node.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .topology import Branch, ConflictSet, Topology, derive_conflicts
 
@@ -51,44 +52,72 @@ class PatternSpec:
     placement: tuple[str, ...]    # group scheduling order
 
 
-def _build_model(topology: Topology, z_branch: Branch, x_branch: Branch,
-                 y_branch: Branch, ia: int, ib: int) -> PathModel:
-    """Separation links at inter-node link index ia of X and ib of Y.  Each
-    group lists its nodes most upstream first: X and Y are the outer slices
-    of their branches, Z the two inner remnants (separation side first),
-    the central node and the Z branch."""
-    sep_a = x_branch.inter_node_links[ia]
-    sep_b = y_branch.inter_node_links[ib]
-    sx, sy = x_branch.nodes[ia:], y_branch.nodes[ib:]
-    sz = (x_branch.nodes[:ia][::-1] + y_branch.nodes[:ib][::-1]
-          + (topology.central,) + z_branch.nodes)
+def _z_choices(topology: Topology, no_sep_branch: int | None,
+               ) -> list[tuple[Branch, Branch, Branch]]:
+    """(Z, X, Y) branches of each Z choice, optionally fixed to the branch
+    of gateway no_sep_branch; raise when none of them offers a model."""
+    if no_sep_branch is not None and no_sep_branch not in topology.gateways:
+        raise ValueError(f"no_sep_branch {no_sep_branch} is not a gateway id; "
+                         f"expected one of {sorted(topology.gateways)}")
+    choices = []
+    for z_branch in topology.branches:
+        if no_sep_branch is None or z_branch.gateway == no_sep_branch:
+            x_branch, y_branch = (b for b in topology.branches if b is not z_branch)
+            choices.append((z_branch, x_branch, y_branch))
+    if not any(x.nodes and y.nodes for _, x, y in choices):
+        where = "" if no_sep_branch is None else f" with no_sep_branch {no_sep_branch}"
+        raise ValueError(f"no path model{where}: both separated branches "
+                         "need at least one node")
+    return choices
 
+
+def _cut_routes(branch: Branch, z_links: tuple[int, ...],
+                ) -> list[dict[int, tuple[int, ...]]]:
+    """Routes of a separated branch's nodes for each separation-link index
+    i: outward to the branch's gateway from node i on, and before it (the
+    inner remnant) back to the central node, then down Z.  Each node's two
+    route tuples are built once and shared by every cut."""
+    links, nodes = branch.links, branch.nodes
+    inward = [links[j::-1] + z_links for j in range(len(nodes))]
+    outward = [links[j + 1:] for j in range(len(nodes))]
+    return [dict(zip(nodes, inward[:i] + outward[i:])) for i in range(len(nodes))]
+
+
+def _models(topology: Topology, z_branch: Branch, x_branch: Branch,
+            y_branch: Branch, cuts) -> list[PathModel]:
+    """Models of one Z choice with separation links at inter-node link
+    index ia of X and ib of Y, for each (ia, ib) in cuts.  Each group lists
+    its nodes most upstream first: X and Y are the outer slices of their
+    branches, Z the two inner remnants (separation side first), the central
+    node and the Z branch.  `routes` keys are in node order and every
+    model of the Z choice shares its route tuples."""
     z_links = z_branch.links
-    routes: dict[int, tuple[int, ...]] = {topology.central: z_links}
+    template = dict.fromkeys(topology.nodes)
+    template[topology.central] = z_links
     for j, node in enumerate(z_branch.nodes):
-        routes[node] = z_links[j + 1:]
-    for branch, sep_index in ((x_branch, ia), (y_branch, ib)):
-        for j, node in enumerate(branch.nodes):
-            # outward to the branch's gateway, or (inner remnant) back to
-            # the central node, then down Z
-            routes[node] = (branch.links[j + 1:] if j >= sep_index
-                            else branch.links[j::-1] + z_links)
+        template[node] = z_links[j + 1:]
+    x_routes, y_routes = _cut_routes(x_branch, z_links), _cut_routes(y_branch, z_links)
+    z_tail = (topology.central,) + z_branch.nodes
 
-    adjacent = {x_branch.links[0], y_branch.links[0]}
-    deep = sum(1 for s in (sep_a, sep_b) if s not in adjacent)
-    model_type = 1 + deep
-
-    name = f"{len(sx)}-{len(sy)}-{len(sz)}"
-    return PathModel(
-        topology=topology,
-        no_sep_branch=z_branch.gateway,
-        sep_link_a=sep_a,
-        sep_link_b=sep_b,
-        groups={"X": sx, "Y": sy, "Z": sz},
-        routes=dict(sorted(routes.items())),
-        name=name,
-        model_type=model_type,
-    )
+    models = []
+    for ia, ib in cuts:
+        routes = template.copy()
+        routes.update(x_routes[ia])
+        routes.update(y_routes[ib])
+        sx, sy = x_branch.nodes[ia:], y_branch.nodes[ib:]
+        sz = x_branch.nodes[:ia][::-1] + y_branch.nodes[:ib][::-1] + z_tail
+        models.append(PathModel(
+            topology=topology,
+            no_sep_branch=z_branch.gateway,
+            sep_link_a=x_branch.inter_node_links[ia],
+            sep_link_b=y_branch.inter_node_links[ib],
+            groups={"X": sx, "Y": sy, "Z": sz},
+            routes=routes,
+            name=f"{len(sx)}-{len(sy)}-{len(sz)}",
+            # one more per separation link away from the central node
+            model_type=1 + (ia > 0) + (ib > 0),
+        ))
+    return models
 
 
 def enumerate_path_models(topology: Topology,
@@ -99,43 +128,48 @@ def enumerate_path_models(topology: Topology,
     offers n positions and the model count is the sum over Z-branch choices of
     the product of the other two branches' node counts.
     """
-    if no_sep_branch is not None and no_sep_branch not in topology.gateways:
-        raise ValueError(f"no_sep_branch {no_sep_branch} is not a gateway id; "
-                         f"expected one of {sorted(topology.gateways)}")
     models = []
-    for z_branch in topology.branches:
-        if no_sep_branch is not None and z_branch.gateway != no_sep_branch:
-            continue
-        rest = [b for b in topology.branches if b is not z_branch]
-        x_branch, y_branch = rest[0], rest[1]
-        for ia in range(len(x_branch.inter_node_links)):
-            for ib in range(len(y_branch.inter_node_links)):
-                models.append(_build_model(topology, z_branch, x_branch, y_branch, ia, ib))
-    if not models:
-        where = "" if no_sep_branch is None else f" with no_sep_branch {no_sep_branch}"
-        raise ValueError(f"no path model{where}: both separated branches "
-                         "need at least one node")
+    for z_branch, x_branch, y_branch in _z_choices(topology, no_sep_branch):
+        models += _models(topology, z_branch, x_branch, y_branch,
+                          product(range(len(x_branch.nodes)), range(len(y_branch.nodes))))
     return models
 
 
 def find_model(topology: Topology, name: str,
                no_sep_branch: int | None = None) -> PathModel:
-    """Look up a model by its l-r-d name (and Z-branch gateway id if ambiguous)."""
-    hits = [m for m in enumerate_path_models(topology, no_sep_branch) if m.name == name]
+    """Look up a model by its l-r-d name (and Z-branch gateway id if ambiguous).
+
+    Group X keeps l = |X branch| - ia nodes and Y keeps r = |Y branch| - ib,
+    so each Z choice holds at most one model of that name, and only that
+    one is built."""
+    try:
+        l, r, _ = (int(size) for size in name.split("-"))
+    except ValueError:
+        l = r = 0                  # not l-r-d: every cut is out of range
+    hits = []
+    for z_branch, x_branch, y_branch in _z_choices(topology, no_sep_branch):
+        ia, ib = len(x_branch.nodes) - l, len(y_branch.nodes) - r
+        if 0 <= ia < len(x_branch.nodes) and 0 <= ib < len(y_branch.nodes):
+            model, = _models(topology, z_branch, x_branch, y_branch, [(ia, ib)])
+            if model.name == name:
+                hits.append(model)
     if not hits:
         raise ValueError(f"no path model named {name!r}")
-    if len(hits) > 1 and no_sep_branch is None:
-        gws = sorted({m.no_sep_branch for m in hits})
-        if len(gws) > 1:
-            raise ValueError(
-                f"model {name!r} is ambiguous; pass no_sep_branch in {gws}")
+    if len(hits) > 1:                      # only without no_sep_branch
+        raise ValueError(f"model {name!r} is ambiguous; pass no_sep_branch in "
+                         f"{sorted(m.no_sep_branch for m in hits)}")
     return hits[0]
 
 
 def _groups_conflict(model: PathModel, conflicts: ConflictSet,
                      g1: str, g2: str) -> bool:
-    mask = conflicts.mask_of(model.transmitter_map(g1).values())
-    return any(conflicts.hits(mask, t) for t in model.transmitter_map(g2).values())
+    """Whether a transmitter of group g1 conflicts with one of g2.  Every
+    hop of a group is sent by a group node over the first link of its own
+    route, so a group's transmitters are one (node, first link) per node."""
+    def transmitters(label: str):
+        return ((n, model.routes[n][0]) for n in model.group(label))
+    mask = conflicts.mask_of(transmitters(g1))
+    return any(conflicts.hits(mask, t) for t in transmitters(g2))
 
 
 def patterns_for(model: PathModel) -> list[PatternSpec]:

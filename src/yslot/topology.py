@@ -206,7 +206,10 @@ def _int(value, what: str) -> int:
     """An integer config field, where int() would read True as 1 and "3" as 3
     and cut 2.7 to 2; `value % 1` is nonzero, or nan, for any fraction.
     Integral types beyond int (a library caller's numpy integer) pass; the
-    ABC is checked last, since it costs about ten times an int check."""
+    ABC is checked last, since it costs about ten times an int check.  An
+    exact int, the common case, returns first (bool is not exactly int)."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float, Integral)) or value % 1:
         raise TopologyError(f"{what} {value!r} is not an integer")
     return int(value)

@@ -1,10 +1,14 @@
 import copy
+import random
+import time
 
 import pytest
 
-from conftest import branch_config
-from yslot import (enumerate_path_models, find_model, patterns_for,
+from conftest import branch_config, load_case_raw
+from yslot import (PathModel, PatternSpec, derive_conflicts,
+                   enumerate_path_models, find_model, patterns_for,
                    validate_topology)
+from yslot.topology import MAX_CYCLE_SLOTS
 
 
 def test_fixed_z_enumeration_names(case1):
@@ -163,3 +167,124 @@ def test_empty_branch_can_be_z():
     models = enumerate_path_models(topology)
     assert {m.no_sep_branch for m in models} == {7}
     assert len(models) == 2 * 3
+
+
+# Oracles: a model builder that builds every route afresh and sorts the
+# routes by node, and a group-conflict test over the per-hop transmitter map.
+
+def oracle_model(topology, z_branch, x_branch, y_branch, ia, ib) -> PathModel:
+    sep_a = x_branch.inter_node_links[ia]
+    sep_b = y_branch.inter_node_links[ib]
+    sx, sy = x_branch.nodes[ia:], y_branch.nodes[ib:]
+    sz = (x_branch.nodes[:ia][::-1] + y_branch.nodes[:ib][::-1]
+          + (topology.central,) + z_branch.nodes)
+    z_links = z_branch.links
+    routes = {topology.central: z_links}
+    for j, node in enumerate(z_branch.nodes):
+        routes[node] = z_links[j + 1:]
+    for branch, sep_index in ((x_branch, ia), (y_branch, ib)):
+        for j, node in enumerate(branch.nodes):
+            routes[node] = (branch.links[j + 1:] if j >= sep_index
+                            else branch.links[j::-1] + z_links)
+    adjacent = {x_branch.links[0], y_branch.links[0]}
+    deep = sum(1 for s in (sep_a, sep_b) if s not in adjacent)
+    return PathModel(topology, z_branch.gateway, sep_a, sep_b,
+                     {"X": sx, "Y": sy, "Z": sz}, dict(sorted(routes.items())),
+                     f"{len(sx)}-{len(sy)}-{len(sz)}", 1 + deep)
+
+
+def oracle_models(topology) -> list[PathModel]:
+    models = []
+    for z_branch in topology.branches:
+        x_branch, y_branch = (b for b in topology.branches if b is not z_branch)
+        for ia in range(len(x_branch.inter_node_links)):
+            for ib in range(len(y_branch.inter_node_links)):
+                models.append(oracle_model(topology, z_branch, x_branch, y_branch,
+                                           ia, ib))
+    return models
+
+
+def oracle_patterns(model, transmitters) -> list[PatternSpec]:
+    """`transmitters[label]`: the values of the model's transmitter map."""
+    conflicts = derive_conflicts(model.topology)
+
+    def groups_conflict(g1, g2):
+        mask = conflicts.mask_of(transmitters[g1])
+        return any(conflicts.hits(mask, t) for t in transmitters[g2])
+
+    conflicting = tuple(g for g in ("X", "Y") if groups_conflict(g, "Z"))
+    independent = tuple(g for g in ("X", "Y") if g not in conflicting)
+    if not conflicting:
+        return [PatternSpec(1, ("X", "Y", "Z"))]
+    return [PatternSpec(1, independent + conflicting + ("Z",)),
+            PatternSpec(2, independent + ("Z",) + conflicting)]
+
+
+def shuffled_y(rng: random.Random) -> dict:
+    """A Y with branches of 1-9 nodes, rates 1-3 and 0-12 extra proximity
+    pairs, whose node, gateway and link ids are shuffled so that neither
+    node order nor link order follows the branches."""
+    raw = branch_config(tuple(rng.randint(1, 9) for _ in range(3)))
+    n_ids = len(raw["nodes"]) + 3
+    relabel = dict(zip(range(1, n_ids + 1), rng.sample(range(1, 3 * n_ids), n_ids)))
+    link_ids = rng.sample(range(1, 3 * n_ids), len(raw["links"]))
+    proximity = {tuple(sorted((relabel[a], relabel[b]))) for a, b in raw["proximity"]}
+    ids = sorted(relabel.values())
+    spare = [(a, b) for a in ids for b in ids if a < b and (a, b) not in proximity]
+    proximity.update(rng.sample(spare, rng.randint(0, 12)))
+    return {
+        "cycle_slots": 30,
+        "nodes": [{"id": relabel[n["id"]], "rate": rng.randint(1, 3)}
+                  for n in raw["nodes"]],
+        "gateways": [{"id": relabel[g["id"]]} for g in raw["gateways"]],
+        "links": [{"id": i, "a": relabel[l["a"]], "b": relabel[l["b"]], "loss": 0.3}
+                  for i, l in zip(link_ids, raw["links"])],
+        "proximity": [list(p) for p in sorted(proximity)],
+    }
+
+
+def oracle_topologies():
+    rng = random.Random(22)
+    return ([validate_topology(load_case_raw(case)) for case in (1, 2, 3)]
+            + [validate_topology(shuffled_y(rng)) for _ in range(200)])
+
+
+def test_models_and_patterns_match_the_oracles():
+    for topology in oracle_topologies():
+        models = enumerate_path_models(topology)
+        oracles = oracle_models(topology)
+        assert models == oracles
+        for model, oracle in zip(models, oracles):
+            assert list(model.routes) == list(oracle.routes)
+            transmitters = {label: set(model.transmitter_map(label).values())
+                            for label in ("X", "Y", "Z")}
+            assert patterns_for(model) == oracle_patterns(model, transmitters)
+            for label, txs in transmitters.items():
+                assert {(n, model.route(n)[0]) for n in model.group(label)} == txs
+        for branch in topology.branches:
+            fixed = [m for m in models if m.no_sep_branch == branch.gateway]
+            if fixed:
+                assert enumerate_path_models(topology, branch.gateway) == fixed
+            for model in fixed:
+                assert find_model(topology, model.name, branch.gateway) == model
+
+
+def test_front_end_at_the_caps(monkeypatch):
+    # branches of 40 nodes, 9 801 packet hops: 4 800 models whose patterns
+    # read each group's own transmitters, never the per-hop transmitter map
+    topology = validate_topology(branch_config((40, 40, 40), MAX_CYCLE_SLOTS))
+
+    def no_map(self, label):
+        raise AssertionError("transmitter_map called")
+    monkeypatch.setattr(PathModel, "transmitter_map", no_map)
+    start = time.perf_counter()
+    models = enumerate_path_models(topology)
+    specs = [patterns_for(m) for m in models]
+    assert time.perf_counter() - start < 5.0
+    assert len(models) == len(specs) == 4800
+    for z_branch in topology.branches:
+        # at most two route tuples (outward, inward) per separated node and
+        # one per other node, shared by the 1 600 models of the Z choice
+        shared = {id(route) for m in models if m.no_sep_branch == z_branch.gateway
+                  for route in m.routes.values()}
+        assert len(shared) <= 2 * 80 + 41
