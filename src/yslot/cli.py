@@ -1,10 +1,13 @@
 """Command-line interface: enumerate, solve, optimize, simulate, report.
 
-Exit codes: 0 ok, 1 infeasible allocation or a node's simulated rate
-beyond 3 sigma (the exact tail where few rare outcomes are expected), 2
-usage or config error or an unwritable output path, 3 internal error (a
-solver fault, `DomainError` included, or a timeline or simulation fault,
-reported as one `error: internal: ...` line, no traceback).
+Exit codes: 0 ok; 1 when `solve` or `report --model` gives COM = 0, when
+`optimize` or `report` without `--model` has no feasible solution, or when
+a `simulate` check fails: a node's simulated rate beyond 3 sigma (the exact
+tail where few rare outcomes are expected), and only then, so a COM = 0
+solution whose checks hold exits 0; 2 usage or config error or an
+unwritable output path, 3 internal error (a solver fault, `DomainError`
+included, or a timeline or simulation fault, reported as one
+`error: internal: ...` line, no traceback).
 Output files are byte-stable for identical inputs: CSV and JSON carry the
 same full-precision values (metadata like the RNG seed is part of the
 report data, never wall-clock timestamps).

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .timeline import Timeline, verify_timeline
-from .topology import Topology, derive_conflicts
+from .topology import Topology, _int, derive_conflicts
 
 RNG_ALGORITHM = "numpy-PCG64"
 # memory and work grow with trials: each held packet is one `trials`-long
@@ -55,7 +55,10 @@ class NodeComparison:
 def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
              reuse: bool = False) -> SimReport:
     """Replay the timeline `trials` times; deterministic for a given seed.
-    An invalid timeline raises as in `build_timeline`."""
+    `trials` and `seed` are read by the config's integer rule and checked,
+    with ValueError, before the timeline; an invalid timeline raises as in
+    `build_timeline`."""
+    trials, seed = _int(trials, "trials", ValueError), _int(seed, "seed", ValueError)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > MAX_TRIALS:

@@ -156,31 +156,31 @@ class ConflictSet:
         return False
 
 
-def _conflict_rule(u: int, v: int, x: int, w: int,
-                   proximity: frozenset[tuple[int, int]]) -> bool:
-    """Protocol interference for tx u->v against tx x->w."""
-    if u == x or v == w or u == w or x == v:
-        return True
-    return _pair(x, v) in proximity or _pair(u, w) in proximity
-
-
 def derive_conflicts(topology: Topology) -> ConflictSet:
-    """Conflicting transmission pairs; derived on the first call for a
-    topology and kept on the (frozen) instance."""
+    """Conflicting transmissions, by two-sided protocol interference: a
+    node's range is itself plus its proximity partners, and u -> v conflicts
+    with every other transmission sent in range of v or received in range of
+    u.  Shared nodes are a case of the rule, as `validate_topology` puts each
+    link's endpoints in proximity (`LinkNotInProximity`).  One pass ORs each
+    transmission's bit into the nodes in range of its two ends; derived on
+    the first call for a topology and kept on the (frozen) instance."""
     cached = topology.__dict__.get("_conflicts")
     if cached is not None:
         return cached
     txs = topology.transmissions()
     recv = {(tx, link): topology.links[link].other(tx) for tx, link in txs}
-    masks = [0] * len(txs)
-    for i, t1 in enumerate(txs):
-        for j in range(i + 1, len(txs)):
-            t2 = txs[j]
-            if _conflict_rule(t1[0], recv[t1], t2[0], recv[t2], topology.proximity):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    conflicts = ConflictSet({t: i for i, t in enumerate(txs)}, tuple(masks), recv,
-                            topology.rates)
+    in_range = {n: [n] for n in (*topology.rates, *topology.gateways)}
+    for a, b in topology.proximity:
+        in_range[a].append(b)
+        in_range[b].append(a)
+    sent, received = dict.fromkeys(in_range, 0), dict.fromkeys(in_range, 0)
+    for j, t in enumerate(txs):
+        for n in in_range[t[0]]:
+            sent[n] |= 1 << j
+        for n in in_range[recv[t]]:
+            received[n] |= 1 << j
+    masks = tuple((sent[recv[t]] | received[t[0]]) & ~(1 << i) for i, t in enumerate(txs))
+    conflicts = ConflictSet({t: i for i, t in enumerate(txs)}, masks, recv, topology.rates)
     object.__setattr__(topology, "_conflicts", conflicts)
     return conflicts
 
@@ -202,7 +202,7 @@ def load_config(path: str | Path) -> dict:
     return raw
 
 
-def _int(value, what: str) -> int:
+def _int(value, what: str, error: type[Exception] = TopologyError) -> int:
     """An integer config field, where int() would read True as 1 and "3" as 3
     and cut 2.7 to 2; `value % 1` is nonzero, or nan, for any fraction.
     Integral types beyond int (a library caller's numpy integer) pass; the
@@ -211,7 +211,7 @@ def _int(value, what: str) -> int:
     if type(value) is int:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float, Integral)) or value % 1:
-        raise TopologyError(f"{what} {value!r} is not an integer")
+        raise error(f"{what} {value!r} is not an integer")
     return int(value)
 
 

@@ -220,10 +220,11 @@ def oracle_patterns(model, transmitters) -> list[PatternSpec]:
             PatternSpec(2, independent + ("Z",) + conflicting)]
 
 
-def shuffled_y(rng: random.Random) -> dict:
-    """A Y with branches of 1-9 nodes, rates 1-3 and 0-12 extra proximity
-    pairs, whose node, gateway and link ids are shuffled so that neither
-    node order nor link order follows the branches."""
+def shuffled_y(rng: random.Random, extra: tuple[int, int] = (0, 12)) -> dict:
+    """A Y with branches of 1-9 nodes, rates 1-3 and a number in `extra`
+    of extra proximity pairs (as many as the ids allow), whose node,
+    gateway and link ids are shuffled so that neither node order nor link
+    order follows the branches."""
     raw = branch_config(tuple(rng.randint(1, 9) for _ in range(3)))
     n_ids = len(raw["nodes"]) + 3
     relabel = dict(zip(range(1, n_ids + 1), rng.sample(range(1, 3 * n_ids), n_ids)))
@@ -231,7 +232,7 @@ def shuffled_y(rng: random.Random) -> dict:
     proximity = {tuple(sorted((relabel[a], relabel[b]))) for a, b in raw["proximity"]}
     ids = sorted(relabel.values())
     spare = [(a, b) for a in ids for b in ids if a < b and (a, b) not in proximity]
-    proximity.update(rng.sample(spare, rng.randint(0, 12)))
+    proximity.update(rng.sample(spare, min(rng.randint(*extra), len(spare))))
     return {
         "cycle_slots": 30,
         "nodes": [{"id": relabel[n["id"]], "rate": rng.randint(1, 3)}
@@ -247,6 +248,39 @@ def oracle_topologies():
     rng = random.Random(22)
     return ([validate_topology(load_case_raw(case)) for case in (1, 2, 3)]
             + [validate_topology(shuffled_y(rng)) for _ in range(200)])
+
+
+def oracle_conflicts(topology):
+    """`index`, `masks` and `receivers` of the conflict set, by protocol
+    interference stated pairwise: tx u -> v conflicts with tx x -> w when
+    they share a node or when x is near v or u is near w."""
+    txs = topology.transmissions()
+    recv = {t: topology.links[t[1]].other(t[0]) for t in txs}
+
+    def near(a, b):
+        return (min(a, b), max(a, b)) in topology.proximity
+
+    masks = [0] * len(txs)
+    for i, t in enumerate(txs):
+        u, v = t[0], recv[t]
+        for j in range(i + 1, len(txs)):
+            x, w = txs[j][0], recv[txs[j]]
+            if u == x or v == w or u == w or x == v or near(x, v) or near(u, w):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return {t: i for i, t in enumerate(txs)}, tuple(masks), recv
+
+
+def test_conflicts_match_the_pairwise_rule():
+    rng = random.Random(23)
+    dense = [validate_topology(shuffled_y(rng, (20, 60))) for _ in range(50)]
+    assert max(len(t.proximity) - len(t.links) for t in dense) >= 40
+    for topology in oracle_topologies() + dense:
+        conflicts = derive_conflicts(topology)
+        index, masks, receivers = oracle_conflicts(topology)
+        assert conflicts.index == index
+        assert conflicts.masks == masks
+        assert conflicts.receivers == receivers
 
 
 def test_models_and_patterns_match_the_oracles():

@@ -1,8 +1,10 @@
 import importlib
 import json
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from yslot import (ConflictViolation, DoesNotFit, NodeSetMismatch, SimReport,
@@ -213,3 +215,25 @@ def test_trials_above_the_cap_rejected_before_replay(monkeypatch):
     with pytest.raises(ValueError, match=f"trials {MAX_TRIALS + 1} is above the cap "
                                          f"of {MAX_TRIALS}"):
         simulate(two_slot_timeline(), tiny_topology(), MAX_TRIALS + 1, seed=0)
+
+
+@pytest.mark.parametrize("field", ["trials", "seed"])
+@pytest.mark.parametrize("value", [10.5, 1.5, True, "10", None])
+def test_non_integer_trials_and_seed_rejected_before_replay(monkeypatch, field, value):
+    def verified(*args):
+        pytest.fail(f"verified a timeline for {field}={value!r}")
+
+    monkeypatch.setattr(importlib.import_module("yslot.simulate"), "verify_timeline",
+                        verified)
+    with pytest.raises(ValueError, match=re.escape(f"{field} {value!r} is not an integer")):
+        simulate(two_slot_timeline(), tiny_topology(), **{"trials": 10, "seed": 0,
+                                                            field: value})
+
+
+@pytest.mark.parametrize("field", ["trials", "seed"])
+@pytest.mark.parametrize("value", [10.0, np.int64(10)])
+def test_integral_trials_and_seed_read_as_int(field, value):
+    report = simulate(two_slot_timeline(), tiny_topology(),
+                      **{"trials": 10, "seed": 10, field: value})
+    assert type(report.trials) is int and type(report.seed) is int
+    assert report == simulate(two_slot_timeline(), tiny_topology(), 10, 10)
