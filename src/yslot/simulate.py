@@ -5,8 +5,10 @@ Each scheduled transmission succeeds independently with probability
 a slot whose designated packet is not pending can optionally be reused for
 the next pending packet of the same (transmitter, link) stream.  Trials are
 vectorized with numpy; one uniform draw per scheduled transmission per trial
-keeps reports bit-identical for a fixed seed in both reuse modes.  numpy is
-imported on the first `simulate` call, so solving alone never loads it.
+keeps reports bit-identical for a fixed seed in both reuse modes.  Time grows
+with trials times units; memory with 9 bytes per trial of draw buffers plus
+one bit per trial for each held (node, packet) flag.  numpy is imported on
+the first `simulate` call, so solving alone never loads it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from .timeline import Timeline, verify_timeline
 from .topology import Topology, _int, derive_conflicts
 
 RNG_ALGORITHM = "numpy-PCG64"
-# memory and work grow with trials: each held packet is one `trials`-long
-# bool array, and each unit draws `trials` floats
+# work grows with trials times units (each unit draws `trials` floats);
+# memory with 9 bytes per trial of draw buffers plus one bit per trial for
+# each held (node, packet) flag
 MAX_TRIALS = 1_000_000
 
 
@@ -55,10 +58,12 @@ class NodeComparison:
 def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
              reuse: bool = False) -> SimReport:
     """Replay the timeline `trials` times; deterministic for a given seed.
-    `trials` and `seed` are read by the config's integer rule and checked,
-    with ValueError, before the timeline; an invalid timeline raises as in
-    `build_timeline`."""
+    `trials` and `seed` are read by the config's integer rule and `reuse`
+    must be a bool; all three are checked, with ValueError, before the
+    timeline; an invalid timeline raises as in `build_timeline`."""
     trials, seed = _int(trials, "trials", ValueError), _int(seed, "seed", ValueError)
+    if not isinstance(reuse, bool):
+        raise ValueError(f"reuse {reuse!r} is not a bool")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > MAX_TRIALS:
@@ -83,23 +88,27 @@ def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
     # `rng.random(trials)`, without two fresh trials-long arrays per unit
     uniforms = np.empty(trials)
     draw = np.empty(trials, dtype=bool)
+    # each flag holds one bit per trial, 8 trials a byte in `np.packbits`
+    # order; the pad bits past `trials` stay 0
+    every = np.packbits(np.ones(trials, dtype=bool))
+    missed = np.zeros_like(every)
     holds: dict[tuple[int, int, int], np.ndarray] = {}
 
     def held(node: int, packet: tuple[int, int]) -> np.ndarray:
         key = (node, packet[0], packet[1])
         if key not in holds:
-            base = node == packet[0]
-            holds[key] = np.full(trials, base, dtype=bool)
+            holds[key] = (every if node == packet[0] else missed).copy()
         return holds[key]
 
     for u in units:
         q = topology.links[u.link].loss
         rng.random(out=uniforms)
         np.less(uniforms, 1.0 - q, out=draw)
+        bits = np.packbits(draw)
         rx, designated = u.rx, (u.origin, u.k)
         # the designated packet keeps its slot whenever the sender holds it
         assigned = held(u.tx, designated)
-        held(rx, designated)[...] |= assigned & draw
+        held(rx, designated)[...] |= assigned & bits
         if not reuse:
             continue
         for packet in stream[(u.tx, u.link)]:
@@ -108,23 +117,22 @@ def simulate(timeline: Timeline, topology: Topology, trials: int, seed: int,
             claim = held(u.tx, packet) & ~held(rx, packet) & ~assigned
             if not claim.any():
                 continue
-            held(rx, packet)[...] |= claim & draw
+            held(rx, packet)[...] |= claim & bits
             assigned = assigned | claim
 
     # a node delivers when each of its packets, scheduled or not, reached
     # some gateway
-    counts, missed = {}, np.zeros(trials, dtype=bool)
-    all_ok = np.ones(trials, dtype=bool)
+    counts, all_ok = {}, every.copy()
     for node, rate in sorted(topology.rates.items()):
-        ok = np.ones(trials, dtype=bool)
+        ok = every.copy()
         for k in range(1, rate + 1):
-            ok &= np.logical_or.reduce(
+            ok &= np.bitwise_or.reduce(
                 [holds.get((g, node, k), missed) for g in topology.gateways])
-        counts[node] = int(ok.sum())
+        counts[node] = int(np.unpackbits(ok).sum())
         all_ok &= ok
 
     return SimReport(trials, seed, RNG_ALGORITHM, reuse, counts,
-                     float(all_ok.mean()))
+                     int(np.unpackbits(all_ok).sum()) / trials)
 
 
 THREE_SIGMA_TAIL = 0.00135  # one-sided normal tail beyond 3 sigma

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -237,3 +238,106 @@ def test_integral_trials_and_seed_read_as_int(field, value):
                       **{"trials": 10, "seed": 10, field: value})
     assert type(report.trials) is int and type(report.seed) is int
     assert report == simulate(two_slot_timeline(), tiny_topology(), 10, 10)
+
+
+@pytest.mark.parametrize("value", ["no", 0.0, 1, None])
+def test_non_bool_reuse_rejected_before_replay(monkeypatch, value):
+    def verified(*args):
+        pytest.fail(f"verified a timeline for reuse={value!r}")
+
+    monkeypatch.setattr(importlib.import_module("yslot.simulate"), "verify_timeline",
+                        verified)
+    with pytest.raises(ValueError, match=re.escape(f"reuse {value!r} is not a bool")):
+        simulate(two_slot_timeline(), tiny_topology(), 10, 0, reuse=value)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_reuse_accepted(value):
+    assert simulate(two_slot_timeline(), tiny_topology(), 10, 0, reuse=value).reuse is value
+
+
+def byte_replay(timeline, topology, trials, seed, reuse):
+    """Reference replay with one bool per trial for every held flag: the
+    same draws and rules as `simulate`, returning (per_node_counts, all_rate)."""
+    units = sorted(timeline.units, key=lambda u: (u.start, u.tx, u.link, u.origin, u.k))
+    stream = {}
+    for u in units if reuse else ():
+        lst = stream.setdefault((u.tx, u.link), [])
+        if (u.origin, u.k) not in lst:
+            lst.append((u.origin, u.k))
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    holds = {}
+
+    def held(node, packet):
+        key = (node, packet[0], packet[1])
+        if key not in holds:
+            holds[key] = np.full(trials, node == packet[0], dtype=bool)
+        return holds[key]
+
+    for u in units:
+        draw = rng.random(trials) < 1.0 - topology.links[u.link].loss
+        rx, designated = u.rx, (u.origin, u.k)
+        assigned = held(u.tx, designated)
+        held(rx, designated)[...] |= assigned & draw
+        for packet in stream.get((u.tx, u.link), ()):
+            if packet == designated:
+                continue
+            claim = held(u.tx, packet) & ~held(rx, packet) & ~assigned
+            held(rx, packet)[...] |= claim & draw
+            assigned = assigned | claim
+
+    counts, missed = {}, np.zeros(trials, dtype=bool)
+    all_ok = np.ones(trials, dtype=bool)
+    for node, rate in sorted(topology.rates.items()):
+        ok = np.ones(trials, dtype=bool)
+        for k in range(1, rate + 1):
+            ok &= np.logical_or.reduce(
+                [holds.get((g, node, k), missed) for g in topology.gateways])
+        counts[node] = int(ok.sum())
+        all_ok &= ok
+    return counts, float(all_ok.mean())
+
+
+@pytest.fixture(scope="module")
+def replay_cases(case1):
+    """(timeline, topology) of the two-slot tiny Y and two case-1 patterns."""
+    cases = {"two-slot": (two_slot_timeline(), tiny_topology())}
+    for name, model, pattern in [("3-2-3p1", "3-2-3", 1), ("2-2-4p2", "2-2-4", 2)]:
+        sol = solve_pattern(find_model(case1, model, 11), pattern, 30)
+        cases[name] = build_timeline(case1, sol.plans, 30), case1
+    return cases
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["dedicated", "reuse"])
+@pytest.mark.parametrize("name", ["two-slot", "3-2-3p1", "2-2-4p2"])
+@pytest.mark.parametrize("trials", [1, 7, 8, 9, 1001, 20000])
+def test_packed_replay_matches_byte_replay(replay_cases, name, reuse, trials):
+    # trial counts off a byte boundary pin the pad bits; 2-2-4 pattern 2
+    # reaches reuse claims
+    timeline, topology = replay_cases[name]
+    report = simulate(timeline, topology, trials, seed=trials, reuse=reuse)
+    counts, all_rate = byte_replay(timeline, topology, trials, trials, reuse)
+    assert report.per_node_counts == counts
+    assert report.all_rate == all_rate
+
+
+def test_reuse_claims_reached_in_the_oracle_timeline(replay_cases):
+    timeline, topology = replay_cases["2-2-4p2"]
+    dedicated = byte_replay(timeline, topology, 20000, 20000, False)
+    assert byte_replay(timeline, topology, 20000, 20000, True) != dedicated
+
+
+def test_replay_keeps_one_bit_per_trial_for_each_held_flag(replay_cases):
+    # the draw buffers take 9 bytes a trial; one bool per held flag (the
+    # byte-per-trial replay) read 39 bytes a trial here
+    timeline, topology = replay_cases["3-2-3p1"]
+    trials = 200_000
+    simulate(timeline, topology, 10, seed=0)  # numpy loaded, conflicts derived
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        simulate(timeline, topology, trials, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / trials < 16
