@@ -24,10 +24,12 @@ Pipeline per group, in pattern placement order:
 returns; `solve_pattern` builds one for its pattern.  One topology and
 one T fix everything but the group, so the first level is keyed on
 (label, nodes, routes of those nodes) and holds the chain, candidate
-structures, transmitter map, ranks, predicted case, one read-only
-budget-T greedy per candidate and, once a structure wins, its relaxed
-optimum.  The table also owns the loss tables, so no cache outlives a
-solve.  A group's step reads the placement before it only through the
+structures, transmitter map, ranks, origin rates and predicted case; per
+candidate, one read-only budget-T greedy and the fill order with nothing
+blocked, sorted once (a step keeps its unblocked route prefixes); and,
+once a structure wins, its relaxed optimum and burst order.  The orders
+hold the transmitter map's own key tuples, never copies.  The table also
+owns the loss tables, so no cache outlives a solve.  A group's step reads the placement before it only through the
 early window and the blocked uses, so the second level is keyed on
 (window, sorted blocked uses) and holds the frozen `GroupStep` a
 solution is made of.  Both hits are exact: the key is every input of the
@@ -39,6 +41,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 
 from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
@@ -317,24 +320,36 @@ def _blocked_uses(txmap: dict[UseKey, TxLink], window, placed: Placed,
             if conflicts.hits(mask, txlink)}
 
 
-def _hideable_uses(chain: GroupChain, st: Structure, blocked: set[UseKey],
-                   ranks: Ranks) -> list[UseKey]:
-    """Budget uses that may move into the window, in fill order (upstream
-    link first, downstream origin first within a link).  A hop qualifies
-    only if every upstream hop of the same packet qualifies, so the packet
-    can reach its transmitter inside the window."""
-    use_keys = st.use_keys()
-    hosts = set(st.hosts)
+def _fill_order(keys, ranks: Ranks) -> list[UseKey]:
+    """Use keys in fill order: upstream link first, downstream origin first
+    within a link.  The key is a strict total order, so any subset of the
+    order is in fill order too."""
     order, pos = ranks
-    out = []
-    for o in chain.origins:
-        for link, _ in o.route:
-            key = (o.node, link)
-            if key in blocked or key not in use_keys or key in hosts:
-                break
-            out.append(key)
-    out.sort(key=lambda key: (order[key[1]], -pos[key[0]], key[0]))
-    return out
+    return sorted(keys, key=lambda key: (order[key[1]], -pos[key[0]], key[0]))
+
+
+def _unhideable(st: Structure, keys) -> set[UseKey]:
+    """The chain's use keys that never move into the window: those that
+    are not budget uses of the structure, and those that host riders."""
+    use_keys = st.use_keys()
+    return {key for key in keys if key not in use_keys or key in st.hosts}
+
+
+def _hideable_uses(fill: list[UseKey], blocked: set[UseKey],
+                   ranks: Ranks) -> list[UseKey]:
+    """Budget uses that may move into the window, in fill order: the hops
+    of `fill` with no blocked hop at or upstream of them on their origin's
+    route, so each packet can reach its transmitter inside the window.
+    Link ranks grow along a route."""
+    if not blocked:
+        return fill
+    order = ranks[0]
+    last = len(order)
+    cut: dict[int, int] = {}   # per origin, the rank of its first blocked hop
+    for node, link in blocked:
+        if order[link] < cut.get(node, last):
+            cut[node] = order[link]
+    return [key for key in fill if order[key[1]] < cut.get(key[0], last)]
 
 
 def _classify_case(hide_order: list[UseKey], tentative: dict[EntryKey, int],
@@ -407,23 +422,23 @@ def _early_step(st: Structure, optimum: dict, rider: dict, window, budget,
     return serialized, early, rider, True
 
 
-def _packet_order(chain: GroupChain, hide_order: list[UseKey],
+def _packet_order(rates: dict[int, int], hide_order: list[UseKey],
                   tentative: dict[EntryKey, int]):
     """Packet hops of the hideable uses in fill order, each only if its
     packet holds tentative slots on its previous hop.  Hideable uses are
-    route prefixes filled upstream first, so that hop is in the window
-    before this one unless the window is covered."""
-    rates = {o.node: o.rate for o in chain.origins}
-    previous = {(o.node, link): up for o in chain.origins
-                for (up, _), (link, _) in zip(o.route, o.route[1:])}
+    route prefixes filled upstream first, so an origin's previous hop is
+    the one of its hops met last, and it is in the window before this one
+    unless the window is covered."""
+    upstream: dict[int, int] = {}
     for node, link in hide_order:
-        up = previous.get((node, link))
+        up = upstream.get(node)
         for k in range(1, rates[node] + 1):
             if up is None or tentative.get((node, k, up), 0) > 0:
                 yield (node, k, link)
+        upstream[node] = link
 
 
-def assign_early_slots(chain: GroupChain, st: Structure,
+def assign_early_slots(rates: dict[int, int], st: Structure,
                        tentative: dict[EntryKey, int], rider: dict[EntryKey, int],
                        window: int, hide_order: list[UseKey], budget: int,
                        losses: LossTables) -> tuple[dict[SlotKey, int], str]:
@@ -435,7 +450,7 @@ def assign_early_slots(chain: GroupChain, st: Structure,
     window part equals filling it."""
     serialized, early, rider, split = _early_step(
         st, tentative, rider, window, budget, hide_order,
-        lambda amounts: _packet_order(chain, hide_order, amounts),
+        lambda amounts: _packet_order(rates, hide_order, amounts),
         lambda part, part_budget: _greedy_int(part, part_budget, losses))
     table = {(node, k, link, is_early): v
              for is_early, counts in ((False, serialized), (True, early), (True, rider))
@@ -482,13 +497,15 @@ class PatternSolution:
         return ";".join(parts) if parts else "-"
 
 
-def _serial_order(st: Structure, ranks: Ranks) -> list[UseKey]:
+def _serial_order(st: Structure, keys, ranks: Ranks) -> list[UseKey]:
     """Burst order of the budget uses: upstream links first, upstream
     origins first within a link; a rider-hosting terminal burst moves to
     the front so its riders (the feeders' first hops) precede the feeders'
-    later hops."""
+    later hops.  `keys` are the chain's use keys, and the order holds
+    those key tuples."""
     order, pos = ranks
-    keys = sorted(((u.node, u.link) for u in st.uses),
+    use_keys = st.use_keys()
+    keys = sorted((key for key in keys if key in use_keys),
                   key=lambda key: (order[key[1]], pos[key[0]]))
     if st.kind == "rider-feeders":
         keys = ([key for key in keys if key in st.hosts]
@@ -496,38 +513,43 @@ def _serial_order(st: Structure, ranks: Ranks) -> list[UseKey]:
     return keys
 
 
-def _build_plan(chain: GroupChain, st: Structure, table: dict[SlotKey, int],
-                window: int, txmap: dict[UseKey, TxLink], ranks: Ranks,
-                ) -> GroupPlan:
-    """Serialized bursts in burst order, each host burst carrying rider
-    slots from the sorted rider queue in stream order, and the early
-    bursts (the other early slots) in table order."""
-    rates = {o.node: o.rate for o in chain.origins}
+# a PlacedBurst from a row in its field order, riders included, built in C
+_burst_of_row = partial(tuple.__new__, PlacedBurst)
+
+
+def _build_plan(group: _Group, i: int, table: dict[SlotKey, int],
+                window: int) -> GroupPlan:
+    """Serialized bursts of candidate i in burst order, each host burst
+    carrying rider slots from the sorted rider queue in stream order, and
+    the early bursts (the other early slots) in table order."""
+    st, txmap, rates = group.candidates[i], group.txmap, group.rates
     riders = {(u.node, u.link) for u in st.riders}
     queue = sorted([key[:3], v] for key, v in table.items()
                    if key[3] and (key[0], key[2]) in riders)
     qi = 0
     serialized = []
-    for n, l in _serial_order(st, ranks):
+    for key in group.serials[i]:
+        n, l = key
+        tx, hosts = txmap[key][0], key in st.hosts
         for k in range(1, rates[n] + 1):
             count = room = table.get((n, k, l, False), 0)
             hosted = []
-            while (n, l) in st.hosts and room > 0 and qi < len(queue):
+            while hosts and room > 0 and qi < len(queue):
                 (rnode, rk, rlink), remaining = queue[qi]
                 take = min(room, remaining)
-                hosted.append(PlacedBurst(rnode, rk, txmap[(rnode, rlink)][0],
-                                          rlink, take, True))
+                hosted.append(_burst_of_row((rnode, rk, txmap[(rnode, rlink)][0],
+                                             rlink, take, True, ())))
                 room -= take
                 queue[qi][1] -= take
                 if queue[qi][1] == 0:
                     qi += 1
             if count:
-                serialized.append(PlacedBurst(n, k, txmap[(n, l)][0], l, count,
-                                              False, tuple(hosted)))
-    early = tuple(PlacedBurst(n, k, txmap[(n, l)][0], l, v, True)
+                serialized.append(_burst_of_row((n, k, tx, l, count, False,
+                                                 tuple(hosted))))
+    early = tuple(_burst_of_row((n, k, txmap[(n, l)][0], l, v, True, ()))
                   for (n, k, l, is_early), v in table.items()
                   if is_early and (n, l) not in riders)
-    return GroupPlan(chain.label, window, early, tuple(serialized))
+    return GroupPlan(group.chain.label, window, early, tuple(serialized))
 
 
 def _scaled(values: dict[UseKey, float], st: Structure):
@@ -566,14 +588,17 @@ def relaxed_table(solution: PatternSolution,
         window = float(early_window(placed, txmap.values(), conflicts))
         windows[label] = window
         hide_order = _hideable_uses(
-            chain, st, _blocked_uses(txmap, window, placed, conflicts), ranks)
+            _fill_order(txmap, ranks),
+            _blocked_uses(txmap, window, placed, conflicts) | _unhideable(st, txmap),
+            ranks)
         serialized, early, rider, _ = _early_step(
             st, *_scaled(step.relaxed.values, st), window, budget, hide_order,
             lambda amounts: hide_order, _relaxed_uses, _TOL)
 
         # early slots from 0, serialized bursts from the window on; riders
         # span their hosts, which are never hideable
-        serial = [(key, serialized.get(key, 0.0)) for key in _serial_order(st, ranks)]
+        serial = [(key, serialized.get(key, 0.0))
+                  for key in _serial_order(st, txmap, ranks)]
         for cursor, bursts in ((0.0, early.items()), (window, serial)):
             for key, length in bursts:
                 if length > _TOL:
@@ -625,15 +650,22 @@ class GroupStep:
 
 @dataclass
 class _Group:
-    """A group's pattern-independent work at one topology and T."""
+    """A group's pattern-independent work at one topology and T.  Its
+    maps and orders hold the transmitter map's key tuples, not copies."""
 
     chain: GroupChain
     candidates: list[Structure]
-    txmap: dict[UseKey, TxLink]
+    txmap: dict[UseKey, TxLink]          # chain order
     ranks: Ranks
+    rates: dict[int, int]                # per origin
     predicted: str | None
-    greedy: list[tuple[dict[EntryKey, int], dict[EntryKey, int]]]  # read-only
-    relaxed: dict[int, StructuredRelax]   # per winning candidate index
+    # per candidate: the budget-T greedy (read-only) and the fill order
+    # with nothing blocked
+    greedy: list[tuple[dict[EntryKey, int], dict[EntryKey, int]]]
+    fills: list[list[UseKey]]
+    # per winning candidate index: the relaxed optimum and the burst order
+    relaxed: dict[int, StructuredRelax]
+    serials: dict[int, list[UseKey]]
     steps: dict[tuple, GroupStep]
 
 
@@ -657,10 +689,16 @@ class _GroupTable:
         if group is None:
             chain = build_group_chain(model, label)
             candidates = candidate_structures(model, chain, self.conflicts)
+            txmap = model.transmitter_map(label)
+            ranks = _chain_ranks(chain)
+            order = _fill_order(txmap, ranks)
             group = self.groups[key] = _Group(
-                chain, candidates, model.transmitter_map(label),
-                _chain_ranks(chain), predicted_case(chain, candidates),
-                [_greedy_int(st, self.T, self.losses) for st in candidates], {}, {})
+                chain, candidates, txmap, ranks,
+                {o.node: o.rate for o in chain.origins},
+                predicted_case(chain, candidates),
+                [_greedy_int(st, self.T, self.losses) for st in candidates],
+                [_hideable_uses(order, _unhideable(st, txmap), ranks)
+                 for st in candidates], {}, {}, {})
         return group
 
     def _place(self, group: _Group, window: int,
@@ -668,9 +706,9 @@ class _GroupTable:
         chain, T, losses = group.chain, self.T, self.losses
         best = None
         for i, st in enumerate(group.candidates):
-            hide_order = _hideable_uses(chain, st, blocked, group.ranks)
+            hide_order = _hideable_uses(group.fills[i], blocked, group.ranks)
             tentative, rider = group.greedy[i]
-            table, regime = assign_early_slots(chain, st, tentative, rider,
+            table, regime = assign_early_slots(group.rates, st, tentative, rider,
                                                window, hide_order, T, losses)
             totals: dict[EntryKey, int] = {}   # slots per packet hop
             for key, v in table.items():
@@ -683,16 +721,21 @@ class _GroupTable:
         st = group.candidates[i]
         if i not in group.relaxed:
             group.relaxed[i] = _relax_structure(st, float(T))
+            group.serials[i] = _serial_order(st, group.txmap, group.ranks)
         lab = st.label if st.label != "plain" else ""
         if regime:
             lab = f"{lab}+{regime}" if lab else regime
 
-        plan = _build_plan(chain, st, table, window, group.txmap, group.ranks)
+        plan = _build_plan(group, i, table, window)
         per_node = {o.node: _delivery_product([o], totals, losses)
                     for o in chain.origins}
-        extents: dict[TxLink, tuple[int, int]] = {}   # each transmitter's hull
+        # each transmitter's hull, keyed on the transmitter map's tuple
+        extents: dict[TxLink, tuple[int, int]] = {}
         for r in place_plans(self.topology, [plan]):
-            _widen(extents, (r.tx, r.link), r.start, r.start + r.count)
+            txlink, end = group.txmap[(r.origin, r.link)], r.start + r.count
+            hull = extents.get(txlink)
+            extents[txlink] = ((r.start, end) if hull is None else
+                               (min(hull[0], r.start), max(hull[1], end)))
         return GroupStep(st, group.relaxed[i], lab, group.predicted, plan,
                          MappingProxyType(extents), MappingProxyType(table),
                          MappingProxyType(per_node))

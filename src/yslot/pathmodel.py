@@ -34,12 +34,16 @@ class PathModel:
 
     def transmitter_map(self, label: str) -> dict[tuple[int, int], tuple[int, int]]:
         """(origin, link) -> (tx node, link) for every route step of a group:
-        each hop is sent by the far end of the hop before it."""
-        out = {}
+        each hop is sent by the far end of the hop before it.  Keys are in
+        group order, then route order, and the hops of one transmitter share
+        its tuple."""
+        out: dict[tuple[int, int], tuple[int, int]] = {}
+        txs: dict[tuple[int, int], tuple[int, int]] = {}
         for node in self.group(label):
             tx = node
             for link_id in self.route(node):
-                out[(node, link_id)] = (tx, link_id)
+                txlink = (tx, link_id)
+                out[(node, link_id)] = txs.setdefault(txlink, txlink)
                 tx = self.topology.links[link_id].other(tx)
         return out
 

@@ -11,6 +11,10 @@ couple the rider into its hosts' stationarity and are parametrized on the
 host-side marginal.  All three solve one increasing equation in t, the log
 of their scalar, with every term in log form (F(q, e^t) is
 softplus(t + log c) / c, c = -log q), so nothing overflows at large T.
+Uses that share a link share its loss, so each evaluation takes F once
+per distinct loss, and the product log(1 - q^v) once per distinct (q, v);
+the sums still add w * F per use in use order, so every float is the one
+a per-use evaluation gives.
 """
 
 from __future__ import annotations
@@ -88,9 +92,16 @@ def _solve_log(fn, target: float, t: float, what: str) -> float:
     raise ConvergenceError(f"{what} root did not converge")
 
 
-def _terms(uses: list[Use]) -> list[tuple[int, float, float]]:
-    """Per-use constants of a solve: (weight, c, log c) with c = -log q."""
-    return [(u.weight, c := -math.log(u.q), math.log(c)) for u in uses]
+def _terms(uses: list[Use]) -> tuple[list[tuple[float, float]], list[tuple[int, int]]]:
+    """Constants of a solve: (c, log c) with c = -log q once per distinct
+    loss, and per use, in use order, (weight, index of its loss)."""
+    index: dict[float, int] = {}
+    losses = []
+    for u in uses:
+        if u.q not in index:
+            index[u.q] = len(losses)
+            losses.append((c := -math.log(u.q), math.log(c)))
+    return losses, [(u.weight, index[u.q]) for u in uses]
 
 
 def _f_log(c: float, log_c: float, s: float) -> tuple[float, float]:
@@ -102,11 +113,14 @@ def _f_log(c: float, log_c: float, s: float) -> tuple[float, float]:
             (1.0 if z > 0.0 else e) / ((1.0 + e) * c))
 
 
-def _load(terms: list[tuple[int, float, float]], s: float) -> tuple[float, float]:
-    """Budget used, sum of w * F(q, e^s), and its derivative in s."""
+def _load(terms, s: float) -> tuple[float, float]:
+    """Budget used, sum of w * F(q, e^s) in use order, and its derivative
+    in s; F is taken once per distinct loss."""
+    losses, weights = terms
+    fs = [_f_log(c, log_c, s) for c, log_c in losses]
     total = slope = 0.0
-    for w, c, log_c in terms:
-        f, df = _f_log(c, log_c, s)
+    for w, i in weights:
+        f, df = fs[i]
         total += w * f
         slope += w * df
     return total, slope
@@ -124,10 +138,12 @@ def _solve_structure(uses: list[Use], budget: float, what: str,
     if budget <= 0.0:
         raise DomainError(f"budget {budget} must be > 0")
     tied = [*inner, coupled] if coupled is not None else []
-    others = [u for u in uses if u not in tied]
+    tied_keys = {(u.node, u.link) for u in tied}
+    others = [u for u in uses if (u.node, u.link) not in tied_keys]
     inner_terms, other_terms = _terms(inner), _terms(others)
     if coupled is not None:
-        _w, c, log_c = _terms([coupled])[0]
+        c = -math.log(coupled.q)
+        log_c = math.log(c)
 
     def load(t: float) -> tuple[float, float, float, float]:
         """Budget used and its t-derivative, x and log y."""
@@ -146,22 +162,28 @@ def _solve_structure(uses: list[Use], budget: float, what: str,
 
     # the load is at least the budget where its asymptote meets it (plain:
     # convex in t, so Newton falls monotonically from here to the root)
-    cs = [*other_terms, *inner_terms]
-    start = ((budget - sum(w * lc / c for w, c, lc in cs))
-             / sum(w / c for w, c, _lc in cs))
+    cs = [(w, *losses[i]) for losses, weights in (other_terms, inner_terms)
+          for w, i in weights]
+    start = ((budget - sum(w * lc / cu for w, cu, lc in cs))
+             / sum(w / cu for w, cu, _lc in cs))
     t = _solve_log(load, budget, start, what)
     _, _, x, log_y = load(t)
-    values = {(u.node, u.link): _f_log(cu, lcu, log_y)[0]
-              for u, (_w, cu, lcu) in zip(others, other_terms)}
-    values.update(((u.node, u.link), _f_log(cu, lcu, t)[0])
-                  for u, (_w, cu, lcu) in zip(inner, inner_terms))
+    values = {}
+    for part, (losses, weights), s in ((others, other_terms, log_y),
+                                       (inner, inner_terms, t)):
+        fs = [_f_log(cu, lcu, s)[0] for cu, lcu in losses]
+        values.update(((u.node, u.link), fs[i]) for u, (_w, i) in zip(part, weights))
     if coupled is not None:
         values[(coupled.node, coupled.link)] = x
     residual = abs(sum(u.weight * values[(u.node, u.link)] for u in uses) - budget)
     if residual > 1e-9:
         raise ConvergenceError(f"{what} residual {residual:.3e} above tolerance")
-    log_m = sum(u.weight * log1m_pow(u.q, values[(u.node, u.link)])
-                for u in (*uses, *(u for u in tied if u not in uses)))
+    # log(1 - q^v) once per distinct (q, v), summed per use in use order
+    use_keys = {(u.node, u.link) for u in uses}
+    every = [*uses, *(u for u in tied if (u.node, u.link) not in use_keys)]
+    powers = [(u.q, values[(u.node, u.link)]) for u in every]
+    logs = {qv: log1m_pow(*qv) for qv in set(powers)}
+    log_m = sum(u.weight * logs[qv] for u, qv in zip(every, powers))
     return StructuredRelax(MappingProxyType(values), math.exp(log_m), residual)
 
 

@@ -145,8 +145,8 @@ def place_plans(topology: Topology, plans: list[GroupPlan]) -> list[Run]:
     def emit(burst: PlacedBurst, start: int) -> int:
         rx = topology.links[burst.link].other(burst.tx)
         end = start + burst.count
-        runs.append(Run(start, burst.count, burst.tx, rx, burst.link,
-                        burst.origin, burst.k, burst.early))
+        runs.append(_run_of_row((start, burst.count, burst.tx, rx, burst.link,
+                                 burst.origin, burst.k, burst.early)))
         cursor = start
         for rider in burst.riders:
             cursor = emit(rider, cursor)

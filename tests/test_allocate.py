@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -23,8 +24,9 @@ from yslot import (enumerate_path_models, find_model, optimize, patterns_for,
                    validate_topology)
 from yslot.allocate import (GroupChain, LossTables, Origin, Structure,
                             _blocked_uses, _chain_ranks, _chain_uses,
-                            _delivery_product, _early_step, _fill, _greedy_int,
-                            _hideable_uses, _packet_order, _split_structure,
+                            _delivery_product, _early_step, _fill, _fill_order,
+                            _greedy_int, _hideable_uses, _packet_order,
+                            _GroupTable, _split_structure, _unhideable,
                             _widen, assign_early_slots, build_group_chain,
                             candidate_structures, early_window)
 from yslot.relax import Use, log1m_pow, solve_plain_structure
@@ -101,11 +103,11 @@ def greedy_oracle(st, budget):
     return vals, rvals
 
 
-def seeded_y(rng, loss):
-    """A generated Y: three branches of 1-4 nodes, rates 1-3, link and
-    two-hop-through-the-centre proximity plus up to three random pairs;
-    `loss()` gives each link's loss rate."""
-    lengths = [rng.randint(1, 4) for _ in range(3)]
+def seeded_y(rng, loss, lengths=None, cycle_slots=30):
+    """A generated Y: three branches of 1-4 nodes (or of `lengths`), rates
+    1-3, link and two-hop-through-the-centre proximity plus up to three
+    random pairs; `loss()` gives each link's loss rate."""
+    lengths = lengths or [rng.randint(1, 4) for _ in range(3)]
     n_nodes = 1 + sum(lengths)
     links, centre_nbs, node = [], [], 2
     for index, length in enumerate(lengths):
@@ -121,7 +123,7 @@ def seeded_y(rng, loss):
     spare = [(a, b) for a in ids for b in ids if a < b and (a, b) not in proximity]
     proximity.update(rng.sample(spare, rng.randint(0, 3)))
     return validate_topology({
-        "cycle_slots": 30,
+        "cycle_slots": cycle_slots,
         "nodes": [{"id": n, "rate": rng.randint(1, 3)}
                   for n in range(1, n_nodes + 1)],
         "gateways": [{"id": g} for g in range(n_nodes + 1, n_nodes + 4)],
@@ -454,11 +456,80 @@ def test_assign_early_identity_without_window():
     uses = tuple(Use(o.node, l, q, o.rate) for o in chain.origins for l, q in o.route)
     st = Structure("plain", "plain", uses, (), ())
     tentative = plain_greedy(chain, 10)
-    table, regime = assign_early_slots(chain, st, tentative, {}, 0, [], 10,
+    table, regime = assign_early_slots(rates_of(chain), st, tentative, {}, 0, [], 10,
                                        LossTables())
     serialized, early, _rider = table_parts(table)
     assert early == {} and serialized == nonzero(tentative)
     assert regime == ""
+
+
+def chain_keys(chain):
+    """A chain's use keys in chain order, the order of its transmitter map."""
+    return [(o.node, link) for o in chain.origins for link, _q in o.route]
+
+
+def rates_of(chain):
+    return {o.node: o.rate for o in chain.origins}
+
+
+def hideable(chain, st, blocked):
+    """Hideable uses of a structure behind `blocked`: the chain's fill
+    order cut at its unhideable and blocked uses, as the group table cuts
+    it."""
+    keys, ranks = chain_keys(chain), _chain_ranks(chain)
+    return _hideable_uses(_fill_order(keys, ranks), blocked | _unhideable(st, keys),
+                          ranks)
+
+
+def hideable_uses_oracle(chain, st, blocked, ranks):
+    """Reference fill order, sorted on every call: each origin's route
+    prefix of unblocked budget uses that host no rider, upstream link
+    first, downstream origin first within a link."""
+    use_keys = st.use_keys()
+    hosts = set(st.hosts)
+    order, pos = ranks
+    out = []
+    for o in chain.origins:
+        for link, _ in o.route:
+            key = (o.node, link)
+            if key in blocked or key not in use_keys or key in hosts:
+                break
+            out.append(key)
+    out.sort(key=lambda key: (order[key[1]], -pos[key[0]], key[0]))
+    return out
+
+
+def test_hideable_uses_filter_the_fill_order_built_once(case1):
+    # the group table sorts each candidate's fill order once; a step keeps
+    # its unblocked route prefixes, which equals the per-call sort for
+    # every blocked set _blocked_uses can give (the uses of any set of the
+    # group's transmitters), and the order holds the transmitter map's own
+    # key tuples
+    rng = random.Random(25)
+    checked = 0
+    for topo, T in ((case1, 30), (seeded_y(rng, lambda: round(rng.uniform(0.05, 0.55), 4),
+                                           (4, 4, 4), 60), 60)):
+        table = _GroupTable(topo, T)
+        for model in enumerate_path_models(topo):
+            for label in ("X", "Y", "Z"):
+                size = len(table.groups)
+                group = table._group(model, label)
+                if len(table.groups) == size:
+                    continue   # a group already checked
+                uses_of: dict = {}
+                for use_key, txlink in group.txmap.items():
+                    uses_of.setdefault(txlink, []).append(use_key)
+                ids = {id(key) for key in group.txmap}
+                for st, fill in zip(group.candidates, group.fills):
+                    assert {id(key) for key in fill} <= ids
+                    for n in range(len(uses_of) + 1):
+                        for txs in itertools.combinations(uses_of.values(), n):
+                            blocked = {key for keys in txs for key in keys}
+                            assert _hideable_uses(fill, blocked, group.ranks) == \
+                                hideable_uses_oracle(group.chain, st, blocked,
+                                                     group.ranks)
+                            checked += 1
+    assert checked > 10000
 
 
 def two_origin_chain():
@@ -466,7 +537,7 @@ def two_origin_chain():
     its plain structure and fill order, upstream link first."""
     chain = chain_from_routes([[(1, 0.3), (2, 0.4)], [(2, 0.4)]], rates=[2, 1])
     st = Structure("plain", "plain", _chain_uses(chain), (), ())
-    hide_order = _hideable_uses(chain, st, set(), _chain_ranks(chain))
+    hide_order = hideable(chain, st, set())
     assert hide_order == [(100, 1), (101, 2), (100, 2)]
     return chain, st, hide_order
 
@@ -516,7 +587,7 @@ def fill_window_oracle(chain, tentative, hide_order, window):
 
 
 def integer_fill(chain, tentative, hide_order, window):
-    return _fill(tentative, _packet_order(chain, hide_order, tentative), window)
+    return _fill(tentative, _packet_order(rates_of(chain), hide_order, tentative), window)
 
 
 def test_fill_keeps_a_packet_without_its_upstream_hop_out():
@@ -526,14 +597,14 @@ def test_fill_keeps_a_packet_without_its_upstream_hop_out():
     for window in range(8):
         assert integer_fill(chain, STARVED, hide_order, window) == \
             fill_window_oracle(chain, STARVED, hide_order, window)
-    table, regime = assign_early_slots(chain, st, STARVED, {}, 4, hide_order, 6,
+    table, regime = assign_early_slots(rates_of(chain), st, STARVED, {}, 4, hide_order, 6,
                                        LossTables())
     assert regime == "c4" and table_parts(table)[1] == early
     assert table_parts(table)[0] == nonzero({**STARVED, (100, 2, 1): 0, (101, 1, 2): 0,
                                              (100, 2, 2): 0})
     # one slot more and the fill falls short, though link 2 could hold it
     assert integer_fill(chain, STARVED, hide_order, 5) == early
-    assert assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6,
+    assert assign_early_slots(rates_of(chain), st, STARVED, {}, 5, hide_order, 6,
                               LossTables())[1] == "c5"
 
 
@@ -551,7 +622,7 @@ def test_split_window_keeps_a_packet_without_its_upstream_hop_out(monkeypatch):
         return greedy(part, budget, losses)
 
     monkeypatch.setattr(yslot.allocate, "_greedy_int", starved_window_part)
-    table, regime = assign_early_slots(chain, st, STARVED, {}, 5, hide_order, 6,
+    table, regime = assign_early_slots(rates_of(chain), st, STARVED, {}, 5, hide_order, 6,
                                        LossTables())
     assert regime == "c5"
     assert table_parts(table)[1] == {(100, 2, 1): 1, (101, 1, 2): 1, (100, 2, 2): 1}
@@ -572,17 +643,17 @@ def test_split_window_part_by_restriction_equals_the_fill():
                 for st in candidate_structures(model, chain, conflicts):
                     uses = sorted(st.use_keys())
                     blocked = set(rng.sample(uses, rng.randrange(len(uses))))
-                    hide_order = _hideable_uses(chain, st, blocked, _chain_ranks(chain))
+                    hide_order = hideable(chain, st, blocked)
                     rest, hide = _split_structure(st, set(hide_order))
                     losses = LossTables()
                     empty = {key: 0 for key in _greedy_int(st, 0, losses)[0]}
                     for window in range(1, 16):
                         budget = window + rng.randrange(20)
-                        table, regime = assign_early_slots(chain, st, empty, {}, window,
+                        table, regime = assign_early_slots(rates_of(chain), st, empty, {}, window,
                                                            hide_order, budget, losses)
                         serialized, early, rider = table_parts(table, st.riders)
                         part = _greedy_int(hide, window, losses)[0]
-                        filled = _fill(part, _packet_order(chain, hide_order, part), window)
+                        filled = _fill(part, _packet_order(rates_of(chain), hide_order, part), window)
                         assert regime == "c5"
                         assert list(early.items()) == list(filled.items())
                         assert (serialized, rider) == tuple(
@@ -595,10 +666,10 @@ def test_split_window_part_by_restriction_equals_the_fill():
         window = sum(part.values())
         _serialized, early, _rider, split = _early_step(
             st, {}, {}, window, window, hide_order,
-            lambda amounts: _packet_order(chain, hide_order, amounts),
+            lambda amounts: _packet_order(rates_of(chain), hide_order, amounts),
             lambda part_st, _budget: (dict(part) if part_st.uses else {}, {}))
         assert split
-        assert early == _fill(part, _packet_order(chain, hide_order, part), window)
+        assert early == _fill(part, _packet_order(rates_of(chain), hide_order, part), window)
         assert (100, 1, 2) not in early and (100, 1, 1) not in early
 
 
@@ -610,7 +681,7 @@ def test_window_regime_boundaries(window, label):
     chain, st, hide_order = two_origin_chain()
     tentative = {(100, 1, 1): 1, (100, 2, 1): 1, (101, 1, 2): 3,
                  (100, 1, 2): 2, (100, 2, 2): 2}
-    table, regime = assign_early_slots(chain, st, tentative, {}, window, hide_order, 12,
+    table, regime = assign_early_slots(rates_of(chain), st, tentative, {}, window, hide_order, 12,
                                        LossTables())
     serialized, early, _rider = table_parts(table)
     assert regime == label
@@ -641,10 +712,9 @@ def test_greedy_allocations_are_causal():
         for model in enumerate_path_models(topo)[:3]:
             for label in ("X", "Y", "Z"):
                 chain = build_group_chain(model, label)
-                ranks = _chain_ranks(chain)
                 for st in candidate_structures(model, chain, conflicts):
                     kinds.add(st.kind)
-                    hide_order = _hideable_uses(chain, st, set(), ranks)
+                    hide_order = hideable(chain, st, set())
                     for part in (st, *_split_structure(st, set(hide_order))):
                         for budget in (*range(25), 60, 200):
                             vals, _rvals = _greedy_int(part, budget, LossTables())
@@ -765,6 +835,35 @@ def test_optimize_solves_each_group_once(case1, monkeypatch):
     assert len(solutions) == 27
     assert len(residuals) == 28
     assert calls == {"_greedy_int": 93, "place_plans": 49}
+
+
+def optimize_peak_mb(topology) -> float:
+    """Traced peak of one `optimize` above its start, in MB (10^6 bytes)."""
+    optimize(topology)   # conflicts derived, every module loaded
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        solutions = optimize(topology)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(solutions) == 140
+    return peak / 1e6
+
+
+# Python 3.11: this optimize peaked at 8.41 MB before the group table held
+# its per-group orders, and peaks at 8.28 MB with them; the same orders
+# built from fresh (node, link) tuples read 9.06 MB
+PEAK_BOUND_MB = 8.45
+
+
+def test_optimize_peak_memory_on_a_generated_y():
+    # the group table keeps its per-group orders as references to the
+    # transmitter map's key tuples, and hops of one transmitter share its
+    # tuple, so holding the orders costs no memory at the peak
+    rng = random.Random(80)
+    topology = seeded_y(rng, lambda: round(rng.uniform(0.05, 0.55), 4), (5, 5, 5), 80)
+    assert optimize_peak_mb(topology) < PEAK_BOUND_MB
 
 
 def counted_log1m_pow(monkeypatch) -> Counter:

@@ -3,12 +3,15 @@ import random
 
 import pytest
 
-from conftest import ffun, gfun, recorded_residuals, solve_plain_chain
-from yslot import DomainError, optimize, solve_pattern
+from conftest import (branch_config, ffun, gfun, recorded_residuals,
+                      solve_plain_chain)
+from yslot import (ConvergenceError, DomainError, enumerate_path_models,
+                   optimize, solve_pattern, validate_topology)
 from yslot.allocate import (GroupChain, Origin, _relax_structure,
                             build_group_chain, candidate_structures)
 from yslot.pathmodel import find_model
-from yslot.relax import (Use, solve_plain_structure, solve_rider_feeders,
+from yslot.relax import (Use, _f_log, _solve_log, log1m_pow,
+                         solve_plain_structure, solve_rider_feeders,
                          solve_rider_terminal)
 from yslot.topology import derive_conflicts
 
@@ -198,3 +201,120 @@ def test_every_form_meets_large_budgets(budget):
         assert sol.residual <= 1e-9
         assert all(math.isfinite(v) and v > 0 for v in sol.values.values())
         assert 0.0 < sol.product <= 1.0
+
+
+def per_use_solve(uses, budget, what, inner, coupled):
+    """Reference relaxed solve that takes F, the load and log(1 - q^v)
+    once per use, as the solver did before it shared them per distinct
+    loss: (values, product, residual), bit for bit what the solver must
+    give."""
+    if budget <= 0.0:
+        raise DomainError(f"budget {budget} must be > 0")
+    tied = [*inner, coupled] if coupled is not None else []
+    others = [u for u in uses if u not in tied]
+
+    def terms(part):
+        return [(u.weight, c := -math.log(u.q), math.log(c)) for u in part]
+
+    def load_of(part_terms, s):
+        total = slope = 0.0
+        for w, c, log_c in part_terms:
+            f, df = _f_log(c, log_c, s)
+            total += w * f
+            slope += w * df
+        return total, slope
+
+    inner_terms, other_terms = terms(inner), terms(others)
+    if coupled is not None:
+        _w, c, log_c = terms([coupled])[0]
+
+    def load(t):
+        inner_load, inner_slope = load_of(inner_terms, t)
+        x, log_y, dlog_y = 0.0, t, 1.0
+        if coupled is not None:
+            x = max(inner_load / coupled.weight, 1e-300)
+            log_g = log_c - c * x - math.log(-math.expm1(-c * x))
+            log_y = -max(-t, log_g) - math.log1p(math.exp(-abs(t + log_g)))
+            dlog_y = (math.exp(log_y - t) + math.exp(log_y + log_g)
+                      * (c + math.exp(log_g)) * inner_slope / coupled.weight)
+        other_load, other_slope = load_of(other_terms, log_y)
+        return (other_load + inner_load, other_slope * dlog_y + inner_slope,
+                x, log_y)
+
+    cs = [*other_terms, *inner_terms]
+    start = ((budget - sum(w * lc / c for w, c, lc in cs))
+             / sum(w / c for w, c, _lc in cs))
+    t = _solve_log(load, budget, start, what)
+    _, _, x, log_y = load(t)
+    values = {(u.node, u.link): _f_log(cu, lcu, log_y)[0]
+              for u, (_w, cu, lcu) in zip(others, other_terms)}
+    values.update(((u.node, u.link), _f_log(cu, lcu, t)[0])
+                  for u, (_w, cu, lcu) in zip(inner, inner_terms))
+    if coupled is not None:
+        values[(coupled.node, coupled.link)] = x
+    residual = abs(sum(u.weight * values[(u.node, u.link)] for u in uses) - budget)
+    if residual > 1e-9:
+        raise ConvergenceError(f"{what} residual {residual:.3e} above tolerance")
+    log_m = sum(u.weight * log1m_pow(u.q, values[(u.node, u.link)])
+                for u in (*uses, *(u for u in tied if u not in uses)))
+    return values, math.exp(log_m), residual
+
+
+def per_use_structure(st, budget):
+    """`per_use_solve` of a candidate structure, dispatched by its kind."""
+    uses = list(st.uses)
+    if st.kind == "plain":
+        return per_use_solve(uses, budget, "plain budget", [], None)
+    if st.kind == "rider-terminal":
+        feeders = [u for u in uses if (u.node, u.link) in st.hosts]
+        return per_use_solve(uses, budget, "rider-terminal budget", feeders,
+                             st.riders[0])
+    terminal = next(u for u in uses if (u.node, u.link) == st.hosts[0])
+    return per_use_solve(uses, budget, "rider-feeders budget", list(st.riders),
+                         terminal)
+
+
+def solved(st, budget):
+    relaxed = _relax_structure(st, budget)
+    return relaxed.values, relaxed.product, relaxed.residual
+
+
+def hex_outcome(solve):
+    """A solve's values, product and residual as hex, or the error it raised."""
+    try:
+        values, product, residual = solve()
+    except ConvergenceError as exc:
+        return repr(exc)
+    return ([(key, v.hex()) for key, v in values.items()], product.hex(),
+            residual.hex())
+
+
+def test_per_distinct_loss_terms_match_the_per_use_solve():
+    # the solver takes F and log(1 - q^v) once per distinct loss and adds
+    # w * F per use in use order, so every value, product and residual is
+    # the per-use solve's, bit for bit; a per-link weight sum is not
+    rng = random.Random(2025)
+    kinds, repeated, checked = set(), 0, 0
+    for lengths in ((1, 2, 3), (2, 3, 1), (3, 3, 3), (4, 2, 5)):
+        raw = branch_config(lengths)
+        pool = [round(rng.uniform(0.02, 0.9), 4) for _ in range(3)]
+        for link in raw["links"]:
+            link["loss"] = rng.choice(pool)
+        for node in raw["nodes"]:
+            node["rate"] = rng.randint(1, 3)
+        topology = validate_topology(raw)
+        conflicts = derive_conflicts(topology)
+        for model in rng.sample(enumerate_path_models(topology), 4):
+            for label in ("X", "Y", "Z"):
+                chain = build_group_chain(model, label)
+                for st in candidate_structures(model, chain, conflicts):
+                    kinds.add(st.kind)
+                    repeated += len({u.q for u in st.uses}) < len(st.uses)
+                    for budget in (1.0, 10_000.0, rng.choice((3.0, 30.0, 300.0)),
+                                   round(math.exp(rng.uniform(0.0, math.log(1e4))), 3)):
+                        assert hex_outcome(lambda: solved(st, budget)) == \
+                            hex_outcome(lambda: per_use_structure(st, budget)), \
+                            (st, budget)
+                        checked += 1
+    assert kinds == {"plain", "rider-terminal", "rider-feeders"}
+    assert repeated > 20 and checked > 300
