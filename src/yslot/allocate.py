@@ -6,15 +6,17 @@ Pipeline per group, in pattern placement order:
    overlap orientations when a feeder's first-hop burst and the terminal
    node's own burst do not interfere (the feeder hops can share the
    terminal's slots, or vice versa).
-2. Integer optimum per structure by greedy marginal-gain allocation, then
-   the early-window step, one `_early_step` for the integer (per packet
-   hop) and the relaxed (per use) walk: move the slots of unblocked
-   transmitters into the window left by previously placed groups, in fill
-   order (upstream hops first), until it is covered, and only when the
-   fill falls short split the group into a window part and the rest.
-3. The best structure by integer product wins (COM).  Greedy gains and
-   products read log(1 - q^v) from the solve's loss tables, so each
-   (q, v) is computed once per solve, not once per call.
+2. Integer optimum per structure by greedy marginal-gain allocation at
+   budget T, scored once: its product and per-node COM.  Gains, packet
+   hop keys and products come from the solve's loss tables, so each is
+   made once per solve, not once per call.
+3. Per step, one `_early_step` for the integer (per packet hop) and the
+   relaxed (per use) walk fills the window left by previously placed
+   groups from the optimum, in fill order (upstream hops first).  A
+   covered window keeps the optimum and its scores; only a short one
+   splits the group into a window part and the rest (c5), greedied and
+   scored anew.  The first best product wins (COM), and only the winner
+   gets a slot table.
 4. The relaxed optimum (adjunct-variable solve) of the winning structure
    only is the group's TUB product, so TUB >= COM holds by relaxed
    feasibility; `relaxed_table` builds the TUB slot table on demand.
@@ -25,15 +27,15 @@ returns; `solve_pattern` builds one for its pattern.  One topology and
 one T fix everything but the group, so the first level is keyed on
 (label, nodes, routes of those nodes) and holds the chain, candidate
 structures, transmitter map, ranks, origin rates and predicted case; per
-candidate, one read-only budget-T greedy and the fill order with nothing
-blocked, sorted once (a step keeps its unblocked route prefixes); and,
-once a structure wins, its relaxed optimum and burst order.  The orders
-hold the transmitter map's own key tuples, never copies.  The table also
-owns the loss tables, so no cache outlives a solve.  A group's step reads the placement before it only through the
-early window and the blocked uses, so the second level is keyed on
-(window, sorted blocked uses) and holds the frozen `GroupStep` a
-solution is made of.  Both hits are exact: the key is every input of the
-work it stands for.
+candidate, the budget-T greedy, its scores and the fill order with
+nothing blocked, sorted once (a step keeps its unblocked route prefixes);
+and, once a structure wins, its relaxed optimum and burst order.  Orders
+hold the transmitter map's own key tuples, never copies, and the table
+owns the loss tables, so no cache outlives a solve.  A group's step reads
+the placement before it only through the early window and the blocked
+uses, so the second level is keyed on (window, sorted blocked uses) and
+holds the frozen `GroupStep` a solution is made of.  Both hits are exact:
+the key is every input of the work it stands for.
 """
 
 from __future__ import annotations
@@ -101,7 +103,12 @@ class _LossTable:
 
 
 class LossTables(dict):
-    """One solve's `_LossTable` per loss rate, made on first read."""
+    """One solve's `_LossTable` per loss rate, made on first read, and
+    `hops`, each use's packet entries, shared by all the solve's greedies."""
+
+    def __init__(self):
+        super().__init__()
+        self.hops: dict[tuple, tuple[tuple[EntryKey, float], ...]] = {}
 
     def __missing__(self, q: float) -> _LossTable:
         table = self[q] = _LossTable(q)
@@ -122,9 +129,14 @@ class Structure:
         return {(u.node, u.link) for u in self.uses}
 
 
-def _packet_entries(uses: tuple[Use, ...]) -> list[tuple[EntryKey, float]]:
-    return [((u.node, k, u.link), u.q)
-            for u in uses for k in range(1, u.weight + 1)]
+def _packet_entries(uses: tuple[Use, ...], hops: dict) -> list[tuple[EntryKey, float]]:
+    """((node, k, link), loss) of each use's packets, built once per solve."""
+    entries = []
+    for u in uses:
+        key = (u.node, u.link, u.q, u.weight)
+        entries += hops.get(key) or hops.setdefault(key, tuple(
+            ((u.node, k, u.link), u.q) for k in range(1, u.weight + 1)))
+    return entries
 
 
 def _chain_uses(chain: GroupChain) -> tuple[Use, ...]:
@@ -220,11 +232,11 @@ def _greedy_int(st: Structure, budget: int, losses: LossTables,
     with the rider gain and compared one by one, since that sum can round
     two unequal host gains into a tie the index must break; a free step
     changes neither the host counts nor the rider heap, so they are
-    rescanned only after a host step.  Gains come from the solve's loss
-    tables, so each is computed once per solve.
+    rescanned only after a host step.  Gains and keys come from the
+    solve's loss tables, so each is made once per solve.
     """
-    entries = _packet_entries(st.uses)
-    riders = _packet_entries(st.riders)
+    entries = _packet_entries(st.uses, losses.hops)
+    riders = _packet_entries(st.riders, losses.hops)
     host_keys = set(st.hosts) if riders else set()
     tables = [losses[q] for _key, q in entries]
     rtables = [losses[q] for _key, q in riders]
@@ -372,17 +384,22 @@ def _classify_case(hide_order: list[UseKey], tentative: dict[EntryKey, int],
     return "c3" if window <= caps[0] + caps[1] else "c4"
 
 
-def _delivery_product(origins, totals: dict[EntryKey, int],
-                      losses: LossTables) -> float:
-    """Probability that every packet of the origins crosses its route: the
-    product of (1 - q^slots) over each packet's route links, 0 when a link
-    got no slot."""
+def _delivery_product(origins, totals: dict[EntryKey, int], losses: LossTables):
+    """Probability that every packet of the origins crosses its route, and
+    per origin node: the product of (1 - q^slots) over each packet's route
+    links, 0 when a link got no slot.  Each log term goes into the running
+    sum and its origin's, so both equal a walk over their origins alone."""
     log_m = 0.0
+    per_node = {}
     for o in origins:
+        log_o = 0.0
         for k in range(1, o.rate + 1):
             for link, q in o.route:
-                log_m += losses[q].log(totals.get((o.node, k, link), 0))
-    return math.exp(log_m) if log_m > -math.inf else 0.0
+                term = losses[q].log(totals.get((o.node, k, link), 0))
+                log_m += term
+                log_o += term
+        per_node[o.node] = math.exp(log_o) if log_o > -math.inf else 0.0
+    return (math.exp(log_m) if log_m > -math.inf else 0.0), per_node
 
 
 def _fill(amounts: dict, order, window, eps: float = 0.0) -> dict:
@@ -401,7 +418,7 @@ def _fill(amounts: dict, order, window, eps: float = 0.0) -> dict:
     return early
 
 
-def _early_step(st: Structure, optimum: dict, rider: dict, window, budget,
+def _early_step(st: Structure, optimum: dict, window, budget,
                 hide_order: list[UseKey], order, solve, eps: float = 0.0):
     """Early-window step of both walks: fill the window from the budget-T
     optimum in fill order (`order(amounts)`); a full window keeps that
@@ -410,16 +427,24 @@ def _early_step(st: Structure, optimum: dict, rider: dict, window, budget,
     `window` among the hideable ones, restricted to the hops their fill
     order admits.  Both regimes are optimal for the constraint set
     (serialized sum <= budget - window, early sum <= window, early only on
-    hideable hops).  Returns (serialized, early in fill order, rider, split)."""
+    hideable hops).  Returns the fill, and the split's (serialized, early
+    in fill order, rider) or None."""
     early = _fill(optimum, order(optimum), window, eps)
     if sum(early.values()) + eps >= window:
-        serialized = {key: v - early.get(key, 0) for key, v in optimum.items()}
-        return serialized, early, rider, False
+        return early, None
     st_rest, st_hide = _split_structure(st, set(hide_order))
     serialized, rider = solve(st_rest, budget - window)
     hide, _ = solve(st_hide, window)
-    early = {key: hide[key] for key in order(hide) if hide.get(key, 0) > eps}
-    return serialized, early, rider, True
+    return early, (serialized, {key: hide[key] for key in order(hide)
+                                if hide.get(key, 0) > eps}, rider)
+
+
+def _step_parts(optimum: dict, rider: dict, early: dict, split):
+    """(serialized, early, rider) of an early-window step: the split's
+    parts, or the optimum less the fill that covers the window."""
+    if split:
+        return split
+    return {key: v - early.get(key, 0) for key, v in optimum.items()}, early, rider
 
 
 def _packet_order(rates: dict[int, int], hide_order: list[UseKey],
@@ -438,20 +463,14 @@ def _packet_order(rates: dict[int, int], hide_order: list[UseKey],
         upstream[node] = link
 
 
-def assign_early_slots(rates: dict[int, int], st: Structure,
-                       tentative: dict[EntryKey, int], rider: dict[EntryKey, int],
-                       window: int, hide_order: list[UseKey], budget: int,
-                       losses: LossTables) -> tuple[dict[SlotKey, int], str]:
-    """Integer early-window step, per packet hop: `_early_step` with the
-    greedy on the solve's loss tables.  Returns the group's slot table (serialized slots, then the
-    early-window slots in fill order, then the rider slots, zero counts
-    left out) and its window regime: "" none, c1-c4 hide, c5 split.  A
-    greedy at budget `window` fills exactly `window`, so restricting its
-    window part equals filling it."""
-    serialized, early, rider, split = _early_step(
-        st, tentative, rider, window, budget, hide_order,
-        lambda amounts: _packet_order(rates, hide_order, amounts),
-        lambda part, part_budget: _greedy_int(part, part_budget, losses))
+def assign_early_slots(tentative: dict[EntryKey, int], rider: dict[EntryKey, int],
+                       early: dict[EntryKey, int], split, hide_order: list[UseKey],
+                       window: int) -> tuple[dict[SlotKey, int], str]:
+    """Slot table of an integer early-window step from the budget-T greedy:
+    serialized slots, then the early ones in fill order, then the riders',
+    zero counts left out; and its window regime: "" none, c1-c4 hide, c5
+    split."""
+    serialized, early, rider = _step_parts(tentative, rider, early, split)
     table = {(node, k, link, is_early): v
              for is_early, counts in ((False, serialized), (True, early), (True, rider))
              for (node, k, link), v in counts.items() if v > 0}
@@ -591,9 +610,10 @@ def relaxed_table(solution: PatternSolution,
             _fill_order(txmap, ranks),
             _blocked_uses(txmap, window, placed, conflicts) | _unhideable(st, txmap),
             ranks)
-        serialized, early, rider, _ = _early_step(
-            st, *_scaled(step.relaxed.values, st), window, budget, hide_order,
-            lambda amounts: hide_order, _relaxed_uses, _TOL)
+        optimum, rider = _scaled(step.relaxed.values, st)
+        serialized, early, rider = _step_parts(optimum, rider, *_early_step(
+            st, optimum, window, budget, hide_order, lambda amounts: hide_order,
+            _relaxed_uses, _TOL))
 
         # early slots from 0, serialized bursts from the window on; riders
         # span their hosts, which are never hideable
@@ -650,8 +670,10 @@ class GroupStep:
 
 @dataclass
 class _Group:
-    """A group's pattern-independent work at one topology and T.  Its
-    maps and orders hold the transmitter map's key tuples, not copies."""
+    """A group's pattern-independent work at one topology and T: each
+    candidate's greedy and scores, made once, and a winner's relaxed
+    optimum and burst order, made when it first wins.  Its maps and orders
+    hold the transmitter map's key tuples, not copies."""
 
     chain: GroupChain
     candidates: list[Structure]
@@ -659,9 +681,10 @@ class _Group:
     ranks: Ranks
     rates: dict[int, int]                # per origin
     predicted: str | None
-    # per candidate: the budget-T greedy (read-only) and the fill order
-    # with nothing blocked
+    # per candidate: the budget-T greedy (read-only), its product and
+    # per-node COM, and the fill order with nothing blocked
     greedy: list[tuple[dict[EntryKey, int], dict[EntryKey, int]]]
+    scores: list[tuple[float, dict[int, float]]]
     fills: list[list[UseKey]]
     # per winning candidate index: the relaxed optimum and the burst order
     relaxed: dict[int, StructuredRelax]
@@ -692,43 +715,52 @@ class _GroupTable:
             txmap = model.transmitter_map(label)
             ranks = _chain_ranks(chain)
             order = _fill_order(txmap, ranks)
+            greedy = [_greedy_int(st, self.T, self.losses) for st in candidates]
             group = self.groups[key] = _Group(
                 chain, candidates, txmap, ranks,
                 {o.node: o.rate for o in chain.origins},
-                predicted_case(chain, candidates),
-                [_greedy_int(st, self.T, self.losses) for st in candidates],
+                predicted_case(chain, candidates), greedy,
+                [_delivery_product(chain.origins, {**tentative, **rider}, self.losses)
+                 for tentative, rider in greedy],
                 [_hideable_uses(order, _unhideable(st, txmap), ranks)
                  for st in candidates], {}, {}, {})
         return group
 
+    def _score(self, group: _Group, i: int, window: int, blocked: set[UseKey]):
+        """Candidate i's product, per-node COM, hideable uses, fill and
+        split, by `_early_step` per packet hop (a greedy at budget `window`
+        fills it exactly, so restricting the window part fills it): only a
+        split (c5) walks its parts, which hold disjoint packet hops; the
+        rest keep their stored scores."""
+        hide_order = _hideable_uses(group.fills[i], blocked, group.ranks)
+        early, split = _early_step(
+            group.candidates[i], group.greedy[i][0], window, self.T, hide_order,
+            partial(_packet_order, group.rates, hide_order),
+            lambda part, budget: _greedy_int(part, budget, self.losses))
+        product, per_node = group.scores[i] if split is None else _delivery_product(
+            group.chain.origins, {**split[0], **split[1], **split[2]}, self.losses)
+        return product, per_node, hide_order, early, split
+
     def _place(self, group: _Group, window: int,
                blocked: set[UseKey]) -> GroupStep:
-        chain, T, losses = group.chain, self.T, self.losses
-        best = None
-        for i, st in enumerate(group.candidates):
-            hide_order = _hideable_uses(group.fills[i], blocked, group.ranks)
-            tentative, rider = group.greedy[i]
-            table, regime = assign_early_slots(group.rates, st, tentative, rider,
-                                               window, hide_order, T, losses)
-            totals: dict[EntryKey, int] = {}   # slots per packet hop
-            for key, v in table.items():
-                hop = key[:3]
-                totals[hop] = totals.get(hop, 0) + v
-            product = _delivery_product(chain.origins, totals, losses)
-            if best is None or product > best[0]:
-                best = (product, i, table, regime, totals)
-        _product, i, table, regime, totals = best
+        """Score every candidate, keep the first of largest product, and
+        build the slot table, plan and extents of that winner only."""
+        scored = [self._score(group, i, window, blocked)
+                  for i in range(len(group.candidates))]
+        # max keeps the first of equal products: a later candidate wins
+        # only with a strictly larger one
+        i = max(range(len(scored)), key=lambda i: scored[i][0])
+        _product, per_node, hide_order, early, split = scored[i]
         st = group.candidates[i]
+        table, regime = assign_early_slots(*group.greedy[i], early, split, hide_order, window)
         if i not in group.relaxed:
-            group.relaxed[i] = _relax_structure(st, float(T))
+            group.relaxed[i] = _relax_structure(st, float(self.T))
             group.serials[i] = _serial_order(st, group.txmap, group.ranks)
         lab = st.label if st.label != "plain" else ""
         if regime:
             lab = f"{lab}+{regime}" if lab else regime
 
         plan = _build_plan(group, i, table, window)
-        per_node = {o.node: _delivery_product([o], totals, losses)
-                    for o in chain.origins}
         # each transmitter's hull, keyed on the transmitter map's tuple
         extents: dict[TxLink, tuple[int, int]] = {}
         for r in place_plans(self.topology, [plan]):

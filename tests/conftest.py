@@ -202,7 +202,7 @@ def com_probability(entries: dict, model) -> tuple[dict[int, float], float]:
     for node in topo.nodes:
         route = tuple((lid, topo.links[lid].loss) for lid in model.route(node))
         per_node[node] = _delivery_product(
-            [Origin(node, topo.rates[node], route)], totals, losses)
+            [Origin(node, topo.rates[node], route)], totals, losses)[0]
     return per_node, math.prod(per_node.values())
 
 

@@ -201,7 +201,7 @@ def test_criterion_9_oracle_equivalence():
             for b in range(1, max_budget + 1):
                 chain = GroupChain("g", origins)
                 mine = math.log(x) if (x := _delivery_product(
-                    origins, plain_greedy(chain, b), LossTables())) > 0 else -np.inf
+                    origins, plain_greedy(chain, b), LossTables())[0]) > 0 else -np.inf
                 brute = value[budget_idx[b]].max()
                 if brute == -np.inf:
                     assert mine == -np.inf, (shape, qs, b)
@@ -212,7 +212,7 @@ def test_criterion_9_oracle_equivalence():
     # the hand value: 2 origins, both links q=0.5, budget 5
     chain = GroupChain("g", (Origin(1, 1, ((1, 0.5), (2, 0.5))),
                              Origin(2, 1, ((2, 0.5),))))
-    assert _delivery_product(chain.origins, plain_greedy(chain, 5), LossTables()) == \
+    assert _delivery_product(chain.origins, plain_greedy(chain, 5), LossTables())[0] == \
         pytest.approx(0.28125, abs=1e-12)
     ok(9, f"greedy rounding equals brute force on {checked} grid cases "
           "(hand value 0.28125 included)")

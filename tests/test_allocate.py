@@ -63,7 +63,7 @@ def brute_force_best(chain, budget):
 
 
 def alloc_product(chain, vals):
-    return _delivery_product(chain.origins, vals, LossTables())
+    return _delivery_product(chain.origins, vals, LossTables())[0]
 
 
 def gain(q, v):
@@ -456,11 +456,22 @@ def test_assign_early_identity_without_window():
     uses = tuple(Use(o.node, l, q, o.rate) for o in chain.origins for l, q in o.route)
     st = Structure("plain", "plain", uses, (), ())
     tentative = plain_greedy(chain, 10)
-    table, regime = assign_early_slots(rates_of(chain), st, tentative, {}, 0, [], 10,
-                                       LossTables())
+    table, regime = early_slots(rates_of(chain), st, tentative, {}, 0, [], 10,
+                                LossTables())
     serialized, early, _rider = table_parts(table)
     assert early == {} and serialized == nonzero(tentative)
     assert regime == ""
+
+
+def early_slots(rates, st, tentative, rider, window, hide_order, budget, losses):
+    """A candidate's slot table and window regime behind a window, from its
+    budget-T greedy: the integer early-window step (per packet hop, split
+    parts by the greedy), then its table."""
+    step = _early_step(st, tentative, window, budget, hide_order,
+                       functools.partial(_packet_order, rates, hide_order),
+                       lambda part, part_budget: yslot.allocate._greedy_int(
+                           part, part_budget, losses))
+    return assign_early_slots(tentative, rider, *step, hide_order, window)
 
 
 def chain_keys(chain):
@@ -597,15 +608,15 @@ def test_fill_keeps_a_packet_without_its_upstream_hop_out():
     for window in range(8):
         assert integer_fill(chain, STARVED, hide_order, window) == \
             fill_window_oracle(chain, STARVED, hide_order, window)
-    table, regime = assign_early_slots(rates_of(chain), st, STARVED, {}, 4, hide_order, 6,
-                                       LossTables())
+    table, regime = early_slots(rates_of(chain), st, STARVED, {}, 4, hide_order, 6,
+                                LossTables())
     assert regime == "c4" and table_parts(table)[1] == early
     assert table_parts(table)[0] == nonzero({**STARVED, (100, 2, 1): 0, (101, 1, 2): 0,
                                              (100, 2, 2): 0})
     # one slot more and the fill falls short, though link 2 could hold it
     assert integer_fill(chain, STARVED, hide_order, 5) == early
-    assert assign_early_slots(rates_of(chain), st, STARVED, {}, 5, hide_order, 6,
-                              LossTables())[1] == "c5"
+    assert early_slots(rates_of(chain), st, STARVED, {}, 5, hide_order, 6,
+                       LossTables())[1] == "c5"
 
 
 def test_split_window_keeps_a_packet_without_its_upstream_hop_out(monkeypatch):
@@ -622,8 +633,8 @@ def test_split_window_keeps_a_packet_without_its_upstream_hop_out(monkeypatch):
         return greedy(part, budget, losses)
 
     monkeypatch.setattr(yslot.allocate, "_greedy_int", starved_window_part)
-    table, regime = assign_early_slots(rates_of(chain), st, STARVED, {}, 5, hide_order, 6,
-                                       LossTables())
+    table, regime = early_slots(rates_of(chain), st, STARVED, {}, 5, hide_order, 6,
+                                LossTables())
     assert regime == "c5"
     assert table_parts(table)[1] == {(100, 2, 1): 1, (101, 1, 2): 1, (100, 2, 2): 1}
 
@@ -649,8 +660,8 @@ def test_split_window_part_by_restriction_equals_the_fill():
                     empty = {key: 0 for key in _greedy_int(st, 0, losses)[0]}
                     for window in range(1, 16):
                         budget = window + rng.randrange(20)
-                        table, regime = assign_early_slots(rates_of(chain), st, empty, {}, window,
-                                                           hide_order, budget, losses)
+                        table, regime = early_slots(rates_of(chain), st, empty, {}, window,
+                                                    hide_order, budget, losses)
                         serialized, early, rider = table_parts(table, st.riders)
                         part = _greedy_int(hide, window, losses)[0]
                         filled = _fill(part, _packet_order(rates_of(chain), hide_order, part), window)
@@ -664,11 +675,12 @@ def test_split_window_part_by_restriction_equals_the_fill():
     chain, st, hide_order = two_origin_chain()
     for part in (STARVED, {**STARVED, (100, 2, 2): 1}):
         window = sum(part.values())
-        _serialized, early, _rider, split = _early_step(
-            st, {}, {}, window, window, hide_order,
+        _unfilled, split = _early_step(
+            st, {}, window, window, hide_order,
             lambda amounts: _packet_order(rates_of(chain), hide_order, amounts),
             lambda part_st, _budget: (dict(part) if part_st.uses else {}, {}))
-        assert split
+        assert split is not None
+        early = split[1]
         assert early == _fill(part, _packet_order(rates_of(chain), hide_order, part), window)
         assert (100, 1, 2) not in early and (100, 1, 1) not in early
 
@@ -681,8 +693,8 @@ def test_window_regime_boundaries(window, label):
     chain, st, hide_order = two_origin_chain()
     tentative = {(100, 1, 1): 1, (100, 2, 1): 1, (101, 1, 2): 3,
                  (100, 1, 2): 2, (100, 2, 2): 2}
-    table, regime = assign_early_slots(rates_of(chain), st, tentative, {}, window, hide_order, 12,
-                                       LossTables())
+    table, regime = early_slots(rates_of(chain), st, tentative, {}, window, hide_order, 12,
+                                LossTables())
     serialized, early, _rider = table_parts(table)
     assert regime == label
     if label != "c5":
@@ -766,7 +778,7 @@ def test_com_probability_trivials(case1):
     model = find_model(case1, "3-2-3", 11)
     totals = {(8, 1, 10): 2}
     losses = LossTables()
-    per_node = {o.node: _delivery_product([o], totals, losses) for label in "XYZ"
+    per_node = {o.node: _delivery_product([o], totals, losses)[0] for label in "XYZ"
                 for o in build_group_chain(model, label).origins}
     assert per_node[8] == pytest.approx(1 - 0.3 ** 2, abs=1e-12)  # q10 = 0.3
     assert per_node[4] == 0.0
@@ -816,10 +828,15 @@ def test_optimize_rankings(all_cases):
 
 def test_optimize_solves_each_group_once(case1, monkeypatch):
     # one optimize shares each group's work across its patterns: one
-    # relaxed solve per (group, winning structure), one greedy per
-    # (group, candidate) plus the c5 split parts of each distinct step, and
-    # one place_plans per distinct (group, window, blocked uses) step
-    calls = {"_greedy_int": 0, "place_plans": 0}
+    # relaxed solve per (group, winning structure), one greedy and one
+    # product walk per (group, candidate), plus the c5 split, its two
+    # greedies and a walk over its parts per c5 candidate of each distinct
+    # (group, window, blocked uses) step, and one slot table and one
+    # place_plans per distinct step, for its winner; a slot table per
+    # candidate of each step (95) and a walk per candidate and per winning
+    # origin (260) are gone
+    calls = {"_greedy_int": 0, "place_plans": 0, "assign_early_slots": 0,
+             "_split_structure": 0, "_delivery_product": 0}
 
     def counting(name, fn):
         def call(*args):
@@ -834,7 +851,81 @@ def test_optimize_solves_each_group_once(case1, monkeypatch):
         solutions = optimize(case1, 30)
     assert len(solutions) == 27
     assert len(residuals) == 28
-    assert calls == {"_greedy_int": 93, "place_plans": 49}
+    assert calls == {"_greedy_int": 93, "place_plans": 49, "assign_early_slots": 49,
+                     "_split_structure": 20, "_delivery_product": 73}
+
+
+def old_group_step(group, window, blocked, T):
+    """Reference group step, scored the way every candidate once was: a
+    fresh budget-T greedy, its early-window step, slot table and regime
+    (`early_slots`), its product from a walk over the table's slots per
+    packet hop, and the winner's per-node COM from one walk per origin.  Returns the winner's index, product, table, regime and
+    per-node COM, and every candidate's (product, regime)."""
+    losses = LossTables()
+    keys, ranks = list(group.txmap), group.ranks
+    rows = []
+    for st in group.candidates:
+        tentative, rider = _greedy_int(st, T, losses)
+        hide_order = _hideable_uses(_fill_order(keys, ranks),
+                                    blocked | _unhideable(st, keys), ranks)
+        table, regime = early_slots(group.rates, st, tentative, rider,
+                                    window, hide_order, T, losses)
+        totals: dict = {}
+        for (node, k, link, _early), v in table.items():
+            totals[(node, k, link)] = totals.get((node, k, link), 0) + v
+        rows.append((_delivery_product(group.chain.origins, totals, losses)[0],
+                     table, regime, totals))
+    best = 0
+    for i, row in enumerate(rows):
+        if row[0] > rows[best][0]:
+            best = i
+    product, table, regime, totals = rows[best]
+    per_node = {o.node: _delivery_product([o], totals, losses)[0]
+                for o in group.chain.origins}
+    return best, product, table, regime, per_node, [(r[0], r[2]) for r in rows]
+
+
+def test_group_steps_match_scoring_every_candidate_in_full(all_cases, monkeypatch):
+    # a candidate that does not split keeps its budget-T product and
+    # per-node COM, and only the winner gets a slot table: every distinct
+    # step of these optimizes equals scoring each candidate through its
+    # full slot table and walking the winner once per origin, bit for bit
+    steps = []
+    place = _GroupTable._place
+
+    def recording(self, group, window, blocked):
+        step = place(self, group, window, blocked)
+        steps.append((self, group, window, set(blocked), step))
+        return step
+
+    monkeypatch.setattr(_GroupTable, "_place", recording)
+    rng = random.Random(26)
+    for topology in all_cases.values():
+        for T in (20, 30, 60, 120):
+            optimize(topology, T)
+    for lengths, T in (((4, 4, 4), 60), (None, 30), (None, 45), ((3, 2, 4), 24)):
+        optimize(seeded_y(rng, lambda: round(rng.uniform(0.05, 0.6), 4), lengths, T))
+    seen = Counter()
+    for table, group, window, blocked, step in steps:
+        i, product, entries, regime, per_node, rows = old_group_step(
+            group, window, blocked, table.T)
+        st = group.candidates[i]
+        assert step.structure is st
+        assert list(step.entries.items()) == list(entries.items())
+        lab = st.label if st.label != "plain" else ""
+        assert step.case_label == (f"{lab}+{regime}" if lab and regime else lab or regime)
+        assert [(n, p.hex()) for n, p in step.per_node.items()] == \
+            [(n, p.hex()) for n, p in per_node.items()]
+        scores = [table._score(group, j, window, blocked)
+                  for j in range(len(group.candidates))]
+        assert [score[0].hex() for score in scores] == [p.hex() for p, _ in rows]
+        assert scores[i][0].hex() == product.hex()
+        assert list(scores[i][1].items()) == list(step.per_node.items())
+        seen["c5 winner"] += regime == "c5"
+        seen["c5 loser"] += sum(r == "c5" for j, (_p, r) in enumerate(rows) if j != i)
+        seen["rider-feeders winner"] += st.kind == "rider-feeders"
+        seen["steps"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def optimize_peak_mb(topology) -> float:
