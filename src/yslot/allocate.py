@@ -16,7 +16,8 @@ Pipeline per group, in pattern placement order:
    covered window keeps the optimum and its scores; only a short one
    splits the group into a window part and the rest (c5), greedied and
    scored anew.  The first best product wins (COM), and only the winner
-   gets a slot table.
+   gets a slot table and a plan of placed runs (`_build_plan`): early
+   from slot 0, serialized from the window, riders in host runs' first slots.
 4. The relaxed optimum (adjunct-variable solve) of the winning structure
    only is the group's TUB product, so TUB >= COM holds by relaxed
    feasibility; `relaxed_table` builds the TUB slot table on demand.
@@ -50,7 +51,7 @@ from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
                         patterns_for)
 from .relax import (StructuredRelax, Use, log1m_pow, solve_plain_structure,
                     solve_rider_feeders, solve_rider_terminal)
-from .timeline import GroupPlan, PlacedBurst, build_timeline, place_plans
+from .timeline import GroupPlan, _run_of_row, build_timeline, place_plans
 from .topology import ConflictSet, Topology, check_cycle_slots, derive_conflicts
 
 TxLink = tuple[int, int]  # (tx node, link): a transmitter
@@ -532,43 +533,47 @@ def _serial_order(st: Structure, keys, ranks: Ranks) -> list[UseKey]:
     return keys
 
 
-# a PlacedBurst from a row in its field order, riders included, built in C
-_burst_of_row = partial(tuple.__new__, PlacedBurst)
-
-
-def _build_plan(group: _Group, i: int, table: dict[SlotKey, int],
-                window: int) -> GroupPlan:
-    """Serialized bursts of candidate i in burst order, each host burst
-    carrying rider slots from the sorted rider queue in stream order, and
-    the early bursts (the other early slots) in table order."""
+def _build_plan(group: _Group, i: int, table: dict[SlotKey, int], window: int,
+                receivers: dict[TxLink, int]) -> GroupPlan:
+    """Candidate i's runs with their start slots: the early runs (the other
+    early slots) from slot 0 in table order, the serialized runs from the
+    window in burst order, and each host run's first slots carrying rider
+    runs from the sorted rider queue in stream order."""
     st, txmap, rates = group.candidates[i], group.txmap, group.rates
+
+    def run(start, n, k, l, count, early):
+        tx = txmap[(n, l)]
+        return _run_of_row((start, count, tx[0], receivers[tx], l, n, k, early))
+
     riders = {(u.node, u.link) for u in st.riders}
+    early, cursor = [], 0
+    for (n, k, l, is_early), v in table.items():
+        if is_early and (n, l) not in riders:
+            early.append(run(cursor, n, k, l, v, True))
+            cursor += v
     queue = sorted([key[:3], v] for key, v in table.items()
                    if key[3] and (key[0], key[2]) in riders)
     qi = 0
-    serialized = []
+    serialized, hosted, cursor = [], [], window
     for key in group.serials[i]:
         n, l = key
-        tx, hosts = txmap[key][0], key in st.hosts
+        hosts = key in st.hosts
         for k in range(1, rates[n] + 1):
-            count = room = table.get((n, k, l, False), 0)
-            hosted = []
-            while hosts and room > 0 and qi < len(queue):
+            count = table.get((n, k, l, False), 0)
+            start, end = cursor, cursor + count
+            while hosts and start < end and qi < len(queue):
                 (rnode, rk, rlink), remaining = queue[qi]
-                take = min(room, remaining)
-                hosted.append(_burst_of_row((rnode, rk, txmap[(rnode, rlink)][0],
-                                             rlink, take, True, ())))
-                room -= take
+                take = min(end - start, remaining)
+                hosted.append(run(start, rnode, rk, rlink, take, True))
+                start += take
                 queue[qi][1] -= take
                 if queue[qi][1] == 0:
                     qi += 1
             if count:
-                serialized.append(_burst_of_row((n, k, tx, l, count, False,
-                                                 tuple(hosted))))
-    early = tuple(_burst_of_row((n, k, txmap[(n, l)][0], l, v, True, ()))
-                  for (n, k, l, is_early), v in table.items()
-                  if is_early and (n, l) not in riders)
-    return GroupPlan(group.chain.label, window, early, tuple(serialized))
+                serialized.append(run(cursor, n, k, l, count, False))
+                cursor = end
+    return GroupPlan(group.chain.label, window, tuple(early), tuple(serialized),
+                     tuple(hosted))
 
 
 def _scaled(values: dict[UseKey, float], st: Structure):
@@ -655,8 +660,9 @@ def _resolve_pattern(model: PathModel, pattern) -> PatternSpec:
 class GroupStep:
     """One group placed behind one early window and blocked-use set: the
     winner and its budget-T relaxed optimum (TUB), the regime label, the
-    predicted case, the plan, its placed extents and the group's COM values.
-    Solutions share it, so nothing in it can be written."""
+    predicted case, the plan (its placed runs), their extents and the
+    group's COM values.  Solutions share it, so nothing in it can be
+    written."""
 
     structure: Structure
     relaxed: StructuredRelax
@@ -760,10 +766,10 @@ class _GroupTable:
         if regime:
             lab = f"{lab}+{regime}" if lab else regime
 
-        plan = _build_plan(group, i, table, window)
+        plan = _build_plan(group, i, table, window, self.conflicts.receivers)
         # each transmitter's hull, keyed on the transmitter map's tuple
         extents: dict[TxLink, tuple[int, int]] = {}
-        for r in place_plans(self.topology, [plan]):
+        for r in place_plans([plan]):
             txlink, end = group.txmap[(r.origin, r.link)], r.start + r.count
             hull = extents.get(txlink)
             extents[txlink] = ((r.start, end) if hull is None else

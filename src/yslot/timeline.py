@@ -1,5 +1,6 @@
-"""Slot-by-slot transmission grid: construction from group plans as placed
-runs, and verification of conflict-freedom, causality, and the cycle bound."""
+"""Slot-by-slot transmission grid: the cycle as the group plans' placed
+runs, joined in plan order, and verification of conflict-freedom,
+causality, and the cycle bound."""
 
 from __future__ import annotations
 
@@ -52,32 +53,17 @@ class Run(NamedTuple):
 _run_of_row = partial(tuple.__new__, Run)
 
 
-class PlacedBurst(NamedTuple):
-    """A run of identical transmissions, placed consecutively: origin's
-    k-th packet sent by tx over link, count times.
-
-    riders are early bursts co-scheduled in this burst's first slots
-    (at most one rider unit per slot).
-    """
-
-    origin: int
-    k: int
-    tx: int
-    link: int
-    count: int
-    early: bool
-    riders: tuple[PlacedBurst, ...] = ()
-
-
 @dataclass(frozen=True)
 class GroupPlan:
-    """Placement recipe for one group: early bursts pack from slot 0,
-    serialized bursts start at the window."""
+    """One group's runs, placed: early runs pack from slot 0 inside the
+    window, serialized runs start at the window, and each rider run sits in
+    its host run's first slots."""
 
     label: str
     window: int
-    early: tuple[PlacedBurst, ...]
-    serialized: tuple[PlacedBurst, ...]
+    early: tuple[Run, ...]
+    serialized: tuple[Run, ...]
+    riders: tuple[Run, ...]
 
 
 @dataclass
@@ -137,33 +123,16 @@ class VerificationReport:
             raise _ERRORS[v.kind](f"slot {v.slot}: {v.detail}")
 
 
-def place_plans(topology: Topology, plans: list[GroupPlan]) -> list[Run]:
-    """Place group plans as one run per burst, each rider a run of its own
-    at its host's cursor; deterministic in plan order."""
+def place_plans(plans: list[GroupPlan]) -> list[Run]:
+    """The plans' runs in plan order, each plan's early, serialized, then
+    rider runs; raises DoesNotFit where early runs end past the window."""
     runs: list[Run] = []
-
-    def emit(burst: PlacedBurst, start: int) -> int:
-        rx = topology.links[burst.link].other(burst.tx)
-        end = start + burst.count
-        runs.append(_run_of_row((start, burst.count, burst.tx, rx, burst.link,
-                                 burst.origin, burst.k, burst.early)))
-        cursor = start
-        for rider in burst.riders:
-            cursor = emit(rider, cursor)
-        if cursor > end:
-            raise DoesNotFit("rider transmissions exceed their host burst")
-        return end
-
     for plan in plans:
-        cursor = 0
-        for burst in plan.early:
-            cursor = emit(burst, cursor)
-        if cursor > plan.window:
+        end = max((r.start + r.count for r in plan.early), default=0)
+        if end > plan.window:
             raise DoesNotFit(
-                f"group {plan.label}: {cursor} early slots exceed window {plan.window}")
-        cursor = plan.window
-        for burst in plan.serialized:
-            cursor = emit(burst, cursor)
+                f"group {plan.label}: {end} early slots exceed window {plan.window}")
+        runs += plan.early + plan.serialized + plan.riders
     return runs
 
 
@@ -178,8 +147,8 @@ def units_of(runs: list[Run]) -> list[Run]:
 
 def build_timeline(topology: Topology, plans: list[GroupPlan],
                    cycle_slots: int) -> Timeline:
-    """Place all plans and verify; raises on the first violation."""
-    timeline = Timeline(place_plans(topology, plans), cycle_slots)
+    """Join all plans' runs and verify; raises on the first violation."""
+    timeline = Timeline(place_plans(plans), cycle_slots)
     verify_timeline(timeline, derive_conflicts(topology), cycle_slots).raise_first()
     return timeline
 

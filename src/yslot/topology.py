@@ -108,8 +108,9 @@ class ConflictSet:
     masks[index[t]] is set when t conflicts with the j-th transmission,
     receivers[t] is the node that t sends to, and rates are the topology's
     packets per cycle by node.  Bitmasks keep the set small, since each
-    topology holds its own; other modules read them only through `sends`,
-    `generates`, `conflict`, `mask_of`, `hits` and `clash`."""
+    topology holds its own; other modules read them only through
+    `receivers`, `sends`, `generates`, `conflict`, `mask_of`, `hits` and
+    `clash`."""
 
     index: dict[tuple[int, int], int]
     masks: tuple[int, ...]

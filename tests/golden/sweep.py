@@ -12,7 +12,9 @@ label and window, the `relaxed_table` entries and real windows (hex), and
 the verified timeline's `to_lines()`.  Only output values are hashed, never
 type or field names, so a refactor that keeps every output keeps every
 digest.  A scenario whose relaxed solve fails to bracket its root records
-that it raised.
+that it raised.  Beside the digest, not hashed, each feasible solution's
+per-node COM must equal the exact delivery probability of its timeline
+(`exact_delivery`) to 1e-12 relative.
 
 Scenarios have branches of 1-8 nodes, rates 1-3, 0-3 extra proximity
 pairs, T from 8 to 400 (one in `LONG_EVERY` at 1000), and in one of
@@ -90,7 +92,52 @@ def generated_y(rng: random.Random, bound: bool, long: bool) -> dict:
     }
 
 
-def solution_values(sol) -> list:
+def exact_delivery(sol, runs) -> dict[int, float]:
+    """Probability per origin node that every packet it generates reaches
+    its gateway over the placed runs, in the dedicated-slot model that
+    `simulate` replays.  Each packet's route is walked hop by hop, keeping
+    the mass that reached the hop's transmitter per run of the hop before.
+    A run of c slots is one geometric step: the mass held at its start
+    leaves in it with probability 1 - q^c, and the rest stays held.  In a
+    verified timeline a hop's runs and the runs of the hop before it
+    share a node, so they never overlap; the walk asserts it."""
+    topology = sol.model.topology
+    hops: dict[tuple, list] = {}
+    for r in sorted(runs, key=lambda r: r.start):
+        hops.setdefault((r.origin, r.k, r.link), []).append(r)
+    out = {}
+    for node, rate in topology.rates.items():
+        out[node] = 1.0
+        for k in range(1, rate + 1):
+            arrived = [(-1, 0, 1.0)]   # (first, end, mass): reached in [first, end)
+            for link in sol.model.route(node):
+                q = topology.links[link].loss
+                held, nxt, i = 0.0, [], 0
+                for r in hops.get((node, k, link), ()):
+                    while i < len(arrived) and arrived[i][1] <= r.start:
+                        held += arrived[i][2]
+                        i += 1
+                    end = r.start + r.count
+                    assert i == len(arrived) or arrived[i][0] >= end, (node, k, link)
+                    stay = q ** r.count
+                    nxt.append((r.start, end, held * (1.0 - stay)))
+                    held *= stay
+                arrived = nxt
+            out[node] *= sum(mass for _first, _end, mass in arrived)
+    return out
+
+
+def check_delivery(sol, runs) -> None:
+    """The analytic per-node COM of a feasible solution equals the exact
+    delivery probability of its timeline to 1e-12 relative."""
+    exact = exact_delivery(sol, runs)
+    for node, p in sol.allocation.per_node.items():
+        assert abs(exact[node] - p) <= 1e-12 * p, (
+            sol.model.name, sol.model.no_sep_branch, sol.pattern.pattern_id,
+            node, exact[node].hex(), p.hex())
+
+
+def solution_values(sol, timeline) -> list:
     """Every output value of one solution, floats as hex."""
     tub_entries, windows = relaxed_table(sol)
     return [
@@ -101,7 +148,7 @@ def solution_values(sol) -> list:
         sol.case_label, sol.window,
         [[*key, v.hex()] for key, v in tub_entries.items()],
         [[label, w.hex()] for label, w in windows.items()],
-        solution_timeline(sol).to_lines(),
+        timeline.to_lines(),
     ]
 
 
@@ -114,7 +161,10 @@ def block_digest(configs: list[dict]) -> str:
             h.update(b"raises\n")
             continue
         for sol in solutions:
-            h.update(json.dumps(solution_values(sol)).encode())
+            timeline = solution_timeline(sol)
+            if sol.feasible:
+                check_delivery(sol, timeline.runs)
+            h.update(json.dumps(solution_values(sol, timeline)).encode())
             h.update(b"\n")
         h.update(b"end\n")
     return h.hexdigest()

@@ -431,10 +431,10 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
             solved += 1
             for i, (plan, step) in enumerate(zip(sol.plans, sol.steps)):
                 assert dict(step.extents) == \
-                    hull(unit_intervals(units_of(place_plans(case1, [plan]))))
+                    hull(unit_intervals(units_of(place_plans([plan]))))
                 txmap = model.transmitter_map(plan.label)
                 extents, real = integer_seen[i], real_seen[i]
-                units = unit_intervals(units_of(place_plans(case1, sol.plans[:i])))
+                units = unit_intervals(units_of(place_plans(sol.plans[:i])))
                 assert extents == hull(units)
                 real_intervals = [(lo, hi, tx) for tx, (lo, hi) in real.items()]
                 txs = txmap.values()
@@ -943,8 +943,10 @@ def optimize_peak_mb(topology) -> float:
 
 
 # Python 3.11: this optimize peaked at 8.41 MB before the group table held
-# its per-group orders, and peaks at 8.28 MB with them; the same orders
-# built from fresh (node, link) tuples read 9.06 MB
+# its per-group orders, and at 8.28 MB with them; the same orders built
+# from fresh (node, link) tuples read 9.06 MB.  Packet-hop keys shared by
+# a solve's greedies cut it to 6.89 MB; plans that hold their placed runs
+# peak at 6.93 MB
 PEAK_BOUND_MB = 8.45
 
 

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from golden import sweep
 
 from conftest import (branch_config, ffun, gfun, recorded_residuals,
                       solve_plain_chain)
@@ -176,17 +177,28 @@ def test_optimize_long_cycles_on_shipped_configs(all_cases, T):
         assert len(solutions) == 27, case
         for sol in solutions:
             # products near 1 differ by rounding: criterion 10's tolerance
-            assert sol.com_product <= sol.tub_product + 1e-12, (case, sol.model.name)
+            assert sol.com_product <= sol.tub_product * (1 + 1e-12), (case, sol.model.name)
         assert len(residuals) > 0 and max(residuals) <= 1e-9
 
 
 def test_solve_pattern_at_ten_thousand_slots(case1):
     with recorded_residuals() as residuals:
         sol = solve_pattern(find_model(case1, "3-2-3", 11), 1, 10_000)
-    assert sol.feasible and sol.com_product <= sol.tub_product + 1e-12
+    assert sol.feasible and sol.com_product <= sol.tub_product * (1 + 1e-12)
     for plan in sol.plans:
         assert sum(b.count for b in plan.serialized) + plan.window <= 10_000
     assert len(residuals) > 0 and max(residuals) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="log1m_pow loses accuracy at q = 1 - 2**-53 "
+                   "for non-integer v, so this relaxed product reads below COM")
+def test_tub_bounds_com_at_bound_losses():
+    # sweep scenario 3 (T = 190, losses at the bounds validation admits):
+    # the one of its 65 solutions where COM 0x1.8534332a0259bp-751 is
+    # above TUB 0x1.833f6ba2948b5p-751
+    topology = validate_topology(sweep.scenario_configs()[3])
+    sol = solve_pattern(find_model(topology, "4-2-7", 16), 1, 190)
+    assert sol.com_product <= sol.tub_product * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("budget", [30.0, 1e3, 1e5])

@@ -12,7 +12,7 @@ from yslot import (ConflictViolation, DoesNotFit, NodeSetMismatch, SimReport,
                    build_timeline, compare, find_model, simulate,
                    solution_timeline, solve_pattern, validate_topology)
 from yslot.simulate import MAX_TRIALS
-from yslot.timeline import GroupPlan, PlacedBurst, Run, Timeline, place_plans
+from yslot.timeline import GroupPlan, Run, Timeline, place_plans
 
 TRIALS = 100000
 
@@ -174,13 +174,13 @@ def test_invalid_timeline_rejected(case1):
 
 
 def test_simulate_rejects_as_build_timeline_does(case1):
-    # two zero-window groups whose first bursts interfere (3 vs 4)
-    plans = [GroupPlan("X", 0, (), (PlacedBurst(3, 1, 3, 3, 2, False, ()),)),
-             GroupPlan("Z", 0, (), (PlacedBurst(4, 1, 4, 8, 2, False, ()),))]
+    # two zero-window groups whose first runs interfere (3 vs 4)
+    plans = [GroupPlan("X", 0, (), (Run(0, 2, 3, 2, 3, 3, 1, False),), ()),
+             GroupPlan("Z", 0, (), (Run(0, 2, 4, 7, 8, 4, 1, False),), ())]
     with pytest.raises(ConflictViolation) as built:
         build_timeline(case1, plans, 30)
     with pytest.raises(ConflictViolation) as replayed:
-        simulate(Timeline(place_plans(case1, plans), 30), case1, 10, seed=0)
+        simulate(Timeline(place_plans(plans), 30), case1, 10, seed=0)
     assert type(replayed.value) is type(built.value)
     assert str(replayed.value) == str(built.value)
 

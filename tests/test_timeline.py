@@ -4,13 +4,13 @@ from collections import Counter
 
 import pytest
 from golden.make_corpus import YS_DIR
+from golden.sweep import check_delivery, exact_delivery
 
 from conftest import load_case_raw
 from yslot import (ConflictSet, DoesNotFit, build_timeline, derive_conflicts,
                    find_model, optimize, solution_timeline, solve_pattern,
                    validate_topology, verify_timeline)
-from yslot.timeline import (GroupPlan, PlacedBurst, Run, Timeline, place_plans,
-                            units_of)
+from yslot.timeline import GroupPlan, Run, Timeline, place_plans, units_of
 
 
 def solved_timeline(topology, name, pid, T=30):
@@ -133,41 +133,37 @@ def test_verify_flags_causality(case1):
 
 
 def test_build_raises_on_overflowing_window(case1):
-    plan = GroupPlan("Z", 2, (PlacedBurst(8, 1, 8, 10, 5, True, ()),), ())
+    plan = GroupPlan("Z", 2, (Run(0, 5, 8, 11, 10, 8, 1, True),), (), ())
     with pytest.raises(DoesNotFit):
         build_timeline(case1, [plan], 30)
 
 
 def test_build_raises_on_conflict_and_causality(case1):
     from yslot import CausalityViolation, ConflictViolation
-    # two zero-window groups whose first bursts interfere (3 vs 4)
-    plans = [GroupPlan("X", 0, (), (PlacedBurst(3, 1, 3, 3, 2, False, ()),)),
-             GroupPlan("Z", 0, (), (PlacedBurst(4, 1, 4, 8, 2, False, ()),))]
+    # two zero-window groups whose first runs interfere (3 vs 4)
+    plans = [GroupPlan("X", 0, (), (Run(0, 2, 3, 2, 3, 3, 1, False),), ()),
+             GroupPlan("Z", 0, (), (Run(0, 2, 4, 7, 8, 4, 1, False),), ())]
     with pytest.raises(ConflictViolation):
         build_timeline(case1, plans, 30)
-    # a relay burst scheduled before the origin ever transmitted
-    plan = GroupPlan("X", 0, (), (PlacedBurst(3, 1, 2, 2, 1, False, ()),
-                                  PlacedBurst(3, 1, 3, 3, 1, False, ())))
+    # a relay run placed before the origin ever transmitted
+    plan = GroupPlan("X", 0, (), (Run(0, 1, 2, 1, 2, 3, 1, False),
+                                  Run(1, 1, 3, 2, 3, 3, 1, False)), ())
     with pytest.raises(CausalityViolation):
         build_timeline(case1, [plan], 30)
 
 
 def test_riders_fill_their_host_burst_first_slots(case1):
-    # two feeder hops into the central node 4 ride on terminal 8's burst
-    riders = (PlacedBurst(3, 1, 3, 4, 1, True), PlacedBurst(5, 1, 5, 5, 1, True))
-    plan = GroupPlan("Z", 5, (), (PlacedBurst(8, 1, 8, 10, 3, False, riders),))
-    units = units_of(place_plans(case1, [plan]))
-    assert sorted(units, key=lambda u: (u.start, u.tx)) == [
+    # two feeder hops into the central node 4 ride on terminal 8's run;
+    # a plan's runs join as early, serialized, then rider runs
+    host = Run(5, 3, 8, 11, 10, 8, 1, False)
+    riders = (Run(5, 1, 3, 4, 4, 3, 1, True), Run(6, 1, 5, 4, 5, 5, 1, True))
+    plan = GroupPlan("Z", 5, (), (host,), riders)
+    assert place_plans([plan]) == [host, *riders]
+    timeline = build_timeline(case1, [plan], 30)
+    assert sorted(timeline.units, key=lambda u: (u.start, u.tx)) == [
         Run(5, 1, 3, 4, 4, 3, 1, True), Run(5, 1, 8, 11, 10, 8, 1, False),
         Run(6, 1, 5, 4, 5, 5, 1, True), Run(6, 1, 8, 11, 10, 8, 1, False),
         Run(7, 1, 8, 11, 10, 8, 1, False)]
-
-
-def test_place_raises_when_riders_exceed_their_host(case1):
-    riders = (PlacedBurst(3, 1, 3, 4, 2, True), PlacedBurst(5, 1, 5, 5, 2, True))
-    plan = GroupPlan("Z", 0, (), (PlacedBurst(8, 1, 8, 10, 3, False, riders),))
-    with pytest.raises(DoesNotFit):
-        place_plans(case1, [plan])
 
 
 def test_grid_lines_stable_format(case1):
@@ -403,72 +399,91 @@ def test_placing_plans_together_equals_placing_each_alone(case1):
         solutions = optimize(case1, T)
         assert len(solutions) == 27
         for sol in solutions:
-            alone = [u for plan in sol.plans for u in place_plans(case1, [plan])]
-            assert place_plans(case1, sol.plans) == alone
+            alone = [u for plan in sol.plans for u in place_plans([plan])]
+            assert place_plans(sol.plans) == alone
 
 
 def test_one_unit_per_burst_slot_riders_included(case1):
-    def slots(burst):
-        return burst.count + sum(slots(r) for r in burst.riders)
-
-    def runs(burst):
-        return 1 + sum(runs(r) for r in burst.riders)
-
     riders = 0
     for sol in optimize(case1, 60):
-        bursts = [b for plan in sol.plans for b in plan.early + plan.serialized]
-        placed = place_plans(case1, sol.plans)
-        assert len(placed) == sum(map(runs, bursts))
-        assert len(units_of(placed)) == sum(map(slots, bursts))
-        riders += sum(len(b.riders) for b in bursts)
+        runs = [r for plan in sol.plans
+                for r in plan.early + plan.serialized + plan.riders]
+        placed = place_plans(sol.plans)
+        assert placed == runs
+        assert len(units_of(placed)) == sum(r.count for r in runs)
+        riders += sum(len(plan.riders) for plan in sol.plans)
     assert riders > 0
 
 
-def place_oracle(topology, plans):
-    """Reference placement, one unit per slot: early bursts from slot 0,
-    serialized bursts from the window, each rider in its host's first
-    slots."""
-    units = []
-
-    def emit(burst, start):
-        rx = topology.links[burst.link].other(burst.tx)
-        for slot in range(start, start + burst.count):
-            units.append(Run(slot, 1, burst.tx, rx, burst.link, burst.origin,
-                             burst.k, burst.early))
-        cursor = start
-        for rider in burst.riders:
-            cursor = emit(rider, cursor)
-        assert cursor <= start + burst.count
-        return start + burst.count
-
-    for plan in plans:
-        cursor = 0
-        for burst in plan.early:
-            cursor = emit(burst, cursor)
-        assert cursor <= plan.window
-        cursor = plan.window
-        for burst in plan.serialized:
-            cursor = emit(burst, cursor)
-    return units
+def tiles(runs, start):
+    """Whether the runs follow each other from slot `start` on, gap-free."""
+    for r in runs:
+        if r.start != start:
+            return False
+        start += r.count
+    return True
 
 
-def test_placed_runs_expand_to_the_per_slot_oracle(case1):
-    solutions = optimize(case1, 30) + optimize(case1, 60)
-    for path in sorted(YS_DIR.glob("y??.json")):
-        solutions += optimize(validate_topology(json.loads(path.read_text())))
-    assert len(solutions) > 2 * 27
-    for sol in solutions:
-        topology = sol.model.topology
-        want = place_oracle(topology, sol.plans)
-        assert units_of(place_plans(topology, sol.plans)) == want
-        assert solution_timeline(sol).units == want
+def test_plans_tile_their_windows_and_riders_sit_in_their_hosts():
+    # over every optimize solution: early runs tile [0, early total) inside
+    # the window, serialized runs tile [window, window + serialized total),
+    # each rider run lies in a serialized run of a host use of its step's
+    # structure, and no two riders of one host run share a slot; a
+    # feasible solution's per-node COM is its timeline's exact delivery
+    configs = [load_case_raw(case) for case in (1, 2, 3)]
+    configs += [json.loads(path.read_text()) for path in sorted(YS_DIR.glob("y??.json"))]
+    seen = Counter()
+    for raw in configs:
+        topology = validate_topology(raw)
+        for T in (30, 60):
+            for sol in optimize(topology, T):
+                for step in sol.steps:
+                    plan = step.plan
+                    early = sum(r.count for r in plan.early)
+                    assert tiles(plan.early, 0) and early <= plan.window
+                    assert tiles(plan.serialized, plan.window)
+                    assert all(r.early for r in plan.early + plan.riders)
+                    assert not any(r.early for r in plan.serialized)
+                    hosted = Counter()
+                    for rider in plan.riders:
+                        hosts = [h for h in plan.serialized
+                                 if (h.origin, h.link) in step.structure.hosts
+                                 and h.start <= rider.start
+                                 and rider.start + rider.count <= h.start + h.count]
+                        assert len(hosts) == 1, (plan.label, rider)
+                        hosted.update(range(rider.start, rider.start + rider.count))
+                    assert max(hosted.values(), default=1) == 1, plan.label
+                    seen["riders"] += len(plan.riders)
+                    seen["early"] += len(plan.early)
+                    seen["plans"] += 1
+                runs = solution_timeline(sol).runs
+                assert runs == place_plans(sol.plans)
+                if sol.feasible:
+                    check_delivery(sol, runs)
+                    seen["feasible"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_exact_delivery_sees_a_missing_or_early_relay_run(case1):
+    # the walk gives 0 to a packet that lost a hop's runs, and less than
+    # COM to one whose relay run moved before the hop feeding it
+    sol = solve_pattern(find_model(case1, "3-2-3", 11), 1, 30)
+    runs = solution_timeline(sol).runs
+    check_delivery(sol, runs)
+    last = runs[-1]
+    exact = exact_delivery(sol, [r for r in runs if (r.origin, r.k, r.link)
+                                 != (last.origin, last.k, last.link)])
+    assert exact[last.origin] == 0.0 < sol.allocation.per_node[last.origin]
+    relay = next(r for r in runs if r.tx != r.origin)
+    moved = [r._replace(start=-r.count) if r is relay else r for r in runs]
+    with pytest.raises(AssertionError):
+        check_delivery(sol, moved)
 
 
 def test_placed_values_cannot_be_written():
     unit = Run(0, 1, 3, 2, 3, 3, 1, False)
-    burst = PlacedBurst(3, 1, 3, 3, 2, False)
+    plan = GroupPlan("X", 0, (), (unit,), ())
     with pytest.raises(AttributeError):
         unit.start = 1
     with pytest.raises(AttributeError):
-        burst.count = 1
-    assert burst.riders == ()
+        plan.riders = (unit,)
