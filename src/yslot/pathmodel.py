@@ -5,29 +5,107 @@ groups S_X, S_Y, S_Z (packets forwarded to gateways X, Y, Z).  The branch
 without a separation link is labeled Z.  A model is named l-r-d after the
 group sizes and typed 1/2/3 by how many separation links sit away from the
 central node.
+
+The models of one Z choice differ only in their cut (ia, ib): the indices of
+the separation links among the X and Y branches' inter-node links.  A model
+holds its cut and the `ZTable` that every model of its Z choice shares, and
+reads its groups, separation links and first hops from that table, so
+enumerating models and choosing their patterns build no per-model dict.  Only
+a model that is solved builds its node -> route dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .topology import Branch, ConflictSet, Topology, derive_conflicts
 
 
+@dataclass(frozen=True, eq=False)
+class ZTable:
+    """What the models of one Z choice share: each node's route inward to
+    Z's gateway (X and Y nodes go back through the central node) and each
+    X and Y node's route outward to its own branch's gateway, and per cut
+    index i of X and of Y the branch's group nodes[i:] and its inner
+    remnant nodes[:i] reversed, which joins group Z."""
+
+    x_branch: Branch
+    y_branch: Branch
+    inward: dict[int, tuple[int, ...]]     # node -> link ids toward Z's gateway
+    outward: dict[int, tuple[int, ...]]    # X or Y node -> link ids to its gateway
+    x_groups: list[tuple[int, ...]]        # ia -> group X
+    y_groups: list[tuple[int, ...]]        # ib -> group Y
+    x_inner: list[tuple[int, ...]]         # ia -> X nodes in group Z
+    y_inner: list[tuple[int, ...]]         # ib -> Y nodes in group Z
+    z_tail: tuple[int, ...]                # the central node, then the Z branch
+
+
 @dataclass(frozen=True)
 class PathModel:
+    """One separation-link placement: the Z branch's gateway and the cut,
+    separation links at inter-node link index ia of the X branch and ib of
+    the Y branch, with the table its Z choice shares.  Each group lists its
+    nodes most upstream first: X and Y are the outer slices of their
+    branches, Z the two inner remnants (separation side first), the central
+    node and the Z branch.  X and Y nodes route outward to their own
+    gateways, Z nodes inward to Z's."""
+
     topology: Topology
     no_sep_branch: int                     # gateway id of the Z branch
-    sep_link_a: int                        # separation link in the X branch
-    sep_link_b: int                        # separation link in the Y branch
-    groups: dict[str, tuple[int, ...]]     # label -> origins, upstream first
-    routes: dict[int, tuple[int, ...]]     # node -> link ids toward its gateway
-    name: str                              # "l-r-d"
-    model_type: int                        # 1 | 2 | 3
+    ia: int                                # cut index in the X branch
+    ib: int                                # cut index in the Y branch
+    table: ZTable = field(compare=False, repr=False)
+
+    @property
+    def sep_link_a(self) -> int:
+        """The separation link in the X branch."""
+        return self.table.x_branch.links[self.ia]
+
+    @property
+    def sep_link_b(self) -> int:
+        """The separation link in the Y branch."""
+        return self.table.y_branch.links[self.ib]
+
+    @property
+    def name(self) -> str:
+        """l-r-d, the sizes of groups X, Y and Z."""
+        l = len(self.table.x_branch.nodes) - self.ia
+        r = len(self.table.y_branch.nodes) - self.ib
+        return f"{l}-{r}-{len(self.topology.rates) - l - r}"
+
+    @property
+    def model_type(self) -> int:
+        # one more per separation link away from the central node
+        return 1 + (self.ia > 0) + (self.ib > 0)
 
     def group(self, label: str) -> tuple[int, ...]:
-        return self.groups[label]
+        """Origins of group label ("X", "Y" or "Z"), upstream first."""
+        t = self.table
+        if label == "X":
+            return t.x_groups[self.ia]
+        if label == "Y":
+            return t.y_groups[self.ib]
+        if label == "Z":
+            return t.x_inner[self.ia] + t.y_inner[self.ib] + t.z_tail
+        raise KeyError(label)
+
+    @property
+    def groups(self) -> dict[str, tuple[int, ...]]:
+        """label -> origins, built on each read."""
+        return {label: self.group(label) for label in ("X", "Y", "Z")}
+
+    def _routes_by(self, label: str) -> dict[int, tuple[int, ...]]:
+        """The table's routes for the nodes of group label."""
+        return self.table.inward if label == "Z" else self.table.outward
+
+    @cached_property
+    def routes(self) -> dict[int, tuple[int, ...]]:
+        """node -> link ids toward its gateway, in group order; built on
+        first use, so enumerating and choosing patterns build none."""
+        return {node: routes[node] for label in ("X", "Y", "Z")
+                for routes in (self._routes_by(label),) for node in self.group(label)}
 
     def route(self, node: int) -> tuple[int, ...]:
         return self.routes[node]
@@ -75,53 +153,26 @@ def _z_choices(topology: Topology, no_sep_branch: int | None,
     return choices
 
 
-def _cut_routes(branch: Branch, z_links: tuple[int, ...],
-                ) -> list[dict[int, tuple[int, ...]]]:
-    """Routes of a separated branch's nodes for each separation-link index
-    i: outward to the branch's gateway from node i on, and before it (the
-    inner remnant) back to the central node, then down Z.  Each node's two
-    route tuples are built once and shared by every cut."""
-    links, nodes = branch.links, branch.nodes
-    inward = [links[j::-1] + z_links for j in range(len(nodes))]
-    outward = [links[j + 1:] for j in range(len(nodes))]
-    return [dict(zip(nodes, inward[:i] + outward[i:])) for i in range(len(nodes))]
-
-
 def _models(topology: Topology, z_branch: Branch, x_branch: Branch,
             y_branch: Branch, cuts) -> list[PathModel]:
-    """Models of one Z choice with separation links at inter-node link
-    index ia of X and ib of Y, for each (ia, ib) in cuts.  Each group lists
-    its nodes most upstream first: X and Y are the outer slices of their
-    branches, Z the two inner remnants (separation side first), the central
-    node and the Z branch.  `routes` keys are in node order and every
-    model of the Z choice shares its route tuples."""
+    """Models of one Z choice, one per cut (ia, ib) in cuts, sharing one
+    `ZTable`."""
     z_links = z_branch.links
-    template = dict.fromkeys(topology.nodes)
-    template[topology.central] = z_links
+    inward = {topology.central: z_links}
     for j, node in enumerate(z_branch.nodes):
-        template[node] = z_links[j + 1:]
-    x_routes, y_routes = _cut_routes(x_branch, z_links), _cut_routes(y_branch, z_links)
-    z_tail = (topology.central,) + z_branch.nodes
-
-    models = []
-    for ia, ib in cuts:
-        routes = template.copy()
-        routes.update(x_routes[ia])
-        routes.update(y_routes[ib])
-        sx, sy = x_branch.nodes[ia:], y_branch.nodes[ib:]
-        sz = x_branch.nodes[:ia][::-1] + y_branch.nodes[:ib][::-1] + z_tail
-        models.append(PathModel(
-            topology=topology,
-            no_sep_branch=z_branch.gateway,
-            sep_link_a=x_branch.inter_node_links[ia],
-            sep_link_b=y_branch.inter_node_links[ib],
-            groups={"X": sx, "Y": sy, "Z": sz},
-            routes=routes,
-            name=f"{len(sx)}-{len(sy)}-{len(sz)}",
-            # one more per separation link away from the central node
-            model_type=1 + (ia > 0) + (ib > 0),
-        ))
-    return models
+        inward[node] = z_links[j + 1:]
+    outward = {}
+    for branch in (x_branch, y_branch):
+        for j, node in enumerate(branch.nodes):
+            inward[node] = branch.links[j::-1] + z_links
+            outward[node] = branch.links[j + 1:]
+    x, y = x_branch.nodes, y_branch.nodes
+    table = ZTable(x_branch, y_branch, inward, outward,
+                   [x[i:] for i in range(len(x))], [y[i:] for i in range(len(y))],
+                   [x[:i][::-1] for i in range(len(x))],
+                   [y[:i][::-1] for i in range(len(y))],
+                   (topology.central,) + z_branch.nodes)
+    return [PathModel(topology, z_branch.gateway, ia, ib, table) for ia, ib in cuts]
 
 
 def enumerate_path_models(topology: Topology,
@@ -171,7 +222,8 @@ def _groups_conflict(model: PathModel, conflicts: ConflictSet,
     hop of a group is sent by a group node over the first link of its own
     route, so a group's transmitters are one (node, first link) per node."""
     def transmitters(label: str):
-        return ((n, model.routes[n][0]) for n in model.group(label))
+        routes = model._routes_by(label)
+        return ((n, routes[n][0]) for n in model.group(label))
     mask = conflicts.mask_of(transmitters(g1))
     return any(conflicts.hits(mask, t) for t in transmitters(g2))
 
