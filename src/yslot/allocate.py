@@ -26,17 +26,18 @@ Pipeline per group, in pattern placement order:
 `optimize` shares one table across all its patterns and drops it when it
 returns; `solve_pattern` builds one for its pattern.  One topology and
 one T fix everything but the group, so the first level is keyed on
-(label, nodes, routes of those nodes) and holds the chain, candidate
-structures, transmitter map, ranks, origin rates and predicted case; per
-candidate, the budget-T greedy, its scores and the fill order with
-nothing blocked, sorted once (a step keeps its unblocked route prefixes);
-and, once a structure wins, its relaxed optimum and burst order.  Orders
-hold the transmitter map's own key tuples, never copies, and the table
-owns the loss tables, so no cache outlives a solve.  A group's step reads
-the placement before it only through the early window and the blocked
-uses, so the second level is keyed on (window, sorted blocked uses) and
-holds the frozen `GroupStep` a solution is made of.  Both hits are exact:
-the key is every input of the work it stands for.
+(label, nodes, routes of those nodes) and holds the group's layout (its
+origins, transmitter map and ranks, from `_layout`), candidate structures
+and predicted case; per candidate, the budget-T greedy, its scores and
+the fill order with nothing blocked, sorted once (a step keeps its
+unblocked route prefixes); and, once a structure wins, its relaxed
+optimum and burst order.  Orders hold the transmitter map's own key
+tuples, never copies, and the table owns the loss tables, so no cache
+outlives a solve.  A group's step reads the placement before it only
+through the early window and the blocked uses, so the second level is
+keyed on (window, sorted blocked uses) and holds the frozen `GroupStep` a
+solution is made of.  Both hits are exact: the key is every input of the
+work it stands for.
 """
 
 from __future__ import annotations
@@ -70,12 +71,6 @@ class Origin:
     node: int
     rate: int
     route: tuple[tuple[int, float], ...]  # (link id, loss), upstream to gateway
-
-
-@dataclass(frozen=True)
-class GroupChain:
-    label: str
-    origins: tuple[Origin, ...]  # most-upstream origin first
 
 
 class _LossTable:
@@ -140,21 +135,35 @@ def _packet_entries(uses: tuple[Use, ...], hops: dict) -> list[tuple[EntryKey, f
     return entries
 
 
-def _chain_uses(chain: GroupChain) -> tuple[Use, ...]:
-    """Every (origin, route link) of the chain as a budget use, chain order."""
-    return tuple(Use(o.node, link, q, o.rate)
-                 for o in chain.origins for link, q in o.route)
+def _chain_uses(origins: tuple[Origin, ...]) -> tuple[Use, ...]:
+    """Every (origin, route link) of a group as a budget use, chain order."""
+    return tuple(Use(o.node, link, q, o.rate) for o in origins for link, q in o.route)
 
 
-def build_group_chain(model: PathModel, label: str) -> GroupChain:
+def _layout(model: PathModel, label: str) -> tuple[
+        tuple[Origin, ...], dict[UseKey, TxLink], Ranks, list[UseKey]]:
+    """A group's view.  One walk over its nodes and route hops gives its
+    origins (most upstream first) with their (link, loss) routes, and its
+    transmitter map, (origin, link) -> (tx node, link) in group order, then
+    route order, where each hop is sent by the far end of the hop before
+    it and the hops of one transmitter share its tuple.  Its ranks and its
+    fill order with nothing blocked follow from those."""
     topo = model.topology
-    return GroupChain(label, tuple(
-        Origin(n, topo.rates[n],
-               tuple((lid, topo.links[lid].loss) for lid in model.route(n)))
-        for n in model.group(label)))
+    origins, txmap, txs = [], {}, {}
+    for node in model.group(label):
+        route, tx = [], node
+        for link_id in model.route(node):
+            link, txlink = topo.links[link_id], (tx, link_id)
+            txmap[(node, link_id)] = txs.setdefault(txlink, txlink)
+            route.append((link_id, link.loss))
+            tx = link.other(tx)
+        origins.append(Origin(node, topo.rates[node], tuple(route)))
+    origins = tuple(origins)
+    ranks = _chain_ranks(origins)
+    return origins, txmap, ranks, _fill_order(txmap, ranks)
 
 
-def candidate_structures(model: PathModel, chain: GroupChain,
+def candidate_structures(origins: tuple[Origin, ...],
                          conflicts: ConflictSet) -> list[Structure]:
     """Plain budget always; overlap orientations when feeders qualify.
 
@@ -162,21 +171,21 @@ def candidate_structures(model: PathModel, chain: GroupChain,
     whose first-hop transmission does not conflict with the terminal node's
     own transmission, so the two bursts may share slots.
     """
-    all_uses = _chain_uses(chain)
+    all_uses = _chain_uses(origins)
     plain = Structure("plain", "plain", all_uses, (), ())
 
-    terminal = chain.origins[-1]
-    if len(terminal.route) != 1 or len(chain.origins) == 1:
+    terminal = origins[-1]
+    if len(terminal.route) != 1 or len(origins) == 1:
         return [plain]
     gw_link, gw_q = terminal.route[0]
     term_tx: TxLink = (terminal.node, gw_link)
     packets: dict[int, int] = {}   # packets per cycle over each link
-    for o in chain.origins:
+    for o in origins:
         for link, _q in o.route:
             packets[link] = packets.get(link, 0) + o.rate
 
     feeders = []
-    for o in chain.origins[:-1]:
+    for o in origins[:-1]:
         fh_link, fh_q = o.route[0]
         if packets[fh_link] != o.rate:
             continue
@@ -200,14 +209,15 @@ def candidate_structures(model: PathModel, chain: GroupChain,
     return [plain, rider_feed, rider_term]
 
 
-def predicted_case(chain: GroupChain, structures: list[Structure]) -> str | None:
+def predicted_case(origins: tuple[Origin, ...],
+                   structures: list[Structure]) -> str | None:
     """Predicted overlap winner by the loss-rate rule: favor the side that
     frees budget share for the lossier link (single-feeder chains only)."""
     riders = [s for s in structures if s.kind == "rider-feeders"]
     if not riders or len(riders[0].riders) != 1:
         return None
     feeder = riders[0].riders[0]
-    gw_q = chain.origins[-1].route[0][1]
+    gw_q = origins[-1].route[0][1]
     return "case1" if gw_q >= feeder.q else "case2"
 
 
@@ -294,16 +304,16 @@ def _split_structure(st: Structure, hide_set: set[UseKey],
             Structure("plain", "plain", hide, (), ()))
 
 
-def _chain_ranks(chain: GroupChain) -> Ranks:
+def _chain_ranks(origins: tuple[Origin, ...]) -> Ranks:
     """Rank of each link, upstream first (deepest from the gateway), and of
     each origin in chain order."""
     depth: dict[int, int] = {}
-    for o in chain.origins:
+    for o in origins:
         for idx, (link, _) in enumerate(o.route):
             depth[link] = max(depth.get(link, 0), len(o.route) - idx)
     links = sorted(depth, key=lambda l: (-depth[l], l))
     return ({l: i for i, l in enumerate(links)},
-            {o.node: i for i, o in enumerate(chain.origins)})
+            {o.node: i for i, o in enumerate(origins)})
 
 
 def _widen(placed: Placed, txlink: TxLink, start, end) -> None:
@@ -534,12 +544,13 @@ def _serial_order(st: Structure, keys, ranks: Ranks) -> list[UseKey]:
 
 
 def _build_plan(group: _Group, i: int, table: dict[SlotKey, int], window: int,
-                receivers: dict[TxLink, int]) -> GroupPlan:
+                conflicts: ConflictSet) -> GroupPlan:
     """Candidate i's runs with their start slots: the early runs (the other
     early slots) from slot 0 in table order, the serialized runs from the
     window in burst order, and each host run's first slots carrying rider
     runs from the sorted rider queue in stream order."""
-    st, txmap, rates = group.candidates[i], group.txmap, group.rates
+    st, txmap = group.candidates[i], group.txmap
+    rates, receivers = conflicts.rates, conflicts.receivers
 
     def run(start, n, k, l, count, early):
         tx = txmap[(n, l)]
@@ -572,7 +583,7 @@ def _build_plan(group: _Group, i: int, table: dict[SlotKey, int], window: int,
             if count:
                 serialized.append(run(cursor, n, k, l, count, False))
                 cursor = end
-    return GroupPlan(group.chain.label, window, tuple(early), tuple(serialized),
+    return GroupPlan(group.label, window, tuple(early), tuple(serialized),
                      tuple(hosted))
 
 
@@ -606,14 +617,11 @@ def relaxed_table(solution: PatternSolution,
 
     for step in solution.steps:
         label, st = step.plan.label, step.structure
-        chain = build_group_chain(model, label)
-        txmap = model.transmitter_map(label)
-        ranks = _chain_ranks(chain)
+        origins, txmap, ranks, fill = _layout(model, label)
         window = float(early_window(placed, txmap.values(), conflicts))
         windows[label] = window
         hide_order = _hideable_uses(
-            _fill_order(txmap, ranks),
-            _blocked_uses(txmap, window, placed, conflicts) | _unhideable(st, txmap),
+            fill, _blocked_uses(txmap, window, placed, conflicts) | _unhideable(st, txmap),
             ranks)
         optimum, rider = _scaled(step.relaxed.values, st)
         serialized, early, rider = _step_parts(optimum, rider, *_early_step(
@@ -633,7 +641,7 @@ def relaxed_table(solution: PatternSolution,
                             _widen(placed, txmap[(u.node, u.link)], cursor, cursor + length)
                     cursor += length
 
-        for o in chain.origins:
+        for o in origins:
             for link, _q in o.route:
                 key = (o.node, link)
                 s_pp = serialized.get(key, 0.0) / o.rate
@@ -681,11 +689,11 @@ class _Group:
     optimum and burst order, made when it first wins.  Its maps and orders
     hold the transmitter map's key tuples, not copies."""
 
-    chain: GroupChain
+    label: str
+    origins: tuple[Origin, ...]          # most-upstream origin first
     candidates: list[Structure]
     txmap: dict[UseKey, TxLink]          # chain order
     ranks: Ranks
-    rates: dict[int, int]                # per origin
     predicted: str | None
     # per candidate: the budget-T greedy (read-only), its product and
     # per-node COM, and the fill order with nothing blocked
@@ -716,17 +724,13 @@ class _GroupTable:
         key = (label, nodes, tuple(model.route(n) for n in nodes))
         group = self.groups.get(key)
         if group is None:
-            chain = build_group_chain(model, label)
-            candidates = candidate_structures(model, chain, self.conflicts)
-            txmap = model.transmitter_map(label)
-            ranks = _chain_ranks(chain)
-            order = _fill_order(txmap, ranks)
+            origins, txmap, ranks, order = _layout(model, label)
+            candidates = candidate_structures(origins, self.conflicts)
             greedy = [_greedy_int(st, self.T, self.losses) for st in candidates]
             group = self.groups[key] = _Group(
-                chain, candidates, txmap, ranks,
-                {o.node: o.rate for o in chain.origins},
-                predicted_case(chain, candidates), greedy,
-                [_delivery_product(chain.origins, {**tentative, **rider}, self.losses)
+                label, origins, candidates, txmap, ranks,
+                predicted_case(origins, candidates), greedy,
+                [_delivery_product(origins, {**tentative, **rider}, self.losses)
                  for tentative, rider in greedy],
                 [_hideable_uses(order, _unhideable(st, txmap), ranks)
                  for st in candidates], {}, {}, {})
@@ -741,10 +745,10 @@ class _GroupTable:
         hide_order = _hideable_uses(group.fills[i], blocked, group.ranks)
         early, split = _early_step(
             group.candidates[i], group.greedy[i][0], window, self.T, hide_order,
-            partial(_packet_order, group.rates, hide_order),
+            partial(_packet_order, self.conflicts.rates, hide_order),
             lambda part, budget: _greedy_int(part, budget, self.losses))
         product, per_node = group.scores[i] if split is None else _delivery_product(
-            group.chain.origins, {**split[0], **split[1], **split[2]}, self.losses)
+            group.origins, {**split[0], **split[1], **split[2]}, self.losses)
         return product, per_node, hide_order, early, split
 
     def _place(self, group: _Group, window: int,
@@ -766,7 +770,7 @@ class _GroupTable:
         if regime:
             lab = f"{lab}+{regime}" if lab else regime
 
-        plan = _build_plan(group, i, table, window, self.conflicts.receivers)
+        plan = _build_plan(group, i, table, window, self.conflicts)
         # each transmitter's hull, keyed on the transmitter map's tuple
         extents: dict[TxLink, tuple[int, int]] = {}
         for r in place_plans([plan]):

@@ -11,7 +11,9 @@ the separation links among the X and Y branches' inter-node links.  A model
 holds its cut and the `ZTable` that every model of its Z choice shares, and
 reads its groups, separation links and first hops from that table, so
 enumerating models and choosing their patterns build no per-model dict.  Only
-a model that is solved builds its node -> route dict.
+a model that is solved builds its node -> route dict; the allocation layer
+walks a group's routes once (`allocate._layout`) for its origins and its
+per-hop transmitter map.
 """
 
 from __future__ import annotations
@@ -91,11 +93,6 @@ class PathModel:
             return t.x_inner[self.ia] + t.y_inner[self.ib] + t.z_tail
         raise KeyError(label)
 
-    @property
-    def groups(self) -> dict[str, tuple[int, ...]]:
-        """label -> origins, built on each read."""
-        return {label: self.group(label) for label in ("X", "Y", "Z")}
-
     def _routes_by(self, label: str) -> dict[int, tuple[int, ...]]:
         """The table's routes for the nodes of group label."""
         return self.table.inward if label == "Z" else self.table.outward
@@ -109,21 +106,6 @@ class PathModel:
 
     def route(self, node: int) -> tuple[int, ...]:
         return self.routes[node]
-
-    def transmitter_map(self, label: str) -> dict[tuple[int, int], tuple[int, int]]:
-        """(origin, link) -> (tx node, link) for every route step of a group:
-        each hop is sent by the far end of the hop before it.  Keys are in
-        group order, then route order, and the hops of one transmitter share
-        its tuple."""
-        out: dict[tuple[int, int], tuple[int, int]] = {}
-        txs: dict[tuple[int, int], tuple[int, int]] = {}
-        for node in self.group(label):
-            tx = node
-            for link_id in self.route(node):
-                txlink = (tx, link_id)
-                out[(node, link_id)] = txs.setdefault(txlink, txlink)
-                tx = self.topology.links[link_id].other(tx)
-        return out
 
 
 @dataclass(frozen=True)

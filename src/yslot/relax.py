@@ -54,13 +54,20 @@ class StructuredRelax:
 
 
 def log1m_pow(q: float, v: float) -> float:
-    """log(1 - q^v); -inf at v <= 0.  Where q^v rounds to 1 (tiny v |log q|)
-    this is log(-expm1(v log q)), taken as log v + log(-log q): the two agree
-    to rounding there, and the sum stays finite when v log q underflows."""
+    """log(1 - q^v); -inf at v <= 0.  log1p(-q^v) while q^v < 0.999; nearer
+    1, where rounding q^v would cancel, log(-expm1(v log q)); and where
+    v log q underflows below the smallest normal float, log v + log(-log q),
+    so the sum stays finite and keeps its digits (M. Maechler, "Accurately
+    Computing log(1 - exp(-|a|))", 2012)."""
     if v <= 0:
         return -math.inf
     p = q ** v
-    return math.log1p(-p) if p < 1.0 else math.log(v) + math.log(-math.log(q))
+    if p < 0.999:
+        return math.log1p(-p)
+    a = v * math.log(q)
+    if a < -2.0 ** -1022:    # not below the smallest normal float
+        return math.log(-math.expm1(a))
+    return math.log(v) + math.log(-math.log(q))
 
 
 _T_CAP = 2.0 ** 40   # bracket widening stops here, far beyond any root

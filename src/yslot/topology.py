@@ -71,12 +71,6 @@ class Branch:
     nodes: tuple[int, ...]  # central-adjacent node first
     links: tuple[int, ...]  # central-adjacent link first; last one touches the gateway
 
-    @property
-    def inter_node_links(self) -> tuple[int, ...]:
-        # every link except the gateway link joins two nodes (central included),
-        # so a branch with n nodes offers n separation-link positions
-        return self.links[:-1]
-
 
 @dataclass(frozen=True)
 class Topology:

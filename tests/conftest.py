@@ -132,17 +132,17 @@ def table_totals(table: dict) -> dict:
     return totals
 
 
-def solve_plain_chain(chain, budget):
+def solve_plain_chain(origins, budget):
     """Relaxed optimum of a chain's serialized budget (every route hop of
     every origin is a budget use)."""
-    uses = [Use(o.node, link, q, o.rate) for o in chain.origins
+    uses = [Use(o.node, link, q, o.rate) for o in origins
             for link, q in o.route]
     return solve_plain_structure(uses, budget)
 
 
-def plain_greedy(chain, budget: int) -> dict:
+def plain_greedy(origins, budget: int) -> dict:
     """Greedy integer slot map of a chain's plain serialized budget."""
-    plain = Structure("plain", "plain", _chain_uses(chain), (), ())
+    plain = Structure("plain", "plain", _chain_uses(origins), (), ())
     return _greedy_int(plain, budget, LossTables())[0]
 
 

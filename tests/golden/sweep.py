@@ -12,9 +12,10 @@ label and window, the `relaxed_table` entries and real windows (hex), and
 the verified timeline's `to_lines()`.  Only output values are hashed, never
 type or field names, so a refactor that keeps every output keeps every
 digest.  A scenario whose relaxed solve fails to bracket its root records
-that it raised.  Beside the digest, not hashed, each feasible solution's
-per-node COM must equal the exact delivery probability of its timeline
-(`exact_delivery`) to 1e-12 relative.
+that it raised.  Beside the digest, not hashed, every solution's COM must
+stay within its TUB, com <= tub * (1 + 1e-12), and each feasible
+solution's per-node COM must equal the exact delivery probability of its
+timeline (`exact_delivery`) to 1e-12 relative.
 
 Scenarios have branches of 1-8 nodes, rates 1-3, 0-3 extra proximity
 pairs, T from 8 to 400 (one in `LONG_EVERY` at 1000), and in one of
@@ -161,6 +162,9 @@ def block_digest(configs: list[dict]) -> str:
             h.update(b"raises\n")
             continue
         for sol in solutions:
+            assert sol.com_product <= sol.tub_product * (1 + 1e-12), (
+                sol.model.name, sol.model.no_sep_branch, sol.pattern.pattern_id,
+                sol.com_product.hex(), sol.tub_product.hex())
             timeline = solution_timeline(sol)
             if sol.feasible:
                 check_delivery(sol, timeline.runs)

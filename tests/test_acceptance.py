@@ -19,7 +19,7 @@ from yslot import (build_timeline, compare, derive_conflicts,
                    enumerate_path_models, find_model, patterns_for,
                    relaxed_table, simulate, solve_pattern, validate_topology,
                    verify_timeline)
-from yslot.allocate import GroupChain, LossTables, Origin, _delivery_product
+from yslot.allocate import LossTables, Origin, _delivery_product
 from yslot.relax import _f_log
 
 
@@ -154,11 +154,10 @@ def test_criterion_8_budget_exactness(matrix, all_cases):
             Origin(200 + i, rng.randint(1, 2),
                    tuple((j + 1, losses[j]) for j in range(i, n)))
             for i in range(n))
-        chain = GroupChain("g", origins)
-        sol = solve_plain_chain(chain, rng.uniform(4, 60))
+        sol = solve_plain_chain(origins, rng.uniform(4, 60))
         assert sol.residual <= 1e-9
         budget = rng.randint(len([1 for o in origins for _ in o.route]), 40)
-        vals = plain_greedy(chain, budget)
+        vals = plain_greedy(origins, budget)
         assert sum(vals.values()) == budget
     # and the solved patterns keep their serialized budgets exact
     for _key, (_top, _model, sol) in matrix.items():
@@ -199,9 +198,8 @@ def test_criterion_9_oracle_equivalence():
             origins = tuple(Origin(300 + i, 1, tuple((l + 1, qs[l]) for l in s))
                             for i, s in enumerate(shape))
             for b in range(1, max_budget + 1):
-                chain = GroupChain("g", origins)
                 mine = math.log(x) if (x := _delivery_product(
-                    origins, plain_greedy(chain, b), LossTables())[0]) > 0 else -np.inf
+                    origins, plain_greedy(origins, b), LossTables())[0]) > 0 else -np.inf
                 brute = value[budget_idx[b]].max()
                 if brute == -np.inf:
                     assert mine == -np.inf, (shape, qs, b)
@@ -210,9 +208,8 @@ def test_criterion_9_oracle_equivalence():
                         (shape, qs, b)
                 checked += 1
     # the hand value: 2 origins, both links q=0.5, budget 5
-    chain = GroupChain("g", (Origin(1, 1, ((1, 0.5), (2, 0.5))),
-                             Origin(2, 1, ((2, 0.5),))))
-    assert _delivery_product(chain.origins, plain_greedy(chain, 5), LossTables())[0] == \
+    origins = (Origin(1, 1, ((1, 0.5), (2, 0.5))), Origin(2, 1, ((2, 0.5),)))
+    assert _delivery_product(origins, plain_greedy(origins, 5), LossTables())[0] == \
         pytest.approx(0.28125, abs=1e-12)
     ok(9, f"greedy rounding equals brute force on {checked} grid cases "
           "(hand value 0.28125 included)")

@@ -22,13 +22,13 @@ import yslot.allocate
 from yslot import (enumerate_path_models, find_model, optimize, patterns_for,
                    relaxed_table, solution_timeline, solve_pattern,
                    validate_topology)
-from yslot.allocate import (GroupChain, LossTables, Origin, Structure,
-                            _blocked_uses, _chain_ranks, _chain_uses,
-                            _delivery_product, _early_step, _fill, _fill_order,
-                            _greedy_int, _hideable_uses, _packet_order,
+from yslot.allocate import (LossTables, Origin, Structure, _blocked_uses,
+                            _chain_ranks, _chain_uses, _delivery_product,
+                            _early_step, _fill, _fill_order, _greedy_int,
+                            _hideable_uses, _layout, _packet_order,
                             _GroupTable, _split_structure, _unhideable,
-                            _widen, assign_early_slots, build_group_chain,
-                            candidate_structures, early_window)
+                            _widen, assign_early_slots, candidate_structures,
+                            early_window)
 from yslot.relax import Use, log1m_pow, solve_plain_structure
 from yslot.timeline import place_plans, units_of
 from yslot.topology import MAX_CYCLE_SLOTS, TopologyError, derive_conflicts
@@ -38,9 +38,8 @@ GOLDEN_YS = Path(__file__).resolve().parent / "golden" / "ys"
 
 def chain_from_routes(routes, rates=None):
     """routes: list of ((link, q), ...) per origin, upstream first."""
-    origins = tuple(Origin(100 + i, (rates or [1] * len(routes))[i], tuple(r))
-                    for i, r in enumerate(routes))
-    return GroupChain("g", origins)
+    return tuple(Origin(100 + i, (rates or [1] * len(routes))[i], tuple(r))
+                 for i, r in enumerate(routes))
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,10 +49,10 @@ def exact_splits(n, budget):
     return rows[rows.sum(axis=1) == budget]
 
 
-def brute_force_best(chain, budget):
+def brute_force_best(origins, budget):
     """Exhaustive optimum of the integer allocation product: the best over
     every split of exactly `budget` slots among the chain's packet hops."""
-    qs = np.array([q for o in chain.origins for _k in range(o.rate)
+    qs = np.array([q for o in origins for _k in range(o.rate)
                    for _link, q in o.route])
     rows = exact_splits(len(qs), budget)
     factors = 1.0 - qs[:, None] ** np.arange(budget + 1)
@@ -62,8 +61,8 @@ def brute_force_best(chain, budget):
     return float(value.max())
 
 
-def alloc_product(chain, vals):
-    return _delivery_product(chain.origins, vals, LossTables())[0]
+def alloc_product(origins, vals):
+    return _delivery_product(origins, vals, LossTables())[0]
 
 
 def gain(q, v):
@@ -134,32 +133,32 @@ def seeded_y(rng, loss, lengths=None, cycle_slots=30):
 
 
 def test_round_allocation_sy_golden():
-    chain = chain_from_routes([[(6, 0.3), (7, 0.2)], [(7, 0.2)]])
-    vals = plain_greedy(chain, 30)
+    origins = chain_from_routes([[(6, 0.3), (7, 0.2)], [(7, 0.2)]])
+    vals = plain_greedy(origins, 30)
     assert vals == {(100, 1, 6): 12, (100, 1, 7): 9, (101, 1, 7): 9}
 
 
 def test_round_allocation_sx_golden(case1):
     model = find_model(case1, "3-2-3", 11)
-    chain = build_group_chain(model, "X")
-    vals = plain_greedy(chain, 30)
+    origins = _layout(model, "X")[0]
+    vals = plain_greedy(origins, 30)
     # reference row: s11=5, s21=5, s31=6, s22=4, s32=4, s33=6
     assert vals == {(3, 1, 3): 6, (3, 1, 2): 4, (3, 1, 1): 6,
                     (2, 1, 2): 4, (2, 1, 1): 5, (1, 1, 1): 5}
 
 
 def test_round_allocation_hand_value():
-    chain = chain_from_routes([[(1, 0.5), (2, 0.5)], [(2, 0.5)]])
-    vals = plain_greedy(chain, 5)
+    origins = chain_from_routes([[(1, 0.5), (2, 0.5)], [(2, 0.5)]])
+    vals = plain_greedy(origins, 5)
     assert sorted(vals.values()) == [1, 2, 2]
-    assert alloc_product(chain, vals) == pytest.approx(0.28125, abs=1e-12)
-    assert brute_force_best(chain, 5) == pytest.approx(0.28125, abs=1e-12)
+    assert alloc_product(origins, vals) == pytest.approx(0.28125, abs=1e-12)
+    assert brute_force_best(origins, 5) == pytest.approx(0.28125, abs=1e-12)
 
 
 def test_round_allocation_sums_exactly():
-    chain = chain_from_routes(
+    origins = chain_from_routes(
         [[(1, 0.4), (2, 0.15), (3, 0.3)], [(2, 0.15), (3, 0.3)], [(3, 0.3)]])
-    vals = plain_greedy(chain, 17)
+    vals = plain_greedy(origins, 17)
     assert sum(vals.values()) == 17
 
 
@@ -175,12 +174,12 @@ def test_round_allocation_matches_brute_force_small_grid():
     for shape in shapes:
         n_links = max(max(s) for s in shape) + 1
         for qs in itertools.product(qgrid, repeat=n_links):
-            chain = chain_from_routes(
+            origins = chain_from_routes(
                 [[(l + 1, qs[l]) for l in s] for s in shape])
             for budget in (1, 4, 7, 12):
-                vals = plain_greedy(chain, budget)
-                mine = alloc_product(chain, vals)
-                best = brute_force_best(chain, budget)
+                vals = plain_greedy(origins, budget)
+                mine = alloc_product(origins, vals)
+                best = brute_force_best(origins, budget)
                 assert mine == pytest.approx(best, abs=1e-12), (shape, qs, budget)
                 checked += 1
     assert checked >= 4000
@@ -199,8 +198,8 @@ def test_heap_greedy_matches_linear_scan_oracle():
         conflicts = derive_conflicts(topo)
         for model in enumerate_path_models(topo)[:3]:
             for label in ("X", "Y", "Z"):
-                chain = build_group_chain(model, label)
-                for st in candidate_structures(model, chain, conflicts):
+                origins = _layout(model, label)[0]
+                for st in candidate_structures(origins, conflicts):
                     kinds.add(st.kind)
                     first = {(st.uses[0].node, st.uses[0].link)}
                     for part in (st, *_split_structure(st, first)):
@@ -237,16 +236,16 @@ def test_heap_greedy_rescans_hosts_only_after_a_host_step():
 def test_round_allocation_ties_go_to_earliest_after_underflow():
     # once q**v underflows every gain is 0 and the earliest packet takes
     # every remaining slot, so the split is not the even 200/200
-    chain = chain_from_routes([[(1, 0.0141)]], rates=[2])
-    assert plain_greedy(chain, 400) == {(100, 1, 1): 225, (100, 2, 1): 175}
+    origins = chain_from_routes([[(1, 0.0141)]], rates=[2])
+    assert plain_greedy(origins, 400) == {(100, 1, 1): 225, (100, 2, 1): 175}
 
 
 def test_greedy_can_leave_the_relaxed_solution_by_more_than_a_slot():
-    chain = chain_from_routes(
+    origins = chain_from_routes(
         [[(1, 0.9525), (2, 0.0671), (3, 0.0975)], [(2, 0.0671), (3, 0.0975)],
          [(3, 0.0975)]], rates=[1, 3, 1])
-    vals = plain_greedy(chain, 62)
-    relaxed = solve_plain_structure(list(_chain_uses(chain)), 62.0)
+    vals = plain_greedy(origins, 62)
+    relaxed = solve_plain_structure(list(_chain_uses(origins)), 62.0)
     assert vals[(100, 1, 1)] == 39
     assert relaxed.values[(100, 1)] == pytest.approx(41.02, abs=0.01)
 
@@ -261,20 +260,20 @@ def test_round_allocation_gain_evaluations_stay_linear(monkeypatch):
         return log1m_pow(q, v)
 
     monkeypatch.setattr(yslot.allocate, "log1m_pow", counting)
-    chain = chain_from_routes(
+    origins = chain_from_routes(
         [[(1, 0.4), (2, 0.15), (3, 0.3)], [(2, 0.15), (3, 0.3)], [(3, 0.3)]],
         rates=[2, 1, 2])
-    entries = sum(o.rate * len(o.route) for o in chain.origins)
+    entries = sum(o.rate * len(o.route) for o in origins)
     assert entries >= 10
-    assert sum(plain_greedy(chain, 1000).values()) == 1000
+    assert sum(plain_greedy(origins, 1000).values()) == 1000
     assert len(calls) <= 1000
 
 
 def test_infeasible_budget_flagged_not_raised():
-    chain = chain_from_routes([[(1, 0.3), (2, 0.3)], [(2, 0.3)]])
-    vals = plain_greedy(chain, 2)
+    origins = chain_from_routes([[(1, 0.3), (2, 0.3)], [(2, 0.3)]])
+    vals = plain_greedy(origins, 2)
     assert sum(vals.values()) == 2
-    assert alloc_product(chain, vals) == 0.0
+    assert alloc_product(origins, vals) == 0.0
 
 
 @pytest.mark.parametrize("cycle_slots, message", [
@@ -322,8 +321,8 @@ def test_library_solves_near_the_cycle_cap():
 
 
 def test_per_packet_counts_differ_at_most_one():
-    chain = chain_from_routes([[(1, 0.3), (2, 0.4)]], rates=[3])
-    vals = plain_greedy(chain, 13)
+    origins = chain_from_routes([[(1, 0.3), (2, 0.4)]], rates=[3])
+    vals = plain_greedy(origins, 13)
     assert sum(vals.values()) == 13
     for link in (1, 2):
         per_k = [vals[(100, k, link)] for k in (1, 2, 3)]
@@ -432,7 +431,7 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
             for i, (plan, step) in enumerate(zip(sol.plans, sol.steps)):
                 assert dict(step.extents) == \
                     hull(unit_intervals(units_of(place_plans([plan]))))
-                txmap = model.transmitter_map(plan.label)
+                txmap = _layout(model, plan.label)[1]
                 extents, real = integer_seen[i], real_seen[i]
                 units = unit_intervals(units_of(place_plans(sol.plans[:i])))
                 assert extents == hull(units)
@@ -452,11 +451,11 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
 
 
 def test_assign_early_identity_without_window():
-    chain = chain_from_routes([[(1, 0.3), (2, 0.4)], [(2, 0.4)]])
-    uses = tuple(Use(o.node, l, q, o.rate) for o in chain.origins for l, q in o.route)
+    origins = chain_from_routes([[(1, 0.3), (2, 0.4)], [(2, 0.4)]])
+    uses = tuple(Use(o.node, l, q, o.rate) for o in origins for l, q in o.route)
     st = Structure("plain", "plain", uses, (), ())
-    tentative = plain_greedy(chain, 10)
-    table, regime = early_slots(rates_of(chain), st, tentative, {}, 0, [], 10,
+    tentative = plain_greedy(origins, 10)
+    table, regime = early_slots(rates_of(origins), st, tentative, {}, 0, [], 10,
                                 LossTables())
     serialized, early, _rider = table_parts(table)
     assert early == {} and serialized == nonzero(tentative)
@@ -474,25 +473,25 @@ def early_slots(rates, st, tentative, rider, window, hide_order, budget, losses)
     return assign_early_slots(tentative, rider, *step, hide_order, window)
 
 
-def chain_keys(chain):
+def chain_keys(origins):
     """A chain's use keys in chain order, the order of its transmitter map."""
-    return [(o.node, link) for o in chain.origins for link, _q in o.route]
+    return [(o.node, link) for o in origins for link, _q in o.route]
 
 
-def rates_of(chain):
-    return {o.node: o.rate for o in chain.origins}
+def rates_of(origins):
+    return {o.node: o.rate for o in origins}
 
 
-def hideable(chain, st, blocked):
+def hideable(origins, st, blocked):
     """Hideable uses of a structure behind `blocked`: the chain's fill
     order cut at its unhideable and blocked uses, as the group table cuts
     it."""
-    keys, ranks = chain_keys(chain), _chain_ranks(chain)
+    keys, ranks = chain_keys(origins), _chain_ranks(origins)
     return _hideable_uses(_fill_order(keys, ranks), blocked | _unhideable(st, keys),
                           ranks)
 
 
-def hideable_uses_oracle(chain, st, blocked, ranks):
+def hideable_uses_oracle(origins, st, blocked, ranks):
     """Reference fill order, sorted on every call: each origin's route
     prefix of unblocked budget uses that host no rider, upstream link
     first, downstream origin first within a link."""
@@ -500,7 +499,7 @@ def hideable_uses_oracle(chain, st, blocked, ranks):
     hosts = set(st.hosts)
     order, pos = ranks
     out = []
-    for o in chain.origins:
+    for o in origins:
         for link, _ in o.route:
             key = (o.node, link)
             if key in blocked or key not in use_keys or key in hosts:
@@ -508,6 +507,52 @@ def hideable_uses_oracle(chain, st, blocked, ranks):
             out.append(key)
     out.sort(key=lambda key: (order[key[1]], -pos[key[0]], key[0]))
     return out
+
+
+def transmitter_map_oracle(model, label):
+    """Reference transmitter map, (origin, link) -> (tx node, link) for
+    every route step of a group, read off the model's routes: each hop is
+    sent by the far end of the hop before it, keys in group order, then
+    route order, and the hops of one transmitter share its tuple."""
+    out = {}
+    txs = {}
+    for node in model.group(label):
+        tx = node
+        for link_id in model.route(node):
+            txlink = (tx, link_id)
+            out[(node, link_id)] = txs.setdefault(txlink, txlink)
+            tx = model.topology.links[link_id].other(tx)
+    return out
+
+
+def test_layout_matches_the_transmitter_map_oracle(all_cases):
+    # one walk gives a group's origins, transmitter map, ranks and fill
+    # order: the map equals the old per-model one in key order and values,
+    # each transmitter is one shared tuple, each origin carries its model
+    # route with the topology's losses, and the fill order sorts the map's
+    # own key tuples
+    topologies = [*all_cases.values(),
+                  *(validate_topology(json.loads(path.read_text()))
+                    for path in sorted(GOLDEN_YS.glob("y??.json")))]
+    checked = 0
+    for topology in topologies:
+        for model in enumerate_path_models(topology):
+            for label in ("X", "Y", "Z"):
+                origins, txmap, ranks, fill = _layout(model, label)
+                assert list(txmap.items()) == \
+                    list(transmitter_map_oracle(model, label).items())
+                assert len({id(tx) for tx in txmap.values()}) == len(set(txmap.values()))
+                assert tuple(o.node for o in origins) == model.group(label)
+                for o in origins:
+                    assert o.rate == topology.rates[o.node]
+                    assert o.route == tuple((link, topology.links[link].loss)
+                                            for link in model.route(o.node))
+                assert ranks == _chain_ranks(origins)
+                assert fill == _fill_order(txmap, ranks)
+                assert sorted(fill) == sorted(txmap)
+                assert {id(key) for key in fill} == {id(key) for key in txmap}
+                checked += 1
+    assert checked > 500
 
 
 def test_hideable_uses_filter_the_fill_order_built_once(case1):
@@ -537,7 +582,7 @@ def test_hideable_uses_filter_the_fill_order_built_once(case1):
                         for txs in itertools.combinations(uses_of.values(), n):
                             blocked = {key for keys in txs for key in keys}
                             assert _hideable_uses(fill, blocked, group.ranks) == \
-                                hideable_uses_oracle(group.chain, st, blocked,
+                                hideable_uses_oracle(group.origins, st, blocked,
                                                      group.ranks)
                             checked += 1
     assert checked > 10000
@@ -546,11 +591,11 @@ def test_hideable_uses_filter_the_fill_order_built_once(case1):
 def two_origin_chain():
     """Origin 100 (rate 2) sends over links 1 and 2, origin 101 over link 2;
     its plain structure and fill order, upstream link first."""
-    chain = chain_from_routes([[(1, 0.3), (2, 0.4)], [(2, 0.4)]], rates=[2, 1])
-    st = Structure("plain", "plain", _chain_uses(chain), (), ())
-    hide_order = hideable(chain, st, set())
+    origins = chain_from_routes([[(1, 0.3), (2, 0.4)], [(2, 0.4)]], rates=[2, 1])
+    st = Structure("plain", "plain", _chain_uses(origins), (), ())
+    hide_order = hideable(origins, st, set())
     assert hide_order == [(100, 1), (101, 2), (100, 2)]
-    return chain, st, hide_order
+    return origins, st, hide_order
 
 
 def table_parts(table, riders=()):
@@ -572,14 +617,14 @@ STARVED = {(100, 1, 1): 0, (100, 2, 1): 1, (100, 1, 2): 2, (100, 2, 2): 2,
            (101, 1, 2): 1}
 
 
-def fill_window_oracle(chain, tentative, hide_order, window):
+def fill_window_oracle(origins, tentative, hide_order, window):
     """Reference integer fill: hide up to `window` tentative slots following
     the fill order; a hop enters the window only if its packet's previous
     hop did."""
     if window <= 0:
         return {}
-    rates = {o.node: o.rate for o in chain.origins}
-    previous = {(o.node, link): up for o in chain.origins
+    rates = {o.node: o.rate for o in origins}
+    previous = {(o.node, link): up for o in origins
                 for (up, _), (link, _) in zip(o.route, o.route[1:])}
     early = {}
     remaining = window
@@ -597,32 +642,32 @@ def fill_window_oracle(chain, tentative, hide_order, window):
     return early
 
 
-def integer_fill(chain, tentative, hide_order, window):
-    return _fill(tentative, _packet_order(rates_of(chain), hide_order, tentative), window)
+def integer_fill(origins, tentative, hide_order, window):
+    return _fill(tentative, _packet_order(rates_of(origins), hide_order, tentative), window)
 
 
 def test_fill_keeps_a_packet_without_its_upstream_hop_out():
-    chain, st, hide_order = two_origin_chain()
-    early = integer_fill(chain, STARVED, hide_order, 4)
+    origins, st, hide_order = two_origin_chain()
+    early = integer_fill(origins, STARVED, hide_order, 4)
     assert early == {(100, 2, 1): 1, (101, 1, 2): 1, (100, 2, 2): 2}
     for window in range(8):
-        assert integer_fill(chain, STARVED, hide_order, window) == \
-            fill_window_oracle(chain, STARVED, hide_order, window)
-    table, regime = early_slots(rates_of(chain), st, STARVED, {}, 4, hide_order, 6,
+        assert integer_fill(origins, STARVED, hide_order, window) == \
+            fill_window_oracle(origins, STARVED, hide_order, window)
+    table, regime = early_slots(rates_of(origins), st, STARVED, {}, 4, hide_order, 6,
                                 LossTables())
     assert regime == "c4" and table_parts(table)[1] == early
     assert table_parts(table)[0] == nonzero({**STARVED, (100, 2, 1): 0, (101, 1, 2): 0,
                                              (100, 2, 2): 0})
     # one slot more and the fill falls short, though link 2 could hold it
-    assert integer_fill(chain, STARVED, hide_order, 5) == early
-    assert early_slots(rates_of(chain), st, STARVED, {}, 5, hide_order, 6,
+    assert integer_fill(origins, STARVED, hide_order, 5) == early
+    assert early_slots(rates_of(origins), st, STARVED, {}, 5, hide_order, 6,
                        LossTables())[1] == "c5"
 
 
 def test_split_window_keeps_a_packet_without_its_upstream_hop_out(monkeypatch):
     # the window part of a c5 split goes through the same fill; greedy
     # allocations never starve an upstream hop, so hand one in
-    chain, st, hide_order = two_origin_chain()
+    origins, st, hide_order = two_origin_chain()
     window_part = {**STARVED, (100, 2, 2): 1}
     greedy = _greedy_int
 
@@ -633,7 +678,7 @@ def test_split_window_keeps_a_packet_without_its_upstream_hop_out(monkeypatch):
         return greedy(part, budget, losses)
 
     monkeypatch.setattr(yslot.allocate, "_greedy_int", starved_window_part)
-    table, regime = early_slots(rates_of(chain), st, STARVED, {}, 5, hide_order, 6,
+    table, regime = early_slots(rates_of(origins), st, STARVED, {}, 5, hide_order, 6,
                                 LossTables())
     assert regime == "c5"
     assert table_parts(table)[1] == {(100, 2, 1): 1, (101, 1, 2): 1, (100, 2, 2): 1}
@@ -650,21 +695,21 @@ def test_split_window_part_by_restriction_equals_the_fill():
         conflicts = derive_conflicts(topo)
         for model in enumerate_path_models(topo)[:3]:
             for label in ("X", "Y", "Z"):
-                chain = build_group_chain(model, label)
-                for st in candidate_structures(model, chain, conflicts):
+                origins = _layout(model, label)[0]
+                for st in candidate_structures(origins, conflicts):
                     uses = sorted(st.use_keys())
                     blocked = set(rng.sample(uses, rng.randrange(len(uses))))
-                    hide_order = hideable(chain, st, blocked)
+                    hide_order = hideable(origins, st, blocked)
                     rest, hide = _split_structure(st, set(hide_order))
                     losses = LossTables()
                     empty = {key: 0 for key in _greedy_int(st, 0, losses)[0]}
                     for window in range(1, 16):
                         budget = window + rng.randrange(20)
-                        table, regime = early_slots(rates_of(chain), st, empty, {}, window,
+                        table, regime = early_slots(rates_of(origins), st, empty, {}, window,
                                                     hide_order, budget, losses)
                         serialized, early, rider = table_parts(table, st.riders)
                         part = _greedy_int(hide, window, losses)[0]
-                        filled = _fill(part, _packet_order(rates_of(chain), hide_order, part), window)
+                        filled = _fill(part, _packet_order(rates_of(origins), hide_order, part), window)
                         assert regime == "c5"
                         assert list(early.items()) == list(filled.items())
                         assert (serialized, rider) == tuple(
@@ -672,16 +717,16 @@ def test_split_window_part_by_restriction_equals_the_fill():
                         checked += 1
     assert checked >= 1500
     # a window part with a starved upstream hop, restricted and filled alike
-    chain, st, hide_order = two_origin_chain()
+    origins, st, hide_order = two_origin_chain()
     for part in (STARVED, {**STARVED, (100, 2, 2): 1}):
         window = sum(part.values())
         _unfilled, split = _early_step(
             st, {}, window, window, hide_order,
-            lambda amounts: _packet_order(rates_of(chain), hide_order, amounts),
+            lambda amounts: _packet_order(rates_of(origins), hide_order, amounts),
             lambda part_st, _budget: (dict(part) if part_st.uses else {}, {}))
         assert split is not None
         early = split[1]
-        assert early == _fill(part, _packet_order(rates_of(chain), hide_order, part), window)
+        assert early == _fill(part, _packet_order(rates_of(origins), hide_order, part), window)
         assert (100, 1, 2) not in early and (100, 1, 1) not in early
 
 
@@ -690,10 +735,10 @@ def test_split_window_part_by_restriction_equals_the_fill():
 def test_window_regime_boundaries(window, label):
     # hide capacities 2, 3, 4 in fill order; a window equal to a capacity
     # (or to the sum of the first two, or of all) still hides
-    chain, st, hide_order = two_origin_chain()
+    origins, st, hide_order = two_origin_chain()
     tentative = {(100, 1, 1): 1, (100, 2, 1): 1, (101, 1, 2): 3,
                  (100, 1, 2): 2, (100, 2, 2): 2}
-    table, regime = early_slots(rates_of(chain), st, tentative, {}, window, hide_order, 12,
+    table, regime = early_slots(rates_of(origins), st, tentative, {}, window, hide_order, 12,
                                 LossTables())
     serialized, early, _rider = table_parts(table)
     assert regime == label
@@ -723,18 +768,18 @@ def test_greedy_allocations_are_causal():
         conflicts = derive_conflicts(topo)
         for model in enumerate_path_models(topo)[:3]:
             for label in ("X", "Y", "Z"):
-                chain = build_group_chain(model, label)
-                for st in candidate_structures(model, chain, conflicts):
+                origins = _layout(model, label)[0]
+                for st in candidate_structures(origins, conflicts):
                     kinds.add(st.kind)
-                    hide_order = hideable(chain, st, set())
+                    hide_order = hideable(origins, st, set())
                     for part in (st, *_split_structure(st, set(hide_order))):
                         for budget in (*range(25), 60, 200):
                             vals, _rvals = _greedy_int(part, budget, LossTables())
                             assert uncausal_hops(part, vals) == [], (part, budget)
                             # windows past the tentative total fill alike
                             for w in range(min(31, sum(vals.values()) + 2)):
-                                assert integer_fill(chain, vals, hide_order, w) \
-                                    == fill_window_oracle(chain, vals, hide_order, w)
+                                assert integer_fill(origins, vals, hide_order, w) \
+                                    == fill_window_oracle(origins, vals, hide_order, w)
                             checked += 1
     assert kinds == {"plain", "rider-terminal", "rider-feeders"}
     assert checked >= 10000
@@ -779,7 +824,7 @@ def test_com_probability_trivials(case1):
     totals = {(8, 1, 10): 2}
     losses = LossTables()
     per_node = {o.node: _delivery_product([o], totals, losses)[0] for label in "XYZ"
-                for o in build_group_chain(model, label).origins}
+                for o in _layout(model, label)[0]}
     assert per_node[8] == pytest.approx(1 - 0.3 ** 2, abs=1e-12)  # q10 = 0.3
     assert per_node[4] == 0.0
     assert math.prod(per_node.values()) == 0.0
@@ -868,12 +913,12 @@ def old_group_step(group, window, blocked, T):
         tentative, rider = _greedy_int(st, T, losses)
         hide_order = _hideable_uses(_fill_order(keys, ranks),
                                     blocked | _unhideable(st, keys), ranks)
-        table, regime = early_slots(group.rates, st, tentative, rider,
+        table, regime = early_slots(rates_of(group.origins), st, tentative, rider,
                                     window, hide_order, T, losses)
         totals: dict = {}
         for (node, k, link, _early), v in table.items():
             totals[(node, k, link)] = totals.get((node, k, link), 0) + v
-        rows.append((_delivery_product(group.chain.origins, totals, losses)[0],
+        rows.append((_delivery_product(group.origins, totals, losses)[0],
                      table, regime, totals))
     best = 0
     for i, row in enumerate(rows):
@@ -881,7 +926,7 @@ def old_group_step(group, window, blocked, T):
             best = i
     product, table, regime, totals = rows[best]
     per_node = {o.node: _delivery_product([o], totals, losses)[0]
-                for o in group.chain.origins}
+                for o in group.origins}
     return best, product, table, regime, per_node, [(r[0], r[2]) for r in rows]
 
 
@@ -1107,16 +1152,16 @@ def test_feeder_first_hop_carries_only_its_own_packets(case1, name, riders):
     # hop, link 4, also carries node 2's packets, so only node 2 rides,
     # though neither first hop conflicts with the terminal's own burst
     model = find_model(case1, name, 11)
-    chain = build_group_chain(model, "Z")
+    origins = _layout(model, "Z")[0]
     conflicts = derive_conflicts(case1)
-    upstream, inner = chain.origins[:2]
+    upstream, inner = origins[:2]
     assert (upstream.node, inner.node) == (2, 3)
     assert upstream.route[1][0] == inner.route[0][0] == 4
-    terminal = chain.origins[-1]
+    terminal = origins[-1]
     term_tx = (terminal.node, terminal.route[0][0])
     assert not conflicts.conflict((2, 3), term_tx)
     assert not conflicts.conflict((3, 4), term_tx)
-    structures = candidate_structures(model, chain, conflicts)
+    structures = candidate_structures(origins, conflicts)
     rider_feed = next(s for s in structures if s.kind == "rider-feeders")
     assert [(u.node, u.link) for u in rider_feed.riders] == riders
     rider_term = next(s for s in structures if s.kind == "rider-terminal")

@@ -7,9 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import branch_config, load_case_raw
-from yslot import (PathModel, PatternSpec, derive_conflicts,
-                   enumerate_path_models, find_model, patterns_for,
-                   validate_topology)
+from yslot import (PatternSpec, derive_conflicts, enumerate_path_models,
+                   find_model, patterns_for, validate_topology)
+from yslot.allocate import _layout
 from yslot.topology import MAX_CYCLE_SLOTS
 
 
@@ -48,8 +48,8 @@ def test_degenerate_one_node_branch(case1_raw):
     raw["proximity"] = [p for p in raw["proximity"] if 6 not in p] + [[5, 10]]
     top = validate_topology(raw)
     y_branch = next(b for b in top.branches if b.gateway == 10)
-    assert len(y_branch.inter_node_links) == 1
-    assert y_branch.inter_node_links == (5,)
+    assert len(y_branch.links[:-1]) == 1
+    assert y_branch.links[:-1] == (5,)
 
 
 def test_groups_and_types(case1):
@@ -72,8 +72,8 @@ def test_groups_and_types(case1):
 def test_routes_loop_free_and_single_gateway(case1):
     for m in enumerate_path_models(case1):
         reached = {}
-        for label, members in m.groups.items():
-            for node in members:
+        for label in ("X", "Y", "Z"):
+            for node in m.group(label):
                 route = m.route(node)
                 assert len(set(route)) == len(route)
                 cur = node
@@ -82,7 +82,8 @@ def test_routes_loop_free_and_single_gateway(case1):
                 assert cur in case1.gateways
                 # every member of a group reaches the same gateway
                 assert reached.setdefault(label, cur) == cur
-        assert sorted(n for ms in m.groups.values() for n in ms) == sorted(case1.nodes)
+        assert sorted(n for label in ("X", "Y", "Z") for n in m.group(label)) == \
+            sorted(case1.nodes)
         assert sorted(reached) == ["X", "Y", "Z"]
         assert len(set(reached.values())) == 3
 
@@ -176,8 +177,8 @@ def test_empty_branch_can_be_z():
 # transmitter map.
 
 def oracle_model(topology, z_branch, x_branch, y_branch, ia, ib) -> SimpleNamespace:
-    sep_a = x_branch.inter_node_links[ia]
-    sep_b = y_branch.inter_node_links[ib]
+    sep_a = x_branch.links[:-1][ia]
+    sep_b = y_branch.links[:-1][ib]
     sx, sy = x_branch.nodes[ia:], y_branch.nodes[ib:]
     sz = (x_branch.nodes[:ia][::-1] + y_branch.nodes[:ib][::-1]
           + (topology.central,) + z_branch.nodes)
@@ -201,8 +202,8 @@ def oracle_models(topology) -> list[SimpleNamespace]:
     models = []
     for z_branch in topology.branches:
         x_branch, y_branch = (b for b in topology.branches if b is not z_branch)
-        for ia in range(len(x_branch.inter_node_links)):
-            for ib in range(len(y_branch.inter_node_links)):
+        for ia in range(len(x_branch.links[:-1])):
+            for ib in range(len(y_branch.links[:-1])):
                 models.append(oracle_model(topology, z_branch, x_branch, y_branch,
                                            ia, ib))
     return models
@@ -306,7 +307,7 @@ def test_models_and_patterns_match_the_oracles():
         assert len(models) == len(oracles)
         for model, oracle in zip(models, oracles):
             assert_model_matches(model, oracle)
-            transmitters = {label: set(model.transmitter_map(label).values())
+            transmitters = {label: set(_layout(model, label)[1].values())
                             for label in ("X", "Y", "Z")}
             assert patterns_for(model) == oracle_patterns(model, transmitters)
             for label, txs in transmitters.items():
@@ -321,19 +322,17 @@ def test_models_and_patterns_match_the_oracles():
             assert_model_matches(found, oracle)
 
 
-def test_front_end_at_the_caps(monkeypatch):
+def test_front_end_at_the_caps():
     # branches of 40 nodes, 9 801 packet hops: 4 800 models whose patterns
-    # read each group's own transmitters, never the per-hop transmitter map
+    # read each group's own transmitters, never a route dict or the per-hop
+    # transmitter map (which `_layout` builds from the routes)
     topology = validate_topology(branch_config((40, 40, 40), MAX_CYCLE_SLOTS))
-
-    def no_map(self, label):
-        raise AssertionError("transmitter_map called")
-    monkeypatch.setattr(PathModel, "transmitter_map", no_map)
     start = time.perf_counter()
     models = enumerate_path_models(topology)
     specs = [patterns_for(m) for m in models]
     assert time.perf_counter() - start < 5.0
     assert len(models) == len(specs) == 4800
+    assert not any("routes" in vars(m) for m in models)
     for z_branch in topology.branches:
         # at most two route tuples (outward, inward) per separated node and
         # one per other node, shared by the 1 600 models of the Z choice

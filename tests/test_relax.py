@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from golden import sweep
@@ -8,8 +9,8 @@ from conftest import (branch_config, ffun, gfun, recorded_residuals,
                       solve_plain_chain)
 from yslot import (ConvergenceError, DomainError, enumerate_path_models,
                    optimize, solve_pattern, validate_topology)
-from yslot.allocate import (GroupChain, Origin, _relax_structure,
-                            build_group_chain, candidate_structures)
+from yslot.allocate import (Origin, _layout, _relax_structure,
+                            candidate_structures)
 from yslot.pathmodel import find_model
 from yslot.relax import (Use, _f_log, _solve_log, log1m_pow,
                          solve_plain_structure, solve_rider_feeders,
@@ -18,26 +19,26 @@ from yslot.topology import derive_conflicts
 
 
 def chain_sx_case1():
-    return GroupChain("X", (
+    return (
         Origin(3, 1, ((3, 0.2), (2, 0.1), (1, 0.2))),
         Origin(2, 1, ((2, 0.1), (1, 0.2))),
         Origin(1, 1, ((1, 0.2),)),
-    ))
+    )
 
 
 def chain_sy_case1():
-    return GroupChain("Y", (
+    return (
         Origin(5, 1, ((6, 0.3), (7, 0.2))),
         Origin(6, 1, ((7, 0.2),)),
-    ))
+    )
 
 
 def chain_sz_case1():
-    return GroupChain("Z", (
+    return (
         Origin(4, 1, ((8, 0.2), (9, 0.5), (10, 0.3))),
         Origin(7, 1, ((9, 0.5), (10, 0.3))),
         Origin(8, 1, ((10, 0.3),)),
-    ))
+    )
 
 
 def test_inverse_identity_random():
@@ -60,8 +61,8 @@ def test_budget_terms_224_case1_variant(case1):
     # the case-1 budget for the 2-2-4 bottom group drops the feeder
     # first hop: 2 uses of link 8, 3 of link 9, 4 of link 10
     model = find_model(case1, "2-2-4", 11)
-    chain = build_group_chain(model, "Z")
-    structures = candidate_structures(model, chain, derive_conflicts(case1))
+    origins = _layout(model, "Z")[0]
+    structures = candidate_structures(origins, derive_conflicts(case1))
     rider_feed = next(s for s in structures if s.kind == "rider-feeders")
     mult: dict[int, int] = {}
     for u in rider_feed.uses:
@@ -109,11 +110,10 @@ def test_budget_exactness_random_chains():
             route = tuple((j + 1, losses[j]) for j in range(i, n_links))
             origins.append(Origin(100 + i, rng.randint(1, 3), route))
         budget = rng.uniform(5, 80)
-        chain = GroupChain("g", tuple(sorted(reversed(origins),
-                                             key=lambda o: -len(o.route))))
-        sol = solve_plain_chain(chain, budget)
+        origins = tuple(sorted(reversed(origins), key=lambda o: -len(o.route)))
+        sol = solve_plain_chain(origins, budget)
         used = sum(o.rate * sol.values[(o.node, link)]
-                   for o in chain.origins for link, _ in o.route)
+                   for o in origins for link, _ in o.route)
         assert abs(used - budget) <= 1e-9
         # strictly below 1 mathematically; float rounding may saturate
         assert 0.0 < sol.product <= 1.0
@@ -139,8 +139,8 @@ def test_every_solver_rejects_nonpositive_budget(case1, kind, budget):
     # every solver kind raises it; the CLI reports it as an internal
     # solver fault (exit 3), not a usage error
     model = find_model(case1, "3-1-4", 11)
-    chain = build_group_chain(model, "Z")
-    st, = (s for s in candidate_structures(model, chain, derive_conflicts(case1))
+    origins = _layout(model, "Z")[0]
+    st, = (s for s in candidate_structures(origins, derive_conflicts(case1))
            if s.kind == kind)
     with pytest.raises(DomainError):
         _relax_structure(st, budget)
@@ -159,11 +159,11 @@ def test_convergence_error_on_saturating_equation():
 
 
 def test_heterogeneous_rates_budget():
-    chain = GroupChain("g", (
+    origins = (
         Origin(1, 2, ((1, 0.3), (2, 0.2))),
         Origin(2, 3, ((2, 0.2),)),
-    ))
-    sol = solve_plain_chain(chain, 24.0)
+    )
+    sol = solve_plain_chain(origins, 24.0)
     used = 2 * (sol.values[(1, 1)] + sol.values[(1, 2)]) + 3 * sol.values[(2, 2)]
     assert abs(used - 24.0) <= 1e-9
 
@@ -190,15 +190,35 @@ def test_solve_pattern_at_ten_thousand_slots(case1):
     assert len(residuals) > 0 and max(residuals) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="log1m_pow loses accuracy at q = 1 - 2**-53 "
-                   "for non-integer v, so this relaxed product reads below COM")
 def test_tub_bounds_com_at_bound_losses():
     # sweep scenario 3 (T = 190, losses at the bounds validation admits):
-    # the one of its 65 solutions where COM 0x1.8534332a0259bp-751 is
-    # above TUB 0x1.833f6ba2948b5p-751
+    # the one of its 65 solutions where COM 0x1.8534332a0259bp-751 read
+    # above TUB 0x1.833f6ba2948b5p-751 while log1p(-q**v) lost its digits
+    # at q = 1 - 2**-53
     topology = validate_topology(sweep.scenario_configs()[3])
     sol = solve_pattern(find_model(topology, "4-2-7", 16), 1, 190)
     assert sol.com_product <= sol.tub_product * (1 + 1e-12)
+
+
+def log1m_pow_reference(q: float, v: float) -> float:
+    """log(1 - q^v) from the exact values of q and v in 400-digit decimals,
+    enough to resolve 1 - q^v down to v |log q| near 1e-340."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        return float((1 - Decimal(q) ** Decimal(v)).ln())
+
+
+def test_log1m_pow_keeps_its_digits_near_q_one():
+    # every branch (q^v below 0.999, near 1, and v log q below the smallest
+    # normal float) against the decimal reference, at the bound losses and
+    # ordinary ones
+    for q in (1 - 2 ** -53, 1 - 2 ** -52, 1 - 2 ** -40, 0.9999, 0.999, 0.5,
+              1e-300, 5e-324):
+        for v in (5e-324, 1e-310, 1e-300, 1e-200, 1e-20, 1e-3, 0.37, 1, 2.5, 7,
+                  1000.3, 1e12):
+            got, want = log1m_pow(q, v), log1m_pow_reference(q, v)
+            assert abs(got - want) <= 1e-14 * abs(want), (q, v, got, want)
+    assert log1m_pow(0.5, 0) == log1m_pow(0.5, -1.0) == -math.inf
 
 
 @pytest.mark.parametrize("budget", [30.0, 1e3, 1e5])
@@ -318,8 +338,8 @@ def test_per_distinct_loss_terms_match_the_per_use_solve():
         conflicts = derive_conflicts(topology)
         for model in rng.sample(enumerate_path_models(topology), 4):
             for label in ("X", "Y", "Z"):
-                chain = build_group_chain(model, label)
-                for st in candidate_structures(model, chain, conflicts):
+                origins = _layout(model, label)[0]
+                for st in candidate_structures(origins, conflicts):
                     kinds.add(st.kind)
                     repeated += len({u.q for u in st.uses}) < len(st.uses)
                     for budget in (1.0, 10_000.0, rng.choice((3.0, 30.0, 300.0)),
