@@ -26,7 +26,7 @@ Pipeline per group, in pattern placement order:
 `optimize` shares one table across all its patterns and drops it when it
 returns; `solve_pattern` builds one for its pattern.  One topology and
 one T fix everything but the group, so the first level is keyed on
-(label, nodes, routes of those nodes) and holds the group's layout (its
+(label, the group's (node, route) pairs) and holds the group's layout (its
 origins, transmitter map and ranks, from `_layout`), candidate structures
 and predicted case; per candidate, the budget-T greedy, its scores and
 the fill order with nothing blocked, sorted once (a step keeps its
@@ -34,8 +34,9 @@ unblocked route prefixes); and, once a structure wins, its relaxed
 optimum and burst order.  Orders hold the transmitter map's own key
 tuples, never copies, and the table owns the loss tables, so no cache
 outlives a solve.  A group's step reads the placement before it only
-through the early window and the blocked uses, so the second level is
-keyed on (window, sorted blocked uses) and holds the frozen `GroupStep` a
+through the early window and the blocked uses, which one `_window_scan`
+gives, the blocked uses in transmitter-map order, so the second level is
+keyed on (window, blocked uses) and holds the frozen `GroupStep` a
 solution is made of.  Both hits are exact: the key is every input of the
 work it stands for.
 """
@@ -50,7 +51,7 @@ from types import MappingProxyType
 
 from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
                         patterns_for)
-from .relax import (StructuredRelax, Use, log1m_pow, solve_plain_structure,
+from .relax import (TOL, StructuredRelax, Use, log1m_pow, solve_plain_structure,
                     solve_rider_feeders, solve_rider_terminal)
 from .timeline import GroupPlan, _run_of_row, build_timeline, place_plans
 from .topology import ConflictSet, Topology, check_cycle_slots, derive_conflicts
@@ -61,9 +62,6 @@ EntryKey = tuple[int, int, int]  # (origin node, packet k, link)
 SlotKey = tuple[int, int, int, bool]  # (origin node, packet k, link, early)
 Placed = dict[TxLink, tuple[float, float]]  # first start, last end per transmitter
 Ranks = tuple[dict[int, int], dict[int, int]]  # link ranks, origin ranks
-
-
-_TOL = 1e-9   # the relaxed solver's residual bound: the TUB walk's one tolerance
 
 
 @dataclass(frozen=True)
@@ -150,9 +148,9 @@ def _layout(model: PathModel, label: str) -> tuple[
     fill order with nothing blocked follow from those."""
     topo = model.topology
     origins, txmap, txs = [], {}, {}
-    for node in model.group(label):
+    for node, link_ids in model.group_routes(label):
         route, tx = [], node
-        for link_id in model.route(node):
+        for link_id in link_ids:
             link, txlink = topo.links[link_id], (tx, link_id)
             txmap[(node, link_id)] = txs.setdefault(txlink, txlink)
             route.append((link_id, link.loss))
@@ -322,25 +320,25 @@ def _widen(placed: Placed, txlink: TxLink, start, end) -> None:
     placed[txlink] = (min(lo, start), max(hi, end))
 
 
-def early_window(placed: Placed, group_txs, conflicts: ConflictSet):
-    """First slot from which nothing already placed conflicts with any of
-    the group's transmitters; 0 when there is no conflicting burst.
-    The scans read a transmitter only through its extent: its last end
-    here, its first start in `_blocked_uses`; integer slot s is (s, s + 1)."""
-    mask = conflicts.mask_of(group_txs)
-    a = 0
+def _window_scan(placed: Placed, txmap: dict[UseKey, TxLink],
+                 conflicts: ConflictSet) -> tuple[float, tuple[UseKey, ...]]:
+    """A group's early window, the first slot from which nothing already
+    placed conflicts with any of its transmitters (0 when nothing does),
+    and its blocked uses, the use keys in transmitter-map order whose
+    transmitter conflicts with a placed one starting inside the window.
+    Conflicts are symmetric, and a placed transmitter that conflicts with
+    the group ends by the window and starts before its end (no extent is
+    empty), so the transmitters one pass finds by the group's mask are
+    those that block its uses.  Integer slot s is (s, s + 1)."""
+    mask = conflicts.mask_of(txmap.values())
+    window, near = 0, []
     for txlink, (_start, end) in placed.items():
-        if end > a and conflicts.hits(mask, txlink):
-            a = end
-    return a
-
-
-def _blocked_uses(txmap: dict[UseKey, TxLink], window, placed: Placed,
-                  conflicts: ConflictSet) -> set[UseKey]:
-    """Use keys whose transmitter conflicts with anything inside the window."""
-    mask = conflicts.mask_of(tx for tx, (start, _end) in placed.items() if start < window)
-    return {use_key for use_key, txlink in txmap.items()
-            if conflicts.hits(mask, txlink)}
+        if conflicts.hits(mask, txlink):
+            near.append(txlink)
+            window = max(window, end)
+    mask = conflicts.mask_of(near)
+    return window, tuple(use_key for use_key, txlink in txmap.items()
+                         if conflicts.hits(mask, txlink))
 
 
 def _fill_order(keys, ranks: Ranks) -> list[UseKey]:
@@ -474,16 +472,15 @@ def _packet_order(rates: dict[int, int], hide_order: list[UseKey],
         upstream[node] = link
 
 
-def assign_early_slots(tentative: dict[EntryKey, int], rider: dict[EntryKey, int],
-                       early: dict[EntryKey, int], split, hide_order: list[UseKey],
+def assign_early_slots(parts, split, hide_order: list[UseKey],
+                       tentative: dict[EntryKey, int],
                        window: int) -> tuple[dict[SlotKey, int], str]:
-    """Slot table of an integer early-window step from the budget-T greedy:
-    serialized slots, then the early ones in fill order, then the riders',
-    zero counts left out; and its window regime: "" none, c1-c4 hide, c5
-    split."""
-    serialized, early, rider = _step_parts(tentative, rider, early, split)
+    """Slot table of an integer early-window step from its (serialized,
+    early, rider) parts: serialized slots, then the early ones in fill
+    order, then the riders', zero counts left out; and its window regime
+    from the budget-T greedy: "" none, c1-c4 hide, c5 split."""
     table = {(node, k, link, is_early): v
-             for is_early, counts in ((False, serialized), (True, early), (True, rider))
+             for is_early, counts in zip((False, True, True), parts)
              for (node, k, link), v in counts.items() if v > 0}
     return table, "c5" if split else _classify_case(hide_order, tentative, window)
 
@@ -543,34 +540,33 @@ def _serial_order(st: Structure, keys, ranks: Ranks) -> list[UseKey]:
     return keys
 
 
-def _build_plan(group: _Group, i: int, table: dict[SlotKey, int], window: int,
+def _build_plan(group: _Group, i: int, parts, window: int,
                 conflicts: ConflictSet) -> GroupPlan:
-    """Candidate i's runs with their start slots: the early runs (the other
-    early slots) from slot 0 in table order, the serialized runs from the
-    window in burst order, and each host run's first slots carrying rider
-    runs from the sorted rider queue in stream order."""
+    """Candidate i's runs with their start slots, from its (serialized,
+    early, rider) parts: the early runs from slot 0 in fill order, the
+    serialized runs from the window in burst order, and each host run's
+    first slots carrying rider runs from the sorted rider queue in stream
+    order."""
     st, txmap = group.candidates[i], group.txmap
     rates, receivers = conflicts.rates, conflicts.receivers
+    counts, early_counts, rider = parts
 
     def run(start, n, k, l, count, early):
         tx = txmap[(n, l)]
         return _run_of_row((start, count, tx[0], receivers[tx], l, n, k, early))
 
-    riders = {(u.node, u.link) for u in st.riders}
     early, cursor = [], 0
-    for (n, k, l, is_early), v in table.items():
-        if is_early and (n, l) not in riders:
-            early.append(run(cursor, n, k, l, v, True))
-            cursor += v
-    queue = sorted([key[:3], v] for key, v in table.items()
-                   if key[3] and (key[0], key[2]) in riders)
+    for (n, k, l), v in early_counts.items():
+        early.append(run(cursor, n, k, l, v, True))
+        cursor += v
+    queue = sorted([key, v] for key, v in rider.items() if v > 0)
     qi = 0
     serialized, hosted, cursor = [], [], window
     for key in group.serials[i]:
         n, l = key
         hosts = key in st.hosts
         for k in range(1, rates[n] + 1):
-            count = table.get((n, k, l, False), 0)
+            count = counts.get((n, k, l), 0)
             start, end = cursor, cursor + count
             while hosts and start < end and qi < len(queue):
                 (rnode, rk, rlink), remaining = queue[qi]
@@ -597,7 +593,7 @@ def _scaled(values: dict[UseKey, float], st: Structure):
 def _relaxed_uses(st: Structure, budget: float):
     """Per-use totals of the relaxed optimum at `budget`, of the uses and
     the riders; none without uses or budget."""
-    if not st.uses or budget <= _TOL:
+    if not st.uses or budget <= TOL:
         return {}, {}
     return _scaled(_relax_structure(st, budget).values, st)
 
@@ -618,15 +614,13 @@ def relaxed_table(solution: PatternSolution,
     for step in solution.steps:
         label, st = step.plan.label, step.structure
         origins, txmap, ranks, fill = _layout(model, label)
-        window = float(early_window(placed, txmap.values(), conflicts))
-        windows[label] = window
-        hide_order = _hideable_uses(
-            fill, _blocked_uses(txmap, window, placed, conflicts) | _unhideable(st, txmap),
-            ranks)
+        window, blocked = _window_scan(placed, txmap, conflicts)
+        window = windows[label] = float(window)
+        hide_order = _hideable_uses(fill, _unhideable(st, txmap).union(blocked), ranks)
         optimum, rider = _scaled(step.relaxed.values, st)
         serialized, early, rider = _step_parts(optimum, rider, *_early_step(
             st, optimum, window, budget, hide_order, lambda amounts: hide_order,
-            _relaxed_uses, _TOL))
+            _relaxed_uses, TOL))
 
         # early slots from 0, serialized bursts from the window on; riders
         # span their hosts, which are never hideable
@@ -634,7 +628,7 @@ def relaxed_table(solution: PatternSolution,
                   for key in _serial_order(st, txmap, ranks)]
         for cursor, bursts in ((0.0, early.items()), (window, serial)):
             for key, length in bursts:
-                if length > _TOL:
+                if length > TOL:
                     _widen(placed, txmap[key], cursor, cursor + length)
                     if key in st.hosts:
                         for u in st.riders:
@@ -708,7 +702,7 @@ class _Group:
 
 class _GroupTable:
     """Each group's work, done once per topology and T: keyed on the
-    group's (label, nodes, routes), then on its (window, blocked uses).
+    group's (label, (node, route) pairs), then on its (window, blocked uses).
     It owns the loss tables every greedy and product of its solves reads."""
 
     def __init__(self, topology: Topology, cycle_slots: int | None):
@@ -720,8 +714,7 @@ class _GroupTable:
         self.losses = LossTables()
 
     def _group(self, model: PathModel, label: str) -> _Group:
-        nodes = model.group(label)
-        key = (label, nodes, tuple(model.route(n) for n in nodes))
+        key = (label, model.group_routes(label))
         group = self.groups.get(key)
         if group is None:
             origins, txmap, ranks, order = _layout(model, label)
@@ -736,7 +729,7 @@ class _GroupTable:
                  for st in candidates], {}, {}, {})
         return group
 
-    def _score(self, group: _Group, i: int, window: int, blocked: set[UseKey]):
+    def _score(self, group: _Group, i: int, window: int, blocked: tuple[UseKey, ...]):
         """Candidate i's product, per-node COM, hideable uses, fill and
         split, by `_early_step` per packet hop (a greedy at budget `window`
         fills it exactly, so restricting the window part fills it): only a
@@ -752,17 +745,18 @@ class _GroupTable:
         return product, per_node, hide_order, early, split
 
     def _place(self, group: _Group, window: int,
-               blocked: set[UseKey]) -> GroupStep:
+               blocked: tuple[UseKey, ...]) -> GroupStep:
         """Score every candidate, keep the first of largest product, and
-        build the slot table, plan and extents of that winner only."""
+        build the parts, slot table, plan and extents of that winner only."""
         scored = [self._score(group, i, window, blocked)
                   for i in range(len(group.candidates))]
         # max keeps the first of equal products: a later candidate wins
         # only with a strictly larger one
         i = max(range(len(scored)), key=lambda i: scored[i][0])
         _product, per_node, hide_order, early, split = scored[i]
-        st = group.candidates[i]
-        table, regime = assign_early_slots(*group.greedy[i], early, split, hide_order, window)
+        st, (tentative, rider) = group.candidates[i], group.greedy[i]
+        parts = _step_parts(tentative, rider, early, split)
+        table, regime = assign_early_slots(parts, split, hide_order, tentative, window)
         if i not in group.relaxed:
             group.relaxed[i] = _relax_structure(st, float(self.T))
             group.serials[i] = _serial_order(st, group.txmap, group.ranks)
@@ -770,7 +764,7 @@ class _GroupTable:
         if regime:
             lab = f"{lab}+{regime}" if lab else regime
 
-        plan = _build_plan(group, i, table, window, self.conflicts)
+        plan = _build_plan(group, i, parts, window, self.conflicts)
         # each transmitter's hull, keyed on the transmitter map's tuple
         extents: dict[TxLink, tuple[int, int]] = {}
         for r in place_plans([plan]):
@@ -784,17 +778,15 @@ class _GroupTable:
 
     def solve(self, model: PathModel, spec: PatternSpec) -> PatternSolution:
         """Place the pattern's groups in order, each step looked up by its
-        (window, sorted blocked uses) or placed, then merge the steps."""
+        (window, blocked uses) or placed, then merge the steps."""
         placed: Placed = {}
         steps = []
         for label in spec.placement:
             group = self._group(model, label)
-            window = early_window(placed, group.txmap.values(), self.conflicts)
-            blocked = _blocked_uses(group.txmap, window, placed, self.conflicts)
-            key = (window, tuple(sorted(blocked)))
+            key = _window_scan(placed, group.txmap, self.conflicts)
             step = group.steps.get(key)
             if step is None:
-                step = group.steps[key] = self._place(group, window, blocked)
+                step = group.steps[key] = self._place(group, *key)
             steps.append(step)
             for txlink, (start, end) in step.extents.items():
                 _widen(placed, txlink, start, end)

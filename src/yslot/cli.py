@@ -36,6 +36,8 @@ from .topology import (Topology, TopologyError, check_cycle_slots, load_config,
                        validate_topology)
 
 CONFIG_DIR_ENV = "YSLOT_CONFIG_DIR"
+# fractional digits that write any double exactly; 5e-324 needs all of them
+MAX_DIGITS = 1074
 
 
 def _resolve_topology_path(path: str) -> Path:
@@ -130,6 +132,8 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed subcommand; returns the process exit status."""
     if args.command == "report" and args.digits < 0:
         raise ValueError("--digits must be >= 0")
+    if args.command == "report" and args.digits > MAX_DIGITS:
+        raise ValueError(f"--digits must be <= {MAX_DIGITS}")
     topology = _load(args)
 
     if args.command == "enumerate":

@@ -9,17 +9,15 @@ central node.
 The models of one Z choice differ only in their cut (ia, ib): the indices of
 the separation links among the X and Y branches' inter-node links.  A model
 holds its cut and the `ZTable` that every model of its Z choice shares, and
-reads its groups, separation links and first hops from that table, so
-enumerating models and choosing their patterns build no per-model dict.  Only
-a model that is solved builds its node -> route dict; the allocation layer
-walks a group's routes once (`allocate._layout`) for its origins and its
-per-hop transmitter map.
+reads its groups, routes, separation links and first hops from that table,
+so no model holds a dict of its own.  The allocation layer walks a group's
+routes once (`allocate._layout`) for its origins and its per-hop transmitter
+map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 
 from .topology import Branch, ConflictSet, Topology, derive_conflicts
@@ -93,19 +91,11 @@ class PathModel:
             return t.x_inner[self.ia] + t.y_inner[self.ib] + t.z_tail
         raise KeyError(label)
 
-    def _routes_by(self, label: str) -> dict[int, tuple[int, ...]]:
-        """The table's routes for the nodes of group label."""
-        return self.table.inward if label == "Z" else self.table.outward
-
-    @cached_property
-    def routes(self) -> dict[int, tuple[int, ...]]:
-        """node -> link ids toward its gateway, in group order; built on
-        first use, so enumerating and choosing patterns build none."""
-        return {node: routes[node] for label in ("X", "Y", "Z")
-                for routes in (self._routes_by(label),) for node in self.group(label)}
-
-    def route(self, node: int) -> tuple[int, ...]:
-        return self.routes[node]
+    def group_routes(self, label: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(node, link ids toward its gateway) of each node of group label,
+        in group order, read from the shared table."""
+        routes = self.table.inward if label == "Z" else self.table.outward
+        return tuple((node, routes[node]) for node in self.group(label))
 
 
 @dataclass(frozen=True)
@@ -204,8 +194,7 @@ def _groups_conflict(model: PathModel, conflicts: ConflictSet,
     hop of a group is sent by a group node over the first link of its own
     route, so a group's transmitters are one (node, first link) per node."""
     def transmitters(label: str):
-        routes = model._routes_by(label)
-        return ((n, routes[n][0]) for n in model.group(label))
+        return ((n, route[0]) for n, route in model.group_routes(label))
     mask = conflicts.mask_of(transmitters(g1))
     return any(conflicts.hits(mask, t) for t in transmitters(g2))
 

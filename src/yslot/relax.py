@@ -71,6 +71,7 @@ def log1m_pow(q: float, v: float) -> float:
 
 
 _T_CAP = 2.0 ** 40   # bracket widening stops here, far beyond any root
+TOL = 1e-9           # residual bound of a relaxed solve
 
 
 def _solve_log(fn, target: float, t: float, what: str) -> float:
@@ -183,7 +184,7 @@ def _solve_structure(uses: list[Use], budget: float, what: str,
     if coupled is not None:
         values[(coupled.node, coupled.link)] = x
     residual = abs(sum(u.weight * values[(u.node, u.link)] for u in uses) - budget)
-    if residual > 1e-9:
+    if residual > TOL:
         raise ConvergenceError(f"{what} residual {residual:.3e} above tolerance")
     # log(1 - q^v) once per distinct (q, v), summed per use in use order
     use_keys = {(u.node, u.link) for u in uses}

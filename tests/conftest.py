@@ -190,6 +190,13 @@ def compositions(n: int, total: int) -> np.ndarray:
     return out
 
 
+def model_routes(model) -> dict[int, tuple[int, ...]]:
+    """node -> link ids toward its gateway over a model's three groups, in
+    group order."""
+    return {node: route for label in ("X", "Y", "Z")
+            for node, route in model.group_routes(label)}
+
+
 def com_probability(entries: dict, model) -> tuple[dict[int, float], float]:
     """Reference per-node delivery probability and overall product of a
     slot table: sum each packet hop's slots across the early flag, then
@@ -198,9 +205,9 @@ def com_probability(entries: dict, model) -> tuple[dict[int, float], float]:
     totals: dict[tuple[int, int, int], int] = {}
     for (node, k, link, _early), v in entries.items():
         totals[(node, k, link)] = totals.get((node, k, link), 0) + v
-    per_node, losses = {}, LossTables()
+    per_node, losses, routes = {}, LossTables(), model_routes(model)
     for node in topo.nodes:
-        route = tuple((lid, topo.links[lid].loss) for lid in model.route(node))
+        route = tuple((lid, topo.links[lid].loss) for lid in routes[node])
         per_node[node] = _delivery_product(
             [Origin(node, topo.rates[node], route)], totals, losses)[0]
     return per_node, math.prod(per_node.values())
@@ -208,9 +215,9 @@ def com_probability(entries: dict, model) -> tuple[dict[int, float], float]:
 
 def product_from_totals(topology, model, totals: dict) -> float:
     """Delivery product of a reference row, evaluated from slot totals."""
-    log_m = 0.0
+    log_m, routes = 0.0, model_routes(model)
     for node in topology.nodes:
-        for link in model.route(node):
+        for link in routes[node]:
             q = topology.links[link].loss
             s = totals.get((node, link), 0)
             if s <= 0:

@@ -15,20 +15,19 @@ import pytest
 
 from conftest import (TABLE_P1_COM, TABLE_P1_TUB,
                       assert_optimize_matches_solve_pattern, branch_config,
-                      com_probability,
-                      compositions, plain_greedy, product_from_totals,
+                      com_probability, compositions, model_routes,
+                      plain_greedy, product_from_totals,
                       recorded_residuals, solution_fields, table_totals)
 import yslot.allocate
 from yslot import (enumerate_path_models, find_model, optimize, patterns_for,
                    relaxed_table, solution_timeline, solve_pattern,
                    validate_topology)
-from yslot.allocate import (LossTables, Origin, Structure, _blocked_uses,
-                            _chain_ranks, _chain_uses, _delivery_product,
-                            _early_step, _fill, _fill_order, _greedy_int,
-                            _hideable_uses, _layout, _packet_order,
-                            _GroupTable, _split_structure, _unhideable,
-                            _widen, assign_early_slots, candidate_structures,
-                            early_window)
+from yslot.allocate import (LossTables, Origin, Structure, _chain_ranks,
+                            _chain_uses, _delivery_product, _early_step, _fill,
+                            _fill_order, _greedy_int, _hideable_uses, _layout,
+                            _packet_order, _GroupTable, _split_structure,
+                            _step_parts, _unhideable, _widen, _window_scan,
+                            assign_early_slots, candidate_structures)
 from yslot.relax import Use, log1m_pow, solve_plain_structure
 from yslot.timeline import place_plans, units_of
 from yslot.topology import MAX_CYCLE_SLOTS, TopologyError, derive_conflicts
@@ -361,7 +360,7 @@ def test_224_window_follows_prioritized_bursts(case1):
 
 def test_early_window_empty_placement(case1):
     conflicts = derive_conflicts(case1)
-    assert early_window({}, {(4, 8)}, conflicts) == 0
+    assert _window_scan({}, {(4, 8): (4, 8)}, conflicts) == (0, ())
 
 
 def test_widen_keeps_first_start_and_last_end():
@@ -392,6 +391,15 @@ def blocked_uses_oracle(txmap, window, placed, conflicts):
                    for start, _end, other in placed)}
 
 
+def window_scan_oracle(txmap, placed, conflicts):
+    """Reference early window and blocked uses of a group behind [start,
+    end) intervals; the blocked uses equal the oracle's set, in
+    transmitter-map order."""
+    window = early_window_oracle(placed, txmap.values(), conflicts)
+    blocked = blocked_uses_oracle(txmap, window, placed, conflicts)
+    return window, tuple(key for key in txmap if key in blocked)
+
+
 def hull(intervals):
     """Per-transmitter extent (first start, last end) of [start, end)
     intervals, written plainly."""
@@ -413,11 +421,11 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
     conflicts = derive_conflicts(case1)
     seen = []
 
-    def recording(placed, group_txs, conflicts):
+    def recording(placed, txmap, conflicts):
         seen.append(dict(placed))
-        return early_window(placed, group_txs, conflicts)
+        return _window_scan(placed, txmap, conflicts)
 
-    monkeypatch.setattr(yslot.allocate, "early_window", recording)
+    monkeypatch.setattr(yslot.allocate, "_window_scan", recording)
     solved = 0
     for model in enumerate_path_models(case1):
         for spec in patterns_for(model):
@@ -436,18 +444,41 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
                 units = unit_intervals(units_of(place_plans(sol.plans[:i])))
                 assert extents == hull(units)
                 real_intervals = [(lo, hi, tx) for tx, (lo, hi) in real.items()]
-                txs = txmap.values()
-                assert early_window(extents, txs, conflicts) == plan.window == \
-                    early_window_oracle(units, txs, conflicts)
-                assert early_window(real, txs, conflicts) == \
-                    windows_real[plan.label] == \
-                    early_window_oracle(real_intervals, txs, conflicts)
-                for w in (*range(31), windows_real[plan.label]):
-                    assert _blocked_uses(txmap, w, extents, conflicts) == \
-                        blocked_uses_oracle(txmap, w, units, conflicts)
-                    assert _blocked_uses(txmap, w, real, conflicts) == \
-                        blocked_uses_oracle(txmap, w, real_intervals, conflicts)
+                window, blocked = _window_scan(extents, txmap, conflicts)
+                assert (window, blocked) == window_scan_oracle(txmap, units, conflicts)
+                assert window == plan.window
+                window, blocked = _window_scan(real, txmap, conflicts)
+                assert (window, blocked) == \
+                    window_scan_oracle(txmap, real_intervals, conflicts)
+                assert window == windows_real[plan.label]
     assert solved == 27
+
+
+def test_window_scan_matches_the_oracle_on_random_placements(case1):
+    # every group of every model of case 1 and of a generated Y behind
+    # random integer and real extents of any of the topology's
+    # transmitters: windows from 0 to past 30, and blocked uses at each
+    rng = random.Random(30)
+    topologies = (case1, seeded_y(rng, lambda: round(rng.uniform(0.05, 0.55), 4),
+                                  (4, 4, 4), 60))
+    windows = set()
+    for topology in topologies:
+        conflicts = derive_conflicts(topology)
+        txs = list(conflicts.index)
+        for model in enumerate_path_models(topology):
+            for label in ("X", "Y", "Z"):
+                txmap = _layout(model, label)[1]
+                for draw in range(20):
+                    placed = {}
+                    for tx in rng.sample(txs, rng.randrange(len(txs) // 2)):
+                        start = rng.randrange(30) if draw % 2 else rng.uniform(0, 30)
+                        placed[tx] = (start, start + (rng.randrange(1, 8) if draw % 2
+                                                      else rng.uniform(0.1, 8)))
+                    intervals = [(lo, hi, tx) for tx, (lo, hi) in placed.items()]
+                    scan = _window_scan(placed, txmap, conflicts)
+                    assert scan == window_scan_oracle(txmap, intervals, conflicts)
+                    windows.add(int(scan[0]))
+    assert set(range(31)) <= windows
 
 
 def test_assign_early_identity_without_window():
@@ -470,7 +501,8 @@ def early_slots(rates, st, tentative, rider, window, hide_order, budget, losses)
                        functools.partial(_packet_order, rates, hide_order),
                        lambda part, part_budget: yslot.allocate._greedy_int(
                            part, part_budget, losses))
-    return assign_early_slots(tentative, rider, *step, hide_order, window)
+    parts = _step_parts(tentative, rider, *step)
+    return assign_early_slots(parts, step[1], hide_order, tentative, window)
 
 
 def chain_keys(origins):
@@ -516,9 +548,10 @@ def transmitter_map_oracle(model, label):
     route order, and the hops of one transmitter share its tuple."""
     out = {}
     txs = {}
+    routes = model_routes(model)
     for node in model.group(label):
         tx = node
-        for link_id in model.route(node):
+        for link_id in routes[node]:
             txlink = (tx, link_id)
             out[(node, link_id)] = txs.setdefault(txlink, txlink)
             tx = model.topology.links[link_id].other(tx)
@@ -537,6 +570,7 @@ def test_layout_matches_the_transmitter_map_oracle(all_cases):
     checked = 0
     for topology in topologies:
         for model in enumerate_path_models(topology):
+            routes = model_routes(model)
             for label in ("X", "Y", "Z"):
                 origins, txmap, ranks, fill = _layout(model, label)
                 assert list(txmap.items()) == \
@@ -546,7 +580,7 @@ def test_layout_matches_the_transmitter_map_oracle(all_cases):
                 for o in origins:
                     assert o.rate == topology.rates[o.node]
                     assert o.route == tuple((link, topology.links[link].loss)
-                                            for link in model.route(o.node))
+                                            for link in routes[o.node])
                 assert ranks == _chain_ranks(origins)
                 assert fill == _fill_order(txmap, ranks)
                 assert sorted(fill) == sorted(txmap)
@@ -558,9 +592,9 @@ def test_layout_matches_the_transmitter_map_oracle(all_cases):
 def test_hideable_uses_filter_the_fill_order_built_once(case1):
     # the group table sorts each candidate's fill order once; a step keeps
     # its unblocked route prefixes, which equals the per-call sort for
-    # every blocked set _blocked_uses can give (the uses of any set of the
-    # group's transmitters), and the order holds the transmitter map's own
-    # key tuples
+    # every blocked tuple _window_scan can give (the uses of any set of the
+    # group's transmitters, in transmitter-map order), and the order holds
+    # the transmitter map's own key tuples
     rng = random.Random(25)
     checked = 0
     for topo, T in ((case1, 30), (seeded_y(rng, lambda: round(rng.uniform(0.05, 0.55), 4),
@@ -581,7 +615,8 @@ def test_hideable_uses_filter_the_fill_order_built_once(case1):
                     for n in range(len(uses_of) + 1):
                         for txs in itertools.combinations(uses_of.values(), n):
                             blocked = {key for keys in txs for key in keys}
-                            assert _hideable_uses(fill, blocked, group.ranks) == \
+                            ordered = tuple(key for key in group.txmap if key in blocked)
+                            assert _hideable_uses(fill, ordered, group.ranks) == \
                                 hideable_uses_oracle(group.origins, st, blocked,
                                                      group.ranks)
                             checked += 1
@@ -794,7 +829,7 @@ def test_assign_early_c4_match_or_beat(case1):
     z_nodes = {4, 7, 8}
     com = sol.allocation.entries
     mine = {(n, l): com.get((n, 1, l, False), 0) + com.get((n, 1, l, True), 0)
-            for n in z_nodes for l in model.route(n)}
+            for n in z_nodes for l in model_routes(model)[n]}
     mine_product = product_z(case1, model, mine)
 
     # closed form: s'79=b9=7, s79=0, s'810=b10=4, s810=0,
@@ -809,9 +844,9 @@ def test_assign_early_c4_match_or_beat(case1):
 
 
 def product_z(topo, model, totals):
-    log_m = 0.0
+    log_m, routes = 0.0, model_routes(model)
     for node in sorted({n for n, _ in totals}):
-        for link in model.route(node):
+        for link in routes[node]:
             s = totals.get((node, link), 0)
             if s <= 0:
                 return 0.0

@@ -252,6 +252,24 @@ def test_negative_digits_rejected_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_digits_beyond_any_double_rejected_before_any_output(tmp_path, capsys):
+    # 5e-324 = 2^-1074 needs all 1074 fractional digits; more only add zeros
+    assert len(format(5e-324, ".1074f").split(".")[1].rstrip("0")) == 1074
+    out = tmp_path / "table.csv"
+    assert run_cli("report", "-c", CASE1, "--model", "3-2-3",
+                   "--no-sep-branch", "11", "--pattern", "1",
+                   "--digits", "1074", "-o", str(out)) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert run_cli("report", "-c", CASE1, "--model", "3-2-3",
+                   "--no-sep-branch", "11", "--pattern", "1",
+                   "--digits", "1075", "-o", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --digits must be <= 1074\n"
+    assert not out.exists()
+
+
 def test_negative_seed_names_the_flag(capsys):
     assert run_cli("simulate", "-c", CASE1, "--model", "3-2-3",
                    "--no-sep-branch", "11", "--trials", "10",

@@ -6,9 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import branch_config, load_case_raw
+from conftest import branch_config, load_case_raw, model_routes
 from yslot import (PatternSpec, derive_conflicts, enumerate_path_models,
-                   find_model, patterns_for, validate_topology)
+                   find_model, optimize, patterns_for, solve_pattern,
+                   validate_topology)
 from yslot.allocate import _layout
 from yslot.topology import MAX_CYCLE_SLOTS
 
@@ -73,8 +74,8 @@ def test_routes_loop_free_and_single_gateway(case1):
     for m in enumerate_path_models(case1):
         reached = {}
         for label in ("X", "Y", "Z"):
-            for node in m.group(label):
-                route = m.route(node)
+            assert tuple(node for node, _ in m.group_routes(label)) == m.group(label)
+            for node, route in m.group_routes(label):
                 assert len(set(route)) == len(route)
                 cur = node
                 for link in route:
@@ -295,9 +296,9 @@ def assert_model_matches(model, oracle):
                 oracle.name, oracle.model_type))
     for label in ("X", "Y", "Z"):
         assert model.group(label) == oracle.groups[label]
-    for node, route in oracle.routes.items():
-        assert model.route(node) == route
-    assert model.routes == oracle.routes
+        assert model.group_routes(label) == tuple(
+            (node, oracle.routes[node]) for node in oracle.groups[label])
+    assert model_routes(model) == oracle.routes
 
 
 def test_models_and_patterns_match_the_oracles():
@@ -311,7 +312,7 @@ def test_models_and_patterns_match_the_oracles():
                             for label in ("X", "Y", "Z")}
             assert patterns_for(model) == oracle_patterns(model, transmitters)
             for label, txs in transmitters.items():
-                assert {(n, model.route(n)[0]) for n in model.group(label)} == txs
+                assert {(n, route[0]) for n, route in model.group_routes(label)} == txs
         for branch in topology.branches:
             fixed = [m for m in models if m.no_sep_branch == branch.gateway]
             if fixed:
@@ -320,6 +321,20 @@ def test_models_and_patterns_match_the_oracles():
             found = find_model(topology, model.name, model.no_sep_branch)
             assert found == model
             assert_model_matches(found, oracle)
+
+
+# a model is its cut and the table its Z choice shares; nothing adds to it
+MODEL_FIELDS = {"topology", "no_sep_branch", "ia", "ib", "table"}
+
+
+def test_no_model_holds_state_of_its_own_after_solving(case1):
+    solutions = optimize(validate_topology(branch_config((4, 4, 4))))
+    models = {id(sol.model): sol.model for sol in solutions}
+    assert len(models) == 48
+    assert all(set(vars(m)) == MODEL_FIELDS for m in models.values())
+    model = find_model(case1, "3-2-3", 11)
+    solve_pattern(model)
+    assert set(vars(model)) == MODEL_FIELDS
 
 
 def test_front_end_at_the_caps():
@@ -332,12 +347,12 @@ def test_front_end_at_the_caps():
     specs = [patterns_for(m) for m in models]
     assert time.perf_counter() - start < 5.0
     assert len(models) == len(specs) == 4800
-    assert not any("routes" in vars(m) for m in models)
+    assert all(set(vars(m)) == MODEL_FIELDS for m in models)
     for z_branch in topology.branches:
         # at most two route tuples (outward, inward) per separated node and
         # one per other node, shared by the 1 600 models of the Z choice
         shared = {id(route) for m in models if m.no_sep_branch == z_branch.gateway
-                  for route in m.routes.values()}
+                  for route in model_routes(m).values()}
         assert len(shared) <= 2 * 80 + 41
 
 
