@@ -23,8 +23,8 @@ Pipeline per group, in pattern placement order:
    feasibility; `relaxed_table` builds the TUB slot table on demand.
 
 `_GroupTable.solve` is the one loop that places a pattern's groups.
-`optimize` shares one table across all its patterns and drops it when it
-returns; `solve_pattern` builds one for its pattern.  One topology and
+`optimize` shares one table across its patterns and drops each Z group
+after its model; `solve_pattern` builds one for its pattern.  One topology and
 one T fix everything but the group, so the first level is keyed on
 (label, the group's (node, route) pairs) and holds the group's layout (its
 origins, transmitter map and ranks, from `_layout`), candidate structures
@@ -60,7 +60,7 @@ TxLink = tuple[int, int]  # (tx node, link): a transmitter
 UseKey = tuple[int, int]  # (origin node, link): one origin's hop, a budget use
 EntryKey = tuple[int, int, int]  # (origin node, packet k, link)
 SlotKey = tuple[int, int, int, bool]  # (origin node, packet k, link, early)
-Placed = dict[TxLink, tuple[float, float]]  # first start, last end per transmitter
+Placed = dict[TxLink, float]  # last end per transmitter
 Ranks = tuple[dict[int, int], dict[int, int]]  # link ranks, origin ranks
 
 
@@ -314,10 +314,9 @@ def _chain_ranks(origins: tuple[Origin, ...]) -> Ranks:
             {o.node: i for i, o in enumerate(origins)})
 
 
-def _widen(placed: Placed, txlink: TxLink, start, end) -> None:
-    """Grow a transmitter's placed extent to cover [start, end)."""
-    lo, hi = placed.get(txlink, (start, end))
-    placed[txlink] = (min(lo, start), max(hi, end))
+def _widen(placed: Placed, txlink: TxLink, end) -> None:
+    """Move a transmitter's last placed end up to `end`."""
+    placed[txlink] = max(placed.get(txlink, end), end)
 
 
 def _window_scan(placed: Placed, txmap: dict[UseKey, TxLink],
@@ -327,12 +326,12 @@ def _window_scan(placed: Placed, txmap: dict[UseKey, TxLink],
     and its blocked uses, the use keys in transmitter-map order whose
     transmitter conflicts with a placed one starting inside the window.
     Conflicts are symmetric, and a placed transmitter that conflicts with
-    the group ends by the window and starts before its end (no extent is
+    the group ends by the window and starts before its last end (no run is
     empty), so the transmitters one pass finds by the group's mask are
     those that block its uses.  Integer slot s is (s, s + 1)."""
     mask = conflicts.mask_of(txmap.values())
     window, near = 0, []
-    for txlink, (_start, end) in placed.items():
+    for txlink, end in placed.items():
         if conflicts.hits(mask, txlink):
             near.append(txlink)
             window = max(window, end)
@@ -502,8 +501,16 @@ class PatternSolution:
     cycle_slots: int
     tub_product: float
     com_product: float
-    allocation: SlotAllocation
+    per_node: dict[int, float]     # node order; COM is their product
     steps: tuple[GroupStep, ...]   # placement order, shared read-only
+
+    @property
+    def allocation(self) -> SlotAllocation:
+        """The steps' slot tables merged in step order, made on each read."""
+        entries: dict[SlotKey, int] = {}
+        for step in self.steps:
+            entries.update(step.entries)
+        return SlotAllocation(entries, self.per_node)
 
     @property
     def feasible(self) -> bool:
@@ -629,10 +636,10 @@ def relaxed_table(solution: PatternSolution,
         for cursor, bursts in ((0.0, early.items()), (window, serial)):
             for key, length in bursts:
                 if length > TOL:
-                    _widen(placed, txmap[key], cursor, cursor + length)
+                    _widen(placed, txmap[key], cursor + length)
                     if key in st.hosts:
                         for u in st.riders:
-                            _widen(placed, txmap[(u.node, u.link)], cursor, cursor + length)
+                            _widen(placed, txmap[(u.node, u.link)], cursor + length)
                     cursor += length
 
         for o in origins:
@@ -662,8 +669,8 @@ def _resolve_pattern(model: PathModel, pattern) -> PatternSpec:
 class GroupStep:
     """One group placed behind one early window and blocked-use set: the
     winner and its budget-T relaxed optimum (TUB), the regime label, the
-    predicted case, the plan (its placed runs), their extents and the
-    group's COM values.  Solutions share it, so nothing in it can be
+    predicted case, the plan (its placed runs), each transmitter's last end
+    and the group's COM values.  Solutions share it, so nothing in it can be
     written."""
 
     structure: Structure
@@ -671,7 +678,7 @@ class GroupStep:
     case_label: str
     predicted: str | None
     plan: GroupPlan
-    extents: MappingProxyType[TxLink, tuple[int, int]]
+    ends: MappingProxyType[TxLink, int]
     entries: MappingProxyType[SlotKey, int]
     per_node: MappingProxyType[int, float]
 
@@ -747,7 +754,7 @@ class _GroupTable:
     def _place(self, group: _Group, window: int,
                blocked: tuple[UseKey, ...]) -> GroupStep:
         """Score every candidate, keep the first of largest product, and
-        build the parts, slot table, plan and extents of that winner only."""
+        build the parts, slot table, plan and ends of that winner only."""
         scored = [self._score(group, i, window, blocked)
                   for i in range(len(group.candidates))]
         # max keeps the first of equal products: a later candidate wins
@@ -765,20 +772,16 @@ class _GroupTable:
             lab = f"{lab}+{regime}" if lab else regime
 
         plan = _build_plan(group, i, parts, window, self.conflicts)
-        # each transmitter's hull, keyed on the transmitter map's tuple
-        extents: dict[TxLink, tuple[int, int]] = {}
+        ends: dict[TxLink, int] = {}   # keyed on the transmitter map's tuples
         for r in place_plans([plan]):
-            txlink, end = group.txmap[(r.origin, r.link)], r.start + r.count
-            hull = extents.get(txlink)
-            extents[txlink] = ((r.start, end) if hull is None else
-                               (min(hull[0], r.start), max(hull[1], end)))
+            _widen(ends, group.txmap[(r.origin, r.link)], r.start + r.count)
         return GroupStep(st, group.relaxed[i], lab, group.predicted, plan,
-                         MappingProxyType(extents), MappingProxyType(table),
+                         MappingProxyType(ends), MappingProxyType(table),
                          MappingProxyType(per_node))
 
     def solve(self, model: PathModel, spec: PatternSpec) -> PatternSolution:
         """Place the pattern's groups in order, each step looked up by its
-        (window, blocked uses) or placed, then merge the steps."""
+        (window, blocked uses) or placed, then score the steps."""
         placed: Placed = {}
         steps = []
         for label in spec.placement:
@@ -788,20 +791,17 @@ class _GroupTable:
             if step is None:
                 step = group.steps[key] = self._place(group, *key)
             steps.append(step)
-            for txlink, (start, end) in step.extents.items():
-                _widen(placed, txlink, start, end)
+            for txlink, end in step.ends.items():
+                _widen(placed, txlink, end)
 
-        entries: dict[SlotKey, int] = {}
         per_node = dict.fromkeys(self.topology.nodes, 0.0)
         for step in steps:
-            entries.update(step.entries)
             per_node.update(step.per_node)
         # label order, and per_node in node order, so equal products tie exactly
         tub = math.prod(step.relaxed.product
                         for step in sorted(steps, key=lambda s: s.plan.label))
         com = math.prod(per_node.values())
-        return PatternSolution(model, spec, self.T, tub, com,
-                               SlotAllocation(entries, per_node), tuple(steps))
+        return PatternSolution(model, spec, self.T, tub, com, per_node, tuple(steps))
 
 
 def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
@@ -821,10 +821,11 @@ def solution_timeline(solution: PatternSolution):
 def optimize(topology: Topology, cycle_slots: int | None = None,
              no_sep_branch: int | None = None) -> list[PatternSolution]:
     """Solve every (model, pattern); rank by COM desc, ties by TUB then name."""
-    table = _GroupTable(topology, cycle_slots)
-    solutions = [table.solve(model, spec)
-                 for model in enumerate_path_models(topology, no_sep_branch)
-                 for spec in patterns_for(model)]
+    table, solutions = _GroupTable(topology, cycle_slots), []
+    for model in enumerate_path_models(topology, no_sep_branch):
+        solutions += [table.solve(model, spec) for spec in patterns_for(model)]
+        # no other model has its Z group (cut remnants, Z tail); X, Y are shared
+        del table.groups[("Z", model.group_routes("Z"))]
     solutions.sort(key=lambda s: (-s.com_product, -s.tub_product, s.model.name,
                                   s.model.no_sep_branch, s.pattern.pattern_id))
     return solutions

@@ -121,10 +121,11 @@ def _slot_table_rows(sol: PatternSolution, tub_entries: dict,
              for node, k, link, early in keys]
     head = {"model": sol.model.name, "pattern": sol.pattern.pattern_id,
             "case": sol.case_label}
+    com = sol.allocation.entries   # merged from the steps on each read
     tub_row = {"row": "TUB", **head, "product": sol.tub_product,
                **{n: tub_entries[e] for n, e in zip(names, keys)}}
     com_row = {"row": "COM", **head, "product": sol.com_product,
-               **{n: sol.allocation.entries.get(e, 0) for n, e in zip(names, keys)}}
+               **{n: com.get(e, 0) for n, e in zip(names, keys)}}
     return [tub_row, com_row], ["row", "model", "pattern", "case", "product"] + names
 
 
@@ -169,7 +170,7 @@ def run(args: argparse.Namespace) -> int:
                           reuse=args.reuse)
         # analytic COM follows the dedicated-slot model: compare only
         # when slot reuse is off
-        checks = compare(report, sol.allocation.per_node) if not args.reuse else []
+        checks = compare(report, sol.per_node) if not args.reuse else []
         every = [_rate_check("all", report.all_rate, sol.com_product,
                              report.trials)] if checks else []
         _emit(_simulate_rows(report, [*checks, *every]), SIMULATE_FIELDS, args)

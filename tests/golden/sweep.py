@@ -136,7 +136,7 @@ def check_delivery(sol, runs) -> None:
     positive equals the exact delivery probability of its timeline to
     1e-12 relative."""
     exact = exact_delivery(sol, runs)
-    for node, p in sol.allocation.per_node.items():
+    for node, p in sol.per_node.items():
         assert abs(exact[node] - p) <= 1e-12 * p, (
             sol.model.name, sol.model.no_sep_branch, sol.pattern.pattern_id,
             node, exact[node].hex(), p.hex())
@@ -149,7 +149,7 @@ def solution_values(sol, timeline) -> list:
         sol.model.name, sol.model.no_sep_branch, sol.pattern.pattern_id,
         sol.com_product.hex(), sol.tub_product.hex(),
         [[*key, v] for key, v in sol.allocation.entries.items()],
-        [[node, p.hex()] for node, p in sol.allocation.per_node.items()],
+        [[node, p.hex()] for node, p in sol.per_node.items()],
         sol.case_label, sol.window,
         [[*key, v.hex()] for key, v in tub_entries.items()],
         [[label, w.hex()] for label, w in windows.items()],
@@ -170,7 +170,7 @@ def block_digest(configs: list[dict]) -> str:
                 sol.model.name, sol.model.no_sep_branch, sol.pattern.pattern_id,
                 sol.com_product.hex(), sol.tub_product.hex())
             timeline = solution_timeline(sol)
-            if all(p > 0.0 for p in sol.allocation.per_node.values()):
+            if all(p > 0.0 for p in sol.per_node.values()):
                 check_delivery(sol, timeline.runs)
             h.update(json.dumps(solution_values(sol, timeline)).encode())
             h.update(b"\n")

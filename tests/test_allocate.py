@@ -363,12 +363,12 @@ def test_early_window_empty_placement(case1):
     assert _window_scan({}, {(4, 8): (4, 8)}, conflicts) == (0, ())
 
 
-def test_widen_keeps_first_start_and_last_end():
+def test_widen_keeps_the_last_end():
     placed = {}
-    for start, end in ((12, 20), (0, 5), (3, 8), (1.5, 2.5)):
-        _widen(placed, (4, 8), start, end)
-    _widen(placed, (5, 5), 6.25, 7.0)
-    assert placed == {(4, 8): (0, 20), (5, 5): (6.25, 7.0)}
+    for end in (5, 20, 8, 2.5):
+        _widen(placed, (4, 8), end)
+    _widen(placed, (5, 5), 7.0)
+    assert placed == {(4, 8): 20, (5, 5): 7.0}
 
 
 def early_window_oracle(placed, group_txs, conflicts):
@@ -400,13 +400,12 @@ def window_scan_oracle(txmap, placed, conflicts):
     return window, tuple(key for key in txmap if key in blocked)
 
 
-def hull(intervals):
-    """Per-transmitter extent (first start, last end) of [start, end)
-    intervals, written plainly."""
+def last_ends(intervals):
+    """Per-transmitter last end of [start, end) intervals, written
+    plainly."""
     out = {}
-    for start, end, tx in intervals:
-        lo, hi = out.get(tx, (start, end))
-        out[tx] = (min(lo, start), max(hi, end))
+    for _start, end, tx in intervals:
+        out[tx] = max(out.get(tx, end), end)
     return out
 
 
@@ -415,9 +414,10 @@ def unit_intervals(units):
 
 
 def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
-    # integer placements as per-transmitter extents against one interval
-    # per unit, real-valued extents against the plain scans, over the 27
-    # case-1 solutions
+    # integer placements as per-transmitter last ends against one interval
+    # per unit, over the 27 case-1 solutions; the real-valued walk keeps
+    # only last ends, so its oracle intervals are [0, last end), which
+    # block as its true bursts do: a conflicting burst ends by the window
     conflicts = derive_conflicts(case1)
     seen = []
 
@@ -437,14 +437,14 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
             real_seen = list(seen)
             solved += 1
             for i, (plan, step) in enumerate(zip(sol.plans, sol.steps)):
-                assert dict(step.extents) == \
-                    hull(unit_intervals(units_of(place_plans([plan]))))
+                assert dict(step.ends) == \
+                    last_ends(unit_intervals(units_of(place_plans([plan]))))
                 txmap = _layout(model, plan.label)[1]
-                extents, real = integer_seen[i], real_seen[i]
+                ends, real = integer_seen[i], real_seen[i]
                 units = unit_intervals(units_of(place_plans(sol.plans[:i])))
-                assert extents == hull(units)
-                real_intervals = [(lo, hi, tx) for tx, (lo, hi) in real.items()]
-                window, blocked = _window_scan(extents, txmap, conflicts)
+                assert ends == last_ends(units)
+                real_intervals = [(0.0, end, tx) for tx, end in real.items()]
+                window, blocked = _window_scan(ends, txmap, conflicts)
                 assert (window, blocked) == window_scan_oracle(txmap, units, conflicts)
                 assert window == plan.window
                 window, blocked = _window_scan(real, txmap, conflicts)
@@ -456,8 +456,9 @@ def test_window_scans_match_per_unit_oracle(case1, monkeypatch):
 
 def test_window_scan_matches_the_oracle_on_random_placements(case1):
     # every group of every model of case 1 and of a generated Y behind
-    # random integer and real extents of any of the topology's
-    # transmitters: windows from 0 to past 30, and blocked uses at each
+    # one or two random integer or real runs of any of the topology's
+    # transmitters, the scan given only their last ends: windows from 0 to
+    # past 30, and blocked uses at each
     rng = random.Random(30)
     topologies = (case1, seeded_y(rng, lambda: round(rng.uniform(0.05, 0.55), 4),
                                   (4, 4, 4), 60))
@@ -469,13 +470,14 @@ def test_window_scan_matches_the_oracle_on_random_placements(case1):
             for label in ("X", "Y", "Z"):
                 txmap = _layout(model, label)[1]
                 for draw in range(20):
-                    placed = {}
+                    intervals = []
                     for tx in rng.sample(txs, rng.randrange(len(txs) // 2)):
-                        start = rng.randrange(30) if draw % 2 else rng.uniform(0, 30)
-                        placed[tx] = (start, start + (rng.randrange(1, 8) if draw % 2
-                                                      else rng.uniform(0.1, 8)))
-                    intervals = [(lo, hi, tx) for tx, (lo, hi) in placed.items()]
-                    scan = _window_scan(placed, txmap, conflicts)
+                        for _run in range(1 + draw % 4 // 2):
+                            start = rng.randrange(30) if draw % 2 else rng.uniform(0, 30)
+                            intervals.append((start, start + (
+                                rng.randrange(1, 8) if draw % 2 else rng.uniform(0.1, 8)),
+                                tx))
+                    scan = _window_scan(last_ends(intervals), txmap, conflicts)
                     assert scan == window_scan_oracle(txmap, intervals, conflicts)
                     windows.add(int(scan[0]))
     assert set(range(31)) <= windows
@@ -1026,8 +1028,10 @@ def optimize_peak_mb(topology) -> float:
 # its per-group orders, and at 8.28 MB with them; the same orders built
 # from fresh (node, link) tuples read 9.06 MB.  Packet-hop keys shared by
 # a solve's greedies cut it to 6.89 MB; plans that hold their placed runs
-# peak at 6.93 MB
-PEAK_BOUND_MB = 8.45
+# peak at 6.93 MB, and 6.86 MB when a group is laid out in one walk.
+# Dropping each Z group after its model, solutions that merge their steps'
+# slot tables on each read and steps that keep only last ends read 3.97 MB
+PEAK_BOUND_MB = 4.4
 
 
 def test_optimize_peak_memory_on_a_generated_y():
@@ -1037,6 +1041,31 @@ def test_optimize_peak_memory_on_a_generated_y():
     rng = random.Random(80)
     topology = seeded_y(rng, lambda: round(rng.uniform(0.05, 0.55), 4), (5, 5, 5), 80)
     assert optimize_peak_mb(topology) < PEAK_BOUND_MB
+
+
+def test_optimize_drops_each_z_group_after_its_model(case1, monkeypatch):
+    # a Z group's key holds its cut's inner remnants and its Z choice's
+    # tail, so no other model shares it: optimize drops it once its model's
+    # patterns are solved, while X and Y groups stay for later cuts
+    tables, live = [], []
+    solve = yslot.allocate._GroupTable.solve
+
+    def recording(table, model, spec):
+        tables.append(table)
+        live.append([key for key in table.groups if key[0] == "Z"])
+        return solve(table, model, spec)
+
+    monkeypatch.setattr(yslot.allocate._GroupTable, "solve", recording)
+    rng = random.Random(31)
+    generated = seeded_y(rng, lambda: round(rng.uniform(0.05, 0.55), 4), (4, 4, 4), 60)
+    for topology, count in ((case1, 27), (generated, 69)):
+        tables.clear()
+        live.clear()
+        assert len(optimize(topology)) == count == len(live)
+        assert max(len(keys) for keys in live) == 1
+        table, = set(tables)
+        assert [key for key in table.groups if key[0] == "Z"] == []
+        assert {key[0] for key in table.groups} == {"X", "Y"}
 
 
 def counted_log1m_pow(monkeypatch) -> Counter:
@@ -1125,7 +1154,9 @@ def test_optimize_equals_each_pattern_solved_alone(all_cases, T):
 
 def test_solutions_share_no_mutable_container(case1):
     # solutions built from one group step share it, and nothing in a step
-    # can be written; emptying one solution's own slot table leaves the rest
+    # can be written; each read of a solution's slot table is a fresh merge,
+    # so writing it leaves every solution as it was, and emptying one
+    # solution's own per-node COM leaves the rest
     solutions = optimize(case1, 30)
     fresh = [solution_fields(solve_pattern(s.model, s.pattern, 30), False)
              for s in solutions]
@@ -1137,13 +1168,19 @@ def test_solutions_share_no_mutable_container(case1):
             with pytest.raises(TypeError):
                 step.per_node[0] = 0.5
             with pytest.raises(TypeError):
+                step.ends[(0, 0)] = 1
+            with pytest.raises(TypeError):
                 step.relaxed.values[(0, 0)] = 1.0
             with pytest.raises(dataclasses.FrozenInstanceError):
                 step.relaxed = None
-        for container in (sol.allocation.entries, sol.allocation.per_node):
-            container.clear()
-        sol.allocation.entries[(0, 1, 0, False)] = 1
-        sol.allocation.per_node[0] = 0.5
+        entries = sol.allocation.entries
+        assert entries is not sol.allocation.entries
+        entries.clear()
+        entries[(0, 1, 0, False)] = 1
+        assert solution_fields(sol, False) == fresh[i]
+        assert sol.allocation.per_node is sol.per_node
+        sol.per_node.clear()
+        sol.per_node[0] = 0.5
         for other, expected in zip(solutions[i + 1:], fresh[i + 1:]):
             assert solution_fields(other, False) == expected
 
