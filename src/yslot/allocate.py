@@ -24,30 +24,32 @@ Pipeline per group, in pattern placement order:
 
 `_GroupTable.solve` is the one loop that places a pattern's groups.
 `optimize` shares one table across its patterns and drops each Z group
-after its model; `solve_pattern` builds one for its pattern.  One topology and
-one T fix everything but the group, so the first level is keyed on
+after its model; `solve_pattern` builds one for its pattern.  One topology
+and one T fix everything but the group, so the first level is keyed on
 (label, the group's (node, route) pairs) and holds the group's layout (its
-origins, transmitter map and ranks, from `_layout`), candidate structures
-and predicted case; per candidate, the budget-T greedy, its scores and
-the fill order with nothing blocked, sorted once (a step keeps its
-unblocked route prefixes); and, once a structure wins, its relaxed
-optimum and burst order.  Orders hold the transmitter map's own key
-tuples, never copies, and the table owns the loss tables, so no cache
-outlives a solve.  A group's step reads the placement before it only
-through the early window and the blocked uses, which one `_window_scan`
-gives, the blocked uses in transmitter-map order, so the second level is
-keyed on (window, blocked uses) and holds the frozen `GroupStep` a
-solution is made of.  Both hits are exact: the key is every input of the
-work it stands for.
+origins, transmitter map and ranks, from `_layout`) and candidate
+structures; per candidate, the budget-T greedy, its scores and the fill
+order with nothing blocked, sorted once (a step keeps its unblocked route
+prefixes); and, once a structure wins, its relaxed optimum and burst
+order.  Orders hold the transmitter map's own key tuples, never copies,
+and the table owns the loss tables, so no cache outlives a solve.  A
+group's step reads the placement before it only through the early window
+and the blocked uses, which one `_window_scan` gives, the blocked uses in
+transmitter-map order, so the second level is keyed on (window, blocked
+uses) and holds the `GroupStep` a solution is made of.  Both hits are
+exact: the key is every input of the work it stands for.
+
+`solve_pattern` keeps a solution's steps; the rows `optimize` returns keep
+none, so no step outlives it, and each read of a row's details (steps,
+plans, slot table, TUB table, timeline) costs one solve of its pattern alone.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from types import MappingProxyType
 
 from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
                         patterns_for)
@@ -496,13 +498,23 @@ class SlotAllocation:
 
 @dataclass
 class PatternSolution:
+    """A solved pattern; an `optimize` row keeps no steps, and each read
+    of them solves its pattern alone, with no cache."""
     model: PathModel
     pattern: PatternSpec
     cycle_slots: int
     tub_product: float
     com_product: float
     per_node: dict[int, float]     # node order; COM is their product
-    steps: tuple[GroupStep, ...]   # placement order, shared read-only
+    case_label: str                # "X:lab;Y:lab;Z:lab" of labelled groups, or "-"
+    window: int                    # the widest group window
+    _steps: tuple[GroupStep, ...] | None
+
+    @property
+    def steps(self) -> tuple[GroupStep, ...]:
+        if self._steps is None:   # an optimize row: solve its pattern alone
+            return solve_pattern(self.model, self.pattern, self.cycle_slots).steps
+        return self._steps
 
     @property
     def allocation(self) -> SlotAllocation:
@@ -519,16 +531,6 @@ class PatternSolution:
     @property
     def plans(self) -> tuple[GroupPlan, ...]:
         return tuple(step.plan for step in self.steps)
-
-    @property
-    def window(self) -> int:
-        return max((plan.window for plan in self.plans), default=0)
-
-    @property
-    def case_label(self) -> str:
-        labels = sorted((s.plan.label, s.case_label) for s in self.steps)
-        parts = [f"{g}:{lab}" for g, lab in labels if lab]
-        return ";".join(parts) if parts else "-"
 
 
 def _serial_order(st: Structure, keys, ranks: Ranks) -> list[UseKey]:
@@ -669,18 +671,16 @@ def _resolve_pattern(model: PathModel, pattern) -> PatternSpec:
 class GroupStep:
     """One group placed behind one early window and blocked-use set: the
     winner and its budget-T relaxed optimum (TUB), the regime label, the
-    predicted case, the plan (its placed runs), each transmitter's last end
-    and the group's COM values.  Solutions share it, so nothing in it can be
-    written."""
+    plan (its placed runs), each transmitter's last end and the group's
+    COM values."""
 
     structure: Structure
     relaxed: StructuredRelax
     case_label: str
-    predicted: str | None
     plan: GroupPlan
-    ends: MappingProxyType[TxLink, int]
-    entries: MappingProxyType[SlotKey, int]
-    per_node: MappingProxyType[int, float]
+    ends: dict[TxLink, int]
+    entries: dict[SlotKey, int]
+    per_node: dict[int, float]
 
 
 @dataclass
@@ -695,7 +695,6 @@ class _Group:
     candidates: list[Structure]
     txmap: dict[UseKey, TxLink]          # chain order
     ranks: Ranks
-    predicted: str | None
     # per candidate: the budget-T greedy (read-only), its product and
     # per-node COM, and the fill order with nothing blocked
     greedy: list[tuple[dict[EntryKey, int], dict[EntryKey, int]]]
@@ -728,8 +727,7 @@ class _GroupTable:
             candidates = candidate_structures(origins, self.conflicts)
             greedy = [_greedy_int(st, self.T, self.losses) for st in candidates]
             group = self.groups[key] = _Group(
-                label, origins, candidates, txmap, ranks,
-                predicted_case(origins, candidates), greedy,
+                label, origins, candidates, txmap, ranks, greedy,
                 [_delivery_product(origins, {**tentative, **rider}, self.losses)
                  for tentative, rider in greedy],
                 [_hideable_uses(order, _unhideable(st, txmap), ranks)
@@ -775,13 +773,11 @@ class _GroupTable:
         ends: dict[TxLink, int] = {}   # keyed on the transmitter map's tuples
         for r in place_plans([plan]):
             _widen(ends, group.txmap[(r.origin, r.link)], r.start + r.count)
-        return GroupStep(st, group.relaxed[i], lab, group.predicted, plan,
-                         MappingProxyType(ends), MappingProxyType(table),
-                         MappingProxyType(per_node))
+        return GroupStep(st, group.relaxed[i], lab, plan, ends, table, per_node)
 
     def solve(self, model: PathModel, spec: PatternSpec) -> PatternSolution:
         """Place the pattern's groups in order, each step looked up by its
-        (window, blocked uses) or placed, then score the steps."""
+        (window, blocked uses) or placed, then score and label the steps."""
         placed: Placed = {}
         steps = []
         for label in spec.placement:
@@ -801,7 +797,10 @@ class _GroupTable:
         tub = math.prod(step.relaxed.product
                         for step in sorted(steps, key=lambda s: s.plan.label))
         com = math.prod(per_node.values())
-        return PatternSolution(model, spec, self.T, tub, com, per_node, tuple(steps))
+        labels = sorted((s.plan.label, s.case_label) for s in steps if s.case_label)
+        case = ";".join(f"{g}:{lab}" for g, lab in labels) or "-"
+        return PatternSolution(model, spec, self.T, tub, com, per_node, case,
+                               max(s.plan.window for s in steps), tuple(steps))
 
 
 def solve_pattern(model: PathModel, pattern: PatternSpec | int | None = None,
@@ -823,7 +822,8 @@ def optimize(topology: Topology, cycle_slots: int | None = None,
     """Solve every (model, pattern); rank by COM desc, ties by TUB then name."""
     table, solutions = _GroupTable(topology, cycle_slots), []
     for model in enumerate_path_models(topology, no_sep_branch):
-        solutions += [table.solve(model, spec) for spec in patterns_for(model)]
+        solutions += [replace(table.solve(model, spec), _steps=None)
+                      for spec in patterns_for(model)]
         # no other model has its Z group (cut remnants, Z tail); X, Y are shared
         del table.groups[("Z", model.group_routes("Z"))]
     solutions.sort(key=lambda s: (-s.com_product, -s.tub_product, s.model.name,

@@ -33,8 +33,10 @@ import shutil
 from pathlib import Path
 
 from yslot import (ConvergenceError, enumerate_path_models, optimize,
-                   patterns_for, relaxed_table, validate_topology)
+                   patterns_for, relaxed_table, solve_pattern, validate_topology)
+from yslot.allocate import _layout, candidate_structures, predicted_case
 from yslot.cli import _slot_table_rows, main
+from yslot.topology import derive_conflicts
 
 HERE = Path(__file__).resolve().parent
 CLI_DIR = HERE / "cli"
@@ -106,19 +108,33 @@ def _reprs(value):
     return value
 
 
-def solution_record(sol) -> dict:
+def predicted_cases(model, labels) -> dict:
+    """Each group's overlap case predicted by the loss-rate rule, where the
+    rule predicts one."""
+    conflicts = derive_conflicts(model.topology)
+    found = {}
+    for label in labels:
+        origins = _layout(model, label)[0]
+        found[label] = predicted_case(origins, candidate_structures(origins, conflicts))
+    return {label: case for label, case in found.items() if case}
+
+
+def solution_record(row) -> dict:
+    """An optimize row's record, its details read from one solve of its
+    pattern alone."""
+    sol = solve_pattern(row.model, row.pattern, row.cycle_slots)
     tub_entries, windows_real = relaxed_table(sol)
     tub_row, com_row = _slot_table_rows(sol, tub_entries)[0]
     return _reprs({
-        "model": sol.model.name,
-        "no_sep_branch": sol.model.no_sep_branch,
-        "pattern": sol.pattern.pattern_id,
-        "tub": sol.tub_product,
-        "com": sol.com_product,
+        "model": row.model.name,
+        "no_sep_branch": row.model.no_sep_branch,
+        "pattern": row.pattern.pattern_id,
+        "tub": row.tub_product,
+        "com": row.com_product,
         "case_labels": dict(sorted((s.plan.label, s.case_label)
                                    for s in sol.steps)),
-        "predicted": dict(sorted((s.plan.label, s.predicted)
-                                 for s in sol.steps if s.predicted)),
+        "predicted": dict(sorted(predicted_cases(
+            sol.model, [s.plan.label for s in sol.steps]).items())),
         "windows": dict(sorted((s.plan.label, s.plan.window)
                                for s in sol.steps)),
         "windows_real": dict(sorted(windows_real.items())),

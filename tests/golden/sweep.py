@@ -9,9 +9,10 @@ script holds one SHA-256 digest per block.  A scenario's record is every
 `optimize` solution in rank order: the model, no-sep branch and pattern,
 both products as hex, the COM slot table and per-node COM (hex), the case
 label and window, the `relaxed_table` entries and real windows (hex), and
-the verified timeline's `to_lines()`.  Only output values are hashed, never
-type or field names, so a refactor that keeps every output keeps every
-digest.  A scenario whose relaxed solve fails to bracket its root records
+the verified timeline's `to_lines()`; a row's slot table, TUB table and
+timeline come from one solve of its pattern alone.  Only output values are
+hashed, never type or field names, so a refactor that keeps every output
+keeps every digest.  A scenario whose relaxed solve fails to bracket its root records
 that it raised.  Beside the digest, not hashed, every solution's COM must
 stay within its TUB, com <= tub * (1 + 1e-12), and the per-node COM of
 each solution whose per-node COMs are all positive must equal the exact
@@ -35,7 +36,7 @@ import sys
 from pathlib import Path
 
 from yslot import (ConvergenceError, optimize, relaxed_table,
-                   solution_timeline, validate_topology)
+                   solution_timeline, solve_pattern, validate_topology)
 
 DIGESTS = Path(__file__).resolve().parent / "sweep.json"
 
@@ -142,15 +143,16 @@ def check_delivery(sol, runs) -> None:
             node, exact[node].hex(), p.hex())
 
 
-def solution_values(sol, timeline) -> list:
-    """Every output value of one solution, floats as hex."""
+def solution_values(row, sol, timeline) -> list:
+    """Every output value of one optimize row, floats as hex: its own
+    fields, and the details of `sol`, its pattern solved alone."""
     tub_entries, windows = relaxed_table(sol)
     return [
-        sol.model.name, sol.model.no_sep_branch, sol.pattern.pattern_id,
-        sol.com_product.hex(), sol.tub_product.hex(),
+        row.model.name, row.model.no_sep_branch, row.pattern.pattern_id,
+        row.com_product.hex(), row.tub_product.hex(),
         [[*key, v] for key, v in sol.allocation.entries.items()],
-        [[node, p.hex()] for node, p in sol.per_node.items()],
-        sol.case_label, sol.window,
+        [[node, p.hex()] for node, p in row.per_node.items()],
+        row.case_label, row.window,
         [[*key, v.hex()] for key, v in tub_entries.items()],
         [[label, w.hex()] for label, w in windows.items()],
         timeline.to_lines(),
@@ -165,14 +167,15 @@ def block_digest(configs: list[dict]) -> str:
         except ConvergenceError:
             h.update(b"raises\n")
             continue
-        for sol in solutions:
-            assert sol.com_product <= sol.tub_product * (1 + 1e-12), (
-                sol.model.name, sol.model.no_sep_branch, sol.pattern.pattern_id,
-                sol.com_product.hex(), sol.tub_product.hex())
+        for row in solutions:
+            assert row.com_product <= row.tub_product * (1 + 1e-12), (
+                row.model.name, row.model.no_sep_branch, row.pattern.pattern_id,
+                row.com_product.hex(), row.tub_product.hex())
+            sol = solve_pattern(row.model, row.pattern, row.cycle_slots)
             timeline = solution_timeline(sol)
-            if all(p > 0.0 for p in sol.per_node.values()):
-                check_delivery(sol, timeline.runs)
-            h.update(json.dumps(solution_values(sol, timeline)).encode())
+            if all(p > 0.0 for p in row.per_node.values()):
+                check_delivery(row, timeline.runs)
+            h.update(json.dumps(solution_values(row, sol, timeline)).encode())
             h.update(b"\n")
         h.update(b"end\n")
     return h.hexdigest()

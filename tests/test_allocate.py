@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import random
 import sys
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -16,8 +18,8 @@ import pytest
 from conftest import (TABLE_P1_COM, TABLE_P1_TUB,
                       assert_optimize_matches_solve_pattern, branch_config,
                       com_probability, compositions, model_routes,
-                      plain_greedy, product_from_totals,
-                      recorded_residuals, solution_fields, table_totals)
+                      plain_greedy, product_from_totals, recorded_residuals,
+                      row_fields, solution_fields, table_totals)
 import yslot.allocate
 from yslot import (enumerate_path_models, find_model, optimize, patterns_for,
                    relaxed_table, solution_timeline, solve_pattern,
@@ -27,7 +29,8 @@ from yslot.allocate import (LossTables, Origin, Structure, _chain_ranks,
                             _fill_order, _greedy_int, _hideable_uses, _layout,
                             _packet_order, _GroupTable, _split_structure,
                             _step_parts, _unhideable, _widen, _window_scan,
-                            assign_early_slots, candidate_structures)
+                            assign_early_slots, candidate_structures,
+                            predicted_case)
 from yslot.relax import Use, log1m_pow, solve_plain_structure
 from yslot.timeline import place_plans, units_of
 from yslot.topology import MAX_CYCLE_SLOTS, TopologyError, derive_conflicts
@@ -1011,7 +1014,11 @@ def test_group_steps_match_scoring_every_candidate_in_full(all_cases, monkeypatc
 
 
 def optimize_peak_mb(topology) -> float:
-    """Traced peak of one `optimize` above its start, in MB (10^6 bytes)."""
+    """Traced peak of one `optimize` above its start, in MB (10^6 bytes).
+    A full collection empties the interpreter's free lists, and objects
+    freed into them still count as traced, so one is run before the warm-up
+    solve refills them, never between it and the traced one."""
+    gc.collect()
     optimize(topology)   # conflicts derived, every module loaded
     tracemalloc.start()
     try:
@@ -1030,8 +1037,10 @@ def optimize_peak_mb(topology) -> float:
 # a solve's greedies cut it to 6.89 MB; plans that hold their placed runs
 # peak at 6.93 MB, and 6.86 MB when a group is laid out in one walk.
 # Dropping each Z group after its model, solutions that merge their steps'
-# slot tables on each read and steps that keep only last ends read 3.97 MB
-PEAK_BOUND_MB = 4.4
+# slot tables on each read and steps that keep only last ends read 3.97 MB.
+# Rows that keep no steps, so that every step dies with the group table it
+# was placed in, read 0.81 MB
+PEAK_BOUND_MB = 1.0
 
 
 def test_optimize_peak_memory_on_a_generated_y():
@@ -1126,9 +1135,10 @@ def test_solving_places_runs_not_units(case1, monkeypatch):
 
 def test_relaxed_table_solves_only_the_split_parts(case1, monkeypatch):
     # each step holds its group's budget-T relaxed optimum, so the TUB table
-    # solves only the two parts of each c5 split: 9 splits over the 27
-    # solutions, where one full-budget solve per group once added 81
-    solutions = optimize(case1, 30)
+    # of a solved pattern solves only the two parts of each c5 split: 9
+    # splits over the 27 patterns, where one full-budget solve per group
+    # once added 81
+    solutions = [solve_pattern(s.model, s.pattern, 30) for s in optimize(case1, 30)]
     budgets = []
 
     def recording(st, budget):
@@ -1152,23 +1162,42 @@ def test_optimize_equals_each_pattern_solved_alone(all_cases, T):
         assert_optimize_matches_solve_pattern(optimize(topology, T), T)
 
 
-def test_solutions_share_no_mutable_container(case1):
-    # solutions built from one group step share it, and nothing in a step
-    # can be written; each read of a solution's slot table is a fresh merge,
-    # so writing it leaves every solution as it was, and emptying one
-    # solution's own per-node COM leaves the rest
+def test_optimize_rows_keep_no_group_step(case1, monkeypatch):
+    # every step optimize places dies with its group table while its rows
+    # are held, and each read of a row's steps solves its pattern alone
+    # anew: equal to solve_pattern's, sharing no step with another read
+    made = []
+    place = _GroupTable._place
+
+    def recording(self, group, window, blocked):
+        step = place(self, group, window, blocked)
+        made.append(weakref.ref(step))
+        return step
+
+    monkeypatch.setattr(_GroupTable, "_place", recording)
     solutions = optimize(case1, 30)
-    fresh = [solution_fields(solve_pattern(s.model, s.pattern, 30), False)
-             for s in solutions]
+    gc.collect()
+    assert len(made) == 49 and all(ref() is None for ref in made)
+    for sol in solutions:
+        first, second = sol.steps, sol.steps
+        assert not any(a is b for a in first for b in second)
+        assert first == second == solve_pattern(sol.model, sol.pattern, 30).steps
+
+
+def test_solutions_share_no_mutable_container(case1):
+    # a row keeps no steps, so writing the steps or slot table one read
+    # gives leaves the row as it was (a step's fields stay frozen and its
+    # relaxed values read-only), and emptying one row's own per-node COM
+    # leaves every other row
+    solutions = optimize(case1, 30)
+    alone = [solve_pattern(s.model, s.pattern, 30) for s in solutions]
+    fresh = [solution_fields(a, False) for a in alone]
     for i, sol in enumerate(solutions):
         assert isinstance(sol.steps, tuple) and isinstance(sol.plans, tuple)
         for step in sol.steps:
-            with pytest.raises(TypeError):
-                step.entries[(0, 1, 0, False)] = 1
-            with pytest.raises(TypeError):
-                step.per_node[0] = 0.5
-            with pytest.raises(TypeError):
-                step.ends[(0, 0)] = 1
+            step.entries.clear()
+            step.per_node.clear()
+            step.ends.clear()
             with pytest.raises(TypeError):
                 step.relaxed.values[(0, 0)] = 1.0
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -1181,8 +1210,8 @@ def test_solutions_share_no_mutable_container(case1):
         assert sol.allocation.per_node is sol.per_node
         sol.per_node.clear()
         sol.per_node[0] = 0.5
-        for other, expected in zip(solutions[i + 1:], fresh[i + 1:]):
-            assert solution_fields(other, False) == expected
+        for other, expected in zip(solutions[i + 1:], alone[i + 1:]):
+            assert row_fields(other) == row_fields(expected)
 
 
 def test_optimize_orders_and_dedups(case1):
@@ -1211,9 +1240,9 @@ def test_equal_group_products_tie_exactly():
 
 def test_predicted_case_rule(case2):
     # case-2 losses: q10 = 0.2 < q4 = 0.3 predicts the terminal-rider case
-    model = find_model(case2, "2-2-4", 11)
-    sol = solve_pattern(model, 2, 30)
-    assert {s.plan.label: s.predicted for s in sol.steps}["Z"] == "case2"
+    origins = _layout(find_model(case2, "2-2-4", 11), "Z")[0]
+    structures = candidate_structures(origins, derive_conflicts(case2))
+    assert predicted_case(origins, structures) == "case2"
 
 
 @pytest.mark.parametrize("name, riders", [("1-2-5", [(2, 3)]),

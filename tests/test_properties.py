@@ -15,6 +15,7 @@ group with more slots can widen a later group's window; an example pins
 each.  Examples are derandomized so every run checks the same scenarios.
 """
 
+import contextlib
 import json
 import math
 import tempfile
@@ -24,7 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import yslot.allocate
-from conftest import assert_optimize_matches_solve_pattern, recorded_residuals
+from conftest import (assert_optimize_matches_solve_pattern, recorded_residuals,
+                      solved_alone)
 from yslot import (derive_conflicts, enumerate_path_models, find_model,
                    optimize, patterns_for, relaxed_table, solution_timeline,
                    solve_pattern, validate_topology, verify_timeline)
@@ -93,11 +95,13 @@ def test_solved_pattern_invariants(scenario):
     assert_solution_invariants(topology, sol, T)
 
 
-def assert_solution_invariants(topology, sol, T: int) -> None:
-    """The paper's invariants on one solved pattern: TUB bounds COM, each
-    group's slots fit T and its window, and the timeline verifies."""
+def assert_solution_invariants(topology, row, T: int) -> None:
+    """The paper's invariants on one solved pattern or optimize row: TUB
+    bounds COM, each group's slots fit T and its window, and the timeline
+    verifies; the details come from one `solved_alone`."""
     # products at saturation differ by rounding: criterion 10's tolerance
-    assert sol.com_product <= sol.tub_product * (1 + 1e-12)
+    assert row.com_product <= row.tub_product * (1 + 1e-12)
+    sol = solved_alone(row)
     for step in sol.steps:
         plan = step.plan
         serial = sum(b.count for b in plan.serialized)
@@ -148,10 +152,8 @@ def test_losses_at_the_validation_bounds(config):
     with recorded_residuals() as residuals:
         solutions = optimize(topology, T)
         for sol in solutions:
-            relaxed_table(sol)
+            assert_solution_invariants(topology, sol, T)
     assert max(residuals) <= 1e-9
-    for sol in solutions:
-        assert_solution_invariants(topology, sol, T)
     model, spec = solutions[0].model, solutions[0].pattern
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "y.json", str(Path(tmp) / "out.csv")
@@ -178,8 +180,13 @@ def test_first_group_com_is_non_decreasing_in_T(y, step):
 
 
 def first_group_coms(solutions) -> dict:
+    """Each solution's first placed group COM: the product of its nodes'
+    COM in the group's origin order, as its step multiplies them, read
+    from the solution's own per-node COM, so a row needs no solve."""
     return {(s.model.name, s.model.no_sep_branch, s.pattern.pattern_id):
-            math.prod(s.steps[0].per_node.values()) for s in solutions}
+            math.prod(s.per_node[node] for node, _route
+                      in s.model.group_routes(s.pattern.placement[0]))
+            for s in solutions}
 
 
 def test_pattern_com_can_fall_as_T_grows():
@@ -216,18 +223,22 @@ def test_first_group_com_at_least_its_plain_com(y):
     # the overlap structures are extra candidates: behind the same (empty)
     # window, dropping them never raises the first group's COM
     topology, T = y
-    coms = first_group_coms(optimize(topology, T))
-    plain = optimize_plain_only(topology, T)
+    solutions = optimize(topology, T)
+    coms = first_group_coms(solutions)
+    with plain_only():
+        plain = [solve_pattern(s.model, s.pattern, T) for s in solutions]
     assert {step.structure.kind for s in plain for step in s.steps} == {"plain"}
     for key, com in first_group_coms(plain).items():
         assert coms[key] >= com, key
 
 
-def optimize_plain_only(topology, T):
+@contextlib.contextmanager
+def plain_only():
+    """Solve with the plain candidate structure of every group only."""
     candidates = yslot.allocate.candidate_structures
     try:
         yslot.allocate.candidate_structures = lambda *args: candidates(*args)[:1]
-        return optimize(topology, T)
+        yield
     finally:
         yslot.allocate.candidate_structures = candidates
 
@@ -249,13 +260,16 @@ def test_overlap_structures_can_lower_the_best_com():
         "proximity": [[a, b] for a, b, _q in links]
         + [[2, 3], [2, 5], [3, 5], [7, 9]],
     })
-    full, plain = optimize(topology, 18), optimize_plain_only(topology, 18)
-    assert full[0].com_product < plain[0].com_product
-
     def steps(solutions):
         sol = next(s for s in solutions if (s.model.name, s.model.no_sep_branch,
                                             s.pattern.pattern_id) == ("4-1-3", 10, 2))
         return {step.plan.label: step for step in sol.steps}
-    full_steps, plain_steps = steps(full), steps(plain)
+
+    full = optimize(topology, 18)
+    with plain_only():
+        plain = optimize(topology, 18)
+        plain_steps = steps(plain)
+    assert full[0].com_product < plain[0].com_product
+    full_steps = steps(full)
     assert full_steps["X"].structure.kind == "rider-feeders"
     assert (plain_steps["Y"].plan.window, full_steps["Y"].plan.window) == (8, 13)

@@ -6,7 +6,7 @@ import pytest
 from golden.make_corpus import YS_DIR
 from golden.sweep import check_delivery, exact_delivery
 
-from conftest import load_case_raw
+from conftest import load_case_raw, solved_alone
 from yslot import (ConflictSet, DoesNotFit, build_timeline, derive_conflicts,
                    find_model, optimize, solution_timeline, solve_pattern,
                    validate_topology, verify_timeline)
@@ -345,7 +345,7 @@ def test_run_verifier_matches_per_unit_oracle():
         topology = validate_topology(raw)
         conflicts = derive_conflicts(topology)
         for T in (30, 60):
-            for sol in optimize(topology, T):
+            for sol in map(solved_alone, optimize(topology, T)):
                 runs = solution_timeline(sol).runs
                 for variant in [runs, *corrupted_runs(runs, T, rng)]:
                     tl = Timeline(variant, T)
@@ -363,7 +363,7 @@ def test_units_are_fixed_points(case1):
     # units and verifies as its runs do, broken variants included
     rng = random.Random(19)
     conflicts = derive_conflicts(case1)
-    for sol in optimize(case1, 30):
+    for sol in map(solved_alone, optimize(case1, 30)):
         runs = solution_timeline(sol).runs
         for variant in [runs, *corrupted_runs(runs, 30, rng)]:
             tl = Timeline(variant, 30)
@@ -398,14 +398,14 @@ def test_placing_plans_together_equals_placing_each_alone(case1):
     for T in (30, 60):
         solutions = optimize(case1, T)
         assert len(solutions) == 27
-        for sol in solutions:
+        for sol in map(solved_alone, solutions):
             alone = [u for plan in sol.plans for u in place_plans([plan])]
             assert place_plans(sol.plans) == alone
 
 
 def test_one_unit_per_burst_slot_riders_included(case1):
     riders = 0
-    for sol in optimize(case1, 60):
+    for sol in map(solved_alone, optimize(case1, 60)):
         runs = [r for plan in sol.plans
                 for r in plan.early + plan.serialized + plan.riders]
         placed = place_plans(sol.plans)
@@ -436,7 +436,7 @@ def test_plans_tile_their_windows_and_riders_sit_in_their_hosts():
     for raw in configs:
         topology = validate_topology(raw)
         for T in (30, 60):
-            for sol in optimize(topology, T):
+            for sol in map(solved_alone, optimize(topology, T)):
                 for step in sol.steps:
                     plan = step.plan
                     early = sum(r.count for r in plan.early)
