@@ -48,15 +48,16 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
                         patterns_for)
 from .relax import (TOL, StructuredRelax, Use, log1m_pow, solve_plain_structure,
                     solve_rider_feeders, solve_rider_terminal)
 from .timeline import GroupPlan, _run_of_row, build_timeline, place_plans
-from .topology import ConflictSet, Topology, check_cycle_slots, derive_conflicts
+from .topology import (ConflictSet, Record, Topology, check_cycle_slots,
+                       derive_conflicts, fix, frozen)
 
 TxLink = tuple[int, int]  # (tx node, link): a transmitter
 UseKey = tuple[int, int]  # (origin node, link): one origin's hop, a budget use
@@ -66,8 +67,7 @@ Placed = dict[TxLink, float]  # last end per transmitter
 Ranks = tuple[dict[int, int], dict[int, int]]  # link ranks, origin ranks
 
 
-@dataclass(frozen=True)
-class Origin:
+class Origin(NamedTuple):
     node: int
     rate: int
     route: tuple[tuple[int, float], ...]  # (link id, loss), upstream to gateway
@@ -111,8 +111,7 @@ class LossTables(dict):
         return table
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(NamedTuple):
     """One serialized-budget layout for a group (plain or overlap orientation)."""
 
     kind: str                  # plain | rider-terminal | rider-feeders
@@ -128,10 +127,10 @@ class Structure:
 def _packet_entries(uses: tuple[Use, ...], hops: dict) -> list[tuple[EntryKey, float]]:
     """((node, k, link), loss) of each use's packets, built once per solve."""
     entries = []
-    for u in uses:
-        key = (u.node, u.link, u.q, u.weight)
-        entries += hops.get(key) or hops.setdefault(key, tuple(
-            ((u.node, k, u.link), u.q) for k in range(1, u.weight + 1)))
+    for use in uses:   # a Use is a tuple of its fields, so its own key
+        node, link, q, weight = use
+        entries += hops.get(use) or hops.setdefault(use, tuple(
+            ((node, k, link), q) for k in range(1, weight + 1)))
     return entries
 
 
@@ -401,14 +400,14 @@ def _delivery_product(origins, totals: dict[EntryKey, int], losses: LossTables):
     sum and its origin's, so both equal a walk over their origins alone."""
     log_m = 0.0
     per_node = {}
-    for o in origins:
+    for node, rate, route in origins:
         log_o = 0.0
-        for k in range(1, o.rate + 1):
-            for link, q in o.route:
-                term = losses[q].log(totals.get((o.node, k, link), 0))
+        for k in range(1, rate + 1):
+            for link, q in route:
+                term = losses[q].log(totals.get((node, k, link), 0))
                 log_m += term
                 log_o += term
-        per_node[o.node] = math.exp(log_o) if log_o > -math.inf else 0.0
+        per_node[node] = math.exp(log_o) if log_o > -math.inf else 0.0
     return (math.exp(log_m) if log_m > -math.inf else 0.0), per_node
 
 
@@ -490,25 +489,33 @@ def assign_early_slots(parts, split, hide_order: list[UseKey],
 # pattern orchestration
 
 
-@dataclass
-class SlotAllocation:
+class SlotAllocation(NamedTuple):
     entries: dict[SlotKey, int]
     per_node: dict[int, float]
 
 
-@dataclass
-class PatternSolution:
+class PatternSolution(Record):
     """A solved pattern; an `optimize` row keeps no steps, and each read
     of them solves its pattern alone, with no cache."""
-    model: PathModel
-    pattern: PatternSpec
-    cycle_slots: int
-    tub_product: float
-    com_product: float
-    per_node: dict[int, float]     # node order; COM is their product
-    case_label: str                # "X:lab;Y:lab;Z:lab" of labelled groups, or "-"
-    window: int                    # the widest group window
-    _steps: tuple[GroupStep, ...] | None
+
+    _fields = ("model", "pattern", "cycle_slots", "tub_product", "com_product",
+               "per_node", "case_label", "window", "_steps")
+
+    def __init__(self, model: PathModel, pattern: PatternSpec, cycle_slots: int,
+                 tub_product: float, com_product: float,
+                 per_node: dict[int, float],   # node order; COM is their product
+                 case_label: str,   # "X:lab;Y:lab;Z:lab" of labelled groups, or "-"
+                 window: int,       # the widest group window
+                 _steps: tuple[GroupStep, ...] | None):
+        self.model = model
+        self.pattern = pattern
+        self.cycle_slots = cycle_slots
+        self.tub_product = tub_product
+        self.com_product = com_product
+        self.per_node = per_node
+        self.case_label = case_label
+        self.window = window
+        self._steps = _steps
 
     @property
     def steps(self) -> tuple[GroupStep, ...]:
@@ -667,43 +674,47 @@ def _resolve_pattern(model: PathModel, pattern) -> PatternSpec:
     return matches[0]
 
 
-@dataclass(frozen=True)
-class GroupStep:
-    """One group placed behind one early window and blocked-use set: the
-    winner and its budget-T relaxed optimum (TUB), the regime label, the
-    plan (its placed runs), each transmitter's last end and the group's
-    COM values."""
+class GroupStep(Record):
+    """One group placed behind one early window and blocked-use set, frozen:
+    the winner and its budget-T relaxed optimum (TUB), the regime label,
+    the plan (its placed runs), each transmitter's last end and the
+    group's COM values."""
 
-    structure: Structure
-    relaxed: StructuredRelax
-    case_label: str
-    plan: GroupPlan
-    ends: dict[TxLink, int]
-    entries: dict[SlotKey, int]
-    per_node: dict[int, float]
+    _fields = ("structure", "relaxed", "case_label", "plan", "ends", "entries",
+               "per_node")
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, structure: Structure, relaxed: StructuredRelax,
+                 case_label: str, plan: GroupPlan, ends: dict[TxLink, int],
+                 entries: dict[SlotKey, int], per_node: dict[int, float]):
+        fix(self, structure=structure, relaxed=relaxed, case_label=case_label,
+            plan=plan, ends=ends, entries=entries, per_node=per_node)
 
 
-@dataclass
 class _Group:
     """A group's pattern-independent work at one topology and T: each
     candidate's greedy and scores, made once, and a winner's relaxed
     optimum and burst order, made when it first wins.  Its maps and orders
     hold the transmitter map's key tuples, not copies."""
 
-    label: str
-    origins: tuple[Origin, ...]          # most-upstream origin first
-    candidates: list[Structure]
-    txmap: dict[UseKey, TxLink]          # chain order
-    ranks: Ranks
-    # per candidate: the budget-T greedy (read-only), its product and
-    # per-node COM, and the fill order with nothing blocked
-    greedy: list[tuple[dict[EntryKey, int], dict[EntryKey, int]]]
-    scores: list[tuple[float, dict[int, float]]]
-    fills: list[list[UseKey]]
-    # per winning candidate index: the relaxed optimum and the burst order
-    relaxed: dict[int, StructuredRelax]
-    serials: dict[int, list[UseKey]]
-    steps: dict[tuple, GroupStep]
+    def __init__(self, model: PathModel, label: str, conflicts: ConflictSet,
+                 budget: int, losses: LossTables):
+        self.label = label
+        # origins most upstream first, the transmitter map in chain order
+        self.origins, self.txmap, self.ranks, order = _layout(model, label)
+        self.candidates = candidate_structures(self.origins, conflicts)
+        # per candidate: the budget-T greedy (read-only), its product and
+        # per-node COM, and the fill order with nothing blocked
+        self.greedy = [_greedy_int(st, budget, losses) for st in self.candidates]
+        self.scores = [_delivery_product(self.origins, {**tentative, **rider}, losses)
+                       for tentative, rider in self.greedy]
+        self.fills = [_hideable_uses(order, _unhideable(st, self.txmap), self.ranks)
+                      for st in self.candidates]
+        # per winning candidate index: the relaxed optimum and the burst
+        # order; per (window, blocked uses), the step placed there
+        self.relaxed: dict[int, StructuredRelax] = {}
+        self.serials: dict[int, list[UseKey]] = {}
+        self.steps: dict[tuple, GroupStep] = {}
 
 
 class _GroupTable:
@@ -723,15 +734,8 @@ class _GroupTable:
         key = (label, model.group_routes(label))
         group = self.groups.get(key)
         if group is None:
-            origins, txmap, ranks, order = _layout(model, label)
-            candidates = candidate_structures(origins, self.conflicts)
-            greedy = [_greedy_int(st, self.T, self.losses) for st in candidates]
-            group = self.groups[key] = _Group(
-                label, origins, candidates, txmap, ranks, greedy,
-                [_delivery_product(origins, {**tentative, **rider}, self.losses)
-                 for tentative, rider in greedy],
-                [_hideable_uses(order, _unhideable(st, txmap), ranks)
-                 for st in candidates], {}, {}, {})
+            group = self.groups[key] = _Group(model, label, self.conflicts,
+                                              self.T, self.losses)
         return group
 
     def _score(self, group: _Group, i: int, window: int, blocked: tuple[UseKey, ...]):
@@ -822,8 +826,10 @@ def optimize(topology: Topology, cycle_slots: int | None = None,
     """Solve every (model, pattern); rank by COM desc, ties by TUB then name."""
     table, solutions = _GroupTable(topology, cycle_slots), []
     for model in enumerate_path_models(topology, no_sep_branch):
-        solutions += [replace(table.solve(model, spec), _steps=None)
-                      for spec in patterns_for(model)]
+        for spec in patterns_for(model):
+            row = table.solve(model, spec)
+            row._steps = None   # a row keeps no step
+            solutions.append(row)
         # no other model has its Z group (cut remnants, Z tail); X, Y are shared
         del table.groups[("Z", model.group_routes("Z"))]
     solutions.sort(key=lambda s: (-s.com_product, -s.tub_product, s.model.name,

@@ -22,7 +22,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 from .allocate import (PatternSolution, optimize, relaxed_table,
@@ -95,7 +94,7 @@ SIMULATE_FIELDS = ["node", "empirical", "analytic", "sigma", "z", "ok",
 def _simulate_rows(report: SimReport, checks: list[NodeComparison]) -> list[dict]:
     """One row per node, then one for "all": each rate with its 3-sigma
     check, or without checks (slot reuse) with the check fields blank."""
-    cells = [astuple(c) for c in checks] or [
+    cells = checks or [
         (node, rate, "", "", "", "")
         for node, rate in [*sorted(report.per_node.items()), ("all", report.all_rate)]]
     meta = (report.trials, report.seed, report.algorithm, report.reuse)

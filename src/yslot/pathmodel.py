@@ -17,46 +17,56 @@ map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
-from .topology import Branch, ConflictSet, Topology, derive_conflicts
+from .topology import (Branch, ConflictSet, Record, Topology, derive_conflicts,
+                       fix, frozen)
 
 
-@dataclass(frozen=True, eq=False)
 class ZTable:
-    """What the models of one Z choice share: each node's route inward to
-    Z's gateway (X and Y nodes go back through the central node) and each
-    X and Y node's route outward to its own branch's gateway, and per cut
-    index i of X and of Y the branch's group nodes[i:] and its inner
-    remnant nodes[:i] reversed, which joins group Z."""
+    """What the models of one Z choice share, frozen and equal only to
+    itself: each node's route inward to Z's gateway (X and Y nodes go back
+    through the central node) and each X and Y node's route outward to its
+    own branch's gateway, and per cut index i of X and of Y the branch's
+    group nodes[i:] and its inner remnant nodes[:i] reversed, which joins
+    group Z."""
 
-    x_branch: Branch
-    y_branch: Branch
-    inward: dict[int, tuple[int, ...]]     # node -> link ids toward Z's gateway
-    outward: dict[int, tuple[int, ...]]    # X or Y node -> link ids to its gateway
-    x_groups: list[tuple[int, ...]]        # ia -> group X
-    y_groups: list[tuple[int, ...]]        # ib -> group Y
-    x_inner: list[tuple[int, ...]]         # ia -> X nodes in group Z
-    y_inner: list[tuple[int, ...]]         # ib -> Y nodes in group Z
-    z_tail: tuple[int, ...]                # the central node, then the Z branch
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, x_branch: Branch, y_branch: Branch,
+                 inward: dict[int, tuple[int, ...]],   # node -> link ids toward Z's gateway
+                 outward: dict[int, tuple[int, ...]],  # X or Y node -> link ids to its gateway
+                 x_groups: list[tuple[int, ...]],      # ia -> group X
+                 y_groups: list[tuple[int, ...]],      # ib -> group Y
+                 x_inner: list[tuple[int, ...]],       # ia -> X nodes in group Z
+                 y_inner: list[tuple[int, ...]],       # ib -> Y nodes in group Z
+                 z_tail: tuple[int, ...]):             # the central node, then the Z branch
+        fix(self, x_branch=x_branch, y_branch=y_branch, inward=inward,
+            outward=outward, x_groups=x_groups, y_groups=y_groups,
+            x_inner=x_inner, y_inner=y_inner, z_tail=z_tail)
 
 
-@dataclass(frozen=True)
-class PathModel:
-    """One separation-link placement: the Z branch's gateway and the cut,
-    separation links at inter-node link index ia of the X branch and ib of
-    the Y branch, with the table its Z choice shares.  Each group lists its
-    nodes most upstream first: X and Y are the outer slices of their
-    branches, Z the two inner remnants (separation side first), the central
-    node and the Z branch.  X and Y nodes route outward to their own
-    gateways, Z nodes inward to Z's."""
+class PathModel(Record):
+    """One separation-link placement, frozen: the Z branch's gateway and
+    the cut, separation links at inter-node link index ia of the X branch
+    and ib of the Y branch, with the table its Z choice shares, which its
+    equality and repr leave out.  Each group lists its nodes most upstream
+    first: X and Y are the outer slices of their branches, Z the two inner
+    remnants (separation side first), the central node and the Z branch.
+    X and Y nodes route outward to their own gateways, Z nodes inward to
+    Z's."""
 
-    topology: Topology
-    no_sep_branch: int                     # gateway id of the Z branch
-    ia: int                                # cut index in the X branch
-    ib: int                                # cut index in the Y branch
-    table: ZTable = field(compare=False, repr=False)
+    _fields = ("topology", "no_sep_branch", "ia", "ib")
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, topology: Topology,
+                 no_sep_branch: int,   # gateway id of the Z branch
+                 ia: int,              # cut index in the X branch
+                 ib: int,              # cut index in the Y branch
+                 table: ZTable):
+        fix(self, topology=topology, no_sep_branch=no_sep_branch, ia=ia, ib=ib,
+            table=table)
 
     @property
     def sep_link_a(self) -> int:
@@ -98,8 +108,7 @@ class PathModel:
         return tuple((node, routes[node]) for node in self.group(label))
 
 
-@dataclass(frozen=True)
-class PatternSpec:
+class PatternSpec(NamedTuple):
     """A slot-allocation pattern: the order in which its groups are placed."""
 
     pattern_id: int

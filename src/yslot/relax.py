@@ -20,8 +20,8 @@ a per-use evaluation gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 
 class DomainError(ValueError):
@@ -38,16 +38,14 @@ class ConvergenceError(RuntimeError):
 # tied to its hosts' total.
 
 
-@dataclass(frozen=True)
-class Use:
+class Use(NamedTuple):
     node: int
     link: int
     q: float
     weight: int
 
 
-@dataclass(frozen=True)
-class StructuredRelax:
+class StructuredRelax(NamedTuple):
     values: MappingProxyType[tuple[int, int], float]   # budget AND rider uses
     product: float
     residual: float

@@ -14,7 +14,7 @@ the first `simulate` call, so solving alone never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .timeline import Timeline, verify_timeline
 from .topology import Topology, _int, derive_conflicts
@@ -30,8 +30,7 @@ class NodeSetMismatch(Exception):
     pass
 
 
-@dataclass
-class SimReport:
+class SimReport(NamedTuple):
     trials: int
     seed: int
     algorithm: str
@@ -45,8 +44,7 @@ class SimReport:
         return {n: c / self.trials for n, c in self.per_node_counts.items()}
 
 
-@dataclass
-class NodeComparison:
+class NodeComparison(NamedTuple):
     node: int | str  # "all" for the every-packet rate
     empirical: float
     analytic: float

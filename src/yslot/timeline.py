@@ -5,12 +5,11 @@ causality, and the cycle bound."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
 from typing import NamedTuple
 
-from .topology import ConflictSet, Topology, derive_conflicts
+from .topology import ConflictSet, Record, Topology, derive_conflicts
 
 
 class TimelineError(Exception):
@@ -53,8 +52,7 @@ class Run(NamedTuple):
 _run_of_row = partial(tuple.__new__, Run)
 
 
-@dataclass(frozen=True)
-class GroupPlan:
+class GroupPlan(NamedTuple):
     """One group's runs, placed: early runs pack from slot 0 inside the
     window, serialized runs start at the window, and each rider run sits in
     its host run's first slots."""
@@ -66,13 +64,15 @@ class GroupPlan:
     riders: tuple[Run, ...]
 
 
-@dataclass
-class Timeline:
+class Timeline(Record):
     """A cycle as its placed runs, in placement order; the units, one-slot
     runs one per slot of each run, are expanded on first read."""
 
-    runs: list[Run]
-    cycle_slots: int
+    _fields = ("runs", "cycle_slots")
+
+    def __init__(self, runs: list[Run], cycle_slots: int):
+        self.runs = runs
+        self.cycle_slots = cycle_slots
 
     @cached_property
     def units(self) -> list[Run]:
@@ -102,17 +102,17 @@ class Timeline:
         return lines
 
 
-@dataclass
-class Violation:
+class Violation(NamedTuple):
     kind: str
     slot: int
     detail: str
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
-    violations: list[Violation] = field(default_factory=list)
+    # `verify_timeline` passes a list; the default is immutable, since a
+    # named tuple's default is one object that every report would share
+    violations: list[Violation] = ()
 
     def first(self) -> Violation | None:
         return self.violations[0] if self.violations else None

@@ -10,9 +10,9 @@ proximity set says which id pairs are within radio propagation distance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
+from typing import NamedTuple
 
 
 class TopologyError(Exception):
@@ -52,8 +52,44 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
-class Link:
+def fix(record, **fields) -> None:
+    """Set a frozen record's fields, once, in its `__init__`.  Unlike an
+    update of its `__dict__`, this keeps the instance's compact storage."""
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+
+
+def frozen(self, name: str, *value) -> None:
+    """`__setattr__` and `__delattr__` of a frozen record class, whose
+    `__init__` sets its fields through `fix`."""
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set "
+                         f"or delete field {name!r}")
+
+
+class Record:
+    """Base of the records that are plain classes, since they hold a cache
+    or a weak reference, or change: equal to a record of its own class
+    whose `_fields` are equal, shown by them, and unhashable (their fields
+    hold dicts or lists).  Value records are named tuples instead."""
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
+
+
+class Link(NamedTuple):
     id: int
     a: int
     b: int
@@ -63,8 +99,7 @@ class Link:
         return self.b if end == self.a else self.a
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One arm of the Y, walked from the central node outward."""
 
     gateway: int
@@ -72,15 +107,20 @@ class Branch:
     links: tuple[int, ...]  # central-adjacent link first; last one touches the gateway
 
 
-@dataclass(frozen=True)
-class Topology:
-    rates: dict[int, int]          # node id -> packets per cycle
-    gateways: tuple[int, ...]      # exactly 3 ids
-    links: dict[int, Link]
-    proximity: frozenset[tuple[int, int]]
-    cycle_slots: int
-    central: int
-    branches: tuple[Branch, ...]   # sorted: node count desc, then smallest node id
+class Topology(Record):
+    """A validated Y, frozen: `rates` maps node id -> packets per cycle,
+    `gateways` holds exactly 3 ids, and `branches` go by node count desc,
+    then smallest node id.  `derive_conflicts` keeps its conflict set on it."""
+
+    _fields = ("rates", "gateways", "links", "proximity", "cycle_slots",
+               "central", "branches")
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, rates: dict[int, int], gateways: tuple[int, ...],
+                 links: dict[int, Link], proximity: frozenset[tuple[int, int]],
+                 cycle_slots: int, central: int, branches: tuple[Branch, ...]):
+        fix(self, rates=rates, gateways=gateways, links=links, proximity=proximity,
+            cycle_slots=cycle_slots, central=central, branches=branches)
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -96,8 +136,7 @@ class Topology:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class ConflictSet:
+class ConflictSet(NamedTuple):
     """Transmissions that may not share a time slot: bit j of
     masks[index[t]] is set when t conflicts with the j-th transmission,
     receivers[t] is the node that t sends to, and rates are the topology's
@@ -125,11 +164,11 @@ class ConflictSet:
 
     def mask_of(self, txs) -> int:
         """Transmissions that conflict with any of `txs`, as one bitmask."""
-        mask = 0
+        index, masks, mask = self.index, self.masks, 0
         for t in txs:
-            i = self.index.get(t)
+            i = index.get(t)
             if i is not None:
-                mask |= self.masks[i]
+                mask |= masks[i]
         return mask
 
     def hits(self, mask: int, t: tuple[int, int]) -> bool:
@@ -141,13 +180,13 @@ class ConflictSet:
         """Whether a transmission of `txs` repeats or conflicts with an
         earlier one, or is not in the index: one pass that ORs the masks
         seen so far.  False clears `txs` without a pairwise check."""
-        seen = hit = 0
+        index, masks, seen, hit = self.index, self.masks, 0, 0
         for t in txs:
-            i = self.index.get(t)
+            i = index.get(t)
             if i is None or (seen | hit) >> i & 1:
                 return True
             seen |= 1 << i
-            hit |= self.masks[i]
+            hit |= masks[i]
         return False
 
 
@@ -159,7 +198,7 @@ def derive_conflicts(topology: Topology) -> ConflictSet:
     link's endpoints in proximity (`LinkNotInProximity`).  One pass ORs each
     transmission's bit into the nodes in range of its two ends; derived on
     the first call for a topology and kept on the (frozen) instance."""
-    cached = topology.__dict__.get("_conflicts")
+    cached = getattr(topology, "_conflicts", None)
     if cached is not None:
         return cached
     txs = topology.transmissions()
@@ -181,17 +220,25 @@ def derive_conflicts(topology: Topology) -> ConflictSet:
 
 
 def load_config(path: str | Path) -> dict:
-    """Read a JSON topology config; raises TopologyError with file context."""
+    """Read a JSON topology config, UTF-8 text as JSON is exchanged; raises
+    TopologyError with file context.  The parser recurses once per level
+    of nesting, so a file nested deeper than the recursion limit is an
+    error of the file too."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise TopologyError(f"cannot read config {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TopologyError(f"config {p} is not UTF-8 text (byte {exc.start}): "
+                            f"{exc.reason}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TopologyError(
             f"config {p} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    except RecursionError as exc:
+        raise TopologyError(f"config {p} is nested too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise TopologyError(f"config {p}: top level must be an object")
     return raw

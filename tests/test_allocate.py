@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import gc
 import itertools
@@ -1200,7 +1199,7 @@ def test_solutions_share_no_mutable_container(case1):
             step.ends.clear()
             with pytest.raises(TypeError):
                 step.relaxed.values[(0, 0)] = 1.0
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 step.relaxed = None
         entries = sol.allocation.entries
         assert entries is not sol.allocation.entries
@@ -1212,6 +1211,36 @@ def test_solutions_share_no_mutable_container(case1):
         sol.per_node[0] = 0.5
         for other, expected in zip(solutions[i + 1:], alone[i + 1:]):
             assert row_fields(other) == row_fields(expected)
+
+
+def _frozen_records(topology) -> dict:
+    """One record of each frozen kind, keyed by class name."""
+    model = find_model(topology, "3-2-3", 11)
+    step = solve_pattern(model, 1, 30).steps[0]
+    records = [topology.links[1], topology.branches[0], topology,
+               derive_conflicts(topology), model.table, model,
+               patterns_for(model)[0], step.structure.uses[0], step.relaxed,
+               _layout(model, "X")[0][0], step.structure, step.plan, step]
+    return {type(r).__name__: r for r in records}
+
+
+FROZEN = ("Link", "Branch", "Topology", "ConflictSet", "ZTable", "PathModel",
+          "PatternSpec", "Use", "StructuredRelax", "Origin", "Structure",
+          "GroupPlan", "GroupStep")
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_record_rejects_assignment(case1, name):
+    # named tuples and the frozen plain classes alike: setting or deleting
+    # a field raises, and the field keeps its value
+    record = _frozen_records(case1)[name]
+    field = next(iter(vars(record))) if hasattr(record, "__dict__") else record._fields[0]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
 
 
 def test_optimize_orders_and_dedups(case1):

@@ -90,7 +90,8 @@ import json, sys
 import yslot, yslot.cli
 cfg, out, tmp = sys.argv[1], [], sys.argv[2]
 model = ["--model", "3-2-3", "--no-sep-branch", "11", "--pattern", "1"]
-out.append(("import", None, "numpy" in sys.modules))
+loaded = lambda: ["numpy" in sys.modules, "dataclasses" in sys.modules]
+out.append(("import", None, *loaded()))
 for argv in (["enumerate", "-c", cfg],
              ["solve", "-c", cfg, *model, "--emit-timeline", tmp + "/grid.txt"],
              ["optimize", "-c", cfg],
@@ -98,12 +99,14 @@ for argv in (["enumerate", "-c", cfg],
              ["simulate", "-c", cfg, *model, "--trials", sys.argv[3]],
              ["simulate", "-c", cfg, *model, "--trials", "1000"]):
     code = yslot.cli.main([*argv, "-o", tmp + "/out.csv"])
-    out.append((argv[0], code, "numpy" in sys.modules))
+    out.append((argv[0], code, *loaded()))
 print(json.dumps(out))
 """
 
 
 def test_only_simulate_loads_numpy(tmp_path):
+    # and nothing loads dataclasses: yslot's records are named tuples or
+    # plain classes, so importing it generates no record code
     src = Path(yslot.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_INTERPRETER, CASE1, str(tmp_path),
@@ -111,9 +114,10 @@ def test_only_simulate_loads_numpy(tmp_path):
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
     assert json.loads(proc.stdout) == [
-        ["import", None, False], ["enumerate", 0, False], ["solve", 0, False],
-        ["optimize", 0, False], ["report", 0, False], ["simulate", 2, False],
-        ["simulate", 0, True]]
+        ["import", None, False, False], ["enumerate", 0, False, False],
+        ["solve", 0, False, False], ["optimize", 0, False, False],
+        ["report", 0, False, False], ["simulate", 2, False, False],
+        ["simulate", 0, True, False]]
     assert proc.stderr.endswith(
         f"error: trials {MAX_TRIALS + 1} is above the cap of {MAX_TRIALS}\n")
 

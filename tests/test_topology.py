@@ -8,7 +8,7 @@ import pytest
 from conftest import branch_config
 from yslot import (GatewayCountNot3, LinkNotInProximity, LossOutOfRange,
                    NoDegree3Node, NotATree, TopologyError, derive_conflicts,
-                   validate_topology)
+                   load_config, validate_topology)
 from yslot.cli import main
 from yslot.topology import MAX_CYCLE_SLOTS, MAX_PACKET_HOPS
 
@@ -117,6 +117,22 @@ def test_non_real_loss_rejected(case1_raw, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(value) in err
+
+
+@pytest.mark.parametrize("body, message", [
+    (b'{"nodes": "\xff"}', "is not UTF-8 text (byte 11): invalid start byte"),
+    (b"[" * 100_000 + b"]" * 100_000, "is nested too deeply to parse")],
+    ids=["not-utf8", "nested-100000-deep"])
+def test_malformed_file_is_a_config_error(tmp_path, capsys, body, message):
+    # a file the JSON parser cannot read is a config error that names the
+    # file, from the library and as the CLI's one error line with exit 2
+    path = tmp_path / "config.json"
+    path.write_bytes(body)
+    with pytest.raises(TopologyError) as raised:
+        load_config(path)
+    assert str(raised.value) == f"config {path} {message}"
+    assert main(["optimize", "-c", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: config {path} {message}\n"
 
 
 def test_integral_float_reads_as_int(case1_raw):
