@@ -53,11 +53,11 @@ from typing import NamedTuple
 
 from .pathmodel import (PathModel, PatternSpec, enumerate_path_models,
                         patterns_for)
+from .record import Record, fix
 from .relax import (TOL, StructuredRelax, Use, log1m_pow, solve_plain_structure,
                     solve_rider_feeders, solve_rider_terminal)
 from .timeline import GroupPlan, _run_of_row, build_timeline, place_plans
-from .topology import (ConflictSet, Record, Topology, check_cycle_slots,
-                       derive_conflicts, fix, frozen)
+from .topology import ConflictSet, Topology, check_cycle_slots, derive_conflicts
 
 TxLink = tuple[int, int]  # (tx node, link): a transmitter
 UseKey = tuple[int, int]  # (origin node, link): one origin's hop, a budget use
@@ -498,9 +498,6 @@ class PatternSolution(Record):
     """A solved pattern; an `optimize` row keeps no steps, and each read
     of them solves its pattern alone, with no cache."""
 
-    _fields = ("model", "pattern", "cycle_slots", "tub_product", "com_product",
-               "per_node", "case_label", "window", "_steps")
-
     def __init__(self, model: PathModel, pattern: PatternSpec, cycle_slots: int,
                  tub_product: float, com_product: float,
                  per_node: dict[int, float],   # node order; COM is their product
@@ -674,47 +671,50 @@ def _resolve_pattern(model: PathModel, pattern) -> PatternSpec:
     return matches[0]
 
 
-class GroupStep(Record):
-    """One group placed behind one early window and blocked-use set, frozen:
-    the winner and its budget-T relaxed optimum (TUB), the regime label,
-    the plan (its placed runs), each transmitter's last end and the
-    group's COM values."""
-
-    _fields = ("structure", "relaxed", "case_label", "plan", "ends", "entries",
-               "per_node")
-    __setattr__ = __delattr__ = frozen
+class GroupStep(Record, frozen=True):
+    """One group placed behind one early window and blocked-use set: the
+    winner and its budget-T relaxed optimum (TUB), the regime label, the
+    plan (its placed runs), each transmitter's last end and the group's
+    COM values."""
 
     def __init__(self, structure: Structure, relaxed: StructuredRelax,
                  case_label: str, plan: GroupPlan, ends: dict[TxLink, int],
                  entries: dict[SlotKey, int], per_node: dict[int, float]):
-        fix(self, structure=structure, relaxed=relaxed, case_label=case_label,
-            plan=plan, ends=ends, entries=entries, per_node=per_node)
+        fix(self, locals())
 
 
-class _Group:
+class _Group(Record):
     """A group's pattern-independent work at one topology and T: each
     candidate's greedy and scores, made once, and a winner's relaxed
     optimum and burst order, made when it first wins.  Its maps and orders
     hold the transmitter map's key tuples, not copies."""
 
-    def __init__(self, model: PathModel, label: str, conflicts: ConflictSet,
-                 budget: int, losses: LossTables):
+    def __init__(self, label: str,
+                 origins: tuple[Origin, ...],    # most-upstream origin first
+                 candidates: list[Structure],
+                 txmap: dict[UseKey, TxLink],    # chain order
+                 ranks: Ranks,
+                 # per candidate: the budget-T greedy (read-only), its product
+                 # and per-node COM, and the fill order with nothing blocked
+                 greedy: list[tuple[dict[EntryKey, int], dict[EntryKey, int]]],
+                 scores: list[tuple[float, dict[int, float]]],
+                 fills: list[list[UseKey]],
+                 # per winning candidate index: the relaxed optimum and the
+                 # burst order
+                 relaxed: dict[int, StructuredRelax],
+                 serials: dict[int, list[UseKey]],
+                 steps: dict[tuple, GroupStep]):
         self.label = label
-        # origins most upstream first, the transmitter map in chain order
-        self.origins, self.txmap, self.ranks, order = _layout(model, label)
-        self.candidates = candidate_structures(self.origins, conflicts)
-        # per candidate: the budget-T greedy (read-only), its product and
-        # per-node COM, and the fill order with nothing blocked
-        self.greedy = [_greedy_int(st, budget, losses) for st in self.candidates]
-        self.scores = [_delivery_product(self.origins, {**tentative, **rider}, losses)
-                       for tentative, rider in self.greedy]
-        self.fills = [_hideable_uses(order, _unhideable(st, self.txmap), self.ranks)
-                      for st in self.candidates]
-        # per winning candidate index: the relaxed optimum and the burst
-        # order; per (window, blocked uses), the step placed there
-        self.relaxed: dict[int, StructuredRelax] = {}
-        self.serials: dict[int, list[UseKey]] = {}
-        self.steps: dict[tuple, GroupStep] = {}
+        self.origins = origins
+        self.candidates = candidates
+        self.txmap = txmap
+        self.ranks = ranks
+        self.greedy = greedy
+        self.scores = scores
+        self.fills = fills
+        self.relaxed = relaxed
+        self.serials = serials
+        self.steps = steps
 
 
 class _GroupTable:
@@ -734,8 +734,15 @@ class _GroupTable:
         key = (label, model.group_routes(label))
         group = self.groups.get(key)
         if group is None:
-            group = self.groups[key] = _Group(model, label, self.conflicts,
-                                              self.T, self.losses)
+            origins, txmap, ranks, order = _layout(model, label)
+            candidates = candidate_structures(origins, self.conflicts)
+            greedy = [_greedy_int(st, self.T, self.losses) for st in candidates]
+            group = self.groups[key] = _Group(
+                label, origins, candidates, txmap, ranks, greedy,
+                [_delivery_product(origins, {**tentative, **rider}, self.losses)
+                 for tentative, rider in greedy],
+                [_hideable_uses(order, _unhideable(st, txmap), ranks)
+                 for st in candidates], {}, {}, {})
         return group
 
     def _score(self, group: _Group, i: int, window: int, blocked: tuple[UseKey, ...]):

@@ -20,19 +20,16 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .topology import (Branch, ConflictSet, Record, Topology, derive_conflicts,
-                       fix, frozen)
+from .record import Record, fix
+from .topology import Branch, ConflictSet, Topology, derive_conflicts
 
 
-class ZTable:
-    """What the models of one Z choice share, frozen and equal only to
-    itself: each node's route inward to Z's gateway (X and Y nodes go back
-    through the central node) and each X and Y node's route outward to its
-    own branch's gateway, and per cut index i of X and of Y the branch's
-    group nodes[i:] and its inner remnant nodes[:i] reversed, which joins
-    group Z."""
-
-    __setattr__ = __delattr__ = frozen
+class ZTable(Record, frozen=True, eq=False):
+    """What the models of one Z choice share: each node's route inward to
+    Z's gateway (X and Y nodes go back through the central node) and each
+    X and Y node's route outward to its own branch's gateway, and per cut
+    index i of X and of Y the branch's group nodes[i:] and its inner
+    remnant nodes[:i] reversed, which joins group Z."""
 
     def __init__(self, x_branch: Branch, y_branch: Branch,
                  inward: dict[int, tuple[int, ...]],   # node -> link ids toward Z's gateway
@@ -42,31 +39,24 @@ class ZTable:
                  x_inner: list[tuple[int, ...]],       # ia -> X nodes in group Z
                  y_inner: list[tuple[int, ...]],       # ib -> Y nodes in group Z
                  z_tail: tuple[int, ...]):             # the central node, then the Z branch
-        fix(self, x_branch=x_branch, y_branch=y_branch, inward=inward,
-            outward=outward, x_groups=x_groups, y_groups=y_groups,
-            x_inner=x_inner, y_inner=y_inner, z_tail=z_tail)
+        fix(self, locals())
 
 
-class PathModel(Record):
-    """One separation-link placement, frozen: the Z branch's gateway and
-    the cut, separation links at inter-node link index ia of the X branch
-    and ib of the Y branch, with the table its Z choice shares, which its
-    equality and repr leave out.  Each group lists its nodes most upstream
-    first: X and Y are the outer slices of their branches, Z the two inner
-    remnants (separation side first), the central node and the Z branch.
-    X and Y nodes route outward to their own gateways, Z nodes inward to
-    Z's."""
-
-    _fields = ("topology", "no_sep_branch", "ia", "ib")
-    __setattr__ = __delattr__ = frozen
+class PathModel(Record, frozen=True, hidden=("table",)):
+    """One separation-link placement: the Z branch's gateway and the cut,
+    separation links at inter-node link index ia of the X branch and ib of
+    the Y branch, with the table its Z choice shares.  Each group lists its
+    nodes most upstream first: X and Y are the outer slices of their
+    branches, Z the two inner remnants (separation side first), the central
+    node and the Z branch.  X and Y nodes route outward to their own
+    gateways, Z nodes inward to Z's."""
 
     def __init__(self, topology: Topology,
                  no_sep_branch: int,   # gateway id of the Z branch
                  ia: int,              # cut index in the X branch
                  ib: int,              # cut index in the Y branch
-                 table: ZTable):
-        fix(self, topology=topology, no_sep_branch=no_sep_branch, ia=ia, ib=ib,
-            table=table)
+                 table: ZTable):       # left out of == and repr
+        fix(self, locals())
 
     @property
     def sep_link_a(self) -> int:

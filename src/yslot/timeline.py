@@ -9,7 +9,8 @@ from functools import cached_property, partial
 from itertools import repeat
 from typing import NamedTuple
 
-from .topology import ConflictSet, Record, Topology, derive_conflicts
+from .record import Record
+from .topology import ConflictSet, Topology, derive_conflicts
 
 
 class TimelineError(Exception):
@@ -68,8 +69,6 @@ class Timeline(Record):
     """A cycle as its placed runs, in placement order; the units, one-slot
     runs one per slot of each run, are expanded on first read."""
 
-    _fields = ("runs", "cycle_slots")
-
     def __init__(self, runs: list[Run], cycle_slots: int):
         self.runs = runs
         self.cycle_slots = cycle_slots
@@ -110,9 +109,9 @@ class Violation(NamedTuple):
 
 class VerificationReport(NamedTuple):
     ok: bool
-    # `verify_timeline` passes a list; the default is immutable, since a
-    # named tuple's default is one object that every report would share
-    violations: list[Violation] = ()
+    # a named tuple's default is one object that every report shares, so
+    # it is an empty tuple; `verify_timeline` passes a list of its own
+    violations: tuple[Violation, ...] | list[Violation] = ()
 
     def first(self) -> Violation | None:
         return self.violations[0] if self.violations else None

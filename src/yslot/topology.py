@@ -14,6 +14,8 @@ from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
 
+from .record import Record, fix
+
 
 class TopologyError(Exception):
     """Invalid topology description."""
@@ -52,43 +54,6 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def fix(record, **fields) -> None:
-    """Set a frozen record's fields, once, in its `__init__`.  Unlike an
-    update of its `__dict__`, this keeps the instance's compact storage."""
-    for name, value in fields.items():
-        object.__setattr__(record, name, value)
-
-
-def frozen(self, name: str, *value) -> None:
-    """`__setattr__` and `__delattr__` of a frozen record class, whose
-    `__init__` sets its fields through `fix`."""
-    raise AttributeError(f"{type(self).__name__} is frozen: cannot set "
-                         f"or delete field {name!r}")
-
-
-class Record:
-    """Base of the records that are plain classes, since they hold a cache
-    or a weak reference, or change: equal to a record of its own class
-    whose `_fields` are equal, shown by them, and unhashable (their fields
-    hold dicts or lists).  Value records are named tuples instead."""
-
-    _fields: tuple[str, ...] = ()
-    __hash__ = None
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}"
-                          for name, value in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({shown})"
-
-
 class Link(NamedTuple):
     id: int
     a: int
@@ -107,20 +72,15 @@ class Branch(NamedTuple):
     links: tuple[int, ...]  # central-adjacent link first; last one touches the gateway
 
 
-class Topology(Record):
-    """A validated Y, frozen: `rates` maps node id -> packets per cycle,
-    `gateways` holds exactly 3 ids, and `branches` go by node count desc,
-    then smallest node id.  `derive_conflicts` keeps its conflict set on it."""
-
-    _fields = ("rates", "gateways", "links", "proximity", "cycle_slots",
-               "central", "branches")
-    __setattr__ = __delattr__ = frozen
-
-    def __init__(self, rates: dict[int, int], gateways: tuple[int, ...],
-                 links: dict[int, Link], proximity: frozenset[tuple[int, int]],
-                 cycle_slots: int, central: int, branches: tuple[Branch, ...]):
-        fix(self, rates=rates, gateways=gateways, links=links, proximity=proximity,
-            cycle_slots=cycle_slots, central=central, branches=branches)
+class Topology(Record, frozen=True):
+    def __init__(self, rates: dict[int, int],   # node id -> packets per cycle
+                 gateways: tuple[int, ...],      # exactly 3 ids
+                 links: dict[int, Link],
+                 proximity: frozenset[tuple[int, int]],
+                 cycle_slots: int,
+                 central: int,
+                 branches: tuple[Branch, ...]):  # sorted: node count desc, then smallest node id
+        fix(self, locals())
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -164,11 +124,11 @@ class ConflictSet(NamedTuple):
 
     def mask_of(self, txs) -> int:
         """Transmissions that conflict with any of `txs`, as one bitmask."""
-        index, masks, mask = self.index, self.masks, 0
+        mask = 0
         for t in txs:
-            i = index.get(t)
+            i = self.index.get(t)
             if i is not None:
-                mask |= masks[i]
+                mask |= self.masks[i]
         return mask
 
     def hits(self, mask: int, t: tuple[int, int]) -> bool:
@@ -180,13 +140,13 @@ class ConflictSet(NamedTuple):
         """Whether a transmission of `txs` repeats or conflicts with an
         earlier one, or is not in the index: one pass that ORs the masks
         seen so far.  False clears `txs` without a pairwise check."""
-        index, masks, seen, hit = self.index, self.masks, 0, 0
+        seen = hit = 0
         for t in txs:
-            i = index.get(t)
+            i = self.index.get(t)
             if i is None or (seen | hit) >> i & 1:
                 return True
             seen |= 1 << i
-            hit |= masks[i]
+            hit |= self.masks[i]
         return False
 
 
@@ -198,7 +158,7 @@ def derive_conflicts(topology: Topology) -> ConflictSet:
     link's endpoints in proximity (`LinkNotInProximity`).  One pass ORs each
     transmission's bit into the nodes in range of its two ends; derived on
     the first call for a topology and kept on the (frozen) instance."""
-    cached = getattr(topology, "_conflicts", None)
+    cached = topology.__dict__.get("_conflicts")
     if cached is not None:
         return cached
     txs = topology.transmissions()
