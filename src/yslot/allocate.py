@@ -57,7 +57,8 @@ from .record import Record, fix
 from .relax import (TOL, StructuredRelax, Use, log1m_pow, solve_plain_structure,
                     solve_rider_feeders, solve_rider_terminal)
 from .timeline import GroupPlan, _run_of_row, build_timeline, place_plans
-from .topology import ConflictSet, Topology, check_cycle_slots, derive_conflicts
+from .topology import (ConflictSet, Topology, _int, check_cycle_slots,
+                       derive_conflicts)
 
 TxLink = tuple[int, int]  # (tx node, link): a transmitter
 UseKey = tuple[int, int]  # (origin node, link): one origin's hop, a budget use
@@ -665,6 +666,7 @@ def _resolve_pattern(model: PathModel, pattern) -> PatternSpec:
     specs = patterns_for(model)
     if pattern is None:
         return specs[0]
+    pattern = _int(pattern, "pattern", ValueError)
     matches = [s for s in specs if s.pattern_id == pattern]
     if not matches:
         raise ValueError(f"model {model.name} has no pattern {pattern}")

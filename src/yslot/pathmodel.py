@@ -8,55 +8,50 @@ central node.
 
 The models of one Z choice differ only in their cut (ia, ib): the indices of
 the separation links among the X and Y branches' inter-node links.  A model
-holds its cut and the `ZTable` that every model of its Z choice shares, and
-reads its groups, routes, separation links and first hops from that table,
-so no model holds a dict of its own.  The allocation layer walks a group's
-routes once (`allocate._layout`) for its origins and its per-hop transmitter
-map.
+is a named tuple of its topology, Z gateway and cut and the `ZTable` that
+every model of its Z choice shares.  It slices its groups from the table's
+branches and reads its routes, separation links and first hops from the
+table, so no model holds a dict of its own.  The allocation layer walks a
+group's routes once (`allocate._layout`) for its origins and its per-hop
+transmitter map.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
 
-from .record import Record, fix
 from .topology import Branch, ConflictSet, Topology, derive_conflicts
 
 
-class ZTable(Record, frozen=True, eq=False):
-    """What the models of one Z choice share: each node's route inward to
-    Z's gateway (X and Y nodes go back through the central node) and each
-    X and Y node's route outward to its own branch's gateway, and per cut
-    index i of X and of Y the branch's group nodes[i:] and its inner
-    remnant nodes[:i] reversed, which joins group Z."""
+class ZTable(NamedTuple):
+    """What the models of one Z choice share: the X and Y branches, each
+    node's route inward to Z's gateway (X and Y nodes go back through the
+    central node), each X and Y node's route outward to its own branch's
+    gateway, and the tail of group Z."""
 
-    def __init__(self, x_branch: Branch, y_branch: Branch,
-                 inward: dict[int, tuple[int, ...]],   # node -> link ids toward Z's gateway
-                 outward: dict[int, tuple[int, ...]],  # X or Y node -> link ids to its gateway
-                 x_groups: list[tuple[int, ...]],      # ia -> group X
-                 y_groups: list[tuple[int, ...]],      # ib -> group Y
-                 x_inner: list[tuple[int, ...]],       # ia -> X nodes in group Z
-                 y_inner: list[tuple[int, ...]],       # ib -> Y nodes in group Z
-                 z_tail: tuple[int, ...]):             # the central node, then the Z branch
-        fix(self, locals())
+    x_branch: Branch
+    y_branch: Branch
+    inward: dict[int, tuple[int, ...]]   # node -> link ids toward Z's gateway
+    outward: dict[int, tuple[int, ...]]  # X or Y node -> link ids to its gateway
+    z_tail: tuple[int, ...]              # the central node, then the Z branch
 
 
-class PathModel(Record, frozen=True, hidden=("table",)):
+class PathModel(NamedTuple):
     """One separation-link placement: the Z branch's gateway and the cut,
     separation links at inter-node link index ia of the X branch and ib of
     the Y branch, with the table its Z choice shares.  Each group lists its
     nodes most upstream first: X and Y are the outer slices of their
     branches, Z the two inner remnants (separation side first), the central
     node and the Z branch.  X and Y nodes route outward to their own
-    gateways, Z nodes inward to Z's."""
+    gateways, Z nodes inward to Z's.  `==` compares every field; the table
+    is a function of the topology and the Z gateway, and the models of one
+    enumerated Z choice share it, so between them it compares by identity."""
 
-    def __init__(self, topology: Topology,
-                 no_sep_branch: int,   # gateway id of the Z branch
-                 ia: int,              # cut index in the X branch
-                 ib: int,              # cut index in the Y branch
-                 table: ZTable):       # left out of == and repr
-        fix(self, locals())
+    topology: Topology
+    no_sep_branch: int   # gateway id of the Z branch
+    ia: int              # cut index in the X branch
+    ib: int              # cut index in the Y branch
+    table: ZTable
 
     @property
     def sep_link_a(self) -> int:
@@ -82,13 +77,13 @@ class PathModel(Record, frozen=True, hidden=("table",)):
 
     def group(self, label: str) -> tuple[int, ...]:
         """Origins of group label ("X", "Y" or "Z"), upstream first."""
-        t = self.table
+        x, y = self.table.x_branch.nodes, self.table.y_branch.nodes
         if label == "X":
-            return t.x_groups[self.ia]
+            return x[self.ia:]
         if label == "Y":
-            return t.y_groups[self.ib]
+            return y[self.ib:]
         if label == "Z":
-            return t.x_inner[self.ia] + t.y_inner[self.ib] + t.z_tail
+            return x[:self.ia][::-1] + y[:self.ib][::-1] + self.table.z_tail
         raise KeyError(label)
 
     def group_routes(self, label: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -125,9 +120,8 @@ def _z_choices(topology: Topology, no_sep_branch: int | None,
 
 
 def _models(topology: Topology, z_branch: Branch, x_branch: Branch,
-            y_branch: Branch, cuts) -> list[PathModel]:
-    """Models of one Z choice, one per cut (ia, ib) in cuts, sharing one
-    `ZTable`."""
+            y_branch: Branch) -> list[PathModel]:
+    """Models of one Z choice, one per cut (ia, ib), sharing one `ZTable`."""
     z_links = z_branch.links
     inward = {topology.central: z_links}
     for j, node in enumerate(z_branch.nodes):
@@ -137,13 +131,10 @@ def _models(topology: Topology, z_branch: Branch, x_branch: Branch,
         for j, node in enumerate(branch.nodes):
             inward[node] = branch.links[j::-1] + z_links
             outward[node] = branch.links[j + 1:]
-    x, y = x_branch.nodes, y_branch.nodes
     table = ZTable(x_branch, y_branch, inward, outward,
-                   [x[i:] for i in range(len(x))], [y[i:] for i in range(len(y))],
-                   [x[:i][::-1] for i in range(len(x))],
-                   [y[:i][::-1] for i in range(len(y))],
                    (topology.central,) + z_branch.nodes)
-    return [PathModel(topology, z_branch.gateway, ia, ib, table) for ia, ib in cuts]
+    return [PathModel(topology, z_branch.gateway, ia, ib, table)
+            for ia in range(len(x_branch.nodes)) for ib in range(len(y_branch.nodes))]
 
 
 def enumerate_path_models(topology: Topology,
@@ -156,29 +147,14 @@ def enumerate_path_models(topology: Topology,
     """
     models = []
     for z_branch, x_branch, y_branch in _z_choices(topology, no_sep_branch):
-        models += _models(topology, z_branch, x_branch, y_branch,
-                          product(range(len(x_branch.nodes)), range(len(y_branch.nodes))))
+        models += _models(topology, z_branch, x_branch, y_branch)
     return models
 
 
 def find_model(topology: Topology, name: str,
                no_sep_branch: int | None = None) -> PathModel:
-    """Look up a model by its l-r-d name (and Z-branch gateway id if ambiguous).
-
-    Group X keeps l = |X branch| - ia nodes and Y keeps r = |Y branch| - ib,
-    so each Z choice holds at most one model of that name, and only that
-    one is built."""
-    try:
-        l, r, _ = (int(size) for size in name.split("-"))
-    except ValueError:
-        l = r = 0                  # not l-r-d: every cut is out of range
-    hits = []
-    for z_branch, x_branch, y_branch in _z_choices(topology, no_sep_branch):
-        ia, ib = len(x_branch.nodes) - l, len(y_branch.nodes) - r
-        if 0 <= ia < len(x_branch.nodes) and 0 <= ib < len(y_branch.nodes):
-            model, = _models(topology, z_branch, x_branch, y_branch, [(ia, ib)])
-            if model.name == name:
-                hits.append(model)
+    """Look up a model by its l-r-d name (and Z-branch gateway id if ambiguous)."""
+    hits = [m for m in enumerate_path_models(topology, no_sep_branch) if m.name == name]
     if not hits:
         raise ValueError(f"no path model named {name!r}")
     if len(hits) > 1:                      # only without no_sep_branch

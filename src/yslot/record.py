@@ -5,10 +5,8 @@ A record class lists its fields once, as the parameters of its
 `__init__`, which stores each under its own name: `self.name = name`, or
 `fix(self, locals())` in a frozen class.  It equals a record of its own
 class whose fields are equal, shows them in its repr and is unhashable,
-since its fields hold dicts or lists.  Class keywords: `frozen=True`
-rejects setting or deleting an attribute, `eq=False` keeps identity
-equality and hash, and `hidden` names fields that equality and repr
-leave out."""
+since its fields hold dicts or lists.  The class keyword `frozen=True`
+rejects setting or deleting an attribute."""
 
 from __future__ import annotations
 
@@ -29,19 +27,15 @@ def _frozen(self, name: str, *value) -> None:
 class Record:
     __hash__ = None
 
-    def __init_subclass__(cls, frozen: bool = False, eq: bool = True,
-                          hidden: tuple[str, ...] = ()):
+    def __init_subclass__(cls, frozen: bool = False):
         super().__init_subclass__()
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
-        cls._compared = tuple(name for name in cls._fields if name not in hidden)
         if frozen:
             cls.__setattr__ = cls.__delattr__ = _frozen
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -50,5 +44,5 @@ class Record:
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={value!r}"
-                          for name, value in zip(self._compared, self._values()))
+                          for name, value in zip(self._fields, self._values()))
         return f"{type(self).__name__}({shown})"

@@ -263,8 +263,12 @@ def validate_topology(raw: dict) -> Topology:
         raise TopologyError("generation rates must be >= 1")
     check_cycle_slots(cycle_slots)
 
-    if len(gw_ids) != 3 or len(set(gw_ids)) != 3:
+    if len(gw_ids) != 3:
         raise GatewayCountNot3(f"expected exactly 3 gateways, got {len(gw_ids)}")
+    if len(set(gw_ids)) != 3:
+        repeated = next(g for g in gw_ids if gw_ids.count(g) > 1)
+        raise GatewayCountNot3(f"gateway id {repeated} is repeated; expected "
+                               "3 distinct gateways")
     if set(gw_ids) & set(rates):
         raise TopologyError("gateway ids overlap node ids")
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -299,6 +300,23 @@ def test_library_cycle_outside_the_cap_raises_before_solving(
             optimize(topology, cycle_slots)
         else:
             solve_pattern(enumerate_path_models(topology)[0], 1, cycle_slots)
+
+
+@pytest.mark.parametrize("pattern, message", [
+    (True, "pattern True is not an integer"),
+    (1.5, "pattern 1.5 is not an integer"),
+    ("2", "pattern '2' is not an integer"),
+    (3, "model 3-2-3 has no pattern 3"),
+    (2.0, None), (np.int64(2), None)],
+    ids=["True", "1.5", "str2", "3", "2.0", "int64"])
+def test_pattern_is_read_by_the_config_integer_rule(case1, pattern, message):
+    # as cycle_slots: no bool, no fraction, no string; an integral value reads
+    model = find_model(case1, "3-2-3", 11)
+    if message is None:
+        assert solve_pattern(model, pattern).pattern.pattern_id == 2
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_pattern(model, pattern)
 
 
 @pytest.mark.parametrize("cycle_slots", [30.0, np.int64(30)], ids=["30.0", "int64"])

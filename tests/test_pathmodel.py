@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -143,10 +144,17 @@ def test_relabeling_gateways_preserves_groups(case1_raw, case1):
 
 
 def test_ambiguous_model_name_needs_branch(case1):
-    with pytest.raises(ValueError):
-        find_model(case1, "3-2-3")          # exists for two Z choices
-    with pytest.raises(ValueError):
-        find_model(case1, "9-9-9", 11)      # no such model
+    # each message exactly; a non-str name is no model's name either
+    for name, no_sep_branch, message in [
+        ("9-9-9", 11, "no path model named '9-9-9'"),
+        ("03-2-3", None, "no path model named '03-2-3'"),   # not a model's own name
+        ("3-2-9", None, "no path model named '3-2-9'"),     # sizes do not sum to 8
+        ("x", None, "no path model named 'x'"),
+        (5, None, "no path model named 5"),
+        ("3-2-3", None, "model '3-2-3' is ambiguous; pass no_sep_branch in [10, 11]"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            find_model(case1, name, no_sep_branch)
 
 
 def test_no_sep_branch_must_be_a_gateway(case1):
@@ -327,14 +335,18 @@ def test_models_and_patterns_match_the_oracles():
 MODEL_FIELDS = {"topology", "no_sep_branch", "ia", "ib", "table"}
 
 
+def holds_only_its_fields(model) -> bool:
+    return set(model._fields) == MODEL_FIELDS and not hasattr(model, "__dict__")
+
+
 def test_no_model_holds_state_of_its_own_after_solving(case1):
     solutions = optimize(validate_topology(branch_config((4, 4, 4))))
     models = {id(sol.model): sol.model for sol in solutions}
     assert len(models) == 48
-    assert all(set(vars(m)) == MODEL_FIELDS for m in models.values())
+    assert all(holds_only_its_fields(m) for m in models.values())
     model = find_model(case1, "3-2-3", 11)
     solve_pattern(model)
-    assert set(vars(model)) == MODEL_FIELDS
+    assert holds_only_its_fields(model)
 
 
 def test_front_end_at_the_caps():
@@ -347,7 +359,7 @@ def test_front_end_at_the_caps():
     specs = [patterns_for(m) for m in models]
     assert time.perf_counter() - start < 5.0
     assert len(models) == len(specs) == 4800
-    assert all(set(vars(m)) == MODEL_FIELDS for m in models)
+    assert all(holds_only_its_fields(m) for m in models)
     for z_branch in topology.branches:
         # at most two route tuples (outward, inward) per separated node and
         # one per other node, shared by the 1 600 models of the Z choice

@@ -26,7 +26,12 @@ def test_two_gateways_rejected(case1_raw):
     raw["gateways"] = raw["gateways"][:2]
     raw["links"] = [l for l in raw["links"] if l["id"] != 10]
     raw["nodes"] = raw["nodes"]
-    with pytest.raises(GatewayCountNot3):
+    with pytest.raises(GatewayCountNot3, match="^expected exactly 3 gateways, got 2$"):
+        validate_topology(raw)
+    # three entries, two of them one gateway: the message names the repeated id
+    raw = copy.deepcopy(case1_raw)
+    raw["gateways"] = [{"id": 9}, {"id": 9}, {"id": 10}]
+    with pytest.raises(GatewayCountNot3, match="^gateway id 9 is repeated"):
         validate_topology(raw)
 
 
